@@ -1,15 +1,16 @@
-"""Matrix-form LoS channel model for the cascaded multi-surface link.
+"""LoS channel model for the cascaded multi-surface link.
 
 Every hop between adjacent nodes is a rank-one product of the receive and
 transmit array responses, scaled by the hop's amplitude gain and carrier
-phase.  Composing the hops with explicit matrix products gives the
-reference evaluation of SNR and received power against which all the
-closed-form expressions are checked.
+phase.  The cascade that evaluates SNR and received power, the reference
+against which all the closed-form expressions are checked, applies each
+hop through those rank-one factors, so a chain of J surfaces with N
+elements each costs O(J * N) time and memory.  ``hop_matrices`` builds the
+dense N x N hop matrices and serves as the small-N reference for it.
 
 Cascade magnitudes shrink geometrically with the hop count, so the
-cascades below keep each running vector at unit peak and carry the
-magnitude separately in log domain; only the per-hop matrices are stored
-as plain complex arrays.
+cascade keeps each running vector at unit peak and carries the magnitude
+separately in log domain.
 """
 
 from __future__ import annotations
@@ -78,12 +79,20 @@ def upa_response(azimuth: float, elevation: float, nx: int, nz: int,
     two_d = 2.0 * spacing / wavelength
     x_arg = two_d * math.cos(azimuth) * math.sin(elevation)
     z_arg = two_d * math.cos(elevation)
-    return np.kron(steering_vector(x_arg, nx), steering_vector(z_arg, nz))
+    # outer(...).ravel() is the Kronecker product of two vectors, without np.kron's overhead
+    return np.outer(steering_vector(x_arg, nx), steering_vector(z_arg, nz)).ravel()
+
+
+def _hop_gain(hop: HopGeometry, ref_path_gain: float, exponent: float,
+              wavelength: float) -> complex:
+    """Amplitude gain times carrier phase of a single hop."""
+    amp = amplitude_gain(hop.distance, ref_path_gain, exponent)
+    return amp * np.exp(-1j * TWO_PI * hop.distance / wavelength)
 
 
 def los_channel(hop: HopGeometry, rx_response: np.ndarray, tx_response: np.ndarray,
                 ref_path_gain: float, exponent: float, wavelength: float) -> np.ndarray:
-    """Rank-one LoS channel matrix of a single hop.
+    """Dense rank-one LoS channel matrix of a single hop.
 
     Every entry has modulus sqrt(ref_path_gain) / distance**(exponent/2);
     the returned matrix maps the transmit side (columns) to the receive
@@ -93,9 +102,7 @@ def los_channel(hop: HopGeometry, rx_response: np.ndarray, tx_response: np.ndarr
     tx = np.atleast_1d(np.asarray(tx_response))
     if rx.ndim != 1 or tx.ndim != 1:
         raise ValueError("array responses must be vectors")
-    amp = amplitude_gain(hop.distance, ref_path_gain, exponent)
-    phase = np.exp(-1j * TWO_PI * hop.distance / wavelength)
-    return amp * phase * np.outer(rx, tx.conj())
+    return _hop_gain(hop, ref_path_gain, exponent, wavelength) * np.outer(rx, tx.conj())
 
 
 def chain_geometry(p: SystemParams, turn: float = 0.35, tilt: float = 0.15) -> list[HopGeometry]:
@@ -169,25 +176,29 @@ def bs_departure_response(geometry: list[HopGeometry], p: SystemParams) -> np.nd
                         p.element_spacing, p.wavelength)
 
 
+def _hop_responses(geometry: list[HopGeometry], p: SystemParams,
+                   airs_index: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(receive, transmit) array responses of every hop, transmitter hop first.
+
+    Hop 0 leaves the transmitter array, hop k (1 <= k < J) leaves surface
+    k for surface k+1, and hop J reaches the single-antenna receiver.
+    """
+    pairs = surface_response_pairs(geometry, p, airs_index)
+    rx = [arrive for arrive, _ in pairs] + [np.ones(1)]
+    tx = [bs_departure_response(geometry, p)] + [depart for _, depart in pairs]
+    return list(zip(rx, tx))
+
+
 def hop_matrices(geometry: list[HopGeometry], p: SystemParams,
                  airs_index: int) -> list[np.ndarray]:
-    """Full per-hop channel matrices, transmitter hop first.
+    """Dense per-hop channel matrices, transmitter hop first.
 
     Entry 0 is (N_1 x M), entries 1..J-1 are (N_{k+1} x N_k), and the
-    final user hop is returned as a (1 x N_J) row.
+    final user hop is returned as a (1 x N_J) row.  This is the small-N
+    reference for the rank-one cascade; it needs O(J * N^2) memory.
     """
-    _check_geometry(geometry, p)
-    _check_airs_index(airs_index, p)
-    pairs = surface_response_pairs(geometry, p, airs_index)
-    mats = [los_channel(geometry[0], pairs[0][0], bs_departure_response(geometry, p),
-                        p.ref_path_gain, p.path_loss_exponent, p.wavelength)]
-    for k in range(1, p.num_irs):
-        # hop k: surface k departs, surface k+1 receives
-        mats.append(los_channel(geometry[k], pairs[k][0], pairs[k - 1][1],
-                                p.ref_path_gain, p.path_loss_exponent, p.wavelength))
-    mats.append(los_channel(geometry[p.num_irs], np.ones(1), pairs[-1][1],
-                            p.ref_path_gain, p.path_loss_exponent, p.wavelength))
-    return mats
+    return [los_channel(hop, rx, tx, p.ref_path_gain, p.path_loss_exponent, p.wavelength)
+            for hop, (rx, tx) in zip(geometry, _hop_responses(geometry, p, airs_index))]
 
 
 def _rescale(vec: np.ndarray, log_mag: float) -> tuple[np.ndarray, float]:
@@ -197,30 +208,53 @@ def _rescale(vec: np.ndarray, log_mag: float) -> tuple[np.ndarray, float]:
     return vec / peak, log_mag + math.log(peak)
 
 
-def _cascades(airs_index, geometry, phases, beam, p):
+def _cascade(airs_index, geometry, phases, beam, p):
     """Unit-peak effective channel vectors plus their log magnitudes.
 
     Forward: transmitter through surfaces 1..l-1 into the active surface.
-    Backward: receiver row back through surfaces J..l+1.  Pure matrix
-    products; the reflection of the active surface itself is applied by
-    the callers.
+    Backward: receiver row back through surfaces J..l+1.  Each hop acts as
+    its rank-one factors, ``gain * rx * (tx^H x)`` forward and
+    ``gain * (y rx) * tx^H`` backward, so a step costs O(N).  The
+    reflection of the active surface itself is applied by the callers.
     """
-    _check_airs_index(airs_index, p)
-    mats = hop_matrices(geometry, p, airs_index)
+    hops = _hop_responses(geometry, p, airs_index)
+    gains = [_hop_gain(hop, p.ref_path_gain, p.path_loss_exponent, p.wavelength)
+             for hop in geometry]
 
-    fwd = mats[0] @ np.asarray(beam)
-    fwd, log_fwd = _rescale(fwd, 0.0)
-    for k in range(1, airs_index):
-        fwd = mats[k] @ (phases.reflection(k) * fwd)
-        fwd, log_fwd = _rescale(fwd, log_fwd)
+    fwd, log_fwd = np.asarray(beam), 0.0
+    for k in range(airs_index):
+        if k > 0:
+            fwd = phases.reflection(k) * fwd
+        rx, tx = hops[k]
+        fwd, log_fwd = _rescale(gains[k] * np.vdot(tx, fwd) * rx, log_fwd)
 
-    bwd = mats[p.num_irs][0]  # receiver hop row, conjugation already applied
-    bwd, log_bwd = _rescale(bwd, 0.0)
-    for k in range(p.num_irs - 1, airs_index - 1, -1):
-        bwd = (bwd * phases.reflection(k + 1)) @ mats[k]
-        bwd, log_bwd = _rescale(bwd, log_bwd)
+    bwd, log_bwd = np.ones(1), 0.0  # single-antenna receiver
+    for k in range(p.num_irs, airs_index - 1, -1):
+        if k < p.num_irs:
+            bwd = bwd * phases.reflection(k + 1)
+        rx, tx = hops[k]
+        bwd, log_bwd = _rescale(gains[k] * (bwd @ rx) * tx.conj(), log_bwd)
 
     return fwd, log_fwd, bwd, log_bwd
+
+
+def _log_received(airs_index, geometry, phases, beam, p) -> tuple[float, float]:
+    """Log of the received signal power and of the amplified-noise power gain.
+
+    The noise gain eta^2 * ||h_out||^2 multiplies the amplification noise
+    power; either log is -inf when its power is exactly zero.
+    """
+    if phases.eta == 0.0:
+        return -math.inf, -math.inf
+    fwd, log_fwd, bwd, log_bwd = _cascade(airs_index, geometry, phases, beam, p)
+    coupling = abs(bwd @ (phases.reflection(airs_index) * fwd))
+    log_eta2 = 2.0 * math.log(phases.eta)
+    log_signal = -math.inf
+    if coupling > 0.0:
+        log_signal = log_eta2 + 2.0 * (log_fwd + log_bwd + math.log(coupling))
+    # reflection is unit-modulus diagonal, so ||row * reflection|| == ||row||
+    log_noise_gain = log_eta2 + 2.0 * log_bwd + math.log(float(np.sum(np.abs(bwd) ** 2)))
+    return log_signal, log_noise_gain
 
 
 def effective_channels(airs_index: int, geometry: list[HopGeometry], phases: PhaseConfig,
@@ -231,7 +265,7 @@ def effective_channels(airs_index: int, geometry: list[HopGeometry], phases: Pha
     incident on the active surface; h_out_row is the row vector such that
     the received scalar is ``h_out_row @ (reflection * h_in)``.
     """
-    fwd, log_fwd, bwd, log_bwd = _cascades(airs_index, geometry, phases, beam, p)
+    fwd, log_fwd, bwd, log_bwd = _cascade(airs_index, geometry, phases, beam, p)
     return fwd * math.exp(log_fwd), bwd * math.exp(log_bwd)
 
 
@@ -243,47 +277,25 @@ def incident_element_power(airs_index: int, geometry: list[HopGeometry], phases:
     power; the maximum keeps the feasibility check conservative for
     arbitrary phase configurations.
     """
-    fwd, log_fwd, _, _ = _cascades(airs_index, geometry, phases, beam, p)
-    peak = float(np.max(np.abs(fwd)))
-    if peak == 0.0:
-        return 0.0
-    return math.exp(2.0 * (log_fwd + math.log(peak)))
+    _, log_fwd, _, _ = _cascade(airs_index, geometry, phases, beam, p)
+    return math.exp(2.0 * log_fwd)
 
 
 def full_snr(airs_index: int, geometry: list[HopGeometry], phases: PhaseConfig,
              beam: np.ndarray, p: SystemParams) -> float:
-    """Receiver SNR evaluated from the explicit matrix cascade."""
-    if phases.eta == 0.0:
+    """Receiver SNR evaluated from the explicit channel cascade."""
+    log_signal, log_noise_gain = _log_received(airs_index, geometry, phases, beam, p)
+    if log_signal == -math.inf:
         return 0.0
-    fwd, log_fwd, bwd, log_bwd = _cascades(airs_index, geometry, phases, beam, p)
-    coupling = abs(bwd @ (phases.reflection(airs_index) * fwd))
-    if coupling == 0.0:
-        return 0.0
-    log_eta2 = 2.0 * math.log(phases.eta)
     log_sigma2 = math.log(p.noise_power)
-    log_signal = log_eta2 + 2.0 * (log_fwd + log_bwd + math.log(coupling))
-    # reflection is unit-modulus diagonal, so ||row * reflection|| == ||row||
-    log_amp_noise = log_eta2 + 2.0 * log_bwd + math.log(float(np.sum(np.abs(bwd) ** 2))) + log_sigma2
-    log_den = np.logaddexp(log_amp_noise, log_sigma2)
-    return math.exp(log_signal - log_den)
+    return math.exp(log_signal - np.logaddexp(log_noise_gain + log_sigma2, log_sigma2))
 
 
 def full_power(airs_index: int, geometry: list[HopGeometry], phases: PhaseConfig,
                beam: np.ndarray, p: SystemParams) -> float:
     """Total received signal-plus-amplification-noise power (watts)."""
-    if phases.eta == 0.0:
-        return 0.0
-    fwd, log_fwd, bwd, log_bwd = _cascades(airs_index, geometry, phases, beam, p)
-    coupling = abs(bwd @ (phases.reflection(airs_index) * fwd))
-    log_eta2 = 2.0 * math.log(phases.eta)
-    signal = 0.0
-    if coupling > 0.0:
-        signal = math.exp(log_eta2 + 2.0 * (log_fwd + log_bwd + math.log(coupling)))
+    log_signal, log_noise_gain = _log_received(airs_index, geometry, phases, beam, p)
     noise = 0.0
     if p.noise_power > 0.0:
-        noise = math.exp(
-            log_eta2 + 2.0 * log_bwd
-            + math.log(float(np.sum(np.abs(bwd) ** 2)))
-            + math.log(p.noise_power)
-        )
-    return signal + noise
+        noise = math.exp(log_noise_gain + math.log(p.noise_power))
+    return math.exp(log_signal) + noise

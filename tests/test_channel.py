@@ -13,6 +13,7 @@ from irschain.channel import (
     full_power,
     full_snr,
     hop_matrices,
+    incident_element_power,
     los_channel,
     random_geometry,
     steering_vector,
@@ -61,6 +62,20 @@ class TestUpaResponse:
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             upa_response(0.1, 0.2, 0, 4, 0.5, 1.0)
+
+    @pytest.mark.parametrize("nx, nz", [(1, 1), (1, 9), (9, 1), (3, 5), (16, 12)])
+    def test_bit_identical_to_kron(self, nx, nz):
+        rng = np.random.default_rng(nx * 100 + nz)
+        for _ in range(5):
+            azimuth, elevation = rng.uniform(0.0, 2 * math.pi), rng.uniform(0.1, 3.0)
+            spacing, wavelength = rng.uniform(0.2, 0.6), rng.uniform(0.5, 1.5)
+            two_d = 2.0 * spacing / wavelength
+            expected = np.kron(
+                steering_vector(two_d * math.cos(azimuth) * math.sin(elevation), nx),
+                steering_vector(two_d * math.cos(elevation), nz),
+            )
+            vec = upa_response(azimuth, elevation, nx, nz, spacing, wavelength)
+            assert np.array_equal(vec, expected)
 
 
 class TestLosChannel:
@@ -237,3 +252,82 @@ class TestGeometryHelpers:
         geom = chain_geometry(p)[:-1]
         with pytest.raises(ValueError):
             hop_matrices(geom, p, 1)
+
+
+def _small_random_params(rng, num_irs):
+    """Random scenario with every panel at most 256 elements."""
+    return SystemParams(
+        num_irs=num_irs,
+        bs_antennas=int(rng.integers(1, 17)),
+        airs_elements=int(rng.integers(4, 257)),
+        pirs_elements=int(rng.integers(4, 257)),
+        bs_irs_distance=4.0 * 10.0 ** rng.uniform(-0.5, 0.5),
+        irs_user_distance=4.0 * 10.0 ** rng.uniform(-0.5, 0.5),
+        inter_irs_distance=10.0 * 10.0 ** rng.uniform(-0.5, 0.5),
+        tx_power=10.0 ** rng.uniform(-2, 2),
+        amp_power=1e-4 * 10.0 ** rng.uniform(-1, 1),
+        noise_power=1e-9 * 10.0 ** rng.uniform(-1, 1),
+    )
+
+
+def _dense_cascade(l, geom, phases, beam, p):
+    """The matrix model from explicit dense hop-matrix products, in linear domain."""
+    mats = hop_matrices(geom, p, l)
+    h_in = mats[0] @ beam
+    for k in range(1, l):
+        h_in = mats[k] @ (phases.reflection(k) * h_in)
+    h_out = mats[p.num_irs][0]
+    for k in range(p.num_irs - 1, l - 1, -1):
+        h_out = (h_out * phases.reflection(k + 1)) @ mats[k]
+    signal = phases.eta**2 * abs(h_out @ (phases.reflection(l) * h_in)) ** 2
+    amp_noise = phases.eta**2 * float(np.sum(np.abs(h_out) ** 2)) * p.noise_power
+    return {
+        "h_in": h_in,
+        "h_out": h_out,
+        "snr": signal / (amp_noise + p.noise_power),
+        "power": signal + amp_noise,
+        "incident": float(np.max(np.abs(h_in) ** 2)),
+    }
+
+
+class TestRankOneMatchesDense:
+    """The rank-one cascade against the dense hop-matrix reference at N <= 256."""
+
+    @pytest.mark.parametrize("num_irs", [1, 2, 4, 9])
+    def test_every_active_index(self, num_irs):
+        rng = np.random.default_rng(500 + num_irs)
+        for l in range(1, num_irs + 1):
+            p = _small_random_params(rng, num_irs)
+            geom = random_geometry(p, rng)
+            phases, beam = optimal_configuration(l, geom, p)
+            dense = _dense_cascade(l, geom, phases, beam, p)
+            h_in, h_out = effective_channels(l, geom, phases, beam, p)
+            np.testing.assert_allclose(h_in, dense["h_in"], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(h_out, dense["h_out"], rtol=1e-12, atol=0)
+            assert full_snr(l, geom, phases, beam, p) == pytest.approx(dense["snr"], rel=1e-12)
+            assert full_power(l, geom, phases, beam, p) == pytest.approx(dense["power"], rel=1e-12)
+            assert incident_element_power(l, geom, phases, beam, p) == pytest.approx(
+                dense["incident"], rel=1e-12)
+
+
+class TestOracleAtLargeSizes:
+    """Sizes whose dense hop matrices would take hundreds of MB, and a long chain."""
+
+    @pytest.mark.parametrize("num_irs, n_p", [(7, 1400), (7, 2048), (60, 100)])
+    def test_matches_closed_forms(self, num_irs, n_p):
+        p = replace(SystemParams(), num_irs=num_irs, pirs_elements=n_p, pirs_grid=None)
+        budget = derive_link_budget(p)
+        rng = np.random.default_rng(n_p + num_irs)
+        for l in range(1, num_irs + 1):
+            geom = random_geometry(p, rng)
+            phases, beam = optimal_configuration(l, geom, p, budget)
+            assert full_snr(l, geom, phases, beam, p) == pytest.approx(
+                snr_closed(p, l, budget), rel=1e-8)
+            assert full_power(l, geom, phases, beam, p) == pytest.approx(
+                power_closed(p, l, budget), rel=1e-8)
+
+    def test_long_chain_snr_is_tiny_but_positive(self):
+        p = replace(SystemParams(), num_irs=60, pirs_elements=100, pirs_grid=None)
+        geom = random_geometry(p, np.random.default_rng(60))
+        phases, beam = optimal_configuration(60, geom, p)
+        assert 0.0 < full_snr(60, geom, phases, beam, p) < 1e-120
