@@ -249,11 +249,12 @@ def _log_received(airs_index, geometry, phases, beam, p) -> tuple[float, float]:
     fwd, log_fwd, bwd, log_bwd = _cascade(airs_index, geometry, phases, beam, p)
     coupling = abs(bwd @ (phases.reflection(airs_index) * fwd))
     log_eta2 = 2.0 * math.log(phases.eta)
-    log_signal = -math.inf
+    log_signal = log_noise_gain = -math.inf
     if coupling > 0.0:
         log_signal = log_eta2 + 2.0 * (log_fwd + log_bwd + math.log(coupling))
-    # reflection is unit-modulus diagonal, so ||row * reflection|| == ||row||
-    log_noise_gain = log_eta2 + 2.0 * log_bwd + math.log(float(np.sum(np.abs(bwd) ** 2)))
+    if log_bwd > -math.inf:
+        # reflection is unit-modulus diagonal, so ||row * reflection|| == ||row||
+        log_noise_gain = log_eta2 + 2.0 * log_bwd + math.log(float(np.sum(np.abs(bwd) ** 2)))
     return log_signal, log_noise_gain
 
 
