@@ -5,7 +5,8 @@ chain of J reflecting surfaces, one of which is active (amplifying).  The
 package evaluates the link in two equivalent ways, a full complex-matrix
 cascade and closed-form expressions, and solves for the active surface's
 optimal position in closed form for both SNR and received-power
-objectives, cross-validated by exhaustive search.
+objectives, cross-validated by exhaustive search over the same
+objective vector.
 """
 
 from .params import (
@@ -53,10 +54,7 @@ from .metrics import (
 from .deployment import (
     DeploymentSolution,
     RatioReport,
-    brute_force_index,
     optimal_index,
-    optimal_index_wit,
-    optimal_index_wpt,
     ratio_diagnostics,
     scheme_all_pirs,
     scheme_middle,
@@ -76,7 +74,6 @@ __all__ = [
     "optimal_reflection_phases", "optimal_transmit_beam",
     "WIT", "WPT", "ObjectiveValue", "effective_gain", "power_closed",
     "power_scaling_order", "snr_closed", "snr_scaling_order",
-    "DeploymentSolution", "RatioReport", "brute_force_index", "optimal_index",
-    "optimal_index_wit", "optimal_index_wpt", "ratio_diagnostics",
+    "DeploymentSolution", "RatioReport", "optimal_index", "ratio_diagnostics",
     "scheme_all_pirs", "scheme_middle", "wpt_crossover_np",
 ]

@@ -62,7 +62,7 @@ def amplification_factor(airs_index: int, budget: LinkBudget, p: SystemParams) -
     incident = math.exp(
         math.log(budget.c_t) + 2.0 * (airs_index - 1) * math.log(budget.np_kappa_i)
     )
-    return math.sqrt(p.amp_power / (incident + p.noise_power))
+    return eta_for_incident_power(incident, p.amp_power, p.noise_power)
 
 
 def eta_for_incident_power(incident: float, amp_power: float, noise_power: float) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import SystemParams, amplitude_gain
+from .params import SystemParams, amplitude_gain, check_airs_index
 
 TWO_PI = 2.0 * math.pi
 
@@ -145,11 +145,6 @@ def _check_geometry(geometry: list[HopGeometry], p: SystemParams) -> None:
         raise ValueError(f"expected {p.num_irs + 1} hops, got {len(geometry)}")
 
 
-def _check_airs_index(airs_index: int, p: SystemParams) -> None:
-    if not 1 <= airs_index <= p.num_irs:
-        raise ValueError(f"active-surface index {airs_index} outside 1..{p.num_irs}")
-
-
 def surface_response_pairs(geometry: list[HopGeometry], p: SystemParams,
                            airs_index: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """(arrival, departure) responses of each surface k = 1..J.
@@ -158,7 +153,7 @@ def surface_response_pairs(geometry: list[HopGeometry], p: SystemParams,
     the reflection phases must co-phase.
     """
     _check_geometry(geometry, p)
-    _check_airs_index(airs_index, p)
+    check_airs_index(airs_index, p.num_irs)
     pairs = []
     for k in range(1, p.num_irs + 1):
         nx, nz = p.grid_at(k, airs_index)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -49,7 +50,14 @@ def _fmt(x: float) -> str:
     return format(x, ".10g")
 
 
-def _parse_value(raw: str, key: str) -> float:
+# the one suffix each key accepts; every key not listed takes a bare number
+_KEY_UNITS = {
+    "tx_power": "dBm", "amp_power": "dBm", "noise_power": "dBm",
+    "ref_path_gain": "dB",
+}
+
+
+def _parse_value(raw: str, key: str, canon: str) -> float:
     tokens = raw.split()
     try:
         value = float(tokens[0])
@@ -57,14 +65,16 @@ def _parse_value(raw: str, key: str) -> float:
         raise ConfigError(f"cannot parse value {raw!r} for key {key!r}") from None
     if len(tokens) == 1:
         return value
-    unit = tokens[1].lower()
     if len(tokens) > 2:
         raise ConfigError(f"unexpected trailing tokens in {raw!r} for key {key!r}")
-    if unit == "dbm":
-        return dbm_to_watts(value)
-    if unit == "db":
-        return db_to_linear(value)
-    raise ConfigError(f"unknown unit {tokens[1]!r} for key {key!r} (use dB or dBm)")
+    unit = _KEY_UNITS.get(canon)
+    if unit is None or tokens[1].lower() != unit.lower():
+        allowed = f"use {unit}" if unit else "give a bare number"
+        raise ConfigError(f"unit {tokens[1]!r} is not valid for key {key!r} ({allowed})")
+    try:
+        return dbm_to_watts(value) if unit == "dBm" else db_to_linear(value)
+    except OverflowError:
+        raise ConfigError(f"value {raw!r} for key {key!r} is out of range") from None
 
 
 _KEY_ALIASES = {
@@ -101,7 +111,7 @@ def parse_config_text(text: str) -> dict[str, float]:
         canon = _KEY_ALIASES.get(key.lower().replace("-", "_"))
         if canon is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[canon] = _parse_value(raw, key)
+        values[canon] = _parse_value(raw, key, canon)
     return values
 
 
@@ -115,6 +125,8 @@ def params_from_config(values: dict[str, float]) -> SystemParams:
             raise ConfigError("frequency must be positive")
         fields["wavelength"] = SPEED_OF_LIGHT / frequency
     for name in _INT_FIELDS & fields.keys():
+        if not math.isfinite(fields[name]):
+            raise ConfigError(f"{name} must be a finite integer, got {fields[name]}")
         rounded = round(fields[name])
         if abs(fields[name] - rounded) > 1e-9:
             raise ConfigError(f"{name} must be an integer, got {fields[name]}")
@@ -280,16 +292,12 @@ def _oracle_error(p: SystemParams, airs_index: int, rng: np.random.Generator) ->
 
 def cmd_validate(args) -> int:
     grid = deployment.agreement_grid()
-    mismatches = {metrics.WIT: 0, metrics.WPT: 0}
-    for p in grid:
-        budget = derive_link_budget(p)
-        if not deployment.optimal_index_wit(p, budget).brute_force_agrees:
-            mismatches[metrics.WIT] += 1
-        if not deployment.optimal_index_wpt(p, budget).brute_force_agrees:
-            mismatches[metrics.WPT] += 1
-    for mode in (metrics.WIT, metrics.WPT):
+    mismatches = 0
+    for mode in metrics.MODES:
+        count = sum(not deployment.optimal_index(mode, p).brute_force_agrees for p in grid)
         print(f"closed-form vs brute force ({mode}): {len(grid)} configs, "
-              f"{mismatches[mode]} mismatches")
+              f"{count} mismatches")
+        mismatches += count
 
     rng = np.random.default_rng(args.seed)
     worst = 0.0
@@ -301,7 +309,7 @@ def cmd_validate(args) -> int:
     print(f"matrix oracle vs closed form: {args.oracle_samples} configs, "
           f"max relative error {worst:.3e} (tolerance 1e-08)")
 
-    ok = not any(mismatches.values()) and worst <= 1e-8
+    ok = mismatches == 0 and worst <= 1e-8
     print("result:", "OK" if ok else "FAILED")
     return EXIT_OK if ok else EXIT_FAILED_CHECK
 
@@ -323,27 +331,26 @@ def figure_rows(base: SystemParams) -> tuple[list[dict], list[dict], list[dict]]
     for n_p in spec.values():
         p = _with_np(base, n_p)
         budget = derive_link_budget(p)
-        wit = deployment.optimal_index_wit(p, budget)
-        wpt = deployment.optimal_index_wpt(p, budget)
+        wit = deployment.optimal_index(metrics.WIT, p, budget)
+        wpt = deployment.optimal_index(metrics.WPT, p, budget)
         index_rows.append({
             "np": n_p,
             "wit_l_star": wit.airs_index,
             "wpt_l_star": wpt.airs_index,
         })
-        j = p.num_irs
-        mid = deployment.middle_index(j)
+        mid = deployment.middle_index(p.num_irs)
         snr_rows.append({
             "np": n_p,
             "optimal_db": _fmt(linear_to_db(wit.objective.value)),
-            "final_db": _fmt(linear_to_db(metrics.snr_closed(p, j, budget))),
-            "middle_db": _fmt(linear_to_db(metrics.snr_closed(p, mid, budget))),
+            "final_db": _fmt(linear_to_db(wit.objectives[-1])),
+            "middle_db": _fmt(linear_to_db(wit.objectives[mid - 1])),
             "all_pirs_db": _fmt(linear_to_db(deployment.scheme_all_pirs(metrics.WIT, p, budget))),
         })
         power_rows.append({
             "np": n_p,
             "optimal_dbm": _fmt(watts_to_dbm(wpt.objective.value)),
-            "final_dbm": _fmt(watts_to_dbm(metrics.power_closed(p, j, budget))),
-            "middle_dbm": _fmt(watts_to_dbm(metrics.power_closed(p, mid, budget))),
+            "final_dbm": _fmt(watts_to_dbm(wpt.objectives[-1])),
+            "middle_dbm": _fmt(watts_to_dbm(wpt.objectives[mid - 1])),
             "all_pirs_dbm": _fmt(watts_to_dbm(deployment.scheme_all_pirs(metrics.WPT, p, budget))),
         })
     return index_rows, snr_rows, power_rows

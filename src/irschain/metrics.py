@@ -11,12 +11,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import LinkBudget, SystemParams, derive_link_budget
+from .params import LinkBudget, SystemParams, check_airs_index, derive_link_budget
 
 WIT = "wit"  # information transfer: maximize receiver SNR
 WPT = "wpt"  # power transfer: maximize received signal-plus-noise power
 
 MODES = (WIT, WPT)
+
+
+def check_mode(mode: str) -> None:
+    """Raise the one unknown-mode error; every function taking a mode ends up here."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -28,15 +34,9 @@ class ObjectiveValue:
     mode: str
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        check_mode(self.mode)
         if self.value < 0.0:
             raise ValueError("objective values are nonnegative")
-
-
-def _check_index(airs_index: int, num_irs: int) -> None:
-    if not 1 <= airs_index <= num_irs:
-        raise ValueError(f"active-surface index {airs_index} outside 1..{num_irs}")
 
 
 def effective_gain(airs_index: int, budget: LinkBudget, num_irs: int) -> float:
@@ -44,7 +44,7 @@ def effective_gain(airs_index: int, budget: LinkBudget, num_irs: int) -> float:
 
     Strictly decreasing in the index exactly when np_kappa_i < 1.
     """
-    _check_index(airs_index, num_irs)
+    check_airs_index(airs_index, num_irs)
     return math.exp(
         2.0 * math.log(budget.kappa_b)
         + 2.0 * (airs_index - 1) * math.log(budget.np_kappa_i)
@@ -80,7 +80,7 @@ def snr_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = Non
     """Receiver SNR under optimal beam, phases, and amplification."""
     if budget is None:
         budget = derive_link_budget(p)
-    _check_index(airs_index, p.num_irs)
+    check_airs_index(airs_index, p.num_irs)
     log_npk, log_ca, log_ct, log_s2, j, l = _log_terms(p, budget, airs_index)
     log_num = log_ca + log_ct + math.log(p.airs_elements) + 2.0 * (j - 1) * log_npk
     den_terms = [
@@ -95,7 +95,7 @@ def power_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = N
     """Received signal-plus-amplification-noise power (watts) at the optimum."""
     if budget is None:
         budget = derive_link_budget(p)
-    _check_index(airs_index, p.num_irs)
+    check_airs_index(airs_index, p.num_irs)
     log_npk, log_ca, log_ct, log_s2, j, l = _log_terms(p, budget, airs_index)
     num_terms = [
         log_ca + log_ct + math.log(p.airs_elements) + 2.0 * (j - 1) * log_npk,
@@ -108,18 +108,20 @@ def power_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = N
 def objective(mode: str, p: SystemParams, airs_index: int,
               budget: LinkBudget | None = None) -> ObjectiveValue:
     """Evaluate the selected objective at one active-surface position."""
+    # dispatch by name, not through a dict of functions: a wrapper installed on
+    # the module attribute (perfbench/tracing.py does this) must see every call
     if mode == WIT:
         value = snr_closed(p, airs_index, budget)
     elif mode == WPT:
         value = power_closed(p, airs_index, budget)
     else:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        check_mode(mode)  # raises: mode is neither WIT nor WPT
     return ObjectiveValue(value=value, airs_index=airs_index, mode=mode)
 
 
 def snr_scaling_order(airs_index: int, num_irs: int) -> int:
     """Predicted exponent of the SNR in the panel size, piecewise in the index."""
-    _check_index(airs_index, num_irs)
+    check_airs_index(airs_index, num_irs)
     if airs_index < (num_irs + 1) / 2.0:
         return 2 * (airs_index - 1)
     return 2 * (num_irs - airs_index)
@@ -127,5 +129,5 @@ def snr_scaling_order(airs_index: int, num_irs: int) -> int:
 
 def power_scaling_order(airs_index: int, num_irs: int) -> int:
     """Predicted exponent of the received power in the panel size."""
-    _check_index(airs_index, num_irs)
+    check_airs_index(airs_index, num_irs)
     return 2 * (num_irs - airs_index)

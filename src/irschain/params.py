@@ -39,6 +39,12 @@ def linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
+def check_airs_index(airs_index: int, num_irs: int) -> None:
+    """Reject an active-surface index outside the chain's positions 1..num_irs."""
+    if not 1 <= airs_index <= num_irs:
+        raise ValueError(f"active-surface index {airs_index} outside 1..{num_irs}")
+
+
 def _near_square_grid(n: int) -> tuple[int, int]:
     # largest divisor <= sqrt(n), so the panel is as square as n allows
     best = 1
@@ -203,15 +209,11 @@ def validate(p: SystemParams, far_field_threshold: float | None = None) -> list[
         err("airs_grid", f"grid {p.airs_grid} does not factor airs_elements={p.airs_elements}")
     if p.pirs_grid is not None and p.pirs_grid[0] * p.pirs_grid[1] != p.pirs_elements:
         err("pirs_grid", f"grid {p.pirs_grid} does not factor pirs_elements={p.pirs_elements}")
-    for name in ("bs_irs_distance", "irs_user_distance", "inter_irs_distance"):
-        if getattr(p, name) <= 0.0:
-            err(name, f"{name} must be positive, got {getattr(p, name)}")
-    for name in ("tx_power", "amp_power", "noise_power", "ref_path_gain",
-                 "wavelength", "element_spacing"):
-        if getattr(p, name) <= 0.0:
-            err(name, f"{name} must be positive, got {getattr(p, name)}")
-    if p.path_loss_exponent <= 0.0:
-        err("path_loss_exponent", f"path_loss_exponent must be positive, got {p.path_loss_exponent}")
+    for name in ("bs_irs_distance", "irs_user_distance", "inter_irs_distance",
+                 "tx_power", "amp_power", "noise_power", "ref_path_gain",
+                 "wavelength", "element_spacing", "path_loss_exponent"):
+        if not 0.0 < getattr(p, name) < math.inf:  # also rejects nan
+            err(name, f"{name} must be positive and finite, got {getattr(p, name)}")
 
     if out:
         return out  # derived checks below need sane inputs

@@ -27,8 +27,7 @@ from irschain.channel import (
 from irschain.cli import run
 from irschain.deployment import (
     agreement_grid,
-    optimal_index_wit,
-    optimal_index_wpt,
+    optimal_index,
     scheme_all_pirs,
     scheme_middle,
     wpt_crossover_np,
@@ -95,7 +94,7 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_information_placement_matches_brute_force():
     start = time.monotonic()
     grid = agreement_grid()
-    mismatches = sum(not optimal_index_wit(p).brute_force_agrees for p in grid)
+    mismatches = sum(not optimal_index(WIT, p).brute_force_agrees for p in grid)
     elapsed = time.monotonic() - start
     _report(2, "closed-form SNR placement", mismatches == 0 and elapsed < 5.0,
             f"{len(grid)} configs, {mismatches} mismatches, {elapsed:.2f}s")
@@ -106,7 +105,7 @@ def test_criterion_3_power_placement_matches_brute_force():
     grid = agreement_grid()
     bad = 0
     for p in grid:
-        sol = optimal_index_wpt(p)
+        sol = optimal_index(WPT, p)
         if sol.airs_index != p.num_irs or not sol.brute_force_agrees:
             bad += 1
     elapsed = time.monotonic() - start
@@ -120,8 +119,8 @@ def test_criterion_4_index_trajectory():
     for n_p in range(10, 1413):
         p = _with_np(DEFAULTS, n_p)
         budget = derive_link_budget(p)
-        indices.append((n_p, optimal_index_wit(p, budget).airs_index))
-        if optimal_index_wpt(p, budget).airs_index != 7:
+        indices.append((n_p, optimal_index(WIT, p, budget).airs_index))
+        if optimal_index(WPT, p, budget).airs_index != 7:
             wpt_ok = False
     non_decreasing = all(a[1] <= b[1] for a, b in zip(indices, indices[1:]))
     starts_low = indices[0][1] < 7
@@ -140,8 +139,8 @@ def test_criterion_5_scheme_comparisons():
     for n_p in panel_sizes:
         p = _with_np(DEFAULTS, n_p)
         budget = derive_link_budget(p)
-        for mode, solver in ((WIT, optimal_index_wit), (WPT, optimal_index_wpt)):
-            best = solver(p, budget).objective.value
+        for mode in (WIT, WPT):
+            best = optimal_index(mode, p, budget).objective.value
             if best < scheme_middle(mode, p, budget).value:
                 dominated = False
             active_vs_passive[mode].append(best > scheme_all_pirs(mode, p, budget))
@@ -154,7 +153,7 @@ def test_criterion_5_scheme_comparisons():
     for n_p in range(int(threshold) - 50, int(threshold) + 50):
         q = _with_np(quiet, n_p)
         budget = derive_link_budget(q)
-        if optimal_index_wpt(q, budget).objective.value <= scheme_all_pirs(WPT, q, budget):
+        if optimal_index(WPT, q, budget).objective.value <= scheme_all_pirs(WPT, q, budget):
             crossing = n_p
             break
     threshold_ok = crossing is not None and abs(crossing - threshold) <= 1.0

@@ -33,6 +33,12 @@ class TestConfigParsing:
         p = params_from_config(values)
         assert p.pirs_elements == 64
         assert p.num_irs == 5
+        # every suffix is optional: a bare number is already SI
+        bare = parse_config_text("pt = 2\nsigma2 = 1e-9\nbeta0 = 1e-4\npa = -10 DBM")
+        assert bare["tx_power"] == 2.0
+        assert bare["noise_power"] == 1e-9
+        assert bare["ref_path_gain"] == 1e-4
+        assert bare["amp_power"] == pytest.approx(1e-4)  # suffixes ignore case
 
     def test_frequency_sets_wavelength(self):
         p = params_from_config(parse_config_text("frequency = 3.5e9"))
@@ -51,8 +57,12 @@ class TestConfigParsing:
             parse_config_text("pt 30")
 
     def test_unknown_unit(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("pt = 30 dBW")
+        # powers take only dBm, ref_path_gain only dB, every other key no suffix
+        for text in ("pt = 30 dBW", "pt = 30dBm", "pt = 30 dB", "beta0 = -43 dBm",
+                     "np = 20 dB", "d_i = 10 dBm", "j = 7 dB", "frequency = 95 dB",
+                     "pt = 5000 dBm"):
+            with pytest.raises(ConfigError, match="for key"):
+                parse_config_text(text)
 
     def test_non_integer_count(self):
         with pytest.raises(ConfigError):
@@ -113,6 +123,21 @@ class TestEvalCommand:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("d_i = -5\n")
         assert run(["eval", "--mode", "wit", "--np", "100", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("line, name", [
+        ("pt = nan", "tx_power"),
+        ("sigma2 = inf", "noise_power"),
+        ("d_i = inf", "inter_irs_distance"),
+        ("np = inf", "pirs_elements"),
+        ("j = 1e400", "num_irs"),
+    ])
+    def test_non_finite_value_exits_2_naming_the_key(self, tmp_path, capsys, line, name):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert run(["eval", "--mode", "wit", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert name in captured.err
+        assert captured.out == ""
 
 
 class TestSweepCommand:

@@ -3,19 +3,18 @@ from dataclasses import replace
 
 import pytest
 
+from irschain import deployment
 from irschain.deployment import (
     agreement_grid,
-    brute_force_index,
     crossover_threshold,
     middle_index,
-    optimal_index_wit,
-    optimal_index_wpt,
+    optimal_index,
     ratio_diagnostics,
     scheme_all_pirs,
     scheme_middle,
     wpt_crossover_np,
 )
-from irschain.metrics import WIT, WPT, snr_closed
+from irschain.metrics import WIT, WPT, power_closed, snr_closed
 from irschain.params import SystemParams, derive_link_budget
 
 # Frozen from direct arithmetic at the default scenario (100-element panels):
@@ -32,23 +31,60 @@ def with_np(p, n_p):
 
 class TestBruteForce:
     def test_single_surface(self):
-        sol = brute_force_index(WIT, SystemParams(num_irs=1))
-        assert sol.airs_index == 1
+        sol = optimal_index(WIT, SystemParams(num_irs=1))
+        assert sol.brute_force_index == 1
+        assert sol.objectives == (sol.objective.value,)
         assert sol.brute_force_agrees
 
     def test_default_scenario_information(self):
-        sol = brute_force_index(WIT, SystemParams())
-        assert sol.airs_index == 5
+        sol = optimal_index(WIT, SystemParams())
+        assert sol.brute_force_index == 5
 
     @pytest.mark.parametrize("n_p", [10, 100, 800, 1400])
     def test_default_scenario_power_always_last(self, n_p):
-        sol = brute_force_index(WPT, with_np(SystemParams(), n_p))
-        assert sol.airs_index == 7
+        sol = optimal_index(WPT, with_np(SystemParams(), n_p))
+        assert sol.brute_force_index == 7
 
     def test_objective_matches_metrics(self):
         p = SystemParams()
-        sol = brute_force_index(WIT, p)
-        assert sol.objective.value == snr_closed(p, sol.airs_index)
+        sol = optimal_index(WIT, p)
+        assert sol.objectives[sol.brute_force_index - 1] == snr_closed(p, sol.brute_force_index)
+
+
+class TestObjectiveVector:
+    @pytest.mark.parametrize("mode, closed", [(WIT, snr_closed), (WPT, power_closed)])
+    def test_one_vector_serves_every_answer(self, mode, closed):
+        for p in agreement_grid():
+            budget = derive_link_budget(p)
+            sol = optimal_index(mode, p, budget)
+            assert sol.objectives == tuple(closed(p, l, budget)
+                                           for l in range(1, p.num_irs + 1))
+            best = max(sol.objectives)
+            first_argmax = min(l for l in range(1, p.num_irs + 1)
+                               if sol.objectives[l - 1] == best)
+            assert sol.brute_force_index == first_argmax
+            assert sol.objective.value == sol.objectives[sol.airs_index - 1]
+            assert sol.objective.airs_index == sol.airs_index
+
+    @pytest.mark.parametrize("mode", [WIT, WPT])
+    @pytest.mark.parametrize("num_irs", [1, 2, 7, 40])
+    def test_one_objective_call_per_position(self, monkeypatch, mode, num_irs):
+        calls = []
+        original = deployment.objective
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(deployment, "objective", counting)
+        p = SystemParams(num_irs=num_irs)
+        budget = derive_link_budget(p)
+        optimal_index(mode, p, budget)
+        assert [args[2] for args in calls] == list(range(1, num_irs + 1))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            optimal_index("both", SystemParams())
 
 
 class TestInformationPlacement:
@@ -56,7 +92,7 @@ class TestInformationPlacement:
         self.p = SystemParams()
 
     def test_default_scenario(self):
-        sol = optimal_index_wit(self.p)
+        sol = optimal_index(WIT, self.p)
         assert sol.airs_index == 5
         assert sol.case == "I"
         assert sol.relaxed_index == pytest.approx(RELAXED_AT_100, rel=1e-9)
@@ -64,7 +100,7 @@ class TestInformationPlacement:
 
     @pytest.mark.parametrize("n_p", [822, 1000, 1412])
     def test_large_panels_push_to_the_last_surface(self, n_p):
-        sol = optimal_index_wit(with_np(self.p, n_p))
+        sol = optimal_index(WIT, with_np(self.p, n_p))
         assert sol.airs_index == 7
         assert sol.case == "I"
         assert sol.brute_force_agrees
@@ -80,7 +116,7 @@ class TestInformationPlacement:
                     tx_power=1.0, bs_antennas=10, irs_user_distance=4.0)
         budget = derive_link_budget(p)
         assert budget.c_a == budget.c_t
-        sol = optimal_index_wit(p, budget)
+        sol = optimal_index(WIT, p, budget)
         assert sol.case == "II"
         assert sol.airs_index == 4
         assert sol.relaxed_index == pytest.approx(4.0)
@@ -89,7 +125,7 @@ class TestInformationPlacement:
     def test_amplifier_heavy_drive_mirrors_to_the_first_half(self):
         p = replace(self.p, amp_power=1.0, airs_elements=1000, airs_grid=None,
                     tx_power=1e-3, bs_antennas=2)
-        sol = optimal_index_wit(p)
+        sol = optimal_index(WIT, p)
         assert sol.case == "III"
         assert sol.airs_index <= middle_index(p.num_irs)
         assert sol.brute_force_agrees
@@ -97,52 +133,52 @@ class TestInformationPlacement:
     def test_amplifier_heavy_boundary_reaches_the_first_surface(self):
         p = replace(self.p, amp_power=1.0, airs_elements=1000, airs_grid=None,
                     tx_power=1e-3, bs_antennas=2)
-        sol = optimal_index_wit(with_np(p, 600))
+        sol = optimal_index(WIT, with_np(p, 600))
         assert sol.case == "III"
         assert sol.airs_index == 1
         assert sol.brute_force_agrees
 
     def test_growing_regime_falls_back_to_brute_force(self):
-        sol = optimal_index_wit(with_np(self.p, 1500))
+        sol = optimal_index(WIT, with_np(self.p, 1500))
         assert sol.case == "brute-force-fallback"
         assert sol.brute_force_agrees
 
     def test_single_surface_has_no_relaxed_point(self):
-        sol = optimal_index_wit(SystemParams(num_irs=1))
+        sol = optimal_index(WIT, SystemParams(num_irs=1))
         assert sol.airs_index == 1
         assert sol.relaxed_index is None
 
     def test_agreement_over_small_grid_sample(self):
         for p in agreement_grid()[::97]:
-            assert optimal_index_wit(p).brute_force_agrees
+            assert optimal_index(WIT, p).brute_force_agrees
 
     def test_transmit_heavy_drive_stays_in_the_second_half(self):
         # c_a < c_t puts the relaxed optimizer at or beyond the midpoint
         for p in agreement_grid():
             budget = derive_link_budget(p)
             if budget.c_a < budget.c_t:
-                sol = optimal_index_wit(p, budget)
+                sol = optimal_index(WIT, p, budget)
                 assert sol.airs_index >= math.ceil((p.num_irs + 1) / 2)
 
 
 class TestPowerPlacement:
     def test_always_the_final_surface(self):
-        sol = optimal_index_wpt(SystemParams())
+        sol = optimal_index(WPT, SystemParams())
         assert sol.airs_index == 7
         assert sol.case == "final"
         assert sol.brute_force_agrees
 
     def test_single_surface(self):
-        assert optimal_index_wpt(SystemParams(num_irs=1)).airs_index == 1
+        assert optimal_index(WPT, SystemParams(num_irs=1)).airs_index == 1
 
     @pytest.mark.parametrize("n_p", [4, 16, 64, 256])
     def test_brute_force_agreement_across_panel_sizes(self, n_p):
-        sol = optimal_index_wpt(with_np(SystemParams(), n_p))
+        sol = optimal_index(WPT, with_np(SystemParams(), n_p))
         assert sol.airs_index == 7
         assert sol.brute_force_agrees
 
     def test_growing_regime_falls_back(self):
-        sol = optimal_index_wpt(with_np(SystemParams(), 1500))
+        sol = optimal_index(WPT, with_np(SystemParams(), 1500))
         assert sol.case == "brute-force-fallback"
 
 
@@ -162,9 +198,9 @@ class TestBaselineSchemes:
         assert mid.value == snr_closed(self.p, 4, self.budget)
 
     def test_optimal_dominates_middle(self):
-        assert (optimal_index_wit(self.p).objective.value
+        assert (optimal_index(WIT, self.p).objective.value
                 >= scheme_middle(WIT, self.p).value)
-        assert (optimal_index_wpt(self.p).objective.value
+        assert (optimal_index(WPT, self.p).objective.value
                 > scheme_middle(WPT, self.p).value)
 
     def test_all_passive_single_surface_formula(self):
@@ -180,14 +216,14 @@ class TestBaselineSchemes:
     def test_small_panels_favor_the_active_chain(self):
         p = with_np(self.p, 16)
         b = derive_link_budget(p)
-        assert optimal_index_wit(p, b).objective.value > scheme_all_pirs(WIT, p, b)
-        assert optimal_index_wpt(p, b).objective.value > scheme_all_pirs(WPT, p, b)
+        assert optimal_index(WIT, p, b).objective.value > scheme_all_pirs(WIT, p, b)
+        assert optimal_index(WPT, p, b).objective.value > scheme_all_pirs(WPT, p, b)
 
     def test_large_panels_favor_the_passive_chain(self):
         p = with_np(self.p, 1400)
         b = derive_link_budget(p)
-        assert optimal_index_wit(p, b).objective.value < scheme_all_pirs(WIT, p, b)
-        assert optimal_index_wpt(p, b).objective.value < scheme_all_pirs(WPT, p, b)
+        assert optimal_index(WIT, p, b).objective.value < scheme_all_pirs(WIT, p, b)
+        assert optimal_index(WPT, p, b).objective.value < scheme_all_pirs(WPT, p, b)
 
 
 class TestCrossover:
@@ -203,7 +239,7 @@ class TestCrossover:
         for n_p in range(1000, 1300):
             q = with_np(p, n_p)
             b = derive_link_budget(q)
-            if optimal_index_wpt(q, b).objective.value <= scheme_all_pirs(WPT, q, b):
+            if optimal_index(WPT, q, b).objective.value <= scheme_all_pirs(WPT, q, b):
                 crossing = n_p
                 break
         assert crossing is not None
@@ -263,7 +299,7 @@ class TestRatioDiagnostics:
         p = self.p
         b = derive_link_budget(p)
         rep = ratio_diagnostics(WIT, p, b)
-        gamma_opt = optimal_index_wit(p, b).objective.value
+        gamma_opt = optimal_index(WIT, p, b).objective.value
         assert rep.vs_middle_exact == pytest.approx(
             gamma_opt / snr_closed(p, 4, b), rel=1e-12)
         assert rep.vs_all_pirs_exact == pytest.approx(
