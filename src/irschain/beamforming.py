@@ -11,13 +11,7 @@ import math
 
 import numpy as np
 
-from .channel import (
-    HopGeometry,
-    PhaseConfig,
-    TWO_PI,
-    bs_departure_response,
-    surface_response_pairs,
-)
+from .channel import TWO_PI, HopGeometry, PhaseConfig, hop_responses
 from .params import LinkBudget, SystemParams, derive_link_budget
 
 
@@ -71,10 +65,10 @@ def eta_for_incident_power(incident: float, amp_power: float, noise_power: float
 
 
 def check_power_constraint(eta: float, incident: float, noise_power: float,
-                           amp_power: float, rel_tol: float = 1e-12) -> tuple[bool, float]:
-    """Feasibility of eta, returning (ok, signed slack) in watts."""
+                           amp_power: float) -> tuple[bool, float]:
+    """Feasibility of eta up to 1e-12 of the budget, returning (ok, signed slack) in watts."""
     slack = amp_power - eta**2 * (incident + noise_power)
-    return slack >= -rel_tol * amp_power, slack
+    return slack >= -1e-12 * amp_power, slack
 
 
 def optimal_configuration(airs_index: int, geometry: list[HopGeometry],
@@ -83,8 +77,9 @@ def optimal_configuration(airs_index: int, geometry: list[HopGeometry],
     """Jointly optimal (phases, beam) for a given active-surface position."""
     if budget is None:
         budget = derive_link_budget(p)
-    beam = optimal_transmit_beam(bs_departure_response(geometry, p), p.tx_power)
-    pairs = surface_response_pairs(geometry, p, airs_index)
-    theta = tuple(optimal_reflection_phases(arrive, depart) for arrive, depart in pairs)
+    hops = hop_responses(geometry, p, airs_index)
+    beam = optimal_transmit_beam(hops[0][1], p.tx_power)
+    theta = tuple(optimal_reflection_phases(hops[k - 1][0], hops[k][1])
+                  for k in range(1, p.num_irs + 1))
     eta = amplification_factor(airs_index, budget, p)
     return PhaseConfig(theta=theta, eta=eta), beam

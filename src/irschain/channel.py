@@ -105,13 +105,15 @@ def los_channel(hop: HopGeometry, rx_response: np.ndarray, tx_response: np.ndarr
     return _hop_gain(hop, ref_path_gain, exponent, wavelength) * np.outer(rx, tx.conj())
 
 
-def chain_geometry(p: SystemParams, turn: float = 0.35, tilt: float = 0.15) -> list[HopGeometry]:
+def chain_geometry(p: SystemParams) -> list[HopGeometry]:
     """Default zig-zag placement producing non-degenerate hop angles.
 
-    Headings alternate by +-turn around the +x axis and elevations wobble
-    by +-tilt around horizontal; only the distances carry physical
-    meaning, the angles just have to exist and stay consistent.
+    Headings alternate by +-turn/2 around the +x axis and elevations
+    wobble by +-tilt around horizontal (turn 0.35 rad, tilt 0.15 rad);
+    only the distances carry physical meaning, the angles just have to
+    exist and stay consistent.
     """
+    turn, tilt = 0.35, 0.15
     hops = []
     for k, dist in enumerate(p.hop_distances()):
         heading = 0.5 * turn * (1.0 if k % 2 == 0 else -1.0)
@@ -140,48 +142,31 @@ def random_geometry(p: SystemParams, rng: np.random.Generator) -> list[HopGeomet
     return hops
 
 
-def _check_geometry(geometry: list[HopGeometry], p: SystemParams) -> None:
-    if len(geometry) != p.num_irs + 1:
-        raise ValueError(f"expected {p.num_irs + 1} hops, got {len(geometry)}")
-
-
-def surface_response_pairs(geometry: list[HopGeometry], p: SystemParams,
-                           airs_index: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(arrival, departure) responses of each surface k = 1..J.
-
-    Surface k receives hop k-1 and re-radiates on hop k; the pair is what
-    the reflection phases must co-phase.
-    """
-    _check_geometry(geometry, p)
-    check_airs_index(airs_index, p.num_irs)
-    pairs = []
-    for k in range(1, p.num_irs + 1):
-        nx, nz = p.grid_at(k, airs_index)
-        arrive = upa_response(geometry[k - 1].arr_azimuth, geometry[k - 1].arr_elevation,
-                              nx, nz, p.element_spacing, p.wavelength)
-        depart = upa_response(geometry[k].dep_azimuth, geometry[k].dep_elevation,
-                              nx, nz, p.element_spacing, p.wavelength)
-        pairs.append((arrive, depart))
-    return pairs
-
-
-def bs_departure_response(geometry: list[HopGeometry], p: SystemParams) -> np.ndarray:
-    """Transmit-array response toward surface 1 (what the beamformer matches)."""
-    return ula_response(geometry[0].dep_azimuth, p.bs_antennas,
-                        p.element_spacing, p.wavelength)
-
-
-def _hop_responses(geometry: list[HopGeometry], p: SystemParams,
-                   airs_index: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def hop_responses(geometry: list[HopGeometry], p: SystemParams,
+                  airs_index: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """(receive, transmit) array responses of every hop, transmitter hop first.
 
     Hop 0 leaves the transmitter array, hop k (1 <= k < J) leaves surface
-    k for surface k+1, and hop J reaches the single-antenna receiver.
+    k for surface k+1, and hop J reaches the single-antenna receiver.  So
+    surface k receives on ``hops[k - 1][0]`` and re-radiates on
+    ``hops[k][1]``, the pair its reflection phases co-phase, and the
+    transmit beam matches ``hops[0][1]``.
     """
-    pairs = surface_response_pairs(geometry, p, airs_index)
-    rx = [arrive for arrive, _ in pairs] + [np.ones(1)]
-    tx = [bs_departure_response(geometry, p)] + [depart for _, depart in pairs]
-    return list(zip(rx, tx))
+    if len(geometry) != p.num_irs + 1:
+        raise ValueError(f"expected {p.num_irs + 1} hops, got {len(geometry)}")
+    check_airs_index(airs_index, p.num_irs)
+    spacing, wavelength = p.element_spacing, p.wavelength
+    tx = ula_response(geometry[0].dep_azimuth, p.bs_antennas, spacing, wavelength)
+    hops = []
+    for k in range(1, p.num_irs + 1):
+        nx, nz = p.grid_at(k, airs_index)
+        rx = upa_response(geometry[k - 1].arr_azimuth, geometry[k - 1].arr_elevation,
+                          nx, nz, spacing, wavelength)
+        hops.append((rx, tx))
+        tx = upa_response(geometry[k].dep_azimuth, geometry[k].dep_elevation,
+                          nx, nz, spacing, wavelength)
+    hops.append((np.ones(1), tx))  # single-antenna receiver
+    return hops
 
 
 def hop_matrices(geometry: list[HopGeometry], p: SystemParams,
@@ -193,7 +178,7 @@ def hop_matrices(geometry: list[HopGeometry], p: SystemParams,
     reference for the rank-one cascade; it needs O(J * N^2) memory.
     """
     return [los_channel(hop, rx, tx, p.ref_path_gain, p.path_loss_exponent, p.wavelength)
-            for hop, (rx, tx) in zip(geometry, _hop_responses(geometry, p, airs_index))]
+            for hop, (rx, tx) in zip(geometry, hop_responses(geometry, p, airs_index))]
 
 
 def _rescale(vec: np.ndarray, log_mag: float) -> tuple[np.ndarray, float]:
@@ -212,7 +197,7 @@ def _cascade(airs_index, geometry, phases, beam, p):
     ``gain * (y rx) * tx^H`` backward, so a step costs O(N).  The
     reflection of the active surface itself is applied by the callers.
     """
-    hops = _hop_responses(geometry, p, airs_index)
+    hops = hop_responses(geometry, p, airs_index)
     gains = [_hop_gain(hop, p.ref_path_gain, p.path_loss_exponent, p.wavelength)
              for hop in geometry]
 

@@ -12,7 +12,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -63,18 +63,21 @@ def _parse_value(raw: str, key: str, canon: str) -> float:
         value = float(tokens[0])
     except (ValueError, IndexError):
         raise ConfigError(f"cannot parse value {raw!r} for key {key!r}") from None
-    if len(tokens) == 1:
-        return value
     if len(tokens) > 2:
         raise ConfigError(f"unexpected trailing tokens in {raw!r} for key {key!r}")
-    unit = _KEY_UNITS.get(canon)
-    if unit is None or tokens[1].lower() != unit.lower():
-        allowed = f"use {unit}" if unit else "give a bare number"
-        raise ConfigError(f"unit {tokens[1]!r} is not valid for key {key!r} ({allowed})")
-    try:
-        return dbm_to_watts(value) if unit == "dBm" else db_to_linear(value)
-    except OverflowError:
-        raise ConfigError(f"value {raw!r} for key {key!r} is out of range") from None
+    if len(tokens) == 2:
+        unit = _KEY_UNITS.get(canon)
+        if unit is None or tokens[1].lower() != unit.lower():
+            allowed = f"use {unit}" if unit else "give a bare number"
+            raise ConfigError(f"unit {tokens[1]!r} is not valid for key {key!r} ({allowed})")
+        try:
+            value = dbm_to_watts(value) if unit == "dBm" else db_to_linear(value)
+        except OverflowError:
+            raise ConfigError(f"value {raw!r} for key {key!r} is out of range") from None
+    # every scenario quantity is positive; also rejects nan, inf and dBm underflow
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"key {key!r} ({canon}) must be positive and finite, got {raw!r}")
+    return value
 
 
 _KEY_ALIASES = {
@@ -121,12 +124,8 @@ def params_from_config(values: dict[str, float]) -> SystemParams:
     if frequency is not None:
         if "wavelength" in fields:
             raise ConfigError("give either frequency or wavelength, not both")
-        if frequency <= 0:
-            raise ConfigError("frequency must be positive")
         fields["wavelength"] = SPEED_OF_LIGHT / frequency
     for name in _INT_FIELDS & fields.keys():
-        if not math.isfinite(fields[name]):
-            raise ConfigError(f"{name} must be a finite integer, got {fields[name]}")
         rounded = round(fields[name])
         if abs(fields[name] - rounded) > 1e-9:
             raise ConfigError(f"{name} must be an integer, got {fields[name]}")
@@ -147,31 +146,20 @@ def load_params(config_path: str | None) -> SystemParams:
     return params_from_config(parse_config_text(text))
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Sweep of one scenario variable, parsed from min:max:scale:n.
+def _sweep_values(minimum: int, maximum: int, scale: str, count_or_step: int) -> list[int]:
+    """Sorted unique panel sizes of a log or linear sweep.
 
-    For a log scale ``n`` is the point count (>= 2); for a linear scale it
-    is the integer step.
+    ``count_or_step`` is the point count (log) or the integer step (linear).
     """
-
-    variable: str
-    minimum: int
-    maximum: int
-    scale: str
-    count_or_step: int
-
-    def values(self) -> list[int]:
-        if self.scale == "log":
-            raw = np.geomspace(self.minimum, self.maximum, self.count_or_step)
-            points = [int(round(v)) for v in raw]
-        else:
-            points = list(range(self.minimum, self.maximum + 1, self.count_or_step))
-        unique = sorted(set(points))
-        return unique
+    if scale == "log":
+        points = [int(round(v)) for v in np.geomspace(minimum, maximum, count_or_step)]
+    else:
+        points = range(minimum, maximum + 1, count_or_step)
+    return sorted(set(points))
 
 
-def parse_sweep(text: str, variable: str = "np") -> SweepSpec:
+def parse_sweep(text: str) -> list[int]:
+    """Panel sizes of a ``min:max:scale:n`` spec or of a single integer."""
     parts = text.split(":")
     if len(parts) == 1:
         try:
@@ -180,7 +168,7 @@ def parse_sweep(text: str, variable: str = "np") -> SweepSpec:
             raise ConfigError(f"cannot parse sweep value {text!r}") from None
         if single < 1:
             raise ConfigError("sweep values must be positive")
-        return SweepSpec(variable, single, single, "linear", 1)
+        return [single]
     if len(parts) != 4:
         raise ConfigError(f"sweep spec must be min:max:scale:n, got {text!r}")
     try:
@@ -197,7 +185,7 @@ def parse_sweep(text: str, variable: str = "np") -> SweepSpec:
         raise ConfigError("log sweeps need a count >= 2")
     if scale == "linear" and count_or_step < 1:
         raise ConfigError("linear sweeps need a step >= 1")
-    return SweepSpec(variable, minimum, maximum, scale, count_or_step)
+    return _sweep_values(minimum, maximum, scale, count_or_step)
 
 
 def _objective_db(mode: str, value: float) -> float:
@@ -216,9 +204,9 @@ def evaluate_point(mode: str, p: SystemParams) -> dict[str, object]:
         "mode": mode,
         "l_star": sol.airs_index,
         "case": sol.case,
-        "objective_linear": _fmt(sol.objective.value),
-        "objective_db": _fmt(_objective_db(mode, sol.objective.value)),
-        "mid_objective_db": _fmt(_objective_db(mode, mid.value)),
+        "objective_linear": _fmt(sol.objective),
+        "objective_db": _fmt(_objective_db(mode, sol.objective)),
+        "mid_objective_db": _fmt(_objective_db(mode, mid)),
         "all_pirs_objective_db": _fmt(_objective_db(mode, passive)),
         "brute_force_l": sol.brute_force_index,
         "agrees": "true" if sol.brute_force_agrees else "false",
@@ -263,18 +251,17 @@ def cmd_eval(args) -> int:
             print(f"{key} = {row[key]}", file=stream)
         if row["_relaxed_index"] is not None:
             print(f"l_tilde = {_fmt(row['_relaxed_index'])}", file=stream)
-        for diag in diagnostics:
-            print(f"warning: {diag.message}", file=stream)
     finally:
         if owned:
             stream.close()
+    for diag in diagnostics:
+        print(f"warning: {diag.message}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     base = load_params(args.config)
-    spec = parse_sweep(args.np)
-    rows = [evaluate_point(args.mode, _with_np(base, v)) for v in spec.values()]
+    rows = [evaluate_point(args.mode, _with_np(base, v)) for v in parse_sweep(args.np)]
     _write_rows(rows, CSV_COLUMNS, args.output)
     return EXIT_OK
 
@@ -291,6 +278,8 @@ def _oracle_error(p: SystemParams, airs_index: int, rng: np.random.Generator) ->
 
 
 def cmd_validate(args) -> int:
+    if args.oracle_samples < 0:
+        raise ConfigError(f"--oracle-samples must be >= 0, got {args.oracle_samples}")
     grid = deployment.agreement_grid()
     mismatches = 0
     for mode in metrics.MODES:
@@ -326,9 +315,8 @@ def figure_rows(base: SystemParams) -> tuple[list[dict], list[dict], list[dict]]
     the optimal, final-surface, middle-surface, and all-passive schemes,
     in dB (SNR) and dBm (power).
     """
-    spec = SweepSpec("np", FIGURE_NP_MIN, FIGURE_NP_MAX, "log", FIGURE_NP_POINTS)
     index_rows, snr_rows, power_rows = [], [], []
-    for n_p in spec.values():
+    for n_p in _sweep_values(FIGURE_NP_MIN, FIGURE_NP_MAX, "log", FIGURE_NP_POINTS):
         p = _with_np(base, n_p)
         budget = derive_link_budget(p)
         wit = deployment.optimal_index(metrics.WIT, p, budget)
@@ -341,14 +329,14 @@ def figure_rows(base: SystemParams) -> tuple[list[dict], list[dict], list[dict]]
         mid = deployment.middle_index(p.num_irs)
         snr_rows.append({
             "np": n_p,
-            "optimal_db": _fmt(linear_to_db(wit.objective.value)),
+            "optimal_db": _fmt(linear_to_db(wit.objective)),
             "final_db": _fmt(linear_to_db(wit.objectives[-1])),
             "middle_db": _fmt(linear_to_db(wit.objectives[mid - 1])),
             "all_pirs_db": _fmt(linear_to_db(deployment.scheme_all_pirs(metrics.WIT, p, budget))),
         })
         power_rows.append({
             "np": n_p,
-            "optimal_dbm": _fmt(watts_to_dbm(wpt.objective.value)),
+            "optimal_dbm": _fmt(watts_to_dbm(wpt.objective)),
             "final_dbm": _fmt(watts_to_dbm(wpt.objectives[-1])),
             "middle_dbm": _fmt(watts_to_dbm(wpt.objectives[mid - 1])),
             "all_pirs_dbm": _fmt(watts_to_dbm(deployment.scheme_all_pirs(metrics.WPT, p, budget))),

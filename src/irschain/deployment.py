@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .metrics import WIT, WPT, ObjectiveValue, check_mode, objective
+from .metrics import WIT, WPT, check_mode, objective
 from .params import LinkBudget, SystemParams, derive_link_budget
 
 CASE_FALLBACK = "brute-force-fallback"
@@ -30,12 +30,13 @@ class DeploymentSolution:
     branches, "final" for power transfer, and "brute-force-fallback" when
     the closed form does not apply (np_kappa_i >= 1).  ``relaxed_index``
     is the real-valued stationary point when one exists.
-    ``objectives[l - 1]`` is the objective value at position l, and
-    ``brute_force_index`` is its first argmax.
+    ``objectives[l - 1]`` is the objective value at position l, so
+    ``objective`` is ``objectives[airs_index - 1]`` and
+    ``brute_force_index`` is the first argmax.
     """
 
     airs_index: int
-    objective: ObjectiveValue
+    objective: float
     case: str
     relaxed_index: float | None
     brute_force_index: int
@@ -90,7 +91,7 @@ def optimal_index(mode: str, p: SystemParams,
     j = p.num_irs
     # from a list, not a generator: tuple(<genexpr>) grows by resizing, which
     # fragmented the heap enough to add ~1 MB of peak RSS over many solves
-    objectives = tuple([objective(mode, p, l, budget).value for l in range(1, j + 1)])
+    objectives = tuple([objective(mode, p, l, budget) for l in range(1, j + 1)])
     brute = objectives.index(max(objectives)) + 1  # ties keep the smaller index
 
     relaxed = None
@@ -102,7 +103,7 @@ def optimal_index(mode: str, p: SystemParams,
         index, case, relaxed = _wit_closed_form(budget, j, objectives)
     return DeploymentSolution(
         airs_index=index,
-        objective=ObjectiveValue(objectives[index - 1], index, mode),
+        objective=objectives[index - 1],
         case=case,
         relaxed_index=relaxed,
         brute_force_index=brute,
@@ -117,7 +118,7 @@ def middle_index(num_irs: int) -> int:
 
 
 def scheme_middle(mode: str, p: SystemParams,
-                  budget: LinkBudget | None = None) -> ObjectiveValue:
+                  budget: LinkBudget | None = None) -> float:
     """Baseline that parks the active surface at the middle of the chain."""
     return objective(mode, p, middle_index(p.num_irs), budget)
 
@@ -147,29 +148,21 @@ def scheme_all_pirs(mode: str, p: SystemParams,
     return math.exp(log_signal)
 
 
-def crossover_threshold(airs_elements: float, amp_power: float, tx_power: float,
-                        bs_antennas: float, kappa_b: float, kappa_i: float,
-                        num_irs: int) -> float:
+def wpt_crossover_np(p: SystemParams, budget: LinkBudget | None = None) -> float:
     """Panel size below which the active chain out-delivers the all-passive one.
 
     Vanishing-noise limit of the received-power comparison; valid as a
     strict crossover only in that regime.
     """
-    drive = bs_antennas * kappa_b**2 * (tx_power + amp_power * airs_elements)
-    log_thr = (
-        (math.log(airs_elements**2 * amp_power) - math.log(drive)) / (2.0 * num_irs)
-        + (1.0 - num_irs) / num_irs * math.log(kappa_i)
-    )
-    return math.exp(log_thr)
-
-
-def wpt_crossover_np(p: SystemParams, budget: LinkBudget | None = None) -> float:
-    """Crossover panel size for the configured system."""
     if budget is None:
         budget = derive_link_budget(p)
-    return crossover_threshold(p.airs_elements, p.amp_power, p.tx_power,
-                               p.bs_antennas, budget.kappa_b, budget.kappa_i,
-                               p.num_irs)
+    j = p.num_irs
+    drive = p.bs_antennas * budget.kappa_b**2 * (p.tx_power + p.amp_power * p.airs_elements)
+    log_thr = (
+        (math.log(p.airs_elements**2 * p.amp_power) - math.log(drive)) / (2.0 * j)
+        + (1.0 - j) / j * math.log(budget.kappa_i)
+    )
+    return math.exp(log_thr)
 
 
 @dataclass(frozen=True)
@@ -231,10 +224,10 @@ def ratio_diagnostics(mode: str, p: SystemParams,
     return RatioReport(
         mode=mode,
         optimal_index=sol.airs_index,
-        vs_middle_exact=sol.objective.value / mid.value,
+        vs_middle_exact=sol.objective / mid,
         vs_middle_closed=vs_mid_closed,
         vs_middle_limit=vs_mid_limit,
-        vs_all_pirs_exact=sol.objective.value / passive,
+        vs_all_pirs_exact=sol.objective / passive,
         vs_all_pirs_closed=vs_all_closed,
         vs_all_pirs_limit=vs_all_limit,
     )

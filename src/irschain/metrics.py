@@ -9,7 +9,6 @@ every term is assembled in log domain and combined with logaddexp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .params import LinkBudget, SystemParams, check_airs_index, derive_link_budget
 
@@ -23,20 +22,6 @@ def check_mode(mode: str) -> None:
     """Raise the one unknown-mode error; every function taking a mode ends up here."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-@dataclass(frozen=True)
-class ObjectiveValue:
-    """Objective at one active-surface position: SNR (wit) or watts (wpt)."""
-
-    value: float
-    airs_index: int
-    mode: str
-
-    def __post_init__(self):
-        check_mode(self.mode)
-        if self.value < 0.0:
-            raise ValueError("objective values are nonnegative")
 
 
 def effective_gain(airs_index: int, budget: LinkBudget, num_irs: int) -> float:
@@ -106,17 +91,15 @@ def power_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = N
 
 
 def objective(mode: str, p: SystemParams, airs_index: int,
-              budget: LinkBudget | None = None) -> ObjectiveValue:
-    """Evaluate the selected objective at one active-surface position."""
+              budget: LinkBudget | None = None) -> float:
+    """SNR ("wit") or received watts ("wpt") at one active-surface position."""
     # dispatch by name, not through a dict of functions: a wrapper installed on
     # the module attribute (perfbench/tracing.py does this) must see every call
     if mode == WIT:
-        value = snr_closed(p, airs_index, budget)
-    elif mode == WPT:
-        value = power_closed(p, airs_index, budget)
-    else:
-        check_mode(mode)  # raises: mode is neither WIT nor WPT
-    return ObjectiveValue(value=value, airs_index=airs_index, mode=mode)
+        return snr_closed(p, airs_index, budget)
+    if mode == WPT:
+        return power_closed(p, airs_index, budget)
+    check_mode(mode)  # raises: mode is neither WIT nor WPT
 
 
 def snr_scaling_order(airs_index: int, num_irs: int) -> int:

@@ -185,7 +185,7 @@ def fraunhofer_distance(p: SystemParams) -> float:
     return 2.0 * d_max**2 / p.wavelength
 
 
-def validate(p: SystemParams, far_field_threshold: float | None = None) -> list[Diagnostic]:
+def validate(p: SystemParams) -> list[Diagnostic]:
     """Check every parameter invariant; diagnostics are data, never raised.
 
     Errors make the parameter set unusable; warnings flag modeling
@@ -218,7 +218,7 @@ def validate(p: SystemParams, far_field_threshold: float | None = None) -> list[
     if out:
         return out  # derived checks below need sane inputs
 
-    threshold = fraunhofer_distance(p) if far_field_threshold is None else far_field_threshold
+    threshold = fraunhofer_distance(p)
     for name in ("bs_irs_distance", "irs_user_distance", "inter_irs_distance"):
         d = getattr(p, name)
         if d < threshold:

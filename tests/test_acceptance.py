@@ -17,12 +17,11 @@ from irschain.beamforming import (
     reflection_coefficient_sum,
 )
 from irschain.channel import (
-    bs_departure_response,
     full_power,
     full_snr,
+    hop_responses,
     incident_element_power,
     random_geometry,
-    surface_response_pairs,
 )
 from irschain.cli import run
 from irschain.deployment import (
@@ -140,8 +139,8 @@ def test_criterion_5_scheme_comparisons():
         p = _with_np(DEFAULTS, n_p)
         budget = derive_link_budget(p)
         for mode in (WIT, WPT):
-            best = optimal_index(mode, p, budget).objective.value
-            if best < scheme_middle(mode, p, budget).value:
+            best = optimal_index(mode, p, budget).objective
+            if best < scheme_middle(mode, p, budget):
                 dominated = False
             active_vs_passive[mode].append(best > scheme_all_pirs(mode, p, budget))
     crossover_exists = all(
@@ -153,7 +152,7 @@ def test_criterion_5_scheme_comparisons():
     for n_p in range(int(threshold) - 50, int(threshold) + 50):
         q = _with_np(quiet, n_p)
         budget = derive_link_budget(q)
-        if optimal_index(WPT, q, budget).objective.value <= scheme_all_pirs(WPT, q, budget):
+        if optimal_index(WPT, q, budget).objective <= scheme_all_pirs(WPT, q, budget):
             crossing = n_p
             break
     threshold_ok = crossing is not None and abs(crossing - threshold) <= 1.0
@@ -207,13 +206,14 @@ def test_criterion_7_beamforming_identities():
         geometry = random_geometry(p, rng)
         phases, beam = optimal_configuration(airs_index, geometry, p, budget)
 
-        for k, (arrive, depart) in enumerate(surface_response_pairs(geometry, p, airs_index),
-                                             start=1):
+        hops = hop_responses(geometry, p, airs_index)
+        for k in range(1, p.num_irs + 1):
+            arrive, depart = hops[k - 1][0], hops[k][1]
             count = p.elements_at(k, airs_index)
             coeff = abs(reflection_coefficient_sum(arrive, depart, phases.theta[k - 1]))
             worst_sum = max(worst_sum, abs(coeff / count - 1.0))
 
-        response = bs_departure_response(geometry, p)
+        response = hops[0][1]
         gain = abs(response.conj() @ optimal_transmit_beam(response, p.tx_power)) ** 2
         worst_beam = max(worst_beam, abs(gain / (p.tx_power * p.bs_antennas) - 1.0))
 

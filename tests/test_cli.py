@@ -71,15 +71,15 @@ class TestConfigParsing:
 
 class TestSweepSpec:
     def test_log_sweep_values_sorted_unique(self):
-        values = parse_sweep("10:1000:log:10").values()
+        values = parse_sweep("10:1000:log:10")
         assert values == sorted(set(values))
         assert values[0] == 10 and values[-1] == 1000
 
     def test_linear_sweep_uses_step(self):
-        assert parse_sweep("10:50:linear:10").values() == [10, 20, 30, 40, 50]
+        assert parse_sweep("10:50:linear:10") == [10, 20, 30, 40, 50]
 
     def test_single_value(self):
-        assert parse_sweep("128").values() == [128]
+        assert parse_sweep("128") == [128]
 
     @pytest.mark.parametrize("bad", ["10:5:log:10", "10:100:geo:5", "a:b:log:3",
                                      "10:100:log:1", "0:10:linear:1"])
@@ -130,14 +130,28 @@ class TestEvalCommand:
         ("d_i = inf", "inter_irs_distance"),
         ("np = inf", "pirs_elements"),
         ("j = 1e400", "num_irs"),
+        ("frequency = 0", "frequency"),
+        ("alpha = 0", "path_loss_exponent"),
+        ("np = 0", "pirs_elements"),
+        ("pt = -5000 dBm", "tx_power"),  # underflows to 0 W
     ])
     def test_non_finite_value_exits_2_naming_the_key(self, tmp_path, capsys, line, name):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         assert run(["eval", "--mode", "wit", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
-        assert name in captured.err
+        key = line.split("=")[0].strip()
+        assert f"key {key!r} ({name})" in captured.err
         assert captured.out == ""
+
+    def test_warnings_go_to_stderr_not_the_report(self, tmp_path, capsys):
+        report = tmp_path / "report.txt"
+        assert run(["eval", "--mode", "wit", "-o", str(report)]) == 0
+        assert "l_star = 5" in report.read_text()
+        assert "warning:" not in report.read_text()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("warning: ") == 3
 
 
 class TestSweepCommand:
@@ -187,6 +201,12 @@ class TestValidateCommand:
         assert "(wit): 2430 configs, 0 mismatches" in out
         assert "(wpt): 2430 configs, 0 mismatches" in out
         assert "result: OK" in out
+
+    def test_negative_oracle_samples_exit_2(self, capsys):
+        assert run(["validate", "--oracle-samples", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "--oracle-samples" in captured.err
+        assert captured.out == ""
 
 
 class TestFiguresCommand:

@@ -6,7 +6,6 @@ import pytest
 from irschain import deployment
 from irschain.deployment import (
     agreement_grid,
-    crossover_threshold,
     middle_index,
     optimal_index,
     ratio_diagnostics,
@@ -33,7 +32,7 @@ class TestBruteForce:
     def test_single_surface(self):
         sol = optimal_index(WIT, SystemParams(num_irs=1))
         assert sol.brute_force_index == 1
-        assert sol.objectives == (sol.objective.value,)
+        assert sol.objectives == (sol.objective,)
         assert sol.brute_force_agrees
 
     def test_default_scenario_information(self):
@@ -63,8 +62,7 @@ class TestObjectiveVector:
             first_argmax = min(l for l in range(1, p.num_irs + 1)
                                if sol.objectives[l - 1] == best)
             assert sol.brute_force_index == first_argmax
-            assert sol.objective.value == sol.objectives[sol.airs_index - 1]
-            assert sol.objective.airs_index == sol.airs_index
+            assert sol.objective == sol.objectives[sol.airs_index - 1]
 
     @pytest.mark.parametrize("mode", [WIT, WPT])
     @pytest.mark.parametrize("num_irs", [1, 2, 7, 40])
@@ -194,14 +192,12 @@ class TestBaselineSchemes:
 
     def test_middle_scheme_evaluates_the_midpoint(self):
         mid = scheme_middle(WIT, self.p, self.budget)
-        assert mid.airs_index == 4
-        assert mid.value == snr_closed(self.p, 4, self.budget)
+        assert middle_index(self.p.num_irs) == 4
+        assert mid == snr_closed(self.p, 4, self.budget)
 
     def test_optimal_dominates_middle(self):
-        assert (optimal_index(WIT, self.p).objective.value
-                >= scheme_middle(WIT, self.p).value)
-        assert (optimal_index(WPT, self.p).objective.value
-                > scheme_middle(WPT, self.p).value)
+        assert optimal_index(WIT, self.p).objective >= scheme_middle(WIT, self.p)
+        assert optimal_index(WPT, self.p).objective > scheme_middle(WPT, self.p)
 
     def test_all_passive_single_surface_formula(self):
         # kappa_i = 1/100 exactly; one surface, so no inter-surface hops at all
@@ -216,14 +212,14 @@ class TestBaselineSchemes:
     def test_small_panels_favor_the_active_chain(self):
         p = with_np(self.p, 16)
         b = derive_link_budget(p)
-        assert optimal_index(WIT, p, b).objective.value > scheme_all_pirs(WIT, p, b)
-        assert optimal_index(WPT, p, b).objective.value > scheme_all_pirs(WPT, p, b)
+        assert optimal_index(WIT, p, b).objective > scheme_all_pirs(WIT, p, b)
+        assert optimal_index(WPT, p, b).objective > scheme_all_pirs(WPT, p, b)
 
     def test_large_panels_favor_the_passive_chain(self):
         p = with_np(self.p, 1400)
         b = derive_link_budget(p)
-        assert optimal_index(WIT, p, b).objective.value < scheme_all_pirs(WIT, p, b)
-        assert optimal_index(WPT, p, b).objective.value < scheme_all_pirs(WPT, p, b)
+        assert optimal_index(WIT, p, b).objective < scheme_all_pirs(WIT, p, b)
+        assert optimal_index(WPT, p, b).objective < scheme_all_pirs(WPT, p, b)
 
 
 class TestCrossover:
@@ -239,30 +235,27 @@ class TestCrossover:
         for n_p in range(1000, 1300):
             q = with_np(p, n_p)
             b = derive_link_budget(q)
-            if optimal_index(WPT, q, b).objective.value <= scheme_all_pirs(WPT, q, b):
+            if optimal_index(WPT, q, b).objective <= scheme_all_pirs(WPT, q, b):
                 crossing = n_p
                 break
         assert crossing is not None
         assert abs(crossing - threshold) <= 1.0
 
     def test_vanishing_amplifier_kills_the_threshold(self):
-        # threshold ~ na**(1/J) near zero, so the decay is slow but monotone
-        p = SystemParams()
-        b = derive_link_budget(p)
-        values = [crossover_threshold(na, p.amp_power, p.tx_power, p.bs_antennas,
-                                      b.kappa_b, b.kappa_i, p.num_irs)
-                  for na in (1e-1, 1e-6, 1e-60)]
+        # one active element: threshold ~ amp_power**(1/(2J)) near zero,
+        # so the decay is slow but monotone
+        p = replace(SystemParams(), airs_elements=1, airs_grid=None)
+        values = [wpt_crossover_np(replace(p, amp_power=pa)) for pa in (1e-1, 1e-6, 1e-60)]
         assert values[0] > values[1] > values[2]
         assert values[2] < 1.0
 
     def test_scales_with_hop_gain(self):
+        # with path-loss exponent 2, doubling the hop distance halves kappa_i
         p = SystemParams()
-        b = derive_link_budget(p)
+        assert p.path_loss_exponent == 2.0
         j = p.num_irs
-        halved = crossover_threshold(p.airs_elements, p.amp_power, p.tx_power,
-                                     p.bs_antennas, b.kappa_b, b.kappa_i / 2, j)
-        full = crossover_threshold(p.airs_elements, p.amp_power, p.tx_power,
-                                   p.bs_antennas, b.kappa_b, b.kappa_i, j)
+        halved = wpt_crossover_np(replace(p, inter_irs_distance=2 * p.inter_irs_distance))
+        full = wpt_crossover_np(p)
         assert halved / full == pytest.approx(2 ** ((j - 1) / j), rel=1e-12)
 
 
@@ -299,7 +292,7 @@ class TestRatioDiagnostics:
         p = self.p
         b = derive_link_budget(p)
         rep = ratio_diagnostics(WIT, p, b)
-        gamma_opt = optimal_index(WIT, p, b).objective.value
+        gamma_opt = optimal_index(WIT, p, b).objective
         assert rep.vs_middle_exact == pytest.approx(
             gamma_opt / snr_closed(p, 4, b), rel=1e-12)
         assert rep.vs_all_pirs_exact == pytest.approx(

@@ -6,8 +6,8 @@ import pytest
 from irschain.beamforming import optimal_configuration
 from irschain.channel import full_power, full_snr, random_geometry
 from irschain.metrics import (
-    ObjectiveValue,
     effective_gain,
+    objective,
     power_closed,
     power_scaling_order,
     snr_closed,
@@ -149,11 +149,7 @@ class TestScalingOrders:
             snr_scaling_order(0, 7)
 
 
-class TestObjectiveValue:
+class TestObjective:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
-            ObjectiveValue(value=1.0, airs_index=1, mode="both")
-
-    def test_rejects_negative_value(self):
-        with pytest.raises(ValueError):
-            ObjectiveValue(value=-1.0, airs_index=1, mode="wit")
+            objective("both", SystemParams(), 1)

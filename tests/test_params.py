@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -136,9 +137,11 @@ class TestValidate:
         # all three distances sit below the default threshold here
         warnings = [d for d in validate(p) if d.name == "far_field"]
         assert len(warnings) == 3
-        # an explicit lax threshold silences them
-        assert [d for d in validate(p, far_field_threshold=1.0)
-                if d.name == "far_field"] == []
+        # distances at the threshold itself are far-field
+        at = replace(p, bs_irs_distance=threshold, irs_user_distance=threshold,
+                     inter_irs_distance=threshold)
+        assert fraunhofer_distance(at) == threshold
+        assert [d for d in validate(at) if d.name == "far_field"] == []
 
     def test_negative_distance_is_an_error(self):
         diags = validate(SystemParams(bs_irs_distance=-2.0))
