@@ -44,7 +44,6 @@ from .beamforming import (
 from .metrics import (
     WIT,
     WPT,
-    effective_gain,
     power_closed,
     power_scaling_order,
     snr_closed,
@@ -71,7 +70,7 @@ __all__ = [
     "random_geometry", "steering_vector", "upa_response",
     "amplification_factor", "check_power_constraint", "optimal_configuration",
     "optimal_reflection_phases", "optimal_transmit_beam",
-    "WIT", "WPT", "effective_gain", "power_closed",
+    "WIT", "WPT", "power_closed",
     "power_scaling_order", "snr_closed", "snr_scaling_order",
     "DeploymentSolution", "RatioReport", "optimal_index", "ratio_diagnostics",
     "scheme_all_pirs", "scheme_middle", "wpt_crossover_np",

@@ -56,12 +56,7 @@ def amplification_factor(airs_index: int, budget: LinkBudget, p: SystemParams) -
     incident = math.exp(
         math.log(budget.c_t) + 2.0 * (airs_index - 1) * math.log(budget.np_kappa_i)
     )
-    return eta_for_incident_power(incident, p.amp_power, p.noise_power)
-
-
-def eta_for_incident_power(incident: float, amp_power: float, noise_power: float) -> float:
-    """Boundary gain for a directly measured incident per-element power."""
-    return math.sqrt(amp_power / (incident + noise_power))
+    return math.sqrt(p.amp_power / (incident + p.noise_power))
 
 
 def check_power_constraint(eta: float, incident: float, noise_power: float,

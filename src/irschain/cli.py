@@ -104,6 +104,7 @@ _INT_FIELDS = {"num_irs", "bs_antennas", "airs_elements", "pirs_elements"}
 def parse_config_text(text: str) -> dict[str, float]:
     """Parse ``key = value`` lines; '#' starts a comment, blanks ignored."""
     values: dict[str, float] = {}
+    seen: dict[str, tuple[str, int]] = {}  # parameter -> (key as written, line)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -114,6 +115,11 @@ def parse_config_text(text: str) -> dict[str, float]:
         canon = _KEY_ALIASES.get(key.lower().replace("-", "_"))
         if canon is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if canon in seen:
+            first_key, first_line = seen[canon]
+            raise ConfigError(f"line {lineno}: key {key!r} sets {canon} again, "
+                              f"already set by {first_key!r} on line {first_line}")
+        seen[canon] = (key, lineno)
         values[canon] = _parse_value(raw, key, canon)
     return values
 
@@ -188,9 +194,12 @@ def parse_sweep(text: str) -> list[int]:
     return _sweep_values(minimum, maximum, scale, count_or_step)
 
 
+# SNRs are reported in dB, received powers in dBm: (column suffix, converter)
+_LOG_UNITS = {metrics.WIT: ("db", linear_to_db), metrics.WPT: ("dbm", watts_to_dbm)}
+
+
 def _objective_db(mode: str, value: float) -> float:
-    # SNRs are reported in dB, received powers in dBm
-    return linear_to_db(value) if mode == metrics.WIT else watts_to_dbm(value)
+    return _LOG_UNITS[mode][1](value)
 
 
 def evaluate_point(mode: str, p: SystemParams) -> dict[str, object]:
@@ -266,6 +275,12 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+FIGURE_NP_MIN = 10
+FIGURE_NP_MAX = 1400
+FIGURE_NP_POINTS = 50
+FIGURE_FILES = ("fig2.csv", "fig3.csv", "fig4.csv")
+
+
 def _oracle_error(p: SystemParams, airs_index: int, rng: np.random.Generator) -> float:
     geometry = random_geometry(p, rng)
     budget = derive_link_budget(p)
@@ -278,8 +293,9 @@ def _oracle_error(p: SystemParams, airs_index: int, rng: np.random.Generator) ->
 
 
 def cmd_validate(args) -> int:
-    if args.oracle_samples < 0:
-        raise ConfigError(f"--oracle-samples must be >= 0, got {args.oracle_samples}")
+    for flag, value in (("--oracle-samples", args.oracle_samples), ("--seed", args.seed)):
+        if value < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {value}")
     grid = deployment.agreement_grid()
     mismatches = 0
     for mode in metrics.MODES:
@@ -292,7 +308,7 @@ def cmd_validate(args) -> int:
     worst = 0.0
     for _ in range(args.oracle_samples):
         j = int(rng.integers(1, 8))
-        n_p = int(rng.integers(4, 257))
+        n_p = int(rng.integers(4, FIGURE_NP_MAX + 1))
         p = replace(SystemParams(), num_irs=j, pirs_elements=n_p, pirs_grid=None)
         worst = max(worst, _oracle_error(p, int(rng.integers(1, j + 1)), rng))
     print(f"matrix oracle vs closed form: {args.oracle_samples} configs, "
@@ -303,58 +319,44 @@ def cmd_validate(args) -> int:
     return EXIT_OK if ok else EXIT_FAILED_CHECK
 
 
-FIGURE_NP_MIN = 10
-FIGURE_NP_MAX = 1400
-FIGURE_NP_POINTS = 50
-
-
 def figure_rows(base: SystemParams) -> tuple[list[dict], list[dict], list[dict]]:
     """Datasets behind the three standard comparison figures.
 
-    fig2: optimal index per mode vs panel size.  fig3/fig4: objective of
-    the optimal, final-surface, middle-surface, and all-passive schemes,
-    in dB (SNR) and dBm (power).
+    fig2: optimal index per mode vs panel size.  fig3 (SNR, dB) and fig4
+    (power, dBm): objective of the optimal, final-surface, middle-surface,
+    and all-passive schemes.
     """
-    index_rows, snr_rows, power_rows = [], [], []
+    index_rows = []
+    objective_rows = {mode: [] for mode in metrics.MODES}
     for n_p in _sweep_values(FIGURE_NP_MIN, FIGURE_NP_MAX, "log", FIGURE_NP_POINTS):
         p = _with_np(base, n_p)
         budget = derive_link_budget(p)
-        wit = deployment.optimal_index(metrics.WIT, p, budget)
-        wpt = deployment.optimal_index(metrics.WPT, p, budget)
-        index_rows.append({
-            "np": n_p,
-            "wit_l_star": wit.airs_index,
-            "wpt_l_star": wpt.airs_index,
-        })
         mid = deployment.middle_index(p.num_irs)
-        snr_rows.append({
-            "np": n_p,
-            "optimal_db": _fmt(linear_to_db(wit.objective)),
-            "final_db": _fmt(linear_to_db(wit.objectives[-1])),
-            "middle_db": _fmt(linear_to_db(wit.objectives[mid - 1])),
-            "all_pirs_db": _fmt(linear_to_db(deployment.scheme_all_pirs(metrics.WIT, p, budget))),
-        })
-        power_rows.append({
-            "np": n_p,
-            "optimal_dbm": _fmt(watts_to_dbm(wpt.objective)),
-            "final_dbm": _fmt(watts_to_dbm(wpt.objectives[-1])),
-            "middle_dbm": _fmt(watts_to_dbm(wpt.objectives[mid - 1])),
-            "all_pirs_dbm": _fmt(watts_to_dbm(deployment.scheme_all_pirs(metrics.WPT, p, budget))),
-        })
-    return index_rows, snr_rows, power_rows
+        index_row = {"np": n_p}
+        for mode in metrics.MODES:
+            sol = deployment.optimal_index(mode, p, budget)
+            index_row[f"{mode}_l_star"] = sol.airs_index
+            schemes = {
+                "optimal": sol.objective,
+                "final": sol.objectives[-1],
+                "middle": sol.objectives[mid - 1],
+                "all_pirs": deployment.scheme_all_pirs(mode, p, budget),
+            }
+            unit = _LOG_UNITS[mode][0]
+            objective_rows[mode].append({"np": n_p, **{
+                f"{name}_{unit}": _fmt(_objective_db(mode, value))
+                for name, value in schemes.items()}})
+        index_rows.append(index_row)
+    return index_rows, objective_rows[metrics.WIT], objective_rows[metrics.WPT]
 
 
 def cmd_figures(args) -> int:
     base = load_params(args.config)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    index_rows, snr_rows, power_rows = figure_rows(base)
-    _write_rows(index_rows, ["np", "wit_l_star", "wpt_l_star"], str(outdir / "fig2.csv"))
-    _write_rows(snr_rows, ["np", "optimal_db", "final_db", "middle_db", "all_pirs_db"],
-                str(outdir / "fig3.csv"))
-    _write_rows(power_rows, ["np", "optimal_dbm", "final_dbm", "middle_dbm", "all_pirs_dbm"],
-                str(outdir / "fig4.csv"))
-    print(f"wrote fig2.csv, fig3.csv, fig4.csv to {outdir}")
+    for name, rows in zip(FIGURE_FILES, figure_rows(base)):
+        _write_rows(rows, list(rows[0]), str(outdir / name))
+    print(f"wrote {', '.join(FIGURE_FILES)} to {outdir}")
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .metrics import WIT, WPT, check_mode, objective
+from .metrics import WIT, WPT, _ratio_of_term_sums, check_mode, objective
 from .params import LinkBudget, SystemParams, derive_link_budget
 
 CASE_FALLBACK = "brute-force-fallback"
@@ -123,6 +123,19 @@ def scheme_middle(mode: str, p: SystemParams,
     return objective(mode, p, middle_index(p.num_irs), budget)
 
 
+def _log_all_pirs_power(p: SystemParams, budget: LinkBudget) -> float:
+    """Log of the all-passive chain's received power (watts), boosted transmitter."""
+    boosted = p.tx_power + p.airs_elements * p.amp_power
+    return (
+        math.log(boosted)
+        + math.log(p.bs_antennas)
+        + 2.0 * math.log(budget.kappa_b)
+        + 2.0 * math.log(budget.kappa_u)
+        + 2.0 * math.log(p.pirs_elements)
+        + 2.0 * (p.num_irs - 1) * math.log(budget.np_kappa_i)
+    )
+
+
 def scheme_all_pirs(mode: str, p: SystemParams,
                     budget: LinkBudget | None = None) -> float:
     """All-passive baseline with the transmit power raised by the saved budget.
@@ -134,15 +147,7 @@ def scheme_all_pirs(mode: str, p: SystemParams,
     check_mode(mode)
     if budget is None:
         budget = derive_link_budget(p)
-    boosted = p.tx_power + p.airs_elements * p.amp_power
-    log_signal = (
-        math.log(boosted)
-        + math.log(p.bs_antennas)
-        + 2.0 * math.log(budget.kappa_b)
-        + 2.0 * math.log(budget.kappa_u)
-        + 2.0 * math.log(p.pirs_elements)
-        + 2.0 * (p.num_irs - 1) * math.log(budget.np_kappa_i)
-    )
+    log_signal = _log_all_pirs_power(p, budget)
     if mode == WIT:
         log_signal -= math.log(p.noise_power)
     return math.exp(log_signal)
@@ -151,28 +156,25 @@ def scheme_all_pirs(mode: str, p: SystemParams,
 def wpt_crossover_np(p: SystemParams, budget: LinkBudget | None = None) -> float:
     """Panel size below which the active chain out-delivers the all-passive one.
 
-    Vanishing-noise limit of the received-power comparison; valid as a
-    strict crossover only in that regime.
+    The all-passive power grows as pirs_elements**(2J); this is the panel
+    size at which it reaches c_a * airs_elements, the active chain's
+    vanishing-noise power.  Valid as a strict crossover only in that regime.
     """
     if budget is None:
         budget = derive_link_budget(p)
-    j = p.num_irs
-    drive = p.bs_antennas * budget.kappa_b**2 * (p.tx_power + p.amp_power * p.airs_elements)
-    log_thr = (
-        (math.log(p.airs_elements**2 * p.amp_power) - math.log(drive)) / (2.0 * j)
-        + (1.0 - j) / j * math.log(budget.kappa_i)
-    )
-    return math.exp(log_thr)
+    log_gap = math.log(budget.c_a * p.airs_elements) - _log_all_pirs_power(p, budget)
+    return math.exp(math.log(p.pirs_elements) + log_gap / (2.0 * p.num_irs))
 
 
 @dataclass(frozen=True)
 class RatioReport:
     """Optimal-scheme gain over both baselines, three ways each.
 
-    ``*_exact`` divides the actual objectives.  ``*_closed`` is the
-    closed-form ratio: an algebraic identity for power transfer (exact
-    when the chain length is odd, so the middle index is integral), a
-    lower bound for information transfer.  ``*_limit`` is the closed
+    ``*_exact`` divides the actual objectives.  ``*_closed`` divides the
+    closed form at the final position by the middle one at the real index
+    (J+1)/2 and by the all-passive baseline: an identity for power transfer
+    (exact when the chain length is odd, so the middle index is integral),
+    a lower bound for information transfer.  ``*_limit`` is the closed
     form's vanishing-noise value.
     """
 
@@ -193,42 +195,29 @@ def ratio_diagnostics(mode: str, p: SystemParams,
     sol = optimal_index(mode, p, budget)
     mid = scheme_middle(mode, p, budget)
     passive = scheme_all_pirs(mode, p, budget)
-    j = p.num_irs
-    s2 = p.noise_power
-    c_a, c_t = budget.c_a, budget.c_t
-    n_a = p.airs_elements
-    x = budget.np_kappa_i ** (j - 1)
-
+    final = sol.objectives[-1]
+    # vanishing-noise limits in log domain; x = np_kappa_i**(J-1)
+    log_x = (p.num_irs - 1) * math.log(budget.np_kappa_i)
+    log_ca, log_ct = math.log(budget.c_a), math.log(budget.c_t)
+    log_all = _log_all_pirs_power(p, budget)
+    log_na = math.log(p.airs_elements)
     if mode == WPT:
-        rho1_num = s2 * c_t * x * (1.0 - x) * (1.0 - n_a)
-        rho1_den = (c_t * x**2 + s2) * (c_t * n_a * x + s2)
-        vs_mid_closed = (1.0 + rho1_num / rho1_den) / x
-        vs_mid_limit = 1.0 / x
-        base = c_a * n_a / (
-            p.pirs_elements ** (2 * j) * budget.kappa_i ** (2 * (j - 1))
-            * (c_t * budget.kappa_u**2 + c_a * p.bs_antennas * budget.kappa_b**2)
-        )
-        rho2 = s2 * (1.0 - n_a) / (c_t * n_a * x**2 + n_a * s2)
-        vs_all_closed = base * (1.0 + rho2)
-        vs_all_limit = base
+        vs_mid_limit = math.exp(-log_x)
+        vs_all_limit = math.exp(log_ca + log_na - log_all)
     else:  # WIT; optimal_index has already rejected any other mode
-        inv_x = 1.0 / x
-        vs_mid_closed = (c_a + c_t + s2 * inv_x) / (c_a * inv_x + c_t * x + s2 * inv_x)
-        vs_mid_limit = inv_x * (c_a + c_t) / (c_a * inv_x**2 + c_t)
-        gain = n_a**2 * p.tx_power * p.amp_power / (
-            (p.tx_power + n_a * p.amp_power) * p.pirs_elements**2
-        )
-        vs_all_closed = gain / (c_a + c_t * x**2 + s2)
-        vs_all_limit = gain / (c_a + c_t * x**2)
+        den = [log_ca, log_ct + 2.0 * log_x]  # c_a + c_t * x**2
+        vs_mid_limit = _ratio_of_term_sums([log_x + log_ca, log_x + log_ct], den)
+        vs_all_limit = _ratio_of_term_sums(
+            [log_ca + log_ct + log_na + 2.0 * log_x], [t + log_all for t in den])
 
     return RatioReport(
         mode=mode,
         optimal_index=sol.airs_index,
         vs_middle_exact=sol.objective / mid,
-        vs_middle_closed=vs_mid_closed,
+        vs_middle_closed=final / objective(mode, p, (p.num_irs + 1) / 2.0, budget),
         vs_middle_limit=vs_mid_limit,
         vs_all_pirs_exact=sol.objective / passive,
-        vs_all_pirs_closed=vs_all_closed,
+        vs_all_pirs_closed=final / passive,
         vs_all_pirs_limit=vs_all_limit,
     )
 

@@ -24,18 +24,6 @@ def check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def effective_gain(airs_index: int, budget: LinkBudget, num_irs: int) -> float:
-    """Transmitter-to-active-surface power gain kappa_b^2 * (Np*kappa_i)^(2(l-1)).
-
-    Strictly decreasing in the index exactly when np_kappa_i < 1.
-    """
-    check_airs_index(airs_index, num_irs)
-    return math.exp(
-        2.0 * math.log(budget.kappa_b)
-        + 2.0 * (airs_index - 1) * math.log(budget.np_kappa_i)
-    )
-
-
 def _log_terms(p: SystemParams, budget: LinkBudget, airs_index: int):
     log_npk = math.log(budget.np_kappa_i)
     log_ca = math.log(budget.c_a)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import pytest
 
@@ -67,6 +68,20 @@ class TestConfigParsing:
     def test_non_integer_count(self):
         with pytest.raises(ConfigError):
             params_from_config(parse_config_text("m = 10.5"))
+
+    def test_parameter_given_twice(self):
+        cases = [
+            ("pt = 30 dBm\ntx_power = 0.001", "'pt'", "'tx_power'", 1, 2),
+            ("np = 64\n# panels\npirs_elements = 81", "'np'", "'pirs_elements'", 1, 3),
+            ("frequency = 3.5e9\ncarrier = 28e9", "'frequency'", "'carrier'", 1, 2),
+            ("j = 5\nj = 5", "'j'", "'j'", 1, 2),
+        ]
+        for text, first, second, first_line, second_line in cases:
+            with pytest.raises(ConfigError) as info:
+                parse_config_text(text)
+            message = str(info.value)
+            assert first in message and second in message
+            assert f"line {first_line}" in message and f"line {second_line}" in message
 
 
 class TestSweepSpec:
@@ -202,14 +217,31 @@ class TestValidateCommand:
         assert "(wpt): 2430 configs, 0 mismatches" in out
         assert "result: OK" in out
 
-    def test_negative_oracle_samples_exit_2(self, capsys):
-        assert run(["validate", "--oracle-samples", "-3"]) == 2
+    @pytest.mark.parametrize("flag", ["--oracle-samples", "--seed"])
+    def test_negative_oracle_samples_exit_2(self, capsys, flag):
+        # rejected before the grids run, so nothing reaches stdout
+        assert run(["validate", flag, "-3"]) == 2
         captured = capsys.readouterr()
-        assert "--oracle-samples" in captured.err
+        assert flag in captured.err
         assert captured.out == ""
 
 
 class TestFiguresCommand:
+    # blake2b (16-byte) digests of the default-scenario figure files.  If a
+    # change is meant to alter the figures, regenerate them with
+    #   irschain figures --outdir out && b2sum -l 128 out/fig*.csv
+    DIGESTS = {
+        "fig2.csv": "43e4a9a35512ad9fcdc44788378c157a",
+        "fig3.csv": "6950efef3f3bbbcdbad32f07af973eee",
+        "fig4.csv": "fc4ee9054b69efa6705b52f74dcde825",
+    }
+
+    def test_outputs_match_pinned_digests(self, tmp_path):
+        assert run(["figures", "--outdir", str(tmp_path)]) == 0
+        for name, digest in self.DIGESTS.items():
+            data = (tmp_path / name).read_bytes()
+            assert hashlib.blake2b(data, digest_size=16).hexdigest() == digest, name
+
     def test_outputs_are_deterministic(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         assert run(["figures", "--outdir", str(first)]) == 0

@@ -298,6 +298,29 @@ class TestRatioDiagnostics:
         assert rep.vs_all_pirs_exact == pytest.approx(
             gamma_opt / scheme_all_pirs(WIT, p, b), rel=1e-12)
 
+    @pytest.mark.parametrize("mode", [WIT, WPT])
+    def test_limits_are_the_closed_forms_without_noise(self, mode):
+        # noise far below the weakest signal term c_t * x**2 (~5e-19 W here)
+        quiet = replace(self.p, noise_power=1e-40)
+        rep = ratio_diagnostics(mode, quiet)
+        assert rep.vs_middle_limit == pytest.approx(rep.vs_middle_closed, rel=1e-12)
+        assert rep.vs_all_pirs_limit == pytest.approx(rep.vs_all_pirs_closed, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", [WIT, WPT])
+    @pytest.mark.parametrize("j", [60, 100, 130])
+    def test_long_chains_give_finite_ratios(self, mode, j):
+        # x**2 and pirs_elements**(2J) leave double range here; only log-domain terms do not
+        rep = ratio_diagnostics(mode, replace(self.p, num_irs=j))
+        fields = (rep.vs_middle_exact, rep.vs_middle_closed, rep.vs_middle_limit,
+                  rep.vs_all_pirs_exact, rep.vs_all_pirs_closed, rep.vs_all_pirs_limit)
+        assert all(0.0 < v < math.inf for v in fields)
+
+    @pytest.mark.parametrize("j", [61, 101, 129])
+    def test_long_odd_power_chains_closed_equals_exact(self, j):
+        rep = ratio_diagnostics(WPT, replace(self.p, num_irs=j))
+        assert rep.vs_middle_closed == pytest.approx(rep.vs_middle_exact, rel=1e-10)
+        assert rep.vs_all_pirs_closed == pytest.approx(rep.vs_all_pirs_exact, rel=1e-10)
+
 
 class TestAgreementGrid:
     def test_size_and_regime(self):
