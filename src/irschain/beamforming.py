@@ -53,9 +53,7 @@ def amplification_factor(airs_index: int, budget: LinkBudget, p: SystemParams) -
     per-element power is c_t * np_kappa_i**(2*(l-1)); the budget then
     binds with equality.
     """
-    incident = math.exp(
-        math.log(budget.c_t) + 2.0 * (airs_index - 1) * math.log(budget.np_kappa_i)
-    )
+    incident = math.exp(budget.log_c_t + 2.0 * (airs_index - 1) * budget.log_np_kappa_i)
     return math.sqrt(p.amp_power / (incident + p.noise_power))
 
 

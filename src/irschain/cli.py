@@ -22,6 +22,7 @@ from .channel import full_power, full_snr, random_geometry
 from .beamforming import optimal_configuration
 from .params import (
     SystemParams,
+    MAX_ELEMENTS,
     SPEED_OF_LIGHT,
     db_to_linear,
     dbm_to_watts,
@@ -77,6 +78,8 @@ def _parse_value(raw: str, key: str, canon: str) -> float:
     # every scenario quantity is positive; also rejects nan, inf and dBm underflow
     if not 0.0 < value < math.inf:
         raise ConfigError(f"key {key!r} ({canon}) must be positive and finite, got {raw!r}")
+    if canon in ("airs_elements", "pirs_elements") and value > MAX_ELEMENTS:
+        raise ConfigError(f"key {key!r} ({canon}) must be at most {MAX_ELEMENTS}, got {raw!r}")
     return value
 
 
@@ -224,6 +227,8 @@ def evaluate_point(mode: str, p: SystemParams) -> dict[str, object]:
 
 
 def _with_np(p: SystemParams, n_p: int) -> SystemParams:
+    if n_p > MAX_ELEMENTS:  # before the panel grid search, which is O(sqrt(n_p))
+        raise ConfigError(f"--np must be at most {MAX_ELEMENTS}, got {n_p}")
     return replace(p, pirs_elements=n_p, pirs_grid=None)
 
 

@@ -62,8 +62,7 @@ def _wit_closed_form(budget: LinkBudget, j: int,
     if j == 1:
         return 1, case, None
 
-    log_ratio = math.log(budget.c_a) - math.log(budget.c_t)
-    log_npk = math.log(budget.np_kappa_i)
+    log_ratio, log_npk = budget.log_c_a - budget.log_c_t, budget.log_np_kappa_i
     relaxed = (j + 1) / 2.0 + log_ratio / (4.0 * log_npk)
     # stationary point at or beyond a boundary: the boundary index is optimal
     if case == "I" and 2.0 * (j - 1) * log_npk >= log_ratio:
@@ -132,7 +131,7 @@ def _log_all_pirs_power(p: SystemParams, budget: LinkBudget) -> float:
         + 2.0 * math.log(budget.kappa_b)
         + 2.0 * math.log(budget.kappa_u)
         + 2.0 * math.log(p.pirs_elements)
-        + 2.0 * (p.num_irs - 1) * math.log(budget.np_kappa_i)
+        + 2.0 * (p.num_irs - 1) * budget.log_np_kappa_i
     )
 
 
@@ -197,8 +196,8 @@ def ratio_diagnostics(mode: str, p: SystemParams,
     passive = scheme_all_pirs(mode, p, budget)
     final = sol.objectives[-1]
     # vanishing-noise limits in log domain; x = np_kappa_i**(J-1)
-    log_x = (p.num_irs - 1) * math.log(budget.np_kappa_i)
-    log_ca, log_ct = math.log(budget.c_a), math.log(budget.c_t)
+    log_x = (p.num_irs - 1) * budget.log_np_kappa_i
+    log_ca, log_ct = budget.log_c_a, budget.log_c_t
     log_all = _log_all_pirs_power(p, budget)
     log_na = math.log(p.airs_elements)
     if mode == WPT:

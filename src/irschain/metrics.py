@@ -3,7 +3,8 @@
 Both objectives collapse to ratios of a handful of positive terms of the
 form const * (pirs_elements * kappa_i)**(2k).  Those powers reach the
 underflow edge of double precision well before the model breaks down, so
-every term is assembled in log domain and combined with logaddexp.
+every term is assembled in log domain, from the logs of c_a, c_t and
+np_kappa_i that ``LinkBudget`` carries, and combined with logaddexp.
 """
 
 from __future__ import annotations
@@ -22,16 +23,6 @@ def check_mode(mode: str) -> None:
     """Raise the one unknown-mode error; every function taking a mode ends up here."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def _log_terms(p: SystemParams, budget: LinkBudget, airs_index: int):
-    log_npk = math.log(budget.np_kappa_i)
-    log_ca = math.log(budget.c_a)
-    log_ct = math.log(budget.c_t)
-    log_s2 = math.log(p.noise_power)
-    j = p.num_irs
-    l = airs_index
-    return log_npk, log_ca, log_ct, log_s2, j, l
 
 
 def _ratio_of_term_sums(log_num_terms: list[float], log_den_terms: list[float]) -> float:
@@ -54,14 +45,15 @@ def snr_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = Non
     if budget is None:
         budget = derive_link_budget(p)
     check_airs_index(airs_index, p.num_irs)
-    log_npk, log_ca, log_ct, log_s2, j, l = _log_terms(p, budget, airs_index)
+    log_npk, log_ca, log_ct = budget.log_np_kappa_i, budget.log_c_a, budget.log_c_t
+    log_s2, j, l = math.log(p.noise_power), p.num_irs, airs_index
     log_num = log_ca + log_ct + math.log(p.airs_elements) + 2.0 * (j - 1) * log_npk
-    den_terms = [
-        log_s2 + log_ca + 2.0 * (j - l) * log_npk,   # amplified surface noise
-        log_s2 + log_ct + 2.0 * (l - 1) * log_npk,   # receiver AWGN, signal-scaled
-        2.0 * log_s2,                                # receiver AWGN floor
-    ]
-    return _ratio_of_term_sums([log_num], den_terms)
+    amp = log_s2 + log_ca + 2.0 * (j - l) * log_npk    # amplified surface noise
+    awgn = log_s2 + log_ct + 2.0 * (l - 1) * log_npk   # receiver AWGN, signal-scaled
+    m = max(amp, awgn, 2.0 * log_s2)                   # 2 log_s2: receiver AWGN floor
+    # fsum, not sum: a plain 3-term sum rounds differently, and sub-ulp gaps decide ties
+    den = math.fsum((math.exp(amp - m), math.exp(awgn - m), math.exp(2.0 * log_s2 - m)))
+    return math.exp(log_num - m) * (1.0 / den)
 
 
 def power_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = None) -> float:
@@ -69,13 +61,16 @@ def power_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = N
     if budget is None:
         budget = derive_link_budget(p)
     check_airs_index(airs_index, p.num_irs)
-    log_npk, log_ca, log_ct, log_s2, j, l = _log_terms(p, budget, airs_index)
-    num_terms = [
-        log_ca + log_ct + math.log(p.airs_elements) + 2.0 * (j - 1) * log_npk,
-        log_s2 + log_ca + 2.0 * (j - l) * log_npk,
-    ]
-    den_terms = [log_ct + 2.0 * (l - 1) * log_npk, log_s2]
-    return _ratio_of_term_sums(num_terms, den_terms)
+    log_npk, log_ca, log_ct = budget.log_np_kappa_i, budget.log_c_a, budget.log_c_t
+    log_s2, j, l = math.log(p.noise_power), p.num_irs, airs_index
+    signal = log_ca + log_ct + math.log(p.airs_elements) + 2.0 * (j - 1) * log_npk
+    amp = log_s2 + log_ca + 2.0 * (j - l) * log_npk
+    incident = log_ct + 2.0 * (l - 1) * log_npk
+    m_num, m_den = max(signal, amp), max(incident, log_s2)
+    # one IEEE addition is correctly rounded, so each sum equals fsum of its two terms
+    num = math.exp(signal - m_num) + math.exp(amp - m_num)
+    den = math.exp(incident - m_den) + math.exp(log_s2 - m_den)
+    return math.exp(m_num - m_den) * (num / den)
 
 
 def objective(mode: str, p: SystemParams, airs_index: int,

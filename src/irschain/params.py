@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 SPEED_OF_LIGHT = 299_792_458.0
 
 DEFAULT_CARRIER_HZ = 3.5e9
+MAX_ELEMENTS = 10**9  # per surface; the O(sqrt(n)) panel grid search takes ms here
 
 
 def dbm_to_watts(x: float) -> float:
@@ -89,10 +90,9 @@ class SystemParams:
     def __post_init__(self):
         if self.element_spacing is None:
             object.__setattr__(self, "element_spacing", self.wavelength / 2.0)
-        if self.airs_grid is None and self.airs_elements >= 1:
-            object.__setattr__(self, "airs_grid", _near_square_grid(self.airs_elements))
-        if self.pirs_grid is None and self.pirs_elements >= 1:
-            object.__setattr__(self, "pirs_grid", _near_square_grid(self.pirs_elements))
+        for count, grid in (("airs_elements", "airs_grid"), ("pirs_elements", "pirs_grid")):
+            if getattr(self, grid) is None and 1 <= getattr(self, count) <= MAX_ELEMENTS:
+                object.__setattr__(self, grid, _near_square_grid(getattr(self, count)))
 
     def elements_at(self, k: int, airs_index: int) -> int:
         """Element count of surface k (1-based) given the active one's index."""
@@ -122,7 +122,7 @@ class LinkBudget:
     np_kappa_i = pirs_elements * kappa_i is the one-hop passive relay
     factor; the closed-form placement results require np_kappa_i < 1
     (``f_decreasing``), where per-hop attenuation beats the passive
-    beamforming gain.
+    beamforming gain.  The ``log_*`` fields are log(c_a), log(c_t), log(np_kappa_i).
     """
 
     kappa_b: float
@@ -132,9 +132,15 @@ class LinkBudget:
     c_t: float
     np_kappa_i: float
     f_decreasing: bool = field(init=False)
+    log_c_a: float = field(init=False)
+    log_c_t: float = field(init=False)
+    log_np_kappa_i: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "f_decreasing", self.np_kappa_i < 1.0)
+        object.__setattr__(self, "log_c_a", math.log(self.c_a))
+        object.__setattr__(self, "log_c_t", math.log(self.c_t))
+        object.__setattr__(self, "log_np_kappa_i", math.log(self.np_kappa_i))
 
 
 def amplitude_gain(distance: float, ref_path_gain: float, exponent: float) -> float:
@@ -201,14 +207,12 @@ def validate(p: SystemParams) -> list[Diagnostic]:
         err("num_irs", f"need at least one surface, got num_irs={p.num_irs}")
     if p.bs_antennas < 1:
         err("bs_antennas", f"need at least one transmit antenna, got {p.bs_antennas}")
-    if p.airs_elements < 1:
-        err("airs_elements", f"active surface needs >= 1 element, got {p.airs_elements}")
-    if p.pirs_elements < 1:
-        err("pirs_elements", f"passive surfaces need >= 1 element, got {p.pirs_elements}")
-    if p.airs_grid is not None and p.airs_grid[0] * p.airs_grid[1] != p.airs_elements:
-        err("airs_grid", f"grid {p.airs_grid} does not factor airs_elements={p.airs_elements}")
-    if p.pirs_grid is not None and p.pirs_grid[0] * p.pirs_grid[1] != p.pirs_elements:
-        err("pirs_grid", f"grid {p.pirs_grid} does not factor pirs_elements={p.pirs_elements}")
+    for count, grid in (("airs_elements", "airs_grid"), ("pirs_elements", "pirs_grid")):
+        n, g = getattr(p, count), getattr(p, grid)
+        if not 1 <= n <= MAX_ELEMENTS:
+            err(count, f"{count} must be 1..{MAX_ELEMENTS} elements, got {n}")
+        if g is not None and g[0] * g[1] != n:
+            err(grid, f"grid {g} does not factor {count}={n}")
     for name in ("bs_irs_distance", "irs_user_distance", "inter_irs_distance",
                  "tx_power", "amp_power", "noise_power", "ref_path_gain",
                  "wavelength", "element_spacing", "path_loss_exponent"):
@@ -219,13 +223,12 @@ def validate(p: SystemParams) -> list[Diagnostic]:
         return out  # derived checks below need sane inputs
 
     threshold = fraunhofer_distance(p)
-    for name in ("bs_irs_distance", "irs_user_distance", "inter_irs_distance"):
-        d = getattr(p, name)
-        if d < threshold:
-            out.append(Diagnostic(
-                "warning", "far_field",
-                f"{name}={d:g} m is below the far-field threshold {threshold:.3g} m",
-            ))
+    near = [f"{name}={getattr(p, name):g} m" for name in
+            ("bs_irs_distance", "irs_user_distance", "inter_irs_distance")
+            if getattr(p, name) < threshold]
+    if near:
+        out.append(Diagnostic("warning", "far_field", "below the far-field threshold "
+                              f"{threshold:.3g} m: {', '.join(near)}"))
 
     kappa_i = amplitude_gain(p.inter_irs_distance, p.ref_path_gain, p.path_loss_exponent)
     if p.pirs_elements * kappa_i >= 1.0:

@@ -149,6 +149,8 @@ class TestEvalCommand:
         ("alpha = 0", "path_loss_exponent"),
         ("np = 0", "pirs_elements"),
         ("pt = -5000 dBm", "tx_power"),  # underflows to 0 W
+        ("np = 1000000000039", "pirs_elements"),  # above the element cap
+        ("na = 1e12", "airs_elements"),
     ])
     def test_non_finite_value_exits_2_naming_the_key(self, tmp_path, capsys, line, name):
         cfg = tmp_path / "bad.cfg"
@@ -159,6 +161,17 @@ class TestEvalCommand:
         assert f"key {key!r} ({name})" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--mode", "wit", "--np", "1000000000039"],
+        ["sweep", "--mode", "wpt", "--np", "1000000000039"],
+        ["sweep", "--mode", "wit", "--np", "10:1000000000039:log:3"],
+    ])
+    def test_panel_above_the_element_cap_exits_2_naming_the_flag(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert "--np must be at most 1000000000, got 1000000000039" in captured.err
+        assert captured.out == ""
+
     def test_warnings_go_to_stderr_not_the_report(self, tmp_path, capsys):
         report = tmp_path / "report.txt"
         assert run(["eval", "--mode", "wit", "-o", str(report)]) == 0
@@ -166,7 +179,7 @@ class TestEvalCommand:
         assert "warning:" not in report.read_text()
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("warning: ") == 3
+        assert captured.err.count("warning: ") == 1  # the three far-field distances, merged
 
 
 class TestSweepCommand:

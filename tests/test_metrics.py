@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from irschain.channel import (
     full_snr,
     random_geometry,
 )
+from irschain.deployment import agreement_grid
 from irschain.metrics import (
     objective,
     power_closed,
@@ -164,3 +166,71 @@ class TestObjective:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             objective("both", SystemParams(), 1)
+
+
+# Reference formulation of the closed forms: five logs per call, then each
+# side's terms summed with fsum after factoring out the largest.  The library
+# reads the logs from the budget and unrolls the sums; it must reproduce these
+# values bit for bit, since sub-ulp differences decide argmax ties between
+# adjacent positions.
+def _reference_ratio_of_term_sums(log_num_terms, log_den_terms):
+    m_num = max(log_num_terms)
+    m_den = max(log_den_terms)
+    s_num = math.fsum(math.exp(t - m_num) for t in log_num_terms)
+    s_den = math.fsum(math.exp(t - m_den) for t in log_den_terms)
+    return math.exp(m_num - m_den) * (s_num / s_den)
+
+
+def _reference_log_terms(p, budget, airs_index):
+    return (math.log(budget.np_kappa_i), math.log(budget.c_a), math.log(budget.c_t),
+            math.log(p.noise_power), p.num_irs, airs_index)
+
+
+def _reference_objective(mode, p, budget, l):
+    log_npk, log_ca, log_ct, log_s2, j, l = _reference_log_terms(p, budget, l)
+    log_signal = log_ca + log_ct + math.log(p.airs_elements) + 2.0 * (j - 1) * log_npk
+    log_amp_noise = log_s2 + log_ca + 2.0 * (j - l) * log_npk
+    if mode == "wit":
+        den_terms = [log_amp_noise, log_s2 + log_ct + 2.0 * (l - 1) * log_npk, 2.0 * log_s2]
+        return _reference_ratio_of_term_sums([log_signal], den_terms)
+    return _reference_ratio_of_term_sums(
+        [log_signal, log_amp_noise], [log_ct + 2.0 * (l - 1) * log_npk, log_s2])
+
+
+def _bit_identity_configs():
+    """The agreement grid plus 500 seeded draws with J <= 400 and np <= 1400."""
+    rng = np.random.default_rng(6)
+    base = SystemParams()
+    draws = []
+    for _ in range(500):
+        draws.append(replace(
+            base,
+            num_irs=int(round(math.exp(rng.uniform(0.0, math.log(400))))),
+            pirs_elements=int(round(math.exp(rng.uniform(0.0, math.log(1400))))),
+            pirs_grid=None,
+            airs_elements=int(rng.integers(1, 1401)),
+            airs_grid=None,
+            tx_power=base.tx_power * 10.0 ** rng.uniform(-2, 2),
+            amp_power=base.amp_power * 10.0 ** rng.uniform(-2, 2),
+            noise_power=base.noise_power * 10.0 ** rng.uniform(-2, 2),
+        ))
+    return agreement_grid() + draws
+
+
+class TestBitIdentity:
+    def test_budget_logs_are_the_logs_of_the_linear_fields(self):
+        for p in _bit_identity_configs():
+            b = derive_link_budget(p)
+            assert b.log_c_a == math.log(b.c_a)
+            assert b.log_c_t == math.log(b.c_t)
+            assert b.log_np_kappa_i == math.log(b.np_kappa_i)
+
+    def test_closed_forms_match_the_reference_bit_for_bit(self):
+        for p in _bit_identity_configs():
+            b = derive_link_budget(p)
+            # every position, and the real middle index ratio_diagnostics uses
+            for l in [*range(1, p.num_irs + 1), (p.num_irs + 1) / 2.0]:
+                for mode, closed_form in (("wit", snr_closed), ("wpt", power_closed)):
+                    got = closed_form(p, l, b)
+                    want = _reference_objective(mode, p, b, l)
+                    assert got.hex() == want.hex(), (mode, p, l)

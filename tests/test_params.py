@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from irschain.params import (
+    MAX_ELEMENTS,
     SystemParams,
     db_to_linear,
     dbm_to_watts,
@@ -96,6 +97,16 @@ class TestSystemParams:
         assert SystemParams(pirs_elements=150).pirs_grid == (10, 15)
         assert SystemParams(pirs_elements=7).pirs_grid == (1, 7)  # prime panel
 
+    def test_no_grid_search_above_the_element_cap(self):
+        # the divisor scan is O(sqrt(n)): at 10**20 elements it would run for minutes
+        p = SystemParams(airs_elements=MAX_ELEMENTS + 1, pirs_elements=10**20)
+        assert p.airs_grid is None and p.pirs_grid is None
+        errors = [d.name for d in validate(p) if d.severity == "error"]
+        assert errors == ["airs_elements", "pirs_elements"]
+        with pytest.raises(ValueError, match="pirs_elements must be 1..1000000000"):
+            derive_link_budget(p)
+        assert SystemParams(pirs_elements=MAX_ELEMENTS).pirs_grid == (31250, 32000)
+
     def test_default_spacing_is_half_wavelength(self):
         p = SystemParams()
         assert p.element_spacing == pytest.approx(p.wavelength / 2)
@@ -134,9 +145,12 @@ class TestValidate:
         threshold = fraunhofer_distance(p)
         assert threshold == pytest.approx(2 * (math.hypot(9, 14) * p.element_spacing) ** 2
                                           / p.wavelength)
-        # all three distances sit below the default threshold here
+        # all three distances sit below the default threshold here: one warning names them
         warnings = [d for d in validate(p) if d.name == "far_field"]
-        assert len(warnings) == 3
+        assert len(warnings) == 1
+        for part in ("bs_irs_distance=4 m", "irs_user_distance=4 m",
+                     "inter_irs_distance=10 m", f"{threshold:.3g} m"):
+            assert part in warnings[0].message
         # distances at the threshold itself are far-field
         at = replace(p, bs_irs_distance=threshold, irs_user_distance=threshold,
                      inter_irs_distance=threshold)
