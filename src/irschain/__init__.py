@@ -2,11 +2,11 @@
 
 A multi-antenna transmitter reaches a single-antenna receiver through a
 chain of J reflecting surfaces, one of which is active (amplifying).  The
-package evaluates the link in two equivalent ways, a full complex-matrix
-cascade and closed-form expressions, and solves for the active surface's
-optimal position in closed form for both SNR and received-power
-objectives, cross-validated by exhaustive search over the same
-objective vector.
+package evaluates the link in two equivalent ways, a matrix oracle built
+from each surface's reflection-coefficient sum and closed-form
+expressions, and solves for the active surface's optimal position in
+closed form for both SNR and received-power objectives, cross-validated
+by exhaustive search over the same objective vector.
 """
 
 from .params import (
@@ -25,7 +25,6 @@ from .channel import (
     HopGeometry,
     PhaseConfig,
     chain_geometry,
-    effective_channels,
     full_power,
     full_snr,
     incident_element_power,
@@ -65,9 +64,9 @@ __all__ = [
     "Diagnostic", "LinkBudget", "SystemParams", "db_to_linear", "dbm_to_watts",
     "derive_link_budget", "fraunhofer_distance", "linear_to_db", "validate",
     "watts_to_dbm",
-    "HopGeometry", "PhaseConfig", "chain_geometry", "effective_channels",
-    "full_power", "full_snr", "incident_element_power", "los_channel",
-    "random_geometry", "steering_vector", "upa_response",
+    "HopGeometry", "PhaseConfig", "chain_geometry", "full_power",
+    "full_snr", "incident_element_power", "los_channel", "random_geometry",
+    "steering_vector", "upa_response",
     "amplification_factor", "check_power_constraint", "optimal_configuration",
     "optimal_reflection_phases", "optimal_transmit_beam",
     "WIT", "WPT", "power_closed",

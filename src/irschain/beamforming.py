@@ -41,11 +41,6 @@ def optimal_reflection_phases(arrive: np.ndarray, depart: np.ndarray) -> np.ndar
     return theta
 
 
-def reflection_coefficient_sum(arrive, depart, theta) -> complex:
-    """A_k = depart^H diag(e^{j theta}) arrive for one surface."""
-    return complex(np.sum(np.conj(depart) * np.exp(1j * theta) * arrive))
-
-
 def amplification_factor(airs_index: int, budget: LinkBudget, p: SystemParams) -> float:
     """Largest feasible common gain under the per-element power budget.
 

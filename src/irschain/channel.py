@@ -2,15 +2,14 @@
 
 Every hop between adjacent nodes is a rank-one product of the receive and
 transmit array responses, scaled by the hop's amplitude gain and carrier
-phase.  The cascade that evaluates SNR and received power, the reference
-against which all the closed-form expressions are checked, applies each
-hop through those rank-one factors, so a chain of J surfaces with N
-elements each costs O(J * N) time and memory.  ``hop_matrices`` builds the
-dense N x N hop matrices and serves as the small-N reference for it.
-
-Cascade magnitudes shrink geometrically with the hop count, so the
-cascade keeps each running vector at unit peak and carries the magnitude
-separately in log domain.
+phase, and every array response has unit-modulus entries.  So the
+received signal is a product of scalars: the hop gains, the transmit
+beam's projection on the first departure response, and one reflection
+coefficient sum A_k per surface.  The matrix oracle, the reference
+against which all the closed-form expressions are checked, adds the logs
+of those magnitudes, so a chain of J surfaces with N elements each costs
+O(J * N) time and memory and never underflows.  ``hop_matrices`` builds
+the dense N x N hop matrices and serves as the small-N reference for it.
 """
 
 from __future__ import annotations
@@ -53,10 +52,6 @@ class PhaseConfig:
 
     theta: tuple[np.ndarray, ...]
     eta: float
-
-    def reflection(self, k: int) -> np.ndarray:
-        """Unit-modulus reflection coefficients of surface k (1-based)."""
-        return np.exp(1j * self.theta[k - 1])
 
 
 def steering_vector(varsigma: float, length: int) -> np.ndarray:
@@ -175,99 +170,64 @@ def hop_matrices(geometry: list[HopGeometry], p: SystemParams,
 
     Entry 0 is (N_1 x M), entries 1..J-1 are (N_{k+1} x N_k), and the
     final user hop is returned as a (1 x N_J) row.  This is the small-N
-    reference for the rank-one cascade; it needs O(J * N^2) memory.
+    reference for the per-surface-sum oracle; it needs O(J * N^2) memory.
     """
     return [los_channel(hop, rx, tx, p.ref_path_gain, p.path_loss_exponent, p.wavelength)
             for hop, (rx, tx) in zip(geometry, hop_responses(geometry, p, airs_index))]
 
 
-def _rescale(vec: np.ndarray, log_mag: float) -> tuple[np.ndarray, float]:
-    peak = float(np.max(np.abs(vec)))
-    if peak == 0.0:
-        return vec, -math.inf
-    return vec / peak, log_mag + math.log(peak)
+def reflection_coefficient_sum(arrive, depart, theta) -> complex:
+    """A_k = depart^H diag(e^{j theta}) arrive for one surface."""
+    return complex(np.sum(np.conj(depart) * np.exp(1j * theta) * arrive))
 
 
-def _cascade(airs_index, geometry, phases, beam, p):
-    """Unit-peak effective channel vectors plus their log magnitudes.
+def _log_abs(x: complex) -> float:
+    """log|x|, -inf when x is exactly zero."""
+    mag = abs(x)
+    return math.log(mag) if mag > 0.0 else -math.inf
 
-    Forward: transmitter through surfaces 1..l-1 into the active surface.
-    Backward: receiver row back through surfaces J..l+1.  Each hop acts as
-    its rank-one factors, ``gain * rx * (tx^H x)`` forward and
-    ``gain * (y rx) * tx^H`` backward, so a step costs O(N).  The
-    reflection of the active surface itself is applied by the callers.
+
+def _log_powers(airs_index, geometry, phases, beam, p) -> tuple[float, float, float]:
+    """Logs of the received signal power, the amplified-noise power gain and
+    the per-element power incident on the active surface.
+
+    Every hop is rank one, so the field reaching surface l is
+    g_0..g_{l-1} (tx_0^H w) A_1..A_{l-1} times a unit-modulus response,
+    and the row leaving it is g_l..g_J A_{l+1}..A_J times tx_l^H, whose
+    squared norm is N_l.  Each log is a sum of log magnitudes; a zero
+    factor, such as eta = 0 or a null A_k, makes it -inf.
     """
     hops = hop_responses(geometry, p, airs_index)
-    gains = [_hop_gain(hop, p.ref_path_gain, p.path_loss_exponent, p.wavelength)
-             for hop in geometry]
-
-    fwd, log_fwd = np.asarray(beam), 0.0
-    for k in range(airs_index):
-        if k > 0:
-            fwd = phases.reflection(k) * fwd
-        rx, tx = hops[k]
-        fwd, log_fwd = _rescale(gains[k] * np.vdot(tx, fwd) * rx, log_fwd)
-
-    bwd, log_bwd = np.ones(1), 0.0  # single-antenna receiver
-    for k in range(p.num_irs, airs_index - 1, -1):
-        if k < p.num_irs:
-            bwd = bwd * phases.reflection(k + 1)
-        rx, tx = hops[k]
-        bwd, log_bwd = _rescale(gains[k] * (bwd @ rx) * tx.conj(), log_bwd)
-
-    return fwd, log_fwd, bwd, log_bwd
-
-
-def _log_received(airs_index, geometry, phases, beam, p) -> tuple[float, float]:
-    """Log of the received signal power and of the amplified-noise power gain.
-
-    The noise gain eta^2 * ||h_out||^2 multiplies the amplification noise
-    power; either log is -inf when its power is exactly zero.
-    """
-    if phases.eta == 0.0:
-        return -math.inf, -math.inf
-    fwd, log_fwd, bwd, log_bwd = _cascade(airs_index, geometry, phases, beam, p)
-    coupling = abs(bwd @ (phases.reflection(airs_index) * fwd))
-    log_eta2 = 2.0 * math.log(phases.eta)
-    log_signal = log_noise_gain = -math.inf
-    if coupling > 0.0:
-        log_signal = log_eta2 + 2.0 * (log_fwd + log_bwd + math.log(coupling))
-    if log_bwd > -math.inf:
-        # reflection is unit-modulus diagonal, so ||row * reflection|| == ||row||
-        log_noise_gain = log_eta2 + 2.0 * log_bwd + math.log(float(np.sum(np.abs(bwd) ** 2)))
-    return log_signal, log_noise_gain
-
-
-def effective_channels(airs_index: int, geometry: list[HopGeometry], phases: PhaseConfig,
-                       beam: np.ndarray, p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """Effective channels into and out of the active surface.
-
-    Returns (h_in, h_out_row): h_in maps the transmit beam to the field
-    incident on the active surface; h_out_row is the row vector such that
-    the received scalar is ``h_out_row @ (reflection * h_in)``.
-    """
-    fwd, log_fwd, bwd, log_bwd = _cascade(airs_index, geometry, phases, beam, p)
-    return fwd * math.exp(log_fwd), bwd * math.exp(log_bwd)
+    log_gain = [math.log(amplitude_gain(hop.distance, p.ref_path_gain, p.path_loss_exponent))
+                for hop in geometry]
+    # log|tx_0^H w| at index 0, then log|A_k| of surface k at index k
+    log_coeff = [_log_abs(np.vdot(hops[0][1], beam))] + [
+        _log_abs(reflection_coefficient_sum(hops[k - 1][0], hops[k][1], phases.theta[k - 1]))
+        for k in range(1, p.num_irs + 1)]
+    l = airs_index
+    log_incident = 2.0 * (math.fsum(log_gain[:l]) + math.fsum(log_coeff[:l]))
+    log_out = 2.0 * (math.fsum(log_gain[l:]) + math.fsum(log_coeff[l + 1:]))
+    log_eta2 = 2.0 * _log_abs(phases.eta)
+    log_signal = log_incident + 2.0 * log_coeff[l] + log_eta2 + log_out
+    log_noise_gain = log_eta2 + log_out + math.log(hops[l][1].size)
+    return log_signal, log_noise_gain, log_incident
 
 
 def incident_element_power(airs_index: int, geometry: list[HopGeometry], phases: PhaseConfig,
                            beam: np.ndarray, p: SystemParams) -> float:
-    """Largest per-element signal power hitting the active surface.
+    """Per-element signal power hitting the active surface.
 
-    Under pure LoS with co-phased reflections every element sees the same
-    power; the maximum keeps the feasibility check conservative for
-    arbitrary phase configurations.
+    Under pure LoS every element receives the same power, whatever the
+    reflection phases, because each hop's receive response has
+    unit-modulus entries.
     """
-    _, log_fwd, _, _ = _cascade(airs_index, geometry, phases, beam, p)
-    return math.exp(2.0 * log_fwd)
+    return math.exp(_log_powers(airs_index, geometry, phases, beam, p)[2])
 
 
 def full_snr(airs_index: int, geometry: list[HopGeometry], phases: PhaseConfig,
              beam: np.ndarray, p: SystemParams) -> float:
-    """Receiver SNR evaluated from the explicit channel cascade."""
-    log_signal, log_noise_gain = _log_received(airs_index, geometry, phases, beam, p)
-    if log_signal == -math.inf:
-        return 0.0
+    """Receiver SNR evaluated from the matrix oracle."""
+    log_signal, log_noise_gain, _ = _log_powers(airs_index, geometry, phases, beam, p)
     log_sigma2 = math.log(p.noise_power)
     return math.exp(log_signal - np.logaddexp(log_noise_gain + log_sigma2, log_sigma2))
 
@@ -275,7 +235,7 @@ def full_snr(airs_index: int, geometry: list[HopGeometry], phases: PhaseConfig,
 def full_power(airs_index: int, geometry: list[HopGeometry], phases: PhaseConfig,
                beam: np.ndarray, p: SystemParams) -> float:
     """Total received signal-plus-amplification-noise power (watts)."""
-    log_signal, log_noise_gain = _log_received(airs_index, geometry, phases, beam, p)
+    log_signal, log_noise_gain, _ = _log_powers(airs_index, geometry, phases, beam, p)
     noise = 0.0
     if p.noise_power > 0.0:
         noise = math.exp(log_noise_gain + math.log(p.noise_power))

@@ -37,6 +37,8 @@ EXIT_FAILED_CHECK = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+MAX_SWEEP_POINTS = 10**5
+
 CSV_COLUMNS = [
     "np", "mode", "l_star", "case", "objective_linear", "objective_db",
     "mid_objective_db", "all_pirs_objective_db", "brute_force_l", "agrees",
@@ -194,6 +196,10 @@ def parse_sweep(text: str) -> list[int]:
         raise ConfigError("log sweeps need a count >= 2")
     if scale == "linear" and count_or_step < 1:
         raise ConfigError("linear sweeps need a step >= 1")
+    # checked before any point is built, which costs time and memory per point
+    count = count_or_step if scale == "log" else (maximum - minimum) // count_or_step + 1
+    if count > MAX_SWEEP_POINTS:
+        raise ConfigError(f"--np spec {text!r} has {count} points, at most {MAX_SWEEP_POINTS}")
     return _sweep_values(minimum, maximum, scale, count_or_step)
 
 
@@ -209,7 +215,7 @@ def evaluate_point(mode: str, p: SystemParams) -> dict[str, object]:
     """All columns of one sweep row; eval prints the same mapping."""
     budget = derive_link_budget(p)
     sol = deployment.optimal_index(mode, p, budget)
-    mid = deployment.scheme_middle(mode, p, budget)
+    mid = sol.objectives[deployment.middle_index(p.num_irs) - 1]
     passive = deployment.scheme_all_pirs(mode, p, budget)
     return {
         "np": p.pirs_elements,

@@ -192,7 +192,7 @@ def ratio_diagnostics(mode: str, p: SystemParams,
     if budget is None:
         budget = derive_link_budget(p)
     sol = optimal_index(mode, p, budget)
-    mid = scheme_middle(mode, p, budget)
+    mid = sol.objectives[middle_index(p.num_irs) - 1]
     passive = scheme_all_pirs(mode, p, budget)
     final = sol.objectives[-1]
     # vanishing-noise limits in log domain; x = np_kappa_i**(J-1)

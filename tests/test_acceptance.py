@@ -14,7 +14,6 @@ from irschain.beamforming import (
     check_power_constraint,
     optimal_configuration,
     optimal_transmit_beam,
-    reflection_coefficient_sum,
 )
 from irschain.channel import (
     full_power,
@@ -22,6 +21,7 @@ from irschain.channel import (
     hop_responses,
     incident_element_power,
     random_geometry,
+    reflection_coefficient_sum,
 )
 from irschain.cli import run
 from irschain.deployment import (

@@ -10,13 +10,13 @@ from irschain.beamforming import (
     optimal_configuration,
     optimal_reflection_phases,
     optimal_transmit_beam,
-    reflection_coefficient_sum,
 )
 from irschain.channel import (
     PhaseConfig,
     chain_geometry,
     full_snr,
     incident_element_power,
+    reflection_coefficient_sum,
     upa_response,
 )
 from irschain.params import SystemParams, derive_link_budget

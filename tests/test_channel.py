@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,6 @@ from irschain.channel import (
     HopGeometry,
     PhaseConfig,
     chain_geometry,
-    effective_channels,
     full_power,
     full_snr,
     hop_matrices,
@@ -127,6 +127,8 @@ class TestLosChannel:
 
 
 class TestEffectiveChannels:
+    """The channels into and out of the active surface, seen through the oracle."""
+
     def setup_method(self):
         self.p = SystemParams()
         self.geom = chain_geometry(self.p)
@@ -134,33 +136,48 @@ class TestEffectiveChannels:
 
     def test_first_position_forward_is_single_hop(self):
         phases, beam = optimal_configuration(1, self.geom, self.p, self.budget)
-        h_in, _ = effective_channels(1, self.geom, phases, beam, self.p)
         mats = hop_matrices(self.geom, self.p, 1)
-        np.testing.assert_allclose(h_in, mats[0] @ beam, rtol=1e-12)
+        np.testing.assert_allclose(incident_element_power(1, self.geom, phases, beam, self.p),
+                                   np.abs(mats[0] @ beam) ** 2, rtol=1e-12)
 
     def test_last_position_backward_is_user_hop(self):
         l = self.p.num_irs
         phases, beam = optimal_configuration(l, self.geom, self.p, self.budget)
-        _, h_out = effective_channels(l, self.geom, phases, beam, self.p)
         mats = hop_matrices(self.geom, self.p, l)
-        np.testing.assert_allclose(h_out, mats[-1][0], rtol=1e-12)
+        # with no signal the received power is eta^2 * ||h_out||^2 * sigma^2
+        expected = phases.eta**2 * float(np.sum(np.abs(mats[-1][0]) ** 2)) * self.p.noise_power
+        zero = np.zeros_like(beam)
+        assert full_power(l, self.geom, phases, zero, self.p) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("l", [1, 2, 4, 7])
     def test_forward_norm_closed_form(self, l):
         phases, beam = optimal_configuration(l, self.geom, self.p, self.budget)
-        h_in, _ = effective_channels(l, self.geom, phases, beam, self.p)
+        # the field on the active surface has N_a equal-power elements
+        forward_norm = self.p.airs_elements * incident_element_power(
+            l, self.geom, phases, beam, self.p)
         b = self.budget
         expected = (self.p.airs_elements * b.kappa_b**2 * b.kappa_i ** (2 * (l - 1))
                     * self.p.tx_power * self.p.bs_antennas
                     * self.p.pirs_elements ** (2 * (l - 1)))
-        assert float(np.sum(np.abs(h_in) ** 2)) == pytest.approx(expected, rel=1e-10)
+        assert forward_norm == pytest.approx(expected, rel=1e-10)
 
     def test_index_out_of_range(self):
         phases, beam = optimal_configuration(2, self.geom, self.p, self.budget)
-        with pytest.raises(ValueError):
-            effective_channels(0, self.geom, phases, beam, self.p)
-        with pytest.raises(ValueError):
-            effective_channels(self.p.num_irs + 1, self.geom, phases, beam, self.p)
+        for l in (0, self.p.num_irs + 1):
+            for oracle in (full_snr, full_power, incident_element_power, _dense_cascade):
+                with pytest.raises(ValueError):
+                    oracle(l, self.geom, phases, beam, self.p)
+
+    def test_zero_beam_gives_zero_signal(self):
+        phases, beam = optimal_configuration(4, self.geom, self.p, self.budget)
+        zero = np.zeros_like(beam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert full_snr(4, self.geom, phases, zero, self.p) == 0.0
+            assert incident_element_power(4, self.geom, phases, zero, self.p) == 0.0
+            power = full_power(4, self.geom, phases, zero, self.p)
+        assert 0.0 < power < full_power(4, self.geom, phases, beam, self.p)
+        assert math.isfinite(power)
 
 
 class TestFullSnr:
@@ -208,9 +225,8 @@ class TestFullPower:
     def test_noiseless_reduction(self):
         phases, beam = optimal_configuration(5, self.geom, self.p, self.budget)
         silent = replace(self.p, noise_power=0.0)
-        h_in, h_out = effective_channels(5, self.geom, phases, beam, self.p)
-        coupling = abs(h_out @ (phases.reflection(5) * h_in))
-        expected = phases.eta**2 * coupling**2
+        # with no noise the received power is the dense cascade's signal alone
+        expected = _dense_cascade(5, self.geom, phases, beam, self.p)["signal"]
         assert full_power(5, self.geom, phases, beam, silent) == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("l", [1, 3, 6, 7])
@@ -270,28 +286,39 @@ def _small_random_params(rng, num_irs):
     )
 
 
+def _reflection(phases, k):
+    return np.exp(1j * phases.theta[k - 1])
+
+
 def _dense_cascade(l, geom, phases, beam, p):
     """The matrix model from explicit dense hop-matrix products, in linear domain."""
     mats = hop_matrices(geom, p, l)
     h_in = mats[0] @ beam
     for k in range(1, l):
-        h_in = mats[k] @ (phases.reflection(k) * h_in)
+        h_in = mats[k] @ (_reflection(phases, k) * h_in)
     h_out = mats[p.num_irs][0]
     for k in range(p.num_irs - 1, l - 1, -1):
-        h_out = (h_out * phases.reflection(k + 1)) @ mats[k]
-    signal = phases.eta**2 * abs(h_out @ (phases.reflection(l) * h_in)) ** 2
+        h_out = (h_out * _reflection(phases, k + 1)) @ mats[k]
+    signal = phases.eta**2 * abs(h_out @ (_reflection(phases, l) * h_in)) ** 2
     amp_noise = phases.eta**2 * float(np.sum(np.abs(h_out) ** 2)) * p.noise_power
     return {
-        "h_in": h_in,
-        "h_out": h_out,
+        "signal": signal,
         "snr": signal / (amp_noise + p.noise_power),
         "power": signal + amp_noise,
         "incident": float(np.max(np.abs(h_in) ** 2)),
     }
 
 
+def _assert_matches_dense(l, geom, phases, beam, p):
+    dense = _dense_cascade(l, geom, phases, beam, p)
+    assert full_snr(l, geom, phases, beam, p) == pytest.approx(dense["snr"], rel=1e-12)
+    assert full_power(l, geom, phases, beam, p) == pytest.approx(dense["power"], rel=1e-12)
+    assert incident_element_power(l, geom, phases, beam, p) == pytest.approx(
+        dense["incident"], rel=1e-12)
+
+
 class TestRankOneMatchesDense:
-    """The rank-one cascade against the dense hop-matrix reference at N <= 256."""
+    """The per-surface-sum oracle against the dense hop-matrix reference at N <= 256."""
 
     @pytest.mark.parametrize("num_irs", [1, 2, 4, 9])
     def test_every_active_index(self, num_irs):
@@ -300,14 +327,19 @@ class TestRankOneMatchesDense:
             p = _small_random_params(rng, num_irs)
             geom = random_geometry(p, rng)
             phases, beam = optimal_configuration(l, geom, p)
-            dense = _dense_cascade(l, geom, phases, beam, p)
-            h_in, h_out = effective_channels(l, geom, phases, beam, p)
-            np.testing.assert_allclose(h_in, dense["h_in"], rtol=1e-12, atol=0)
-            np.testing.assert_allclose(h_out, dense["h_out"], rtol=1e-12, atol=0)
-            assert full_snr(l, geom, phases, beam, p) == pytest.approx(dense["snr"], rel=1e-12)
-            assert full_power(l, geom, phases, beam, p) == pytest.approx(dense["power"], rel=1e-12)
-            assert incident_element_power(l, geom, phases, beam, p) == pytest.approx(
-                dense["incident"], rel=1e-12)
+            _assert_matches_dense(l, geom, phases, beam, p)
+
+    @pytest.mark.parametrize("num_irs", [1, 2, 4, 9])
+    def test_non_optimal_phases(self, num_irs):
+        # random phases leave every A_k complex and far below its element count
+        rng = np.random.default_rng(700 + num_irs)
+        for l in range(1, num_irs + 1):
+            p = _small_random_params(rng, num_irs)
+            geom = random_geometry(p, rng)
+            optimal, beam = optimal_configuration(l, geom, p)
+            theta = tuple(rng.uniform(0.0, 2 * math.pi, t.size) for t in optimal.theta)
+            phases = PhaseConfig(theta=theta, eta=optimal.eta * rng.uniform(0.1, 3.0))
+            _assert_matches_dense(l, geom, phases, beam, p)
 
 
 class TestOracleAtLargeSizes:

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import time
 
 import pytest
 
@@ -101,6 +102,18 @@ class TestSweepSpec:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ConfigError):
             parse_sweep(bad)
+
+    @pytest.mark.parametrize("spec, points", [
+        ("1:100000:linear:1", 100000), ("1:200000:linear:2", 100000),
+        ("10:1000:log:100000", 991)])
+    def test_point_count_at_the_bound_is_accepted(self, spec, points):
+        assert len(parse_sweep(spec)) == points
+
+    @pytest.mark.parametrize("spec", ["1:100001:linear:1", "1:200001:linear:2",
+                                      "10:1000:log:100001"])
+    def test_point_count_above_the_bound_is_rejected(self, spec):
+        with pytest.raises(ConfigError, match="--np"):
+            parse_sweep(spec)
 
 
 class TestEvalCommand:
@@ -214,6 +227,12 @@ class TestSweepCommand:
     def test_unwritable_output_exits_3(self, tmp_path):
         assert run(["sweep", "--mode", "wit", "--np", "10:20:log:2",
                     "--output", str(tmp_path)]) == 3
+
+    def test_huge_point_count_exits_2_before_building_points(self, capsys):
+        start = time.perf_counter()
+        assert run(["sweep", "--mode", "wit", "--np", "10:1000:log:100000000"]) == 2
+        assert time.perf_counter() - start < 5.0
+        assert "--np" in capsys.readouterr().err
 
     def test_repeated_runs_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

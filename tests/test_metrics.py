@@ -7,9 +7,9 @@ import pytest
 from irschain.beamforming import optimal_configuration
 from irschain.channel import (
     chain_geometry,
-    effective_channels,
     full_power,
     full_snr,
+    incident_element_power,
     random_geometry,
 )
 from irschain.deployment import agreement_grid
@@ -28,16 +28,16 @@ F_AT_4 = 3.9434834030012126e-13
 
 
 def effective_gain(airs_index, p, budget):
-    """Transmitter-to-active-surface power gain f(l) from the vector cascade.
+    """Transmitter-to-active-surface power gain f(l) from the matrix oracle.
 
     Under the optimal beam and co-phasing every active element sees
-    tx_power * bs_antennas * f(l), so f(l) = ||h_in||^2 / (Na * Pt * M).
+    tx_power * bs_antennas * f(l), so f(l) = ||h_in||^2 / (Na * Pt * M)
+    with ||h_in||^2 = Na * incident_element_power.
     """
     geom = chain_geometry(p)
     phases, beam = optimal_configuration(airs_index, geom, p, budget)
-    h_in, _ = effective_channels(airs_index, geom, phases, beam, p)
-    return float(np.sum(np.abs(h_in) ** 2)) / (
-        p.airs_elements * p.tx_power * p.bs_antennas)
+    forward_norm = p.airs_elements * incident_element_power(airs_index, geom, phases, beam, p)
+    return forward_norm / (p.airs_elements * p.tx_power * p.bs_antennas)
 
 
 class TestEffectiveGain:
