@@ -10,12 +10,19 @@ against which all the closed-form expressions are checked, adds the logs
 of those magnitudes, so a chain of J surfaces with N elements each costs
 O(J * N) time and memory and never underflows.  ``hop_matrices`` builds
 the dense N x N hop matrices and serves as the small-N reference for it.
+
+One oracle check (optimal configuration, SNR, power) builds each hop's
+array responses once: ``hop_responses`` memoises them on the geometry,
+the parameters and the active index, and hands out read-only arrays.  A
+``PhaseConfig`` computes its per-element phasors e^{j theta} once, when it
+is built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,18 +47,38 @@ class HopGeometry:
     arr_elevation: float = math.pi / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseConfig:
     """Reflection phases of every surface plus the active-surface gain.
 
     ``theta[k - 1]`` holds surface k's per-element phases in [0, 2*pi);
     ``eta`` is the common amplification factor applied at the active
     surface (1 would be passive, feasibility is checked by the
-    beamforming module).
+    beamforming module).  ``reflection[k - 1]`` is e^{j theta[k - 1]}.
+    Both are read-only copies taken at construction, so the phasors cannot
+    go stale when the caller later changes its own arrays.  Equality is
+    identity: value comparison of arrays has no single truth value.
     """
 
     theta: tuple[np.ndarray, ...]
     eta: float
+    reflection: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        theta = tuple(_read_only(np.array(t)) for t in self.theta)
+        reflection = []
+        for t in theta:
+            phasor = np.empty(t.shape, dtype=complex)
+            np.cos(t, out=phasor.real)
+            np.sin(t, out=phasor.imag)
+            reflection.append(_read_only(phasor))
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "reflection", tuple(reflection))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def steering_vector(varsigma: float, length: int) -> np.ndarray:
@@ -123,18 +150,21 @@ def chain_geometry(p: SystemParams) -> list[HopGeometry]:
     return hops
 
 
+# per hop: departure azimuth, departure elevation, arrival azimuth, arrival elevation
+_ANGLE_LOW = (0.0, 0.1, 0.0, 0.1)
+_ANGLE_HIGH = (TWO_PI, math.pi - 0.1, TWO_PI, math.pi - 0.1)
+
+
 def random_geometry(p: SystemParams, rng: np.random.Generator) -> list[HopGeometry]:
-    """Hop list with the configured distances but fully random angles."""
-    hops = []
-    for dist in p.hop_distances():
-        hops.append(HopGeometry(
-            distance=dist,
-            dep_azimuth=rng.uniform(0.0, TWO_PI),
-            dep_elevation=rng.uniform(0.1, math.pi - 0.1),
-            arr_azimuth=rng.uniform(0.0, TWO_PI),
-            arr_elevation=rng.uniform(0.1, math.pi - 0.1),
-        ))
-    return hops
+    """Hop list with the configured distances but fully random angles.
+
+    All angles come from one draw with the bounds in hop order, which
+    consumes the generator exactly as one scalar draw per angle would.
+    """
+    distances = p.hop_distances()
+    n = len(distances)
+    angles = rng.uniform(_ANGLE_LOW * n, _ANGLE_HIGH * n).reshape(n, 4).tolist()
+    return [HopGeometry(dist, *hop_angles) for dist, hop_angles in zip(distances, angles)]
 
 
 def hop_responses(geometry: list[HopGeometry], p: SystemParams,
@@ -145,11 +175,21 @@ def hop_responses(geometry: list[HopGeometry], p: SystemParams,
     k for surface k+1, and hop J reaches the single-antenna receiver.  So
     surface k receives on ``hops[k - 1][0]`` and re-radiates on
     ``hops[k][1]``, the pair its reflection phases co-phase, and the
-    transmit beam matches ``hops[0][1]``.
+    transmit beam matches ``hops[0][1]``.  Calls with equal arguments share
+    the same read-only arrays.
     """
     if len(geometry) != p.num_irs + 1:
         raise ValueError(f"expected {p.num_irs + 1} hops, got {len(geometry)}")
     check_airs_index(airs_index, p.num_irs)
+    return list(_build_hop_responses(tuple(geometry), p, airs_index))
+
+
+# One oracle check asks for the responses of one (geometry, params, index)
+# three times in a row, so a few entries cover it; a larger cache would only
+# hold on to O(J * N) arrays of checks that are over.
+@functools.lru_cache(maxsize=4)
+def _build_hop_responses(geometry: tuple[HopGeometry, ...], p: SystemParams,
+                         airs_index: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     spacing, wavelength = p.element_spacing, p.wavelength
     tx = ula_response(geometry[0].dep_azimuth, p.bs_antennas, spacing, wavelength)
     hops = []
@@ -157,11 +197,11 @@ def hop_responses(geometry: list[HopGeometry], p: SystemParams,
         nx, nz = p.grid_at(k, airs_index)
         rx = upa_response(geometry[k - 1].arr_azimuth, geometry[k - 1].arr_elevation,
                           nx, nz, spacing, wavelength)
-        hops.append((rx, tx))
+        hops.append((_read_only(rx), _read_only(tx)))
         tx = upa_response(geometry[k].dep_azimuth, geometry[k].dep_elevation,
                           nx, nz, spacing, wavelength)
-    hops.append((np.ones(1), tx))  # single-antenna receiver
-    return hops
+    hops.append((_read_only(np.ones(1)), _read_only(tx)))  # single-antenna receiver
+    return tuple(hops)
 
 
 def hop_matrices(geometry: list[HopGeometry], p: SystemParams,
@@ -176,9 +216,9 @@ def hop_matrices(geometry: list[HopGeometry], p: SystemParams,
             for hop, (rx, tx) in zip(geometry, hop_responses(geometry, p, airs_index))]
 
 
-def reflection_coefficient_sum(arrive, depart, theta) -> complex:
-    """A_k = depart^H diag(e^{j theta}) arrive for one surface."""
-    return complex(np.sum(np.conj(depart) * np.exp(1j * theta) * arrive))
+def reflection_coefficient_sum(arrive, depart, reflection) -> complex:
+    """A_k = depart^H diag(reflection) arrive for one surface, reflection = e^{j theta}."""
+    return complex(np.vdot(depart, reflection * arrive))
 
 
 def _log_abs(x: complex) -> float:
@@ -202,7 +242,7 @@ def _log_powers(airs_index, geometry, phases, beam, p) -> tuple[float, float, fl
                 for hop in geometry]
     # log|tx_0^H w| at index 0, then log|A_k| of surface k at index k
     log_coeff = [_log_abs(np.vdot(hops[0][1], beam))] + [
-        _log_abs(reflection_coefficient_sum(hops[k - 1][0], hops[k][1], phases.theta[k - 1]))
+        _log_abs(reflection_coefficient_sum(hops[k - 1][0], hops[k][1], phases.reflection[k - 1]))
         for k in range(1, p.num_irs + 1)]
     l = airs_index
     log_incident = 2.0 * (math.fsum(log_gain[:l]) + math.fsum(log_coeff[:l]))

@@ -210,7 +210,7 @@ def test_criterion_7_beamforming_identities():
         for k in range(1, p.num_irs + 1):
             arrive, depart = hops[k - 1][0], hops[k][1]
             count = p.elements_at(k, airs_index)
-            coeff = abs(reflection_coefficient_sum(arrive, depart, phases.theta[k - 1]))
+            coeff = abs(reflection_coefficient_sum(arrive, depart, phases.reflection[k - 1]))
             worst_sum = max(worst_sum, abs(coeff / count - 1.0))
 
         response = hops[0][1]

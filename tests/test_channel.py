@@ -5,18 +5,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from irschain import channel
 from irschain.beamforming import optimal_configuration
 from irschain.channel import (
+    TWO_PI,
     HopGeometry,
     PhaseConfig,
     chain_geometry,
     full_power,
     full_snr,
     hop_matrices,
+    hop_responses,
     incident_element_power,
     los_channel,
     random_geometry,
     steering_vector,
+    ula_response,
     upa_response,
 )
 from irschain.metrics import power_closed, snr_closed
@@ -268,6 +272,134 @@ class TestGeometryHelpers:
         geom = chain_geometry(p)[:-1]
         with pytest.raises(ValueError):
             hop_matrices(geom, p, 1)
+
+    @pytest.mark.parametrize("num_irs", [1, 2, 7, 40])
+    def test_random_geometry_consumes_the_stream_like_scalar_draws(self, num_irs):
+        p = SystemParams(num_irs=num_irs)
+        for seed in range(200):
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert random_geometry(p, rng) == _scalar_random_geometry(p, reference_rng)
+            assert rng.random() == reference_rng.random()
+
+
+def _scalar_random_geometry(p, rng):
+    """Reference: one scalar draw per angle, in hop order."""
+    return [HopGeometry(
+        distance=dist,
+        dep_azimuth=rng.uniform(0.0, TWO_PI),
+        dep_elevation=rng.uniform(0.1, math.pi - 0.1),
+        arr_azimuth=rng.uniform(0.0, TWO_PI),
+        arr_elevation=rng.uniform(0.1, math.pi - 0.1),
+    ) for dist in p.hop_distances()]
+
+
+def _direct_responses(geom, p, l):
+    """Reference: every (receive, transmit) response built afresh."""
+    spacing, wavelength = p.element_spacing, p.wavelength
+    tx = ula_response(geom[0].dep_azimuth, p.bs_antennas, spacing, wavelength)
+    hops = []
+    for k in range(1, p.num_irs + 1):
+        nx, nz = p.grid_at(k, l)
+        rx = upa_response(geom[k - 1].arr_azimuth, geom[k - 1].arr_elevation,
+                          nx, nz, spacing, wavelength)
+        hops.append((rx, tx))
+        tx = upa_response(geom[k].dep_azimuth, geom[k].dep_elevation,
+                          nx, nz, spacing, wavelength)
+    return hops + [(np.ones(1), tx)]
+
+
+def _assert_same_responses(got, want):
+    assert len(got) == len(want)
+    for (rx, tx), (want_rx, want_tx) in zip(got, want):
+        np.testing.assert_array_equal(rx, want_rx)
+        np.testing.assert_array_equal(tx, want_tx)
+
+
+class TestHopResponseMemo:
+    def setup_method(self):
+        self.p = SystemParams(num_irs=3, airs_elements=20, pirs_elements=12, pirs_grid=(3, 4))
+        self.geom = random_geometry(self.p, np.random.default_rng(41))
+
+    def test_returned_arrays_refuse_writes(self):
+        for rx, tx in hop_responses(self.geom, self.p, 2):
+            for response in (rx, tx):
+                with pytest.raises(ValueError):
+                    response[0] = 0.0
+
+    def test_equal_valued_inputs_give_equal_responses(self):
+        first = hop_responses(self.geom, self.p, 2)
+        geom = [replace(hop) for hop in self.geom]
+        p = replace(self.p)
+        assert p is not self.p and geom[0] is not self.geom[0]
+        _assert_same_responses(hop_responses(geom, p, 2), first)
+        _assert_same_responses(first, _direct_responses(self.geom, self.p, 2))
+
+    @pytest.mark.parametrize("change", ["wavelength", "element_spacing", "pirs_grid",
+                                        "airs_index", "hop_angle"])
+    def test_changed_input_builds_fresh_responses(self, change):
+        p, geom, l = self.p, list(self.geom), 2
+        before = hop_responses(geom, p, l)
+        if change == "wavelength":
+            p = replace(p, wavelength=1.1 * p.wavelength)
+        elif change == "element_spacing":
+            p = replace(p, element_spacing=0.9 * p.element_spacing)
+        elif change == "pirs_grid":
+            p = replace(p, pirs_grid=(2, 6))
+        elif change == "airs_index":
+            l = 3
+        else:
+            geom[1] = replace(geom[1], dep_azimuth=geom[1].dep_azimuth + 0.2)
+        after = hop_responses(geom, p, l)
+        _assert_same_responses(after, _direct_responses(geom, p, l))
+        assert any(not np.array_equal(a, b) for hop_a, hop_b in zip(after, before)
+                   for a, b in zip(hop_a, hop_b))
+
+    def test_one_check_builds_each_response_once(self, monkeypatch):
+        p = replace(SystemParams(), pirs_elements=64, pirs_grid=None)
+        geom = random_geometry(p, np.random.default_rng(42))
+        calls = []
+
+        def counting_upa_response(*args):
+            calls.append(args)
+            return upa_response(*args)
+
+        channel._build_hop_responses.cache_clear()
+        monkeypatch.setattr(channel, "upa_response", counting_upa_response)
+        phases, beam = optimal_configuration(4, geom, p)
+        full_snr(4, geom, phases, beam, p)
+        full_power(4, geom, phases, beam, p)
+        assert len(calls) == 2 * p.num_irs
+
+
+class TestPhaseConfig:
+    def setup_method(self):
+        rng = np.random.default_rng(43)
+        self.theta = [rng.uniform(0.0, TWO_PI, n) for n in (5, 12, 1)]
+
+    def test_reflection_is_the_phasor_of_theta(self):
+        phases = PhaseConfig(theta=tuple(self.theta), eta=1.0)
+        for k, theta in enumerate(self.theta):
+            np.testing.assert_allclose(phases.reflection[k], np.exp(1j * theta),
+                                       rtol=0.0, atol=1e-15)
+
+    def test_later_changes_to_the_callers_arrays_do_not_reach_it(self):
+        phases = PhaseConfig(theta=tuple(self.theta), eta=1.0)
+        theta_before = [t.copy() for t in phases.theta]
+        reflection_before = [r.copy() for r in phases.reflection]
+        for t in self.theta:
+            t[:] = 0.5
+        for k in range(len(self.theta)):
+            np.testing.assert_array_equal(phases.theta[k], theta_before[k])
+            np.testing.assert_array_equal(phases.reflection[k], reflection_before[k])
+        with pytest.raises(ValueError):
+            phases.theta[0][0] = 0.5
+
+    def test_equality_is_identity(self):
+        a = PhaseConfig(theta=tuple(self.theta), eta=1.0)
+        b = PhaseConfig(theta=tuple(self.theta), eta=1.0)
+        assert a == a
+        assert not a == b
+        assert a != b
 
 
 def _small_random_params(rng, num_irs):
