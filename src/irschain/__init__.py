@@ -35,7 +35,6 @@ from .channel import (
 )
 from .beamforming import (
     amplification_factor,
-    check_power_constraint,
     optimal_configuration,
     optimal_reflection_phases,
     optimal_transmit_beam,
@@ -44,9 +43,7 @@ from .metrics import (
     WIT,
     WPT,
     power_closed,
-    power_scaling_order,
     snr_closed,
-    snr_scaling_order,
 )
 from .deployment import (
     DeploymentSolution,
@@ -67,10 +64,9 @@ __all__ = [
     "HopGeometry", "PhaseConfig", "chain_geometry", "full_power",
     "full_snr", "incident_element_power", "los_channel", "random_geometry",
     "steering_vector", "upa_response",
-    "amplification_factor", "check_power_constraint", "optimal_configuration",
-    "optimal_reflection_phases", "optimal_transmit_beam",
-    "WIT", "WPT", "power_closed",
-    "power_scaling_order", "snr_closed", "snr_scaling_order",
+    "amplification_factor", "optimal_configuration", "optimal_reflection_phases",
+    "optimal_transmit_beam",
+    "WIT", "WPT", "power_closed", "snr_closed",
     "DeploymentSolution", "RatioReport", "optimal_index", "ratio_diagnostics",
     "scheme_all_pirs", "scheme_middle", "wpt_crossover_np",
 ]

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .channel import TWO_PI, HopGeometry, PhaseConfig, hop_responses
+from .channel import HopGeometry, PhaseConfig, hop_responses
 from .params import LinkBudget, SystemParams, derive_link_budget
 
 
@@ -25,20 +25,20 @@ def optimal_transmit_beam(channel_vec: np.ndarray, tx_power: float) -> np.ndarra
 
 
 def optimal_reflection_phases(arrive: np.ndarray, depart: np.ndarray) -> np.ndarray:
-    """Per-element phases that co-phase arrive/depart responses.
+    """Per-element reflection phasors that co-phase arrive/depart responses.
 
-    Each reflected term picks up arg(arrive_n * conj(depart_n)); negating
-    it aligns all summands on the positive real axis, so the reflection
-    coefficient sum |depart^H diag(e^{j theta}) arrive| equals the element
-    count exactly.  Returned phases are canonicalized to [0, 2*pi).
+    Each reflected term picks up arrive_n * conj(depart_n); multiplying it
+    by depart_n * conj(arrive_n) puts every summand on the positive real
+    axis, so the reflection coefficient sum |depart^H diag(r) arrive|
+    equals the element count.  For unit-modulus responses, which every
+    array response is, the returned r is e^{j theta} with
+    theta = -arg(arrive * conj(depart)), up to rounding.
     """
     arrive = np.asarray(arrive)
     depart = np.asarray(depart)
     if arrive.shape != depart.shape:
         raise ValueError("arrival/departure responses must have equal length")
-    theta = np.mod(-np.angle(arrive * depart.conj()), TWO_PI)
-    theta[theta >= TWO_PI] = 0.0
-    return theta
+    return depart * arrive.conj()
 
 
 def amplification_factor(airs_index: int, budget: LinkBudget, p: SystemParams) -> float:
@@ -52,13 +52,6 @@ def amplification_factor(airs_index: int, budget: LinkBudget, p: SystemParams) -
     return math.sqrt(p.amp_power / (incident + p.noise_power))
 
 
-def check_power_constraint(eta: float, incident: float, noise_power: float,
-                           amp_power: float) -> tuple[bool, float]:
-    """Feasibility of eta up to 1e-12 of the budget, returning (ok, signed slack) in watts."""
-    slack = amp_power - eta**2 * (incident + noise_power)
-    return slack >= -1e-12 * amp_power, slack
-
-
 def optimal_configuration(airs_index: int, geometry: list[HopGeometry],
                           p: SystemParams, budget: LinkBudget | None = None,
                           ) -> tuple[PhaseConfig, np.ndarray]:
@@ -67,7 +60,7 @@ def optimal_configuration(airs_index: int, geometry: list[HopGeometry],
         budget = derive_link_budget(p)
     hops = hop_responses(geometry, p, airs_index)
     beam = optimal_transmit_beam(hops[0][1], p.tx_power)
-    theta = tuple(optimal_reflection_phases(hops[k - 1][0], hops[k][1])
-                  for k in range(1, p.num_irs + 1))
+    reflection = tuple(optimal_reflection_phases(hops[k - 1][0], hops[k][1])
+                       for k in range(1, p.num_irs + 1))
     eta = amplification_factor(airs_index, budget, p)
-    return PhaseConfig(theta=theta, eta=eta), beam
+    return PhaseConfig(reflection=reflection, eta=eta), beam

@@ -14,15 +14,15 @@ the dense N x N hop matrices and serves as the small-N reference for it.
 One oracle check (optimal configuration, SNR, power) builds each hop's
 array responses once: ``hop_responses`` memoises them on the geometry,
 the parameters and the active index, and hands out read-only arrays.  A
-``PhaseConfig`` computes its per-element phasors e^{j theta} once, when it
-is built.
+``PhaseConfig`` stores each surface's reflection phasors e^{j theta} as
+the beamformer produces them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,31 +49,23 @@ class HopGeometry:
 
 @dataclass(frozen=True, eq=False)
 class PhaseConfig:
-    """Reflection phases of every surface plus the active-surface gain.
+    """Reflection phasors of every surface plus the active-surface gain.
 
-    ``theta[k - 1]`` holds surface k's per-element phases in [0, 2*pi);
-    ``eta`` is the common amplification factor applied at the active
-    surface (1 would be passive, feasibility is checked by the
-    beamforming module).  ``reflection[k - 1]`` is e^{j theta[k - 1]}.
-    Both are read-only copies taken at construction, so the phasors cannot
-    go stale when the caller later changes its own arrays.  Equality is
-    identity: value comparison of arrays has no single truth value.
+    ``reflection[k - 1]`` holds surface k's per-element phasors
+    e^{j theta}; ``eta`` is the common amplification factor applied at the
+    active surface (1 would be passive, feasibility is checked by the
+    beamforming module).  The phasors are read-only copies taken at
+    construction, so they cannot change when the caller later changes its
+    own arrays.  Equality is identity: value comparison of arrays has no
+    single truth value.
     """
 
-    theta: tuple[np.ndarray, ...]
+    reflection: tuple[np.ndarray, ...]
     eta: float
-    reflection: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        theta = tuple(_read_only(np.array(t)) for t in self.theta)
-        reflection = []
-        for t in theta:
-            phasor = np.empty(t.shape, dtype=complex)
-            np.cos(t, out=phasor.real)
-            np.sin(t, out=phasor.imag)
-            reflection.append(_read_only(phasor))
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "reflection", tuple(reflection))
+        object.__setattr__(self, "reflection",
+                           tuple(_read_only(np.array(r)) for r in self.reflection))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

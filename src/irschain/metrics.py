@@ -1,4 +1,4 @@
-"""Closed-form link objectives and their large-panel scaling orders.
+"""Closed-form link objectives.
 
 Both objectives collapse to ratios of a handful of positive terms of the
 form const * (pirs_elements * kappa_i)**(2k).  Those powers reach the
@@ -83,17 +83,3 @@ def objective(mode: str, p: SystemParams, airs_index: int,
     if mode == WPT:
         return power_closed(p, airs_index, budget)
     check_mode(mode)  # raises: mode is neither WIT nor WPT
-
-
-def snr_scaling_order(airs_index: int, num_irs: int) -> int:
-    """Predicted exponent of the SNR in the panel size, piecewise in the index."""
-    check_airs_index(airs_index, num_irs)
-    if airs_index < (num_irs + 1) / 2.0:
-        return 2 * (airs_index - 1)
-    return 2 * (num_irs - airs_index)
-
-
-def power_scaling_order(airs_index: int, num_irs: int) -> int:
-    """Predicted exponent of the received power in the panel size."""
-    check_airs_index(airs_index, num_irs)
-    return 2 * (num_irs - airs_index)

@@ -94,10 +94,6 @@ class SystemParams:
             if getattr(self, grid) is None and 1 <= getattr(self, count) <= MAX_ELEMENTS:
                 object.__setattr__(self, grid, _near_square_grid(getattr(self, count)))
 
-    def elements_at(self, k: int, airs_index: int) -> int:
-        """Element count of surface k (1-based) given the active one's index."""
-        return self.airs_elements if k == airs_index else self.pirs_elements
-
     def grid_at(self, k: int, airs_index: int) -> tuple[int, int]:
         """(x, z) panel dimensions of surface k given the active one's index."""
         return self.airs_grid if k == airs_index else self.pirs_grid

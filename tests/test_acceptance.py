@@ -10,11 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from irschain.beamforming import (
-    check_power_constraint,
-    optimal_configuration,
-    optimal_transmit_beam,
-)
+from irschain.beamforming import optimal_configuration, optimal_transmit_beam
 from irschain.channel import (
     full_power,
     full_snr,
@@ -31,15 +27,14 @@ from irschain.deployment import (
     scheme_middle,
     wpt_crossover_np,
 )
-from irschain.metrics import (
-    WIT,
-    WPT,
-    power_closed,
+from irschain.metrics import WIT, WPT, power_closed, snr_closed
+from irschain.params import SystemParams, derive_link_budget
+from reference import (
+    check_power_constraint,
+    elements_at,
     power_scaling_order,
-    snr_closed,
     snr_scaling_order,
 )
-from irschain.params import SystemParams, derive_link_budget
 
 DEFAULTS = SystemParams()
 
@@ -209,7 +204,7 @@ def test_criterion_7_beamforming_identities():
         hops = hop_responses(geometry, p, airs_index)
         for k in range(1, p.num_irs + 1):
             arrive, depart = hops[k - 1][0], hops[k][1]
-            count = p.elements_at(k, airs_index)
+            count = elements_at(p, k, airs_index)
             coeff = abs(reflection_coefficient_sum(arrive, depart, phases.reflection[k - 1]))
             worst_sum = max(worst_sum, abs(coeff / count - 1.0))
 

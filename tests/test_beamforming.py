@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from irschain.beamforming import (
     amplification_factor,
-    check_power_constraint,
     optimal_configuration,
     optimal_reflection_phases,
     optimal_transmit_beam,
@@ -20,10 +19,26 @@ from irschain.channel import (
     upa_response,
 )
 from irschain.params import SystemParams, derive_link_budget
+from reference import check_power_constraint
 
 
 def unit_vector(rng, n):
     return np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+
+
+def panel_response_pairs(n, seed, count=10):
+    """(arrive, depart) planar-array responses of an n-element panel at random angles."""
+    p = SystemParams(pirs_elements=n)
+    nx, nz = p.pirs_grid
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield tuple(upa_response(rng.uniform(0, 2 * np.pi), rng.uniform(0.1, 3.0),
+                                 nx, nz, p.element_spacing, p.wavelength) for _ in range(2))
+
+
+def angle_round_trip(arrive, depart):
+    """e^{j theta} with theta = mod(-arg(arrive * conj(depart)), 2 pi), via the angle."""
+    return np.exp(1j * np.mod(-np.angle(arrive * depart.conj()), 2 * np.pi))
 
 
 class TestTransmitBeam:
@@ -58,32 +73,32 @@ class TestTransmitBeam:
 class TestReflectionPhases:
     def test_aligned_responses_need_no_phase(self):
         ones = np.ones(5, dtype=complex)
-        theta = optimal_reflection_phases(ones, ones)
-        np.testing.assert_allclose(theta, 0.0)
-        assert reflection_coefficient_sum(ones, ones, np.exp(1j * theta)) == pytest.approx(5.0)
+        reflection = optimal_reflection_phases(ones, ones)
+        np.testing.assert_allclose(np.angle(reflection), 0.0)
+        assert reflection_coefficient_sum(ones, ones, reflection) == pytest.approx(5.0)
 
     def test_random_responses_cophase_to_element_count(self):
         rng = np.random.default_rng(3)
         arrive, depart = unit_vector(rng, 64), unit_vector(rng, 64)
-        theta = optimal_reflection_phases(arrive, depart)
-        coeff = reflection_coefficient_sum(arrive, depart, np.exp(1j * theta))
+        reflection = optimal_reflection_phases(arrive, depart)
+        coeff = reflection_coefficient_sum(arrive, depart, reflection)
         assert abs(coeff) == pytest.approx(64.0, rel=1e-10)
 
     def test_single_element(self):
         rng = np.random.default_rng(4)
         arrive, depart = unit_vector(rng, 1), unit_vector(rng, 1)
-        theta = optimal_reflection_phases(arrive, depart)
-        coeff = reflection_coefficient_sum(arrive, depart, np.exp(1j * theta))
+        reflection = optimal_reflection_phases(arrive, depart)
+        coeff = reflection_coefficient_sum(arrive, depart, reflection)
         assert abs(coeff) == pytest.approx(1.0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             optimal_reflection_phases(np.ones(3), np.ones(4))
 
-    def test_canonical_range(self):
+    def test_unit_modulus(self):
         rng = np.random.default_rng(5)
-        theta = optimal_reflection_phases(unit_vector(rng, 200), unit_vector(rng, 200))
-        assert np.all(theta >= 0.0) and np.all(theta < 2 * np.pi)
+        reflection = optimal_reflection_phases(unit_vector(rng, 200), unit_vector(rng, 200))
+        assert np.all(np.abs(np.abs(reflection) - 1.0) <= 4 * np.finfo(float).eps)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=math.tau), min_size=1, max_size=40),
            st.lists(st.floats(min_value=0.0, max_value=math.tau), min_size=1, max_size=40))
@@ -91,8 +106,8 @@ class TestReflectionPhases:
         n = min(len(in_phases), len(out_phases))
         arrive = np.exp(1j * np.array(in_phases[:n]))
         depart = np.exp(1j * np.array(out_phases[:n]))
-        theta = optimal_reflection_phases(arrive, depart)
-        coeff = reflection_coefficient_sum(arrive, depart, np.exp(1j * theta))
+        reflection = optimal_reflection_phases(arrive, depart)
+        coeff = reflection_coefficient_sum(arrive, depart, reflection)
         assert abs(coeff) == pytest.approx(float(n), rel=1e-10)
 
     def test_cophasing_for_panel_responses(self):
@@ -104,9 +119,21 @@ class TestReflectionPhases:
                                   10, 10, p.element_spacing, p.wavelength)
             depart = upa_response(rng.uniform(0, 2 * np.pi), rng.uniform(0.1, 3.0),
                                   10, 10, p.element_spacing, p.wavelength)
-            theta = optimal_reflection_phases(arrive, depart)
-            coeff = reflection_coefficient_sum(arrive, depart, np.exp(1j * theta))
+            reflection = optimal_reflection_phases(arrive, depart)
+            coeff = reflection_coefficient_sum(arrive, depart, reflection)
             assert abs(coeff) == pytest.approx(100.0, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 1024, 2048])
+    def test_matches_the_angle_round_trip(self, n):
+        for arrive, depart in panel_response_pairs(n, seed=n):
+            np.testing.assert_allclose(optimal_reflection_phases(arrive, depart),
+                                       angle_round_trip(arrive, depart), rtol=0.0, atol=2e-15)
+
+    def test_cophasing_at_full_panel_size(self):
+        for arrive, depart in panel_response_pairs(2048, seed=8):
+            coeff = reflection_coefficient_sum(arrive, depart,
+                                               optimal_reflection_phases(arrive, depart))
+            assert abs(abs(coeff) / 2048 - 1.0) <= 1e-13
 
 
 class TestAmplificationFactor:
@@ -167,7 +194,7 @@ class TestPowerConstraint:
     def test_snr_non_decreasing_up_to_boundary(self):
         phases, beam = optimal_configuration(4, self.geom, self.p, self.budget)
         values = [full_snr(4, self.geom,
-                           PhaseConfig(theta=phases.theta, eta=phases.eta * frac),
+                           PhaseConfig(reflection=phases.reflection, eta=phases.eta * frac),
                            beam, self.p)
                   for frac in (0.25, 0.5, 0.9, 1.0)]
         assert values == sorted(values)

@@ -192,7 +192,7 @@ class TestFullSnr:
 
     def test_zero_amplification_gives_zero_snr(self):
         phases, beam = optimal_configuration(4, self.geom, self.p, self.budget)
-        off = PhaseConfig(theta=phases.theta, eta=0.0)
+        off = PhaseConfig(reflection=phases.reflection, eta=0.0)
         assert full_snr(4, self.geom, off, beam, self.p) == 0.0
 
     @pytest.mark.parametrize("l", [1, 2, 5, 7])
@@ -375,28 +375,27 @@ class TestPhaseConfig:
     def setup_method(self):
         rng = np.random.default_rng(43)
         self.theta = [rng.uniform(0.0, TWO_PI, n) for n in (5, 12, 1)]
+        self.reflection = [np.exp(1j * t) for t in self.theta]
 
     def test_reflection_is_the_phasor_of_theta(self):
-        phases = PhaseConfig(theta=tuple(self.theta), eta=1.0)
+        phases = PhaseConfig(reflection=tuple(self.reflection), eta=1.0)
         for k, theta in enumerate(self.theta):
             np.testing.assert_allclose(phases.reflection[k], np.exp(1j * theta),
                                        rtol=0.0, atol=1e-15)
 
     def test_later_changes_to_the_callers_arrays_do_not_reach_it(self):
-        phases = PhaseConfig(theta=tuple(self.theta), eta=1.0)
-        theta_before = [t.copy() for t in phases.theta]
+        phases = PhaseConfig(reflection=tuple(self.reflection), eta=1.0)
         reflection_before = [r.copy() for r in phases.reflection]
-        for t in self.theta:
-            t[:] = 0.5
-        for k in range(len(self.theta)):
-            np.testing.assert_array_equal(phases.theta[k], theta_before[k])
+        for r in self.reflection:
+            r[:] = 0.5
+        for k in range(len(self.reflection)):
             np.testing.assert_array_equal(phases.reflection[k], reflection_before[k])
         with pytest.raises(ValueError):
-            phases.theta[0][0] = 0.5
+            phases.reflection[0][0] = 0.5
 
     def test_equality_is_identity(self):
-        a = PhaseConfig(theta=tuple(self.theta), eta=1.0)
-        b = PhaseConfig(theta=tuple(self.theta), eta=1.0)
+        a = PhaseConfig(reflection=tuple(self.reflection), eta=1.0)
+        b = PhaseConfig(reflection=tuple(self.reflection), eta=1.0)
         assert a == a
         assert not a == b
         assert a != b
@@ -418,20 +417,16 @@ def _small_random_params(rng, num_irs):
     )
 
 
-def _reflection(phases, k):
-    return np.exp(1j * phases.theta[k - 1])
-
-
 def _dense_cascade(l, geom, phases, beam, p):
     """The matrix model from explicit dense hop-matrix products, in linear domain."""
     mats = hop_matrices(geom, p, l)
     h_in = mats[0] @ beam
     for k in range(1, l):
-        h_in = mats[k] @ (_reflection(phases, k) * h_in)
+        h_in = mats[k] @ (phases.reflection[k - 1] * h_in)
     h_out = mats[p.num_irs][0]
     for k in range(p.num_irs - 1, l - 1, -1):
-        h_out = (h_out * _reflection(phases, k + 1)) @ mats[k]
-    signal = phases.eta**2 * abs(h_out @ (_reflection(phases, l) * h_in)) ** 2
+        h_out = (h_out * phases.reflection[k]) @ mats[k]
+    signal = phases.eta**2 * abs(h_out @ (phases.reflection[l - 1] * h_in)) ** 2
     amp_noise = phases.eta**2 * float(np.sum(np.abs(h_out) ** 2)) * p.noise_power
     return {
         "signal": signal,
@@ -469,8 +464,9 @@ class TestRankOneMatchesDense:
             p = _small_random_params(rng, num_irs)
             geom = random_geometry(p, rng)
             optimal, beam = optimal_configuration(l, geom, p)
-            theta = tuple(rng.uniform(0.0, 2 * math.pi, t.size) for t in optimal.theta)
-            phases = PhaseConfig(theta=theta, eta=optimal.eta * rng.uniform(0.1, 3.0))
+            reflection = tuple(np.exp(1j * rng.uniform(0.0, 2 * math.pi, r.size))
+                               for r in optimal.reflection)
+            phases = PhaseConfig(reflection=reflection, eta=optimal.eta * rng.uniform(0.1, 3.0))
             _assert_matches_dense(l, geom, phases, beam, p)
 
 

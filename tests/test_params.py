@@ -15,6 +15,7 @@ from irschain.params import (
     validate,
     watts_to_dbm,
 )
+from reference import elements_at
 
 # Default-scenario constants, frozen from direct arithmetic:
 # kappa_x = sqrt(10**-4.3) / d_x, c_t = 1 W * 10 * kappa_b**2,
@@ -113,8 +114,8 @@ class TestSystemParams:
 
     def test_elements_at_depends_on_active_index(self):
         p = SystemParams()
-        assert p.elements_at(3, airs_index=3) == p.airs_elements
-        assert p.elements_at(2, airs_index=3) == p.pirs_elements
+        assert elements_at(p, 3, airs_index=3) == p.airs_elements
+        assert elements_at(p, 2, airs_index=3) == p.pirs_elements
 
     def test_hop_distances_layout(self):
         p = SystemParams(num_irs=3)
