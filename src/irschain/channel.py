@@ -12,10 +12,16 @@ O(J * N) time and memory and never underflows.  ``hop_matrices`` builds
 the dense N x N hop matrices and serves as the small-N reference for it.
 
 One oracle check (optimal configuration, SNR, power) builds each hop's
-array responses once: ``hop_responses`` memoises them on the geometry,
-the parameters and the active index, and hands out read-only arrays.  A
-``PhaseConfig`` stores each surface's reflection phasors e^{j theta} as
-the beamformer produces them.
+array responses once: ``hop_responses`` memoises them, with the log hop
+gains, on the geometry, the parameters and the active index.  All
+surfaces with the same panel size get their responses from one stacked
+exp and outer-product pass, handed out as read-only rows.  ``full_snr``
+and ``full_power`` of one check share one evaluation of the log powers,
+which first checks that the beam has ``bs_antennas`` entries and that
+the ``PhaseConfig`` holds one phasor per element of every surface,
+raising ``ValueError`` otherwise.  A ``PhaseConfig`` stores each
+surface's reflection phasors e^{j theta} as the beamformer produces
+them.
 """
 
 from __future__ import annotations
@@ -73,11 +79,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _steering_rows(varsigmas: list[float], length: int) -> np.ndarray:
+    """Row r is the steering vector [exp(-j*pi*m*varsigmas[r])], m = 0..length-1."""
+    return np.exp((-1j * math.pi * np.array(varsigmas, dtype=float))[:, None]
+                  * np.arange(length))
+
+
 def steering_vector(varsigma: float, length: int) -> np.ndarray:
     """Array response [exp(-j*pi*m*varsigma)] for m = 0..length-1."""
     if length < 1:
         raise ValueError("steering vector length must be >= 1")
-    return np.exp(-1j * math.pi * varsigma * np.arange(length))
+    return _steering_rows([varsigma], length)[0]
 
 
 def ula_response(azimuth: float, n: int, spacing: float, wavelength: float) -> np.ndarray:
@@ -85,16 +97,26 @@ def ula_response(azimuth: float, n: int, spacing: float, wavelength: float) -> n
     return steering_vector(2.0 * spacing / wavelength * math.cos(azimuth), n)
 
 
+def _panel_responses(angles: list[tuple[float, float]], nx: int, nz: int,
+                     spacing: float, wavelength: float) -> np.ndarray:
+    """Planar-array responses of one nx x nz panel, one row per (azimuth, elevation).
+
+    Row r is the Kronecker product of the x- and z-axis steering vectors;
+    every row comes out of the same exp and outer-product pass.
+    """
+    two_d = 2.0 * spacing / wavelength
+    x = _steering_rows([two_d * math.cos(az) * math.sin(el) for az, el in angles], nx)
+    z = _steering_rows([two_d * math.cos(el) for _, el in angles], nz)
+    # a row-wise outer product is the Kronecker product of each pair of vectors
+    return (x[:, :, None] * z[:, None, :]).reshape(len(angles), nx * nz)
+
+
 def upa_response(azimuth: float, elevation: float, nx: int, nz: int,
                  spacing: float, wavelength: float) -> np.ndarray:
     """Planar-array response: Kronecker product of the x- and z-axis responses."""
     if nx < 1 or nz < 1:
         raise ValueError("panel dimensions must be >= 1")
-    two_d = 2.0 * spacing / wavelength
-    x_arg = two_d * math.cos(azimuth) * math.sin(elevation)
-    z_arg = two_d * math.cos(elevation)
-    # outer(...).ravel() is the Kronecker product of two vectors, without np.kron's overhead
-    return np.outer(steering_vector(x_arg, nx), steering_vector(z_arg, nz)).ravel()
+    return _panel_responses([(azimuth, elevation)], nx, nz, spacing, wavelength)[0]
 
 
 def _hop_gain(hop: HopGeometry, ref_path_gain: float, exponent: float,
@@ -143,19 +165,19 @@ def chain_geometry(p: SystemParams) -> list[HopGeometry]:
 
 
 # per hop: departure azimuth, departure elevation, arrival azimuth, arrival elevation
-_ANGLE_LOW = (0.0, 0.1, 0.0, 0.1)
-_ANGLE_HIGH = (TWO_PI, math.pi - 0.1, TWO_PI, math.pi - 0.1)
+_ANGLE_LOW = np.array([0.0, 0.1, 0.0, 0.1])
+_ANGLE_SPAN = np.array([TWO_PI, math.pi - 0.1, TWO_PI, math.pi - 0.1]) - _ANGLE_LOW
 
 
 def random_geometry(p: SystemParams, rng: np.random.Generator) -> list[HopGeometry]:
     """Hop list with the configured distances but fully random angles.
 
-    All angles come from one draw with the bounds in hop order, which
-    consumes the generator exactly as one scalar draw per angle would.
+    All angles come from one draw of uniforms, scaled the way
+    ``rng.uniform`` scales them, so the generator is consumed and the
+    angles come out exactly as with one scalar draw per angle in hop order.
     """
     distances = p.hop_distances()
-    n = len(distances)
-    angles = rng.uniform(_ANGLE_LOW * n, _ANGLE_HIGH * n).reshape(n, 4).tolist()
+    angles = (_ANGLE_LOW + _ANGLE_SPAN * rng.random((len(distances), 4))).tolist()
     return [HopGeometry(dist, *hop_angles) for dist, hop_angles in zip(distances, angles)]
 
 
@@ -170,30 +192,44 @@ def hop_responses(geometry: list[HopGeometry], p: SystemParams,
     transmit beam matches ``hops[0][1]``.  Calls with equal arguments share
     the same read-only arrays.
     """
+    return list(_hop_terms(geometry, p, airs_index)[0])
+
+
+def _hop_terms(geometry: list[HopGeometry], p: SystemParams, airs_index: int):
+    """Memoised (hop responses, log hop gains) of a checked hop list and index."""
     if len(geometry) != p.num_irs + 1:
         raise ValueError(f"expected {p.num_irs + 1} hops, got {len(geometry)}")
     check_airs_index(airs_index, p.num_irs)
-    return list(_build_hop_responses(tuple(geometry), p, airs_index))
+    return _build_hop_responses(tuple(geometry), p, airs_index)
 
 
 # One oracle check asks for the responses of one (geometry, params, index)
-# three times in a row, so a few entries cover it; a larger cache would only
-# hold on to O(J * N) arrays of checks that are over.
+# twice in a row, from the beamformer and from its one log-power evaluation,
+# so a few entries cover it; a larger cache would only hold on to O(J * N)
+# arrays of checks that are over.
 @functools.lru_cache(maxsize=4)
-def _build_hop_responses(geometry: tuple[HopGeometry, ...], p: SystemParams,
-                         airs_index: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _build_hop_responses(geometry: tuple[HopGeometry, ...], p: SystemParams, airs_index: int,
+                         ) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], tuple[float, ...]]:
     spacing, wavelength = p.element_spacing, p.wavelength
-    tx = ula_response(geometry[0].dep_azimuth, p.bs_antennas, spacing, wavelength)
-    hops = []
+    surfaces_by_grid = {}
     for k in range(1, p.num_irs + 1):
-        nx, nz = p.grid_at(k, airs_index)
-        rx = upa_response(geometry[k - 1].arr_azimuth, geometry[k - 1].arr_elevation,
-                          nx, nz, spacing, wavelength)
-        hops.append((_read_only(rx), _read_only(tx)))
-        tx = upa_response(geometry[k].dep_azimuth, geometry[k].dep_elevation,
-                          nx, nz, spacing, wavelength)
-    hops.append((_read_only(np.ones(1)), _read_only(tx)))  # single-antenna receiver
-    return tuple(hops)
+        surfaces_by_grid.setdefault(p.grid_at(k, airs_index), []).append(k)
+    # surface k receives at hop k-1's arrival angles and re-radiates at hop k's
+    # departure angles; all surfaces of one panel size share one stacked build
+    rx, tx = {}, {}
+    for (nx, nz), ks in surfaces_by_grid.items():
+        angles = ([(geometry[k - 1].arr_azimuth, geometry[k - 1].arr_elevation) for k in ks]
+                  + [(geometry[k].dep_azimuth, geometry[k].dep_elevation) for k in ks])
+        rows = _read_only(_panel_responses(angles, nx, nz, spacing, wavelength))
+        rx.update(zip(ks, rows))
+        tx.update(zip(ks, rows[len(ks):]))
+    bs_tx = ula_response(geometry[0].dep_azimuth, p.bs_antennas, spacing, wavelength)
+    hops = ([(rx[1], _read_only(bs_tx))]
+            + [(rx[k + 1], tx[k]) for k in range(1, p.num_irs)]
+            + [(_read_only(np.ones(1)), tx[p.num_irs])])  # single-antenna receiver
+    log_gain = tuple(math.log(amplitude_gain(hop.distance, p.ref_path_gain, p.path_loss_exponent))
+                     for hop in geometry)
+    return tuple(hops), log_gain
 
 
 def hop_matrices(geometry: list[HopGeometry], p: SystemParams,
@@ -229,9 +265,20 @@ def _log_powers(airs_index, geometry, phases, beam, p) -> tuple[float, float, fl
     squared norm is N_l.  Each log is a sum of log magnitudes; a zero
     factor, such as eta = 0 or a null A_k, makes it -inf.
     """
-    hops = hop_responses(geometry, p, airs_index)
-    log_gain = [math.log(amplitude_gain(hop.distance, p.ref_path_gain, p.path_loss_exponent))
-                for hop in geometry]
+    beam = np.asarray(beam, dtype=complex)
+    return _evaluate_log_powers(airs_index, tuple(geometry), phases, beam.shape,
+                                beam.tobytes(), p)
+
+
+# full_snr and full_power of one check ask for the same evaluation in a row;
+# one entry covers that and holds nothing of a check that is over.  The beam
+# enters the key by value, as its shape and complex bytes, and the
+# PhaseConfig, frozen with read-only arrays, by identity.
+@functools.lru_cache(maxsize=1)
+def _evaluate_log_powers(airs_index, geometry, phases, beam_shape, beam_bytes, p):
+    hops, log_gain = _hop_terms(geometry, p, airs_index)
+    beam = np.frombuffer(beam_bytes, complex).reshape(beam_shape)
+    _check_shapes(hops, phases, beam, p)
     # log|tx_0^H w| at index 0, then log|A_k| of surface k at index k
     log_coeff = [_log_abs(np.vdot(hops[0][1], beam))] + [
         _log_abs(reflection_coefficient_sum(hops[k - 1][0], hops[k][1], phases.reflection[k - 1]))
@@ -245,15 +292,18 @@ def _log_powers(airs_index, geometry, phases, beam, p) -> tuple[float, float, fl
     return log_signal, log_noise_gain, log_incident
 
 
-def incident_element_power(airs_index: int, geometry: list[HopGeometry], phases: PhaseConfig,
-                           beam: np.ndarray, p: SystemParams) -> float:
-    """Per-element signal power hitting the active surface.
-
-    Under pure LoS every element receives the same power, whatever the
-    reflection phases, because each hop's receive response has
-    unit-modulus entries.
-    """
-    return math.exp(_log_powers(airs_index, geometry, phases, beam, p)[2])
+def _check_shapes(hops, phases: PhaseConfig, beam: np.ndarray, p: SystemParams) -> None:
+    """Reject a beam or phasors that do not fit the chain; numpy would broadcast them."""
+    if beam.shape != (p.bs_antennas,):
+        raise ValueError(f"beam has shape {beam.shape}, but bs_antennas = {p.bs_antennas}")
+    if len(phases.reflection) != p.num_irs:
+        raise ValueError(f"phase config holds phasors of {len(phases.reflection)} surfaces, "
+                         f"but the chain has {p.num_irs}")
+    for k, reflection in enumerate(phases.reflection, start=1):
+        elements = hops[k][1].size
+        if reflection.shape != (elements,):
+            raise ValueError(f"surface {k} has {elements} elements, but its reflection "
+                             f"phasors have shape {reflection.shape}")
 
 
 def full_snr(airs_index: int, geometry: list[HopGeometry], phases: PhaseConfig,

@@ -1,12 +1,26 @@
 """Helpers that only the tests need: per-surface element counts, the
-amplifier power-budget check and the paper's panel-size scaling orders."""
+per-element power incident on the active surface, the amplifier
+power-budget check and the paper's panel-size scaling orders."""
 
+import math
+
+from irschain import channel
 from irschain.params import SystemParams, check_airs_index
 
 
 def elements_at(p: SystemParams, k: int, airs_index: int) -> int:
     """Element count of surface k (1-based) given the active one's index."""
     return p.airs_elements if k == airs_index else p.pirs_elements
+
+
+def incident_element_power(airs_index: int, geometry, phases, beam, p: SystemParams) -> float:
+    """Per-element signal power hitting the active surface, from the matrix oracle.
+
+    Under pure LoS every element receives the same power, whatever the
+    reflection phases, because each hop's receive response has
+    unit-modulus entries.
+    """
+    return math.exp(channel._log_powers(airs_index, geometry, phases, beam, p)[2])
 
 
 def check_power_constraint(eta: float, incident: float, noise_power: float,

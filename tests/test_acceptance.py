@@ -15,7 +15,6 @@ from irschain.channel import (
     full_power,
     full_snr,
     hop_responses,
-    incident_element_power,
     random_geometry,
     reflection_coefficient_sum,
 )
@@ -32,6 +31,7 @@ from irschain.params import SystemParams, derive_link_budget
 from reference import (
     check_power_constraint,
     elements_at,
+    incident_element_power,
     power_scaling_order,
     snr_scaling_order,
 )

@@ -14,12 +14,11 @@ from irschain.channel import (
     PhaseConfig,
     chain_geometry,
     full_snr,
-    incident_element_power,
     reflection_coefficient_sum,
     upa_response,
 )
 from irschain.params import SystemParams, derive_link_budget
-from reference import check_power_constraint
+from reference import check_power_constraint, incident_element_power
 
 
 def unit_vector(rng, n):

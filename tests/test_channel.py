@@ -16,7 +16,6 @@ from irschain.channel import (
     full_snr,
     hop_matrices,
     hop_responses,
-    incident_element_power,
     los_channel,
     random_geometry,
     steering_vector,
@@ -25,6 +24,7 @@ from irschain.channel import (
 )
 from irschain.metrics import power_closed, snr_closed
 from irschain.params import SystemParams, derive_link_budget
+from reference import incident_element_power
 
 
 class TestSteeringVector:
@@ -75,11 +75,24 @@ class TestUpaResponse:
             spacing, wavelength = rng.uniform(0.2, 0.6), rng.uniform(0.5, 1.5)
             two_d = 2.0 * spacing / wavelength
             expected = np.kron(
-                steering_vector(two_d * math.cos(azimuth) * math.sin(elevation), nx),
-                steering_vector(two_d * math.cos(elevation), nz),
+                _scalar_steering_vector(two_d * math.cos(azimuth) * math.sin(elevation), nx),
+                _scalar_steering_vector(two_d * math.cos(elevation), nz),
             )
             vec = upa_response(azimuth, elevation, nx, nz, spacing, wavelength)
             assert np.array_equal(vec, expected)
+
+    @pytest.mark.parametrize("length", [1, 2, 33, 64])
+    def test_steering_vector_bit_identical_to_scalar_formula(self, length):
+        rng = np.random.default_rng(length)
+        for varsigma in rng.uniform(-2.0, 2.0, 20):
+            varsigma = float(varsigma)
+            np.testing.assert_array_equal(steering_vector(varsigma, length),
+                                          _scalar_steering_vector(varsigma, length))
+
+
+def _scalar_steering_vector(varsigma, length):
+    """Reference: one steering vector from scalar arithmetic, no stacking."""
+    return np.exp(-1j * math.pi * varsigma * np.arange(length))
 
 
 class TestLosChannel:
@@ -354,21 +367,131 @@ class TestHopResponseMemo:
         assert any(not np.array_equal(a, b) for hop_a, hop_b in zip(after, before)
                    for a, b in zip(hop_a, hop_b))
 
-    def test_one_check_builds_each_response_once(self, monkeypatch):
-        p = replace(SystemParams(), pirs_elements=64, pirs_grid=None)
+    @pytest.mark.parametrize("airs_elements, passes", [(150, 2), (64, 1)])
+    def test_one_check_builds_each_panel_size_once(self, monkeypatch, airs_elements, passes):
+        # the active panel is 10 x 15 or, at 64 elements, the passive 8 x 8
+        p = replace(SystemParams(), pirs_elements=64, pirs_grid=None,
+                    airs_elements=airs_elements, airs_grid=None)
         geom = random_geometry(p, np.random.default_rng(42))
         calls = []
 
-        def counting_upa_response(*args):
-            calls.append(args)
-            return upa_response(*args)
+        def counting_panel_responses(angles, *args):
+            calls.append(len(angles))
+            return panel_responses(angles, *args)
 
+        panel_responses = channel._panel_responses
         channel._build_hop_responses.cache_clear()
-        monkeypatch.setattr(channel, "upa_response", counting_upa_response)
+        channel._evaluate_log_powers.cache_clear()
+        monkeypatch.setattr(channel, "_panel_responses", counting_panel_responses)
         phases, beam = optimal_configuration(4, geom, p)
         full_snr(4, geom, phases, beam, p)
         full_power(4, geom, phases, beam, p)
-        assert len(calls) == 2 * p.num_irs
+        assert len(calls) == passes
+        assert sum(calls) == 2 * p.num_irs  # every surface's receive and transmit rows
+        assert channel._build_hop_responses.cache_info().misses == 1
+        evaluations = channel._evaluate_log_powers.cache_info()
+        assert (evaluations.misses, evaluations.hits) == (1, 1)
+
+    @pytest.mark.parametrize("num_irs, n_p, n_a", [
+        (1, 100, 150),     # one surface, active at the only index
+        (7, 100, 150),
+        (7, 1024, 150),
+        (7, 2048, 150),
+        (5, 97, 31),       # prime counts: 1 x N panels
+        (3, 2, 1),         # a one-element active surface
+    ])
+    def test_stacked_rows_bit_identical_to_upa_response(self, num_irs, n_p, n_a):
+        p = SystemParams(num_irs=num_irs, pirs_elements=n_p, airs_elements=n_a)
+        rng = np.random.default_rng(1000 * num_irs + n_p)
+        for l in sorted({1, num_irs}):
+            for _ in range(5):
+                geom = random_geometry(p, rng)
+                _assert_same_responses(hop_responses(geom, p, l), _direct_responses(geom, p, l))
+
+
+class TestLogPowerMemo:
+    """A memoised evaluation must never answer for arguments it was not computed from."""
+
+    def setup_method(self):
+        self.p = SystemParams(num_irs=4, pirs_elements=36, airs_elements=20)
+        self.geom = random_geometry(self.p, np.random.default_rng(44))
+        self.phases, self.beam = optimal_configuration(2, self.geom, self.p)
+
+    def _cached(self, phases, beam, p):
+        return tuple(oracle(2, self.geom, phases, beam, p)
+                     for oracle in (full_snr, full_power, incident_element_power))
+
+    def _uncached(self, phases, beam, p):
+        channel._build_hop_responses.cache_clear()
+        channel._evaluate_log_powers.cache_clear()
+        return self._cached(phases, beam, p)
+
+    @pytest.mark.parametrize("change", ["beam_in_place", "equal_phase_config", "eta",
+                                        "ref_path_gain", "wavelength"])
+    def test_changed_input_is_evaluated_afresh(self, change):
+        phases, beam, p = self.phases, self.beam, self.p
+        before = self._cached(phases, beam, p)
+        if change == "beam_in_place":
+            beam *= np.exp(1j * np.linspace(0.0, 1.0, beam.size)) * 0.5
+        elif change == "equal_phase_config":
+            phases = PhaseConfig(reflection=tuple(r.copy() for r in phases.reflection),
+                                 eta=phases.eta)
+        elif change == "eta":
+            phases = PhaseConfig(reflection=phases.reflection, eta=0.5 * phases.eta)
+        elif change == "ref_path_gain":
+            p = replace(p, ref_path_gain=2.0 * p.ref_path_gain)
+        else:
+            p = replace(p, wavelength=1.1 * p.wavelength, element_spacing=p.element_spacing)
+        after = self._cached(phases, beam, p)
+        assert after == self._uncached(phases, beam, p)
+        if change == "equal_phase_config":
+            assert after == before
+        else:
+            assert after != before
+
+
+class TestShapeChecks:
+    """Mis-shaped phasors or beams used to broadcast into a wrong answer."""
+
+    def setup_method(self):
+        self.p = SystemParams(num_irs=3, pirs_elements=16, airs_elements=16)
+        self.geom = random_geometry(self.p, np.random.default_rng(45))
+        self.phases, self.beam = optimal_configuration(2, self.geom, self.p)
+
+    def _assert_rejected(self, phases, beam, match):
+        for oracle in (full_snr, full_power, incident_element_power):
+            with pytest.raises(ValueError, match=match):
+                oracle(2, self.geom, phases, beam, self.p)
+
+    def test_one_phasor_per_surface_rejected(self):
+        phases = PhaseConfig(reflection=(np.ones(1),) * 3, eta=self.phases.eta)
+        self._assert_rejected(phases, self.beam, r"surface 1 has 16 elements.*\(1,\)")
+
+    def test_phasors_for_an_extra_surface_rejected(self):
+        phases = PhaseConfig(reflection=self.phases.reflection + (np.ones(16),),
+                             eta=self.phases.eta)
+        self._assert_rejected(phases, self.beam, "4 surfaces, but the chain has 3")
+
+    def test_too_few_surfaces_rejected(self):
+        phases = PhaseConfig(reflection=self.phases.reflection[:2], eta=self.phases.eta)
+        self._assert_rejected(phases, self.beam, "2 surfaces, but the chain has 3")
+
+    def test_short_beam_rejected(self):
+        self._assert_rejected(self.phases, self.beam[:1],
+                              r"beam has shape \(1,\).*bs_antennas = 10")
+
+    def test_real_and_object_beams_read_as_complex(self):
+        real = np.abs(self.beam)
+        want = full_snr(2, self.geom, self.phases, real.astype(complex), self.p)
+        assert full_snr(2, self.geom, self.phases, real, self.p) == want
+        assert full_snr(2, self.geom, self.phases, real.astype(object), self.p) == want
+
+    def test_single_element_surfaces_still_work(self):
+        p = SystemParams(num_irs=3, pirs_elements=1, airs_elements=1)
+        geom = random_geometry(p, np.random.default_rng(46))
+        phases, beam = optimal_configuration(2, geom, p)
+        assert all(r.shape == (1,) for r in phases.reflection)
+        _assert_matches_dense(2, geom, phases, beam, p)
 
 
 class TestPhaseConfig:

@@ -9,13 +9,12 @@ from irschain.channel import (
     chain_geometry,
     full_power,
     full_snr,
-    incident_element_power,
     random_geometry,
 )
 from irschain.deployment import agreement_grid
 from irschain.metrics import objective, power_closed, snr_closed
 from irschain.params import SystemParams, derive_link_budget
-from reference import power_scaling_order, snr_scaling_order
+from reference import incident_element_power, power_scaling_order, snr_scaling_order
 
 # f(4) at the default scenario with 100-element passive panels,
 # frozen from kappa_b**2 * (100 * kappa_i)**6 computed directly
