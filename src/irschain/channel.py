@@ -16,12 +16,11 @@ array responses once: ``hop_responses`` memoises them, with the log hop
 gains, on the geometry, the parameters and the active index.  All
 surfaces with the same panel size get their responses from one stacked
 exp and outer-product pass, handed out as read-only rows.  ``full_snr``
-and ``full_power`` of one check share one evaluation of the log powers,
-which first checks that the beam has ``bs_antennas`` entries and that
-the ``PhaseConfig`` holds one phasor per element of every surface,
-raising ``ValueError`` otherwise.  A ``PhaseConfig`` stores each
-surface's reflection phasors e^{j theta} as the beamformer produces
-them.
+and ``full_power`` each evaluate the log powers; the evaluation first
+checks that the beam has ``bs_antennas`` entries and that the
+``PhaseConfig`` holds one phasor per element of every surface, raising
+``ValueError`` otherwise.  A ``PhaseConfig`` stores each surface's
+reflection phasors e^{j theta} as the beamformer produces them.
 """
 
 from __future__ import annotations
@@ -204,9 +203,11 @@ def _hop_terms(geometry: list[HopGeometry], p: SystemParams, airs_index: int):
 
 
 # One oracle check asks for the responses of one (geometry, params, index)
-# twice in a row, from the beamformer and from its one log-power evaluation,
-# so a few entries cover it; a larger cache would only hold on to O(J * N)
-# arrays of checks that are over.
+# three times in a row (the beamformer, then full_snr and full_power), so a
+# single entry would serve every hit.  It is kept at four all the same: with
+# one entry the oracle workload ran about a quarter slower at the same build
+# count, most likely because the ~400 KB of stacked rows then go back to the
+# allocator after every check instead of being reused.
 @functools.lru_cache(maxsize=4)
 def _build_hop_responses(geometry: tuple[HopGeometry, ...], p: SystemParams, airs_index: int,
                          ) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], tuple[float, ...]]:
@@ -266,18 +267,7 @@ def _log_powers(airs_index, geometry, phases, beam, p) -> tuple[float, float, fl
     factor, such as eta = 0 or a null A_k, makes it -inf.
     """
     beam = np.asarray(beam, dtype=complex)
-    return _evaluate_log_powers(airs_index, tuple(geometry), phases, beam.shape,
-                                beam.tobytes(), p)
-
-
-# full_snr and full_power of one check ask for the same evaluation in a row;
-# one entry covers that and holds nothing of a check that is over.  The beam
-# enters the key by value, as its shape and complex bytes, and the
-# PhaseConfig, frozen with read-only arrays, by identity.
-@functools.lru_cache(maxsize=1)
-def _evaluate_log_powers(airs_index, geometry, phases, beam_shape, beam_bytes, p):
     hops, log_gain = _hop_terms(geometry, p, airs_index)
-    beam = np.frombuffer(beam_bytes, complex).reshape(beam_shape)
     _check_shapes(hops, phases, beam, p)
     # log|tx_0^H w| at index 0, then log|A_k| of surface k at index k
     log_coeff = [_log_abs(np.vdot(hops[0][1], beam))] + [

@@ -50,8 +50,9 @@ def _wit_closed_form(budget: LinkBudget, j: int,
 
     With np_kappa_i < 1 the relaxed optimum sits at
     (J+1)/2 + log(c_a/c_t) / (4 log(np_kappa_i)); the integer answer is
-    the better of its floor/ceil neighbours unless the stationary point
-    leaves [1, J], in which case the boundary index wins.
+    the better of its floor/ceil neighbours, each clamped to [1, J].  A
+    stationary point at or beyond a boundary thus gives the boundary
+    index: J in case I, 1 in case III.
     """
     if budget.c_a < budget.c_t:
         case = "I"
@@ -62,14 +63,7 @@ def _wit_closed_form(budget: LinkBudget, j: int,
     if j == 1:
         return 1, case, None
 
-    log_ratio, log_npk = budget.log_c_a - budget.log_c_t, budget.log_np_kappa_i
-    relaxed = (j + 1) / 2.0 + log_ratio / (4.0 * log_npk)
-    # stationary point at or beyond a boundary: the boundary index is optimal
-    if case == "I" and 2.0 * (j - 1) * log_npk >= log_ratio:
-        return j, case, relaxed
-    if case == "III" and 2.0 * (j - 1) * log_npk >= -log_ratio:
-        return 1, case, relaxed
-
+    relaxed = (j + 1) / 2.0 + (budget.log_c_a - budget.log_c_t) / (4.0 * budget.log_np_kappa_i)
     lo = min(max(math.floor(relaxed), 1), j)
     hi = min(max(math.ceil(relaxed), 1), j)
     best = hi if objectives[hi - 1] > objectives[lo - 1] else lo  # ties keep lo

@@ -381,7 +381,6 @@ class TestHopResponseMemo:
 
         panel_responses = channel._panel_responses
         channel._build_hop_responses.cache_clear()
-        channel._evaluate_log_powers.cache_clear()
         monkeypatch.setattr(channel, "_panel_responses", counting_panel_responses)
         phases, beam = optimal_configuration(4, geom, p)
         full_snr(4, geom, phases, beam, p)
@@ -389,8 +388,6 @@ class TestHopResponseMemo:
         assert len(calls) == passes
         assert sum(calls) == 2 * p.num_irs  # every surface's receive and transmit rows
         assert channel._build_hop_responses.cache_info().misses == 1
-        evaluations = channel._evaluate_log_powers.cache_info()
-        assert (evaluations.misses, evaluations.hits) == (1, 1)
 
     @pytest.mark.parametrize("num_irs, n_p, n_a", [
         (1, 100, 150),     # one surface, active at the only index
@@ -409,28 +406,27 @@ class TestHopResponseMemo:
                 _assert_same_responses(hop_responses(geom, p, l), _direct_responses(geom, p, l))
 
 
-class TestLogPowerMemo:
-    """A memoised evaluation must never answer for arguments it was not computed from."""
+class TestLogPowersFollowInputs:
+    """An evaluation must never answer for arguments it was not computed from."""
 
     def setup_method(self):
         self.p = SystemParams(num_irs=4, pirs_elements=36, airs_elements=20)
         self.geom = random_geometry(self.p, np.random.default_rng(44))
         self.phases, self.beam = optimal_configuration(2, self.geom, self.p)
 
-    def _cached(self, phases, beam, p):
+    def _evaluate(self, phases, beam, p):
         return tuple(oracle(2, self.geom, phases, beam, p)
                      for oracle in (full_snr, full_power, incident_element_power))
 
-    def _uncached(self, phases, beam, p):
+    def _evaluate_with_fresh_responses(self, phases, beam, p):
         channel._build_hop_responses.cache_clear()
-        channel._evaluate_log_powers.cache_clear()
-        return self._cached(phases, beam, p)
+        return self._evaluate(phases, beam, p)
 
     @pytest.mark.parametrize("change", ["beam_in_place", "equal_phase_config", "eta",
                                         "ref_path_gain", "wavelength"])
     def test_changed_input_is_evaluated_afresh(self, change):
         phases, beam, p = self.phases, self.beam, self.p
-        before = self._cached(phases, beam, p)
+        before = self._evaluate(phases, beam, p)
         if change == "beam_in_place":
             beam *= np.exp(1j * np.linspace(0.0, 1.0, beam.size)) * 0.5
         elif change == "equal_phase_config":
@@ -442,12 +438,25 @@ class TestLogPowerMemo:
             p = replace(p, ref_path_gain=2.0 * p.ref_path_gain)
         else:
             p = replace(p, wavelength=1.1 * p.wavelength, element_spacing=p.element_spacing)
-        after = self._cached(phases, beam, p)
-        assert after == self._uncached(phases, beam, p)
+        after = self._evaluate(phases, beam, p)
+        assert after == self._evaluate_with_fresh_responses(phases, beam, p)
         if change == "equal_phase_config":
             assert after == before
         else:
             assert after != before
+
+    def test_phasors_edited_in_place_are_read_afresh(self):
+        p = SystemParams(num_irs=3)
+        geom = chain_geometry(p)
+        phases, beam = optimal_configuration(2, geom, p)
+        oracles = (full_snr, full_power, incident_element_power)
+        before = [oracle(2, geom, phases, beam, p) for oracle in oracles]
+        phases.reflection[0].flags.writeable = True
+        phases.reflection[0][:] = 1.0
+        fresh = PhaseConfig(reflection=phases.reflection, eta=phases.eta)
+        after = [oracle(2, geom, phases, beam, p) for oracle in oracles]
+        assert after == [oracle(2, geom, fresh, beam, p) for oracle in oracles]
+        assert after[0] != before[0]
 
 
 class TestShapeChecks:

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from irschain import deployment
@@ -13,7 +14,7 @@ from irschain.deployment import (
     scheme_middle,
     wpt_crossover_np,
 )
-from irschain.metrics import WIT, WPT, power_closed, snr_closed
+from irschain.metrics import WIT, WPT, objective, power_closed, snr_closed
 from irschain.params import SystemParams, derive_link_budget
 
 # Frozen from direct arithmetic at the default scenario (100-element panels):
@@ -26,6 +27,54 @@ CROSSOVER_AT_DEFAULTS = 1112.7994181240558
 
 def with_np(p, n_p):
     return replace(p, pirs_elements=n_p, pirs_grid=None)
+
+
+def _boundary_branch_rule(budget, j, objectives):
+    """The closed-form WIT rule with its former explicit boundary branches."""
+    if budget.c_a < budget.c_t:
+        case = "I"
+    elif budget.c_a > budget.c_t:
+        case = "III"
+    else:
+        case = "II"
+    if j == 1:
+        return 1, case, None
+    log_ratio, log_npk = budget.log_c_a - budget.log_c_t, budget.log_np_kappa_i
+    relaxed = (j + 1) / 2.0 + log_ratio / (4.0 * log_npk)
+    if case == "I" and 2.0 * (j - 1) * log_npk >= log_ratio:
+        return j, case, relaxed
+    if case == "III" and 2.0 * (j - 1) * log_npk >= -log_ratio:
+        return 1, case, relaxed
+    lo = min(max(math.floor(relaxed), 1), j)
+    hi = min(max(math.ceil(relaxed), 1), j)
+    best = hi if objectives[hi - 1] > objectives[lo - 1] else lo
+    return best, case, relaxed
+
+
+class _LazyObjectives:
+    """objectives[l - 1] evaluated on demand, so a J = 400 chain costs two calls."""
+
+    def __init__(self, p, budget):
+        self.p, self.budget = p, budget
+
+    def __getitem__(self, i):
+        return objective(WIT, self.p, i + 1, self.budget)
+
+
+def _random_decreasing_params(rng, count):
+    """Seeded chains with J <= 400, np <= 1412, N_a <= 2000 and +-30 dB powers,
+    kept only in the np_kappa_i < 1 regime where the closed form applies."""
+    base, params = SystemParams(), []
+    while len(params) < count:
+        p = replace(base,
+                    num_irs=int(rng.integers(1, 401)),
+                    pirs_elements=int(rng.integers(2, 1413)), pirs_grid=None,
+                    airs_elements=int(rng.integers(1, 2001)), airs_grid=None,
+                    tx_power=base.tx_power * 10.0 ** rng.uniform(-3.0, 3.0),
+                    amp_power=base.amp_power * 10.0 ** rng.uniform(-3.0, 3.0))
+        if derive_link_budget(p).f_decreasing:
+            params.append(p)
+    return params
 
 
 class TestBruteForce:
@@ -149,6 +198,19 @@ class TestInformationPlacement:
     def test_agreement_over_small_grid_sample(self):
         for p in agreement_grid()[::97]:
             assert optimal_index(WIT, p).brute_force_agrees
+
+    @pytest.mark.parametrize("source", ["agreement_grid", "random"])
+    def test_clamp_matches_the_boundary_branches(self, source):
+        if source == "agreement_grid":
+            params = agreement_grid()
+        else:
+            params = _random_decreasing_params(np.random.default_rng(71), 2000)
+        for p in params:
+            budget = derive_link_budget(p)
+            assert budget.f_decreasing
+            objectives = _LazyObjectives(p, budget)
+            got = deployment._wit_closed_form(budget, p.num_irs, objectives)
+            assert got == _boundary_branch_rule(budget, p.num_irs, objectives), p
 
     def test_transmit_heavy_drive_stays_in_the_second_half(self):
         # c_a < c_t puts the relaxed optimizer at or beyond the midpoint
