@@ -232,6 +232,20 @@ def evaluate_point(mode: str, p: SystemParams) -> dict[str, object]:
     }
 
 
+def _overflow_error(p: SystemParams) -> ConfigError:
+    # with np * kappa_i > 1 each surface multiplies the objective by (np * kappa_i)**2
+    return ConfigError(f"objective overflows double precision at num_irs={p.num_irs}, "
+                       f"pirs_elements={p.pirs_elements}; use a shorter chain or smaller panels")
+
+
+def _evaluate_row(mode: str, p: SystemParams) -> dict[str, object]:
+    """``evaluate_point`` for the commands, with overflow as a config error."""
+    try:
+        return evaluate_point(mode, p)
+    except OverflowError:
+        raise _overflow_error(p) from None
+
+
 def _with_np(p: SystemParams, n_p: int) -> SystemParams:
     if n_p > MAX_ELEMENTS:  # before the panel grid search, which is O(sqrt(n_p))
         raise ConfigError(f"--np must be at most {MAX_ELEMENTS}, got {n_p}")
@@ -264,7 +278,7 @@ def cmd_eval(args) -> int:
     for diag in diagnostics:
         if diag.severity == "error":
             raise ConfigError(diag.message)
-    row = evaluate_point(args.mode, p)
+    row = _evaluate_row(args.mode, p)
     stream, owned = _open_output(args.output)
     try:
         for key in CSV_COLUMNS:
@@ -281,7 +295,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = load_params(args.config)
-    rows = [evaluate_point(args.mode, _with_np(base, v)) for v in parse_sweep(args.np)]
+    rows = [_evaluate_row(args.mode, _with_np(base, v)) for v in parse_sweep(args.np)]
     _write_rows(rows, CSV_COLUMNS, args.output)
     return EXIT_OK
 
@@ -345,13 +359,17 @@ def figure_rows(base: SystemParams) -> tuple[list[dict], list[dict], list[dict]]
         mid = deployment.middle_index(p.num_irs)
         index_row = {"np": n_p}
         for mode in metrics.MODES:
-            sol = deployment.optimal_index(mode, p, budget)
+            try:
+                sol = deployment.optimal_index(mode, p, budget)
+                passive = deployment.scheme_all_pirs(mode, p, budget)
+            except OverflowError:
+                raise _overflow_error(p) from None
             index_row[f"{mode}_l_star"] = sol.airs_index
             schemes = {
                 "optimal": sol.objective,
                 "final": sol.objectives[-1],
                 "middle": sol.objectives[mid - 1],
-                "all_pirs": deployment.scheme_all_pirs(mode, p, budget),
+                "all_pirs": passive,
             }
             unit = _LOG_UNITS[mode][0]
             objective_rows[mode].append({"np": n_p, **{

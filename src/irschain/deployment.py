@@ -193,15 +193,13 @@ def ratio_diagnostics(mode: str, p: SystemParams,
     log_x = (p.num_irs - 1) * budget.log_np_kappa_i
     log_ca, log_ct = budget.log_c_a, budget.log_c_t
     log_all = _log_all_pirs_power(p, budget)
-    log_na = math.log(p.airs_elements)
     if mode == WPT:
         vs_mid_limit = math.exp(-log_x)
-        vs_all_limit = math.exp(log_ca + log_na - log_all)
+        vs_all_limit = math.exp(log_ca + math.log(p.airs_elements) - log_all)
     else:  # WIT; optimal_index has already rejected any other mode
         den = [log_ca, log_ct + 2.0 * log_x]  # c_a + c_t * x**2
         vs_mid_limit = _ratio_of_term_sums([log_x + log_ca, log_x + log_ct], den)
-        vs_all_limit = _ratio_of_term_sums(
-            [log_ca + log_ct + log_na + 2.0 * log_x], [t + log_all for t in den])
+        vs_all_limit = _ratio_of_term_sums([budget.log_signal], [t + log_all for t in den])
 
     return RatioReport(
         mode=mode,

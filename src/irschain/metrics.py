@@ -3,8 +3,11 @@
 Both objectives collapse to ratios of a handful of positive terms of the
 form const * (pirs_elements * kappa_i)**(2k).  Those powers reach the
 underflow edge of double precision well before the model breaks down, so
-every term is assembled in log domain, from the logs of c_a, c_t and
-np_kappa_i that ``LinkBudget`` carries, and combined with logaddexp.
+every term is assembled in log domain and combined with logaddexp.  The
+position-independent logs come from ``LinkBudget``, taken once per
+budget: log c_a, log c_t, log np_kappa_i, the log noise power and the log
+signal power log(c_a c_t N_a np_kappa_i**(2(J-1))).  A position costs
+two multiply-adds per term, their exps and a sum.
 """
 
 from __future__ import annotations
@@ -45,15 +48,16 @@ def snr_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = Non
     if budget is None:
         budget = derive_link_budget(p)
     check_airs_index(airs_index, p.num_irs)
-    log_npk, log_ca, log_ct = budget.log_np_kappa_i, budget.log_c_a, budget.log_c_t
-    log_s2, j, l = math.log(p.noise_power), p.num_irs, airs_index
-    log_num = log_ca + log_ct + math.log(p.airs_elements) + 2.0 * (j - 1) * log_npk
-    amp = log_s2 + log_ca + 2.0 * (j - l) * log_npk    # amplified surface noise
-    awgn = log_s2 + log_ct + 2.0 * (l - 1) * log_npk   # receiver AWGN, signal-scaled
-    m = max(amp, awgn, 2.0 * log_s2)                   # 2 log_s2: receiver AWGN floor
+    log_npk, log_s2, j, l = budget.log_np_kappa_i, budget.log_noise_power, p.num_irs, airs_index
+    amp = log_s2 + budget.log_c_a + 2.0 * (j - l) * log_npk    # amplified surface noise
+    awgn = log_s2 + budget.log_c_t + 2.0 * (l - 1) * log_npk   # receiver AWGN, signal-scaled
+    floor = 2.0 * log_s2                                       # receiver AWGN floor
+    # max() without the call; as in max(), the first of equal terms wins
+    m = amp if amp >= awgn else awgn
+    m = m if m >= floor else floor
     # fsum, not sum: a plain 3-term sum rounds differently, and sub-ulp gaps decide ties
-    den = math.fsum((math.exp(amp - m), math.exp(awgn - m), math.exp(2.0 * log_s2 - m)))
-    return math.exp(log_num - m) * (1.0 / den)
+    den = math.fsum((math.exp(amp - m), math.exp(awgn - m), math.exp(floor - m)))
+    return math.exp(budget.log_signal - m) * (1.0 / den)
 
 
 def power_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = None) -> float:
@@ -61,12 +65,12 @@ def power_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = N
     if budget is None:
         budget = derive_link_budget(p)
     check_airs_index(airs_index, p.num_irs)
-    log_npk, log_ca, log_ct = budget.log_np_kappa_i, budget.log_c_a, budget.log_c_t
-    log_s2, j, l = math.log(p.noise_power), p.num_irs, airs_index
-    signal = log_ca + log_ct + math.log(p.airs_elements) + 2.0 * (j - 1) * log_npk
-    amp = log_s2 + log_ca + 2.0 * (j - l) * log_npk
-    incident = log_ct + 2.0 * (l - 1) * log_npk
-    m_num, m_den = max(signal, amp), max(incident, log_s2)
+    log_npk, log_s2, j, l = budget.log_np_kappa_i, budget.log_noise_power, p.num_irs, airs_index
+    signal = budget.log_signal
+    amp = log_s2 + budget.log_c_a + 2.0 * (j - l) * log_npk
+    incident = budget.log_c_t + 2.0 * (l - 1) * log_npk
+    m_num = signal if signal >= amp else amp
+    m_den = incident if incident >= log_s2 else log_s2
     # one IEEE addition is correctly rounded, so each sum equals fsum of its two terms
     num = math.exp(signal - m_num) + math.exp(amp - m_num)
     den = math.exp(incident - m_den) + math.exp(log_s2 - m_den)

@@ -8,7 +8,7 @@ many per-hop attenuations free of mixed-unit mistakes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -118,7 +118,12 @@ class LinkBudget:
     np_kappa_i = pirs_elements * kappa_i is the one-hop passive relay
     factor; the closed-form placement results require np_kappa_i < 1
     (``f_decreasing``), where per-hop attenuation beats the passive
-    beamforming gain.  The ``log_*`` fields are log(c_a), log(c_t), log(np_kappa_i).
+    beamforming gain.  The ``log_*`` fields are log(c_a), log(c_t),
+    log(np_kappa_i), ``log_noise_power`` = log(noise_power) and
+    ``log_signal`` = log c_a + log c_t + log(airs_elements)
+    + 2(J-1) log(np_kappa_i), added in that order: the log received signal
+    power, the same at every position.  ``p`` is a constructor argument
+    only; it supplies noise_power, airs_elements and J.
     """
 
     kappa_b: float
@@ -127,16 +132,23 @@ class LinkBudget:
     c_a: float
     c_t: float
     np_kappa_i: float
+    p: InitVar[SystemParams]
     f_decreasing: bool = field(init=False)
     log_c_a: float = field(init=False)
     log_c_t: float = field(init=False)
     log_np_kappa_i: float = field(init=False)
+    log_noise_power: float = field(init=False)
+    log_signal: float = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, p: SystemParams):
         object.__setattr__(self, "f_decreasing", self.np_kappa_i < 1.0)
         object.__setattr__(self, "log_c_a", math.log(self.c_a))
         object.__setattr__(self, "log_c_t", math.log(self.c_t))
         object.__setattr__(self, "log_np_kappa_i", math.log(self.np_kappa_i))
+        object.__setattr__(self, "log_noise_power", math.log(p.noise_power))
+        object.__setattr__(self, "log_signal", self.log_c_a + self.log_c_t
+                           + math.log(p.airs_elements)
+                           + 2.0 * (p.num_irs - 1) * self.log_np_kappa_i)
 
 
 def amplitude_gain(distance: float, ref_path_gain: float, exponent: float) -> float:
@@ -161,6 +173,7 @@ def derive_link_budget(p: SystemParams) -> LinkBudget:
         c_a=p.amp_power * p.airs_elements * kappa_u**2,
         c_t=p.tx_power * p.bs_antennas * kappa_b**2,
         np_kappa_i=p.pirs_elements * kappa_i,
+        p=p,
     )
 
 

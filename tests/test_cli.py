@@ -1,6 +1,10 @@
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -289,3 +293,44 @@ class TestFiguresCommand:
         assert int(rows[0]["wit_l_star"]) < 7
         assert all(row["wpt_l_star"] == "7" for row in rows)
         assert rows[-1]["wit_l_star"] == "7"
+
+
+class TestOverflow:
+    """np * kappa_i > 1 multiplies the objective by (np * kappa_i)**2 per surface.
+
+    At J = 300 and np = 20000 (np * kappa_i ~ 14) it leaves double range; the
+    command must exit 2 with one error line, not a traceback and exit 1.
+    """
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    @pytest.mark.parametrize("mode", ["wit", "wpt"])
+    def test_eval_exits_2_naming_both_keys(self, tmp_path, mode):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("j = 300\n")
+        path = os.pathsep.join(filter(None, [str(self.SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "irschain.cli", "eval", "--mode", mode,
+             "--np", "20000", "--config", str(cfg)],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ")
+        assert "num_irs=300" in line and "pirs_elements=20000" in line
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("command, config, panel", [
+        (["sweep", "--mode", "wpt", "--np", "1000"], "j = 300\nd_i = 2\n", 1000),
+        (["figures", "--outdir", "{tmp}"], "j = 300\nd_i = 0.05\n", 25),  # np = 10 fits
+    ])
+    def test_sweep_and_figures_exit_2_naming_the_point(self, tmp_path, capsys,
+                                                       command, config, panel):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(config)
+        argv = [arg.format(tmp=tmp_path) for arg in command]
+        assert run([*argv, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert f"num_irs=300, pirs_elements={panel};" in captured.err
+        assert captured.out == ""

@@ -191,16 +191,16 @@ def _reference_objective(mode, p, budget, l):
         [log_signal, log_amp_noise], [log_ct + 2.0 * (l - 1) * log_npk, log_s2])
 
 
-def _bit_identity_configs():
-    """The agreement grid plus 500 seeded draws with J <= 400 and np <= 1400."""
-    rng = np.random.default_rng(6)
+def _seeded_draws(seed, count, max_j, min_np, max_np):
+    """Log-uniform J and np, +-20 dB around the default powers."""
+    rng = np.random.default_rng(seed)
     base = SystemParams()
     draws = []
-    for _ in range(500):
+    for _ in range(count):
         draws.append(replace(
             base,
-            num_irs=int(round(math.exp(rng.uniform(0.0, math.log(400))))),
-            pirs_elements=int(round(math.exp(rng.uniform(0.0, math.log(1400))))),
+            num_irs=int(round(math.exp(rng.uniform(0.0, math.log(max_j))))),
+            pirs_elements=int(round(math.exp(rng.uniform(math.log(min_np), math.log(max_np))))),
             pirs_grid=None,
             airs_elements=int(rng.integers(1, 1401)),
             airs_grid=None,
@@ -208,7 +208,20 @@ def _bit_identity_configs():
             amp_power=base.amp_power * 10.0 ** rng.uniform(-2, 2),
             noise_power=base.noise_power * 10.0 ** rng.uniform(-2, 2),
         ))
-    return agreement_grid() + draws
+    return draws
+
+
+def _bit_identity_configs():
+    """The agreement grid plus seeded draws on both sides of np * kappa_i = 1.
+
+    500 draws have J <= 400 and np <= 1400 (np * kappa_i < 1).  300 have
+    np from 1500 to 20000 (np * kappa_i from 1.06 to 14) and J <= 60, so
+    every objective stays in double range; there the position-dependent
+    terms outgrow the noise floor and the largest term of each sum moves
+    from one to the other along the chain.
+    """
+    return (agreement_grid() + _seeded_draws(6, 500, 400, 1, 1400)
+            + _seeded_draws(12, 300, 60, 1500, 20000))
 
 
 class TestBitIdentity:
@@ -218,6 +231,17 @@ class TestBitIdentity:
             assert b.log_c_a == math.log(b.c_a)
             assert b.log_c_t == math.log(b.c_t)
             assert b.log_np_kappa_i == math.log(b.np_kappa_i)
+            assert b.log_noise_power == math.log(p.noise_power)
+            log_npk, log_ca, log_ct, _, j, _ = _reference_log_terms(p, b, 1)
+            want = log_ca + log_ct + math.log(p.airs_elements) + 2.0 * (j - 1) * log_npk
+            assert b.log_signal.hex() == want.hex(), p
+
+    def test_draws_cover_both_regimes_and_stay_in_double_range(self):
+        draws = _bit_identity_configs()
+        assert sum(not derive_link_budget(p).f_decreasing for p in draws) == 300
+        for p in draws[-300:]:
+            for l in range(1, p.num_irs + 1):
+                assert math.isfinite(snr_closed(p, l)) and math.isfinite(power_closed(p, l))
 
     def test_closed_forms_match_the_reference_bit_for_bit(self):
         for p in _bit_identity_configs():
