@@ -12,6 +12,7 @@ import argparse
 import csv
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -213,10 +214,7 @@ def _objective_db(mode: str, value: float) -> float:
 
 def evaluate_point(mode: str, p: SystemParams) -> dict[str, object]:
     """All columns of one sweep row; eval prints the same mapping."""
-    budget = derive_link_budget(p)
-    sol = deployment.optimal_index(mode, p, budget)
-    mid = sol.objectives[deployment.middle_index(p.num_irs) - 1]
-    passive = deployment.scheme_all_pirs(mode, p, budget)
+    sol = deployment.optimal_index(mode, p, derive_link_budget(p))
     return {
         "np": p.pirs_elements,
         "mode": mode,
@@ -224,26 +222,12 @@ def evaluate_point(mode: str, p: SystemParams) -> dict[str, object]:
         "case": sol.case,
         "objective_linear": _fmt(sol.objective),
         "objective_db": _fmt(_objective_db(mode, sol.objective)),
-        "mid_objective_db": _fmt(_objective_db(mode, mid)),
-        "all_pirs_objective_db": _fmt(_objective_db(mode, passive)),
+        "mid_objective_db": _fmt(_objective_db(mode, sol.middle_objective)),
+        "all_pirs_objective_db": _fmt(_objective_db(mode, sol.all_pirs_objective)),
         "brute_force_l": sol.brute_force_index,
         "agrees": "true" if sol.brute_force_agrees else "false",
         "_relaxed_index": sol.relaxed_index,
     }
-
-
-def _overflow_error(p: SystemParams) -> ConfigError:
-    # with np * kappa_i > 1 each surface multiplies the objective by (np * kappa_i)**2
-    return ConfigError(f"objective overflows double precision at num_irs={p.num_irs}, "
-                       f"pirs_elements={p.pirs_elements}; use a shorter chain or smaller panels")
-
-
-def _evaluate_row(mode: str, p: SystemParams) -> dict[str, object]:
-    """``evaluate_point`` for the commands, with overflow as a config error."""
-    try:
-        return evaluate_point(mode, p)
-    except OverflowError:
-        raise _overflow_error(p) from None
 
 
 def _with_np(p: SystemParams, n_p: int) -> SystemParams:
@@ -252,50 +236,44 @@ def _with_np(p: SystemParams, n_p: int) -> SystemParams:
     return replace(p, pirs_elements=n_p, pirs_grid=None)
 
 
-def _open_output(path: str | None):
+@contextmanager
+def _output(path: str | None):
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as stream:
+            yield stream
 
 
 def _write_rows(rows: list[dict[str, object]], columns: list[str], path: str | None) -> None:
-    stream, owned = _open_output(path)
-    try:
+    with _output(path) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([row[c] for c in columns])
-    finally:
-        if owned:
-            stream.close()
 
 
 def cmd_eval(args) -> int:
     p = load_params(args.config)
     if args.np is not None:
         p = _with_np(p, args.np)
-    diagnostics = validate(p)
-    for diag in diagnostics:
+    # warnings first, so one that explains a failed evaluation is still shown
+    for diag in validate(p):
         if diag.severity == "error":
             raise ConfigError(diag.message)
-    row = _evaluate_row(args.mode, p)
-    stream, owned = _open_output(args.output)
-    try:
+        print(f"warning: {diag.message}", file=sys.stderr)
+    row = evaluate_point(args.mode, p)
+    with _output(args.output) as stream:
         for key in CSV_COLUMNS:
             print(f"{key} = {row[key]}", file=stream)
         if row["_relaxed_index"] is not None:
             print(f"l_tilde = {_fmt(row['_relaxed_index'])}", file=stream)
-    finally:
-        if owned:
-            stream.close()
-    for diag in diagnostics:
-        print(f"warning: {diag.message}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     base = load_params(args.config)
-    rows = [_evaluate_row(args.mode, _with_np(base, v)) for v in parse_sweep(args.np)]
+    rows = [evaluate_point(args.mode, _with_np(base, v)) for v in parse_sweep(args.np)]
     _write_rows(rows, CSV_COLUMNS, args.output)
     return EXIT_OK
 
@@ -356,20 +334,15 @@ def figure_rows(base: SystemParams) -> tuple[list[dict], list[dict], list[dict]]
     for n_p in _sweep_values(FIGURE_NP_MIN, FIGURE_NP_MAX, "log", FIGURE_NP_POINTS):
         p = _with_np(base, n_p)
         budget = derive_link_budget(p)
-        mid = deployment.middle_index(p.num_irs)
         index_row = {"np": n_p}
         for mode in metrics.MODES:
-            try:
-                sol = deployment.optimal_index(mode, p, budget)
-                passive = deployment.scheme_all_pirs(mode, p, budget)
-            except OverflowError:
-                raise _overflow_error(p) from None
+            sol = deployment.optimal_index(mode, p, budget)
             index_row[f"{mode}_l_star"] = sol.airs_index
             schemes = {
                 "optimal": sol.objective,
                 "final": sol.objectives[-1],
-                "middle": sol.objectives[mid - 1],
-                "all_pirs": passive,
+                "middle": sol.middle_objective,
+                "all_pirs": sol.all_pirs_objective,
             }
             unit = _LOG_UNITS[mode][0]
             objective_rows[mode].append({"np": n_p, **{

@@ -6,8 +6,8 @@ answer is its first argmax.  For information transfer the closed form
 picks the better neighbour of a relaxed stationary point from the same
 vector; for power transfer the final position always wins.  Every solve
 thus carries its own brute-force cross-check at no extra objective call.
-The module also evaluates the two baselines (middle placement,
-all-passive chain) the closed forms are compared against.
+Each solve also carries the two baselines the closed forms are compared
+against: middle placement and the all-passive chain.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ class DeploymentSolution:
     is the real-valued stationary point when one exists.
     ``objectives[l - 1]`` is the objective value at position l, so
     ``objective`` is ``objectives[airs_index - 1]`` and
-    ``brute_force_index`` is the first argmax.
+    ``brute_force_index`` is the first argmax.  The two baselines ride
+    along: ``middle_objective`` is ``objectives[middle_index(J) - 1]``
+    and ``all_pirs_objective`` is ``scheme_all_pirs`` for the same mode.
     """
 
     airs_index: int
@@ -42,6 +44,8 @@ class DeploymentSolution:
     brute_force_index: int
     brute_force_agrees: bool
     objectives: tuple[float, ...]
+    middle_objective: float
+    all_pirs_objective: float
 
 
 def _wit_closed_form(budget: LinkBudget, j: int,
@@ -77,14 +81,23 @@ def optimal_index(mode: str, p: SystemParams,
     The objective is evaluated exactly once per position.  Information
     transfer takes the closed-form index, power transfer the final one
     while np_kappa_i < 1; outside that regime the exhaustive-scan answer
-    is used.
+    is used.  The solution carries both baselines; an objective or
+    baseline out of double range raises ``ValueError`` naming
+    ``num_irs`` and ``pirs_elements``.
     """
     if budget is None:
         budget = derive_link_budget(p)
     j = p.num_irs
-    # from a list, not a generator: tuple(<genexpr>) grows by resizing, which
-    # fragmented the heap enough to add ~1 MB of peak RSS over many solves
-    objectives = tuple([objective(mode, p, l, budget) for l in range(1, j + 1)])
+    try:
+        # from a list, not a generator: tuple(<genexpr>) grows by resizing, which
+        # fragmented the heap enough to add ~1 MB of peak RSS over many solves
+        objectives = tuple([objective(mode, p, l, budget) for l in range(1, j + 1)])
+        all_pirs = scheme_all_pirs(mode, p, budget)
+    except OverflowError:
+        # with np * kappa_i > 1 each surface multiplies the objective by (np * kappa_i)**2
+        raise ValueError(f"objective overflows double precision at num_irs={j}, "
+                         f"pirs_elements={p.pirs_elements}; use a shorter chain "
+                         "or smaller panels") from None
     brute = objectives.index(max(objectives)) + 1  # ties keep the smaller index
 
     relaxed = None
@@ -102,6 +115,8 @@ def optimal_index(mode: str, p: SystemParams,
         brute_force_index=brute,
         brute_force_agrees=index == brute,
         objectives=objectives,
+        middle_objective=objectives[middle_index(j) - 1],
+        all_pirs_objective=all_pirs,
     )
 
 
@@ -186,8 +201,6 @@ def ratio_diagnostics(mode: str, p: SystemParams,
     if budget is None:
         budget = derive_link_budget(p)
     sol = optimal_index(mode, p, budget)
-    mid = sol.objectives[middle_index(p.num_irs) - 1]
-    passive = scheme_all_pirs(mode, p, budget)
     final = sol.objectives[-1]
     # vanishing-noise limits in log domain; x = np_kappa_i**(J-1)
     log_x = (p.num_irs - 1) * budget.log_np_kappa_i
@@ -204,24 +217,23 @@ def ratio_diagnostics(mode: str, p: SystemParams,
     return RatioReport(
         mode=mode,
         optimal_index=sol.airs_index,
-        vs_middle_exact=sol.objective / mid,
+        vs_middle_exact=sol.objective / sol.middle_objective,
         vs_middle_closed=final / objective(mode, p, (p.num_irs + 1) / 2.0, budget),
         vs_middle_limit=vs_mid_limit,
-        vs_all_pirs_exact=sol.objective / passive,
-        vs_all_pirs_closed=final / passive,
+        vs_all_pirs_exact=sol.objective / sol.all_pirs_objective,
+        vs_all_pirs_closed=final / sol.all_pirs_objective,
         vs_all_pirs_limit=vs_all_limit,
     )
 
 
-def agreement_grid(base: SystemParams | None = None) -> list[SystemParams]:
+def agreement_grid() -> list[SystemParams]:
     """Deterministic parameter grid for closed-form vs exhaustive checks.
 
     Crosses chain length, panel size, and +-20 dB around the default
     transmit power, amplification budget, and active-element count; every
     point stays in the np_kappa_i < 1 regime of the default geometry.
     """
-    if base is None:
-        base = SystemParams()
+    base = SystemParams()
     grid = []
     np_values = [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
     for j in range(1, 10):

@@ -299,7 +299,8 @@ class TestOverflow:
     """np * kappa_i > 1 multiplies the objective by (np * kappa_i)**2 per surface.
 
     At J = 300 and np = 20000 (np * kappa_i ~ 14) it leaves double range; the
-    command must exit 2 with one error line, not a traceback and exit 1.
+    command must exit 2 with one error line, not a traceback and exit 1, and
+    eval must still print the warnings that explain it.
     """
 
     SRC = Path(__file__).resolve().parents[1] / "src"
@@ -316,9 +317,13 @@ class TestOverflow:
             capture_output=True, text=True, env=env, check=False)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        [line] = proc.stderr.splitlines()
-        assert line.startswith("error: ")
-        assert "num_irs=300" in line and "pirs_elements=20000" in line
+        lines = proc.stderr.splitlines()
+        errors = [line for line in lines if line.startswith("error: ")]
+        assert errors == lines[-1:]
+        assert "num_irs=300" in lines[-1] and "pirs_elements=20000" in lines[-1]
+        # the warning that explains the failure is printed before it
+        assert any(line.startswith("warning: f(l) non-decreasing regime")
+                   for line in lines[:-1])
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("command, config, panel", [

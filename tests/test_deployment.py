@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irschain import deployment
+from irschain import cli, deployment
 from irschain.deployment import (
     agreement_grid,
     middle_index,
@@ -282,6 +282,26 @@ class TestBaselineSchemes:
         b = derive_link_budget(p)
         assert optimal_index(WIT, p, b).objective < scheme_all_pirs(WIT, p, b)
         assert optimal_index(WPT, p, b).objective < scheme_all_pirs(WPT, p, b)
+
+    @pytest.mark.parametrize("mode", [WIT, WPT])
+    def test_every_solve_carries_both_baselines(self, mode):
+        for p in agreement_grid():
+            budget = derive_link_budget(p)
+            sol = optimal_index(mode, p, budget)
+            assert (sol.middle_objective == scheme_middle(mode, p, budget)
+                    == sol.objectives[middle_index(p.num_irs) - 1]), p
+            assert sol.all_pirs_objective == scheme_all_pirs(mode, p, budget), p
+
+
+class TestOverflow:
+    # np * kappa_i ~ 14: (np * kappa_i)**(2 * 299) leaves double range
+    LONG = SystemParams(num_irs=300, pirs_elements=20000, pirs_grid=None)
+
+    @pytest.mark.parametrize("mode", [WIT, WPT])
+    @pytest.mark.parametrize("solve", [optimal_index, cli.evaluate_point])
+    def test_raises_value_error_naming_both_keys(self, mode, solve):
+        with pytest.raises(ValueError, match="num_irs=300, pirs_elements=20000;"):
+            solve(mode, self.LONG)
 
 
 class TestCrossover:
