@@ -214,7 +214,8 @@ def _objective_db(mode: str, value: float) -> float:
 
 def evaluate_point(mode: str, p: SystemParams) -> dict[str, object]:
     """All columns of one sweep row; eval prints the same mapping."""
-    sol = deployment.optimal_index(mode, p, derive_link_budget(p))
+    budget = derive_link_budget(p)
+    sol = deployment.optimal_index(mode, p, budget)
     return {
         "np": p.pirs_elements,
         "mode": mode,
@@ -223,7 +224,8 @@ def evaluate_point(mode: str, p: SystemParams) -> dict[str, object]:
         "objective_linear": _fmt(sol.objective),
         "objective_db": _fmt(_objective_db(mode, sol.objective)),
         "mid_objective_db": _fmt(_objective_db(mode, sol.middle_objective)),
-        "all_pirs_objective_db": _fmt(_objective_db(mode, sol.all_pirs_objective)),
+        "all_pirs_objective_db": _fmt(_objective_db(
+            mode, deployment.scheme_all_pirs(mode, p, budget))),
         "brute_force_l": sol.brute_force_index,
         "agrees": "true" if sol.brute_force_agrees else "false",
         "_relaxed_index": sol.relaxed_index,
@@ -342,7 +344,7 @@ def figure_rows(base: SystemParams) -> tuple[list[dict], list[dict], list[dict]]
                 "optimal": sol.objective,
                 "final": sol.objectives[-1],
                 "middle": sol.middle_objective,
-                "all_pirs": sol.all_pirs_objective,
+                "all_pirs": deployment.scheme_all_pirs(mode, p, budget),
             }
             unit = _LOG_UNITS[mode][0]
             objective_rows[mode].append({"np": n_p, **{

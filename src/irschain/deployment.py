@@ -6,8 +6,8 @@ answer is its first argmax.  For information transfer the closed form
 picks the better neighbour of a relaxed stationary point from the same
 vector; for power transfer the final position always wins.  Every solve
 thus carries its own brute-force cross-check at no extra objective call.
-Each solve also carries the two baselines the closed forms are compared
-against: middle placement and the all-passive chain.
+Each solve also carries the middle-placement baseline; ``scheme_all_pirs``
+gives the all-passive one, the other baseline the closed forms face.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ class DeploymentSolution:
     is the real-valued stationary point when one exists.
     ``objectives[l - 1]`` is the objective value at position l, so
     ``objective`` is ``objectives[airs_index - 1]`` and
-    ``brute_force_index`` is the first argmax.  The two baselines ride
-    along: ``middle_objective`` is ``objectives[middle_index(J) - 1]``
-    and ``all_pirs_objective`` is ``scheme_all_pirs`` for the same mode.
+    ``brute_force_index`` is the first argmax.  The middle-placement
+    baseline rides along: ``middle_objective`` is
+    ``objectives[middle_index(J) - 1]``.
     """
 
     airs_index: int
@@ -45,7 +45,12 @@ class DeploymentSolution:
     brute_force_agrees: bool
     objectives: tuple[float, ...]
     middle_objective: float
-    all_pirs_objective: float
+
+
+def _overflow_error(what: str, p: SystemParams) -> ValueError:
+    # with np * kappa_i > 1 each surface multiplies the value by up to (np * kappa_i)**2
+    return ValueError(f"{what} overflows double precision at num_irs={p.num_irs}, "
+                      f"pirs_elements={p.pirs_elements}; use a shorter chain or smaller panels")
 
 
 def _wit_closed_form(budget: LinkBudget, j: int,
@@ -81,9 +86,8 @@ def optimal_index(mode: str, p: SystemParams,
     The objective is evaluated exactly once per position.  Information
     transfer takes the closed-form index, power transfer the final one
     while np_kappa_i < 1; outside that regime the exhaustive-scan answer
-    is used.  The solution carries both baselines; an objective or
-    baseline out of double range raises ``ValueError`` naming
-    ``num_irs`` and ``pirs_elements``.
+    is used.  An objective out of double range raises ``ValueError``
+    naming ``num_irs`` and ``pirs_elements``.
     """
     if budget is None:
         budget = derive_link_budget(p)
@@ -92,12 +96,8 @@ def optimal_index(mode: str, p: SystemParams,
         # from a list, not a generator: tuple(<genexpr>) grows by resizing, which
         # fragmented the heap enough to add ~1 MB of peak RSS over many solves
         objectives = tuple([objective(mode, p, l, budget) for l in range(1, j + 1)])
-        all_pirs = scheme_all_pirs(mode, p, budget)
     except OverflowError:
-        # with np * kappa_i > 1 each surface multiplies the objective by (np * kappa_i)**2
-        raise ValueError(f"objective overflows double precision at num_irs={j}, "
-                         f"pirs_elements={p.pirs_elements}; use a shorter chain "
-                         "or smaller panels") from None
+        raise _overflow_error("objective", p) from None
     brute = objectives.index(max(objectives)) + 1  # ties keep the smaller index
 
     relaxed = None
@@ -116,7 +116,6 @@ def optimal_index(mode: str, p: SystemParams,
         brute_force_agrees=index == brute,
         objectives=objectives,
         middle_objective=objectives[middle_index(j) - 1],
-        all_pirs_objective=all_pirs,
     )
 
 
@@ -150,7 +149,9 @@ def scheme_all_pirs(mode: str, p: SystemParams,
 
     The active surface is swapped for a passive one and the transmitter
     spends tx_power + airs_elements * amp_power, so both schemes draw the
-    same total power.  Returns an SNR for "wit" and watts for "wpt".
+    same total power.  Returns an SNR for "wit" and watts for "wpt".  It can
+    leave double range at shorter chains than the objectives; that raises
+    its own ``ValueError`` naming ``num_irs`` and ``pirs_elements``.
     """
     check_mode(mode)
     if budget is None:
@@ -158,7 +159,10 @@ def scheme_all_pirs(mode: str, p: SystemParams,
     log_signal = _log_all_pirs_power(p, budget)
     if mode == WIT:
         log_signal -= math.log(p.noise_power)
-    return math.exp(log_signal)
+    try:
+        return math.exp(log_signal)
+    except OverflowError:
+        raise _overflow_error("all-passive baseline", p) from None
 
 
 def wpt_crossover_np(p: SystemParams, budget: LinkBudget | None = None) -> float:
@@ -201,6 +205,7 @@ def ratio_diagnostics(mode: str, p: SystemParams,
     if budget is None:
         budget = derive_link_budget(p)
     sol = optimal_index(mode, p, budget)
+    passive = scheme_all_pirs(mode, p, budget)
     final = sol.objectives[-1]
     # vanishing-noise limits in log domain; x = np_kappa_i**(J-1)
     log_x = (p.num_irs - 1) * budget.log_np_kappa_i
@@ -220,8 +225,8 @@ def ratio_diagnostics(mode: str, p: SystemParams,
         vs_middle_exact=sol.objective / sol.middle_objective,
         vs_middle_closed=final / objective(mode, p, (p.num_irs + 1) / 2.0, budget),
         vs_middle_limit=vs_mid_limit,
-        vs_all_pirs_exact=sol.objective / sol.all_pirs_objective,
-        vs_all_pirs_closed=final / sol.all_pirs_objective,
+        vs_all_pirs_exact=sol.objective / passive,
+        vs_all_pirs_closed=final / passive,
         vs_all_pirs_limit=vs_all_limit,
     )
 

@@ -10,12 +10,13 @@ import pytest
 
 from irschain.cli import (
     ConfigError,
+    evaluate_point,
     params_from_config,
     parse_config_text,
     parse_sweep,
     run,
 )
-from irschain.params import SPEED_OF_LIGHT
+from irschain.params import SPEED_OF_LIGHT, SystemParams
 
 
 class TestConfigParsing:
@@ -339,3 +340,14 @@ class TestOverflow:
         captured = capsys.readouterr()
         assert f"num_irs=300, pirs_elements={panel};" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("mode, j, what", [
+        ("wit", 300, "objective"),
+        ("wpt", 300, "objective"),
+        ("wit", 200, "all-passive baseline"),  # the SNRs are finite here
+    ])
+    def test_evaluate_point_raises_value_error_naming_both_keys(self, mode, j, what):
+        p = SystemParams(num_irs=j, pirs_elements=20000, pirs_grid=None)
+        with pytest.raises(ValueError, match=f"^{what} overflows double precision "
+                                             f"at num_irs={j}, pirs_elements=20000;"):
+            evaluate_point(mode, p)
