@@ -47,7 +47,7 @@ class DeploymentSolution:
     middle_objective: float
 
 
-def _overflow_error(what: str, p: SystemParams) -> ValueError:
+def _out_of_double_range(what: str, p: SystemParams) -> ValueError:
     # with np * kappa_i > 1 each surface multiplies the value by up to (np * kappa_i)**2
     return ValueError(f"{what} overflows double precision at num_irs={p.num_irs}, "
                       f"pirs_elements={p.pirs_elements}; use a shorter chain or smaller panels")
@@ -97,7 +97,7 @@ def optimal_index(mode: str, p: SystemParams,
         # fragmented the heap enough to add ~1 MB of peak RSS over many solves
         objectives = tuple([objective(mode, p, l, budget) for l in range(1, j + 1)])
     except OverflowError:
-        raise _overflow_error("objective", p) from None
+        raise _out_of_double_range("objective", p) from None
     brute = objectives.index(max(objectives)) + 1  # ties keep the smaller index
 
     relaxed = None
@@ -162,7 +162,7 @@ def scheme_all_pirs(mode: str, p: SystemParams,
     try:
         return math.exp(log_signal)
     except OverflowError:
-        raise _overflow_error("all-passive baseline", p) from None
+        raise _out_of_double_range("all-passive baseline", p) from None
 
 
 def wpt_crossover_np(p: SystemParams, budget: LinkBudget | None = None) -> float:
