@@ -24,6 +24,7 @@ from .beamforming import optimal_configuration
 from .params import (
     SystemParams,
     MAX_ELEMENTS,
+    MAX_SURFACES,
     SPEED_OF_LIGHT,
     db_to_linear,
     dbm_to_watts,
@@ -60,6 +61,12 @@ _KEY_UNITS = {
     "ref_path_gain": "dB",
 }
 
+# counts whose size sets the cost of building the scenario; checked at parse time
+_KEY_CAPS = {
+    "airs_elements": MAX_ELEMENTS, "pirs_elements": MAX_ELEMENTS,
+    "num_irs": MAX_SURFACES,
+}
+
 
 def _parse_value(raw: str, key: str, canon: str) -> float:
     tokens = raw.split()
@@ -81,8 +88,9 @@ def _parse_value(raw: str, key: str, canon: str) -> float:
     # every scenario quantity is positive; also rejects nan, inf and dBm underflow
     if not 0.0 < value < math.inf:
         raise ConfigError(f"key {key!r} ({canon}) must be positive and finite, got {raw!r}")
-    if canon in ("airs_elements", "pirs_elements") and value > MAX_ELEMENTS:
-        raise ConfigError(f"key {key!r} ({canon}) must be at most {MAX_ELEMENTS}, got {raw!r}")
+    cap = _KEY_CAPS.get(canon)
+    if cap is not None and value > cap:
+        raise ConfigError(f"key {key!r} ({canon}) must be at most {cap}, got {raw!r}")
     return value
 
 

@@ -6,8 +6,11 @@ underflow edge of double precision well before the model breaks down, so
 every term is assembled in log domain and combined with logaddexp.  The
 position-independent logs come from ``LinkBudget``, taken once per
 budget: log c_a, log c_t, log np_kappa_i, the log noise power and the log
-signal power log(c_a c_t N_a np_kappa_i**(2(J-1))).  A position costs
-two multiply-adds per term, their exps and a sum.
+signal power log(c_a c_t N_a np_kappa_i**(2(J-1))), and the sums
+log(noise) + log c_a, log(noise) + log c_t and 2 log(noise).  A position
+costs one multiply-add per position-dependent term, then each sum is
+shifted by its largest term: the SNR takes three exps and an fsum, the
+power skips the exp of each shift (it is exactly 1) and takes three.
 """
 
 from __future__ import annotations
@@ -48,10 +51,10 @@ def snr_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = Non
     if budget is None:
         budget = derive_link_budget(p)
     check_airs_index(airs_index, p.num_irs)
-    log_npk, log_s2, j, l = budget.log_np_kappa_i, budget.log_noise_power, p.num_irs, airs_index
-    amp = log_s2 + budget.log_c_a + 2.0 * (j - l) * log_npk    # amplified surface noise
-    awgn = log_s2 + budget.log_c_t + 2.0 * (l - 1) * log_npk   # receiver AWGN, signal-scaled
-    floor = 2.0 * log_s2                                       # receiver AWGN floor
+    log_npk, j, l = budget.log_np_kappa_i, p.num_irs, airs_index
+    amp = budget.log_noise_c_a + 2.0 * (j - l) * log_npk    # amplified surface noise
+    awgn = budget.log_noise_c_t + 2.0 * (l - 1) * log_npk   # receiver AWGN, signal-scaled
+    floor = budget.log_noise_floor                          # receiver AWGN floor
     # max() without the call; as in max(), the first of equal terms wins
     m = amp if amp >= awgn else awgn
     m = m if m >= floor else floor
@@ -67,13 +70,20 @@ def power_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = N
     check_airs_index(airs_index, p.num_irs)
     log_npk, log_s2, j, l = budget.log_np_kappa_i, budget.log_noise_power, p.num_irs, airs_index
     signal = budget.log_signal
-    amp = log_s2 + budget.log_c_a + 2.0 * (j - l) * log_npk
+    amp = budget.log_noise_c_a + 2.0 * (j - l) * log_npk
     incident = budget.log_c_t + 2.0 * (l - 1) * log_npk
-    m_num = signal if signal >= amp else amp
-    m_den = incident if incident >= log_s2 else log_s2
-    # one IEEE addition is correctly rounded, so each sum equals fsum of its two terms
-    num = math.exp(signal - m_num) + math.exp(amp - m_num)
-    den = math.exp(incident - m_den) + math.exp(log_s2 - m_den)
+    # Each sum is shifted by its larger term, whose exp is exp(0.0) == 1.0
+    # exactly, so only the other term needs an exp.  One IEEE addition is
+    # correctly rounded and commutes, so 1.0 + e equals fsum of both exps,
+    # and a tie still gives 2.0.
+    if signal >= amp:
+        m_num, num = signal, 1.0 + math.exp(amp - signal)
+    else:
+        m_num, num = amp, 1.0 + math.exp(signal - amp)
+    if incident >= log_s2:
+        m_den, den = incident, 1.0 + math.exp(log_s2 - incident)
+    else:
+        m_den, den = log_s2, 1.0 + math.exp(incident - log_s2)
     return math.exp(m_num - m_den) * (num / den)
 
 

@@ -14,6 +14,7 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 DEFAULT_CARRIER_HZ = 3.5e9
 MAX_ELEMENTS = 10**9  # per surface; the O(sqrt(n)) panel grid search takes ms here
+MAX_SURFACES = 10**6  # per chain; a solve's time and memory grow linearly with it
 
 
 def dbm_to_watts(x: float) -> float:
@@ -122,8 +123,13 @@ class LinkBudget:
     log(np_kappa_i), ``log_noise_power`` = log(noise_power) and
     ``log_signal`` = log c_a + log c_t + log(airs_elements)
     + 2(J-1) log(np_kappa_i), added in that order: the log received signal
-    power, the same at every position.  ``p`` is a constructor argument
-    only; it supplies noise_power, airs_elements and J.
+    power, the same at every position.  The closed forms' other
+    position-independent sums are ``log_noise_c_a`` = log(noise_power)
+    + log c_a, ``log_noise_c_t`` = log(noise_power) + log c_t and
+    ``log_noise_floor`` = 2 log(noise_power); each is the first addition
+    of a left-to-right sum in the objectives, so taking it here changes no
+    bit.  ``p`` is a constructor argument only; it supplies noise_power,
+    airs_elements and J.
     """
 
     kappa_b: float
@@ -139,6 +145,9 @@ class LinkBudget:
     log_np_kappa_i: float = field(init=False)
     log_noise_power: float = field(init=False)
     log_signal: float = field(init=False)
+    log_noise_c_a: float = field(init=False)
+    log_noise_c_t: float = field(init=False)
+    log_noise_floor: float = field(init=False)
 
     def __post_init__(self, p: SystemParams):
         object.__setattr__(self, "f_decreasing", self.np_kappa_i < 1.0)
@@ -149,6 +158,9 @@ class LinkBudget:
         object.__setattr__(self, "log_signal", self.log_c_a + self.log_c_t
                            + math.log(p.airs_elements)
                            + 2.0 * (p.num_irs - 1) * self.log_np_kappa_i)
+        object.__setattr__(self, "log_noise_c_a", self.log_noise_power + self.log_c_a)
+        object.__setattr__(self, "log_noise_c_t", self.log_noise_power + self.log_c_t)
+        object.__setattr__(self, "log_noise_floor", 2.0 * self.log_noise_power)
 
 
 def amplitude_gain(distance: float, ref_path_gain: float, exponent: float) -> float:
@@ -214,6 +226,8 @@ def validate(p: SystemParams) -> list[Diagnostic]:
 
     if p.num_irs < 1:
         err("num_irs", f"need at least one surface, got num_irs={p.num_irs}")
+    elif p.num_irs > MAX_SURFACES:
+        err("num_irs", f"num_irs must be at most {MAX_SURFACES} surfaces, got {p.num_irs}")
     if p.bs_antennas < 1:
         err("bs_antennas", f"need at least one transmit antenna, got {p.bs_antennas}")
     for count, grid in (("airs_elements", "airs_grid"), ("pirs_elements", "pirs_grid")):
