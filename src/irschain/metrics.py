@@ -50,8 +50,8 @@ def snr_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = Non
     """Receiver SNR under optimal beam, phases, and amplification."""
     if budget is None:
         budget = derive_link_budget(p)
-    check_airs_index(airs_index, p.num_irs)
     log_npk, j, l = budget.log_np_kappa_i, p.num_irs, airs_index
+    check_airs_index(l, j)
     amp = budget.log_noise_c_a + 2.0 * (j - l) * log_npk    # amplified surface noise
     awgn = budget.log_noise_c_t + 2.0 * (l - 1) * log_npk   # receiver AWGN, signal-scaled
     floor = budget.log_noise_floor                          # receiver AWGN floor
@@ -67,8 +67,11 @@ def power_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = N
     """Received signal-plus-amplification-noise power (watts) at the optimum."""
     if budget is None:
         budget = derive_link_budget(p)
-    check_airs_index(airs_index, p.num_irs)
-    log_npk, log_s2, j, l = budget.log_np_kappa_i, budget.log_noise_power, p.num_irs, airs_index
+    j, l = p.num_irs, airs_index
+    check_airs_index(l, j)
+    # one name per line: a 4-name unpack builds and unpacks a tuple on every call
+    log_npk = budget.log_np_kappa_i
+    log_s2 = budget.log_noise_power
     signal = budget.log_signal
     amp = budget.log_noise_c_a + 2.0 * (j - l) * log_npk
     incident = budget.log_c_t + 2.0 * (l - 1) * log_npk
