@@ -8,9 +8,10 @@ position-independent logs come from ``LinkBudget``, taken once per
 budget: log c_a, log c_t, log np_kappa_i, the log noise power and the log
 signal power log(c_a c_t N_a np_kappa_i**(2(J-1))), and the sums
 log(noise) + log c_a, log(noise) + log c_t and 2 log(noise).  A position
-costs one multiply-add per position-dependent term, then each sum is
-shifted by its largest term: the SNR takes three exps and an fsum, the
-power skips the exp of each shift (it is exactly 1) and takes three.
+costs one multiply-add per position-dependent term; each sum is then
+shifted by its largest term.  The SNR takes an fsum of its three
+denominator exps and one exp for the ratio; the power skips the exp of
+each shift, which is exactly 1, and takes three exps in all.
 """
 
 from __future__ import annotations

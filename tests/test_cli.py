@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from irschain import deployment
 from irschain.cli import (
     ConfigError,
     evaluate_point,
@@ -188,6 +189,19 @@ class TestEvalCommand:
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert "--np must be at most 1000000000, got 1000000000039" in captured.err
+        assert captured.out == ""
+
+    def test_chain_above_the_surface_cap_exits_2_before_building_it(
+            self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the chain was built")
+        monkeypatch.setattr(deployment, "optimal_index", fail)
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("j = 1000001\n")
+        assert run(["eval", "--mode", "wpt", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: key 'j' (num_irs) must be at most 1000000, got '1000001'"]
         assert captured.out == ""
 
     def test_warnings_go_to_stderr_not_the_report(self, tmp_path, capsys):

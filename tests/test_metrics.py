@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -162,6 +164,30 @@ class TestObjective:
             objective("both", SystemParams(), 1)
 
 
+_CLOSED_FORMS = {
+    "snr_closed": snr_closed,
+    "power_closed": power_closed,
+    "objective-wit": partial(objective, "wit"),
+    "objective-wpt": partial(objective, "wpt"),
+}
+
+
+class TestIndexCheck:
+    @pytest.mark.parametrize("name", _CLOSED_FORMS)
+    @pytest.mark.parametrize("l", [0, 8])
+    def test_index_outside_the_chain_is_rejected(self, name, l):
+        p = SystemParams()  # J = 7
+        with pytest.raises(ValueError) as exc:
+            _CLOSED_FORMS[name](p, l, derive_link_budget(p))
+        assert str(exc.value) == f"active-surface index {l} outside 1..7"
+
+    @pytest.mark.parametrize("name", _CLOSED_FORMS)
+    def test_real_middle_index_of_an_even_chain_is_accepted(self, name):
+        # ratio_diagnostics evaluates the objectives at (J+1)/2
+        p = SystemParams(num_irs=8)
+        assert math.isfinite(_CLOSED_FORMS[name](p, 4.5, derive_link_budget(p)))
+
+
 # Reference formulation of the closed forms: five logs per call, then each
 # side's terms summed with fsum after factoring out the largest.  The library
 # reads the logs from the budget and unrolls the sums; it must reproduce these
@@ -252,3 +278,37 @@ class TestBitIdentity:
                     got = closed_form(p, l, b)
                     want = _reference_objective(mode, p, b, l)
                     assert got.hex() == want.hex(), (mode, p, l)
+
+
+def _reference_branch_counts(configs):
+    """How often each comparison of the closed forms goes each way.
+
+    Taken from the reference logs at the positions the bit-identity test
+    visits: every integer position and the real middle index.  A branch
+    no config reaches is a branch the bit-for-bit comparison never checks.
+    """
+    counts = Counter()
+    for p in configs:
+        b = derive_link_budget(p)
+        for index in [*range(1, p.num_irs + 1), (p.num_irs + 1) / 2.0]:
+            log_npk, log_ca, log_ct, log_s2, j, l = _reference_log_terms(p, b, index)
+            signal = log_ca + log_ct + math.log(p.airs_elements) + 2.0 * (j - 1) * log_npk
+            amp = log_s2 + log_ca + 2.0 * (j - l) * log_npk
+            incident = log_ct + 2.0 * (l - 1) * log_npk
+            awgn = log_s2 + log_ct + 2.0 * (l - 1) * log_npk
+            wit_terms = [amp, awgn, 2.0 * log_s2]
+            counts["wpt signal >= amp" if signal >= amp else "wpt signal < amp"] += 1
+            counts["wpt incident >= noise" if incident >= log_s2 else "wpt incident < noise"] += 1
+            counts["wit max " + ("amp", "awgn", "floor")[wit_terms.index(max(wit_terms))]] += 1
+    return counts
+
+
+class TestBitIdentityCoverage:
+    def test_configs_reach_every_branch_of_the_closed_forms(self):
+        # pinned, not just nonzero: the default scenario alone reaches every
+        # branch, so a change to the configs must re-derive these on purpose
+        assert _reference_branch_counts(_bit_identity_configs()) == {
+            "wpt signal >= amp": 15694, "wpt signal < amp": 35536,
+            "wpt incident >= noise": 13628, "wpt incident < noise": 37602,
+            "wit max amp": 5006, "wit max awgn": 10885, "wit max floor": 35339,
+        }

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from irschain.params import (
     MAX_ELEMENTS,
+    MAX_SURFACES,
     SystemParams,
     db_to_linear,
     dbm_to_watts,
@@ -132,6 +133,16 @@ class TestValidate:
         errors = [d for d in diags if d.severity == "error"]
         assert len(errors) == 1
         assert errors[0].name == "num_irs"
+
+    def test_chain_above_the_surface_cap_is_an_error(self):
+        assert not [d for d in validate(SystemParams(num_irs=MAX_SURFACES))
+                    if d.severity == "error"]
+        errors = [d for d in validate(SystemParams(num_irs=MAX_SURFACES + 1))
+                  if d.severity == "error"]
+        assert [d.name for d in errors] == ["num_irs"]
+        assert errors[0].message == "num_irs must be at most 1000000 surfaces, got 1000001"
+        with pytest.raises(ValueError, match="num_irs must be at most 1000000"):
+            derive_link_budget(SystemParams(num_irs=MAX_SURFACES + 1))
 
     def test_large_panel_flags_non_decreasing_regime(self):
         diags = validate(SystemParams(pirs_elements=2000))
