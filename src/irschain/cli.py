@@ -187,7 +187,7 @@ def parse_sweep(text: str) -> list[int]:
         except ValueError:
             raise ConfigError(f"cannot parse sweep value {text!r}") from None
         if single < 1:
-            raise ConfigError("sweep values must be positive")
+            raise ConfigError(f"--np must be at least 1, got {single}")
         return [single]
     if len(parts) != 4:
         raise ConfigError(f"sweep spec must be min:max:scale:n, got {text!r}")
@@ -241,6 +241,8 @@ def evaluate_point(mode: str, p: SystemParams) -> dict[str, object]:
 
 
 def _with_np(p: SystemParams, n_p: int) -> SystemParams:
+    if n_p < 1:
+        raise ConfigError(f"--np must be at least 1, got {n_p}")
     if n_p > MAX_ELEMENTS:  # before the panel grid search, which is O(sqrt(n_p))
         raise ConfigError(f"--np must be at most {MAX_ELEMENTS}, got {n_p}")
     return replace(p, pirs_elements=n_p, pirs_grid=None)

@@ -22,7 +22,7 @@ CASE_FALLBACK = "brute-force-fallback"
 CASE_FINAL = "final"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DeploymentSolution:
     """Chosen index, its objective, and how the solver got there.
 
@@ -34,7 +34,9 @@ class DeploymentSolution:
     ``objective`` is ``objectives[airs_index - 1]`` and
     ``brute_force_index`` is the first argmax.  The middle-placement
     baseline rides along: ``middle_objective`` is
-    ``objectives[middle_index(J) - 1]``.
+    ``objectives[middle_index(J) - 1]``.  The written-out keyword-only
+    ``__init__`` stores all eight fields in one step (a missing or unknown
+    field still raises ``TypeError``); the record is still frozen.
     """
 
     airs_index: int
@@ -45,6 +47,17 @@ class DeploymentSolution:
     brute_force_agrees: bool
     objectives: tuple[float, ...]
     middle_objective: float
+
+    def __init__(self, *, airs_index: int, objective: float, case: str,
+                 relaxed_index: float | None, brute_force_index: int,
+                 brute_force_agrees: bool, objectives: tuple[float, ...],
+                 middle_objective: float):
+        # one dict update instead of a frozen object.__setattr__ per field
+        vars(self).update(
+            airs_index=airs_index, objective=objective, case=case,
+            relaxed_index=relaxed_index, brute_force_index=brute_force_index,
+            brute_force_agrees=brute_force_agrees, objectives=objectives,
+            middle_objective=middle_objective)
 
 
 def _out_of_double_range(what: str, p: SystemParams) -> ValueError:

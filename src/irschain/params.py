@@ -8,7 +8,7 @@ many per-hop attenuations free of mixed-unit mistakes.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -108,7 +108,7 @@ class SystemParams:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinkBudget:
     """Per-hop amplitude gains and the composite constants they induce.
 
@@ -128,8 +128,10 @@ class LinkBudget:
     + log c_a, ``log_noise_c_t`` = log(noise_power) + log c_t and
     ``log_noise_floor`` = 2 log(noise_power); each is the first addition
     of a left-to-right sum in the objectives, so taking it here changes no
-    bit.  ``p`` is a constructor argument only; it supplies noise_power,
-    airs_elements and J.
+    bit.  The written-out ``__init__`` takes the six linear fields and ``p``
+    (a constructor argument only, supplying noise_power, airs_elements and
+    J), derives the other nine and stores all fifteen in one step; the
+    record is still frozen and compares, hashes and prints all fifteen.
     """
 
     kappa_b: float
@@ -138,29 +140,31 @@ class LinkBudget:
     c_a: float
     c_t: float
     np_kappa_i: float
-    p: InitVar[SystemParams]
-    f_decreasing: bool = field(init=False)
-    log_c_a: float = field(init=False)
-    log_c_t: float = field(init=False)
-    log_np_kappa_i: float = field(init=False)
-    log_noise_power: float = field(init=False)
-    log_signal: float = field(init=False)
-    log_noise_c_a: float = field(init=False)
-    log_noise_c_t: float = field(init=False)
-    log_noise_floor: float = field(init=False)
+    f_decreasing: bool
+    log_c_a: float
+    log_c_t: float
+    log_np_kappa_i: float
+    log_noise_power: float
+    log_signal: float
+    log_noise_c_a: float
+    log_noise_c_t: float
+    log_noise_floor: float
 
-    def __post_init__(self, p: SystemParams):
-        object.__setattr__(self, "f_decreasing", self.np_kappa_i < 1.0)
-        object.__setattr__(self, "log_c_a", math.log(self.c_a))
-        object.__setattr__(self, "log_c_t", math.log(self.c_t))
-        object.__setattr__(self, "log_np_kappa_i", math.log(self.np_kappa_i))
-        object.__setattr__(self, "log_noise_power", math.log(p.noise_power))
-        object.__setattr__(self, "log_signal", self.log_c_a + self.log_c_t
-                           + math.log(p.airs_elements)
-                           + 2.0 * (p.num_irs - 1) * self.log_np_kappa_i)
-        object.__setattr__(self, "log_noise_c_a", self.log_noise_power + self.log_c_a)
-        object.__setattr__(self, "log_noise_c_t", self.log_noise_power + self.log_c_t)
-        object.__setattr__(self, "log_noise_floor", 2.0 * self.log_noise_power)
+    def __init__(self, kappa_b: float, kappa_i: float, kappa_u: float, c_a: float,
+                 c_t: float, np_kappa_i: float, p: SystemParams):
+        log_c_a = math.log(c_a)
+        log_c_t = math.log(c_t)
+        log_np_kappa_i = math.log(np_kappa_i)
+        log_noise_power = math.log(p.noise_power)
+        # one dict update instead of a frozen object.__setattr__ per field
+        vars(self).update(
+            kappa_b=kappa_b, kappa_i=kappa_i, kappa_u=kappa_u, c_a=c_a, c_t=c_t,
+            np_kappa_i=np_kappa_i, f_decreasing=np_kappa_i < 1.0, log_c_a=log_c_a,
+            log_c_t=log_c_t, log_np_kappa_i=log_np_kappa_i, log_noise_power=log_noise_power,
+            log_signal=(log_c_a + log_c_t + math.log(p.airs_elements)
+                        + 2.0 * (p.num_irs - 1) * log_np_kappa_i),
+            log_noise_c_a=log_noise_power + log_c_a, log_noise_c_t=log_noise_power + log_c_t,
+            log_noise_floor=2.0 * log_noise_power)
 
 
 def amplitude_gain(distance: float, ref_path_gain: float, exponent: float) -> float:
@@ -203,12 +207,11 @@ def _aperture(nx: int, nz: int, spacing: float) -> float:
 
 def fraunhofer_distance(p: SystemParams) -> float:
     """Far-field threshold 2 D^2 / wavelength, D the largest array aperture."""
-    apertures = [(p.bs_antennas - 1) * p.element_spacing]
+    d_max = (p.bs_antennas - 1) * p.element_spacing
     if p.airs_grid is not None:
-        apertures.append(_aperture(*p.airs_grid, p.element_spacing))
+        d_max = max(d_max, _aperture(*p.airs_grid, p.element_spacing))
     if p.pirs_grid is not None:
-        apertures.append(_aperture(*p.pirs_grid, p.element_spacing))
-    d_max = max(apertures)
+        d_max = max(d_max, _aperture(*p.pirs_grid, p.element_spacing))
     return 2.0 * d_max**2 / p.wavelength
 
 
@@ -220,27 +223,28 @@ def validate(p: SystemParams) -> list[Diagnostic]:
     effective-gain regime).
     """
     out: list[Diagnostic] = []
-
-    def err(name, msg):
-        out.append(Diagnostic("error", name, msg))
-
     if p.num_irs < 1:
-        err("num_irs", f"need at least one surface, got num_irs={p.num_irs}")
+        out.append(Diagnostic("error", "num_irs",
+                              f"need at least one surface, got num_irs={p.num_irs}"))
     elif p.num_irs > MAX_SURFACES:
-        err("num_irs", f"num_irs must be at most {MAX_SURFACES} surfaces, got {p.num_irs}")
+        out.append(Diagnostic("error", "num_irs",
+                              f"num_irs must be at most {MAX_SURFACES} surfaces, got {p.num_irs}"))
     if p.bs_antennas < 1:
-        err("bs_antennas", f"need at least one transmit antenna, got {p.bs_antennas}")
+        out.append(Diagnostic("error", "bs_antennas",
+                              f"need at least one transmit antenna, got {p.bs_antennas}"))
     for count, grid in (("airs_elements", "airs_grid"), ("pirs_elements", "pirs_grid")):
         n, g = getattr(p, count), getattr(p, grid)
         if not 1 <= n <= MAX_ELEMENTS:
-            err(count, f"{count} must be 1..{MAX_ELEMENTS} elements, got {n}")
+            out.append(Diagnostic("error", count,
+                                  f"{count} must be 1..{MAX_ELEMENTS} elements, got {n}"))
         if g is not None and g[0] * g[1] != n:
-            err(grid, f"grid {g} does not factor {count}={n}")
+            out.append(Diagnostic("error", grid, f"grid {g} does not factor {count}={n}"))
     for name in ("bs_irs_distance", "irs_user_distance", "inter_irs_distance",
                  "tx_power", "amp_power", "noise_power", "ref_path_gain",
                  "wavelength", "element_spacing", "path_loss_exponent"):
         if not 0.0 < getattr(p, name) < math.inf:  # also rejects nan
-            err(name, f"{name} must be positive and finite, got {getattr(p, name)}")
+            out.append(Diagnostic("error", name,
+                                  f"{name} must be positive and finite, got {getattr(p, name)}"))
 
     if out:
         return out  # derived checks below need sane inputs
