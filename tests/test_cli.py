@@ -191,6 +191,18 @@ class TestEvalCommand:
         assert "--np must be at most 1000000000, got 1000000000039" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, value", [
+        (["eval", "--mode", "wit", "--np", "0"], "0"),
+        (["eval", "--mode", "wpt", "--np", "-3"], "-3"),
+        (["sweep", "--mode", "wit", "--np", "0"], "0"),
+        (["sweep", "--mode", "wpt", "--np", "-3"], "-3"),
+    ])
+    def test_panel_below_one_exits_2_naming_the_flag(self, capsys, argv, value):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: --np must be at least 1, got {value}"]
+        assert captured.out == ""
+
     def test_chain_above_the_surface_cap_exits_2_before_building_it(
             self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

@@ -1,11 +1,12 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
 from irschain import deployment
 from irschain.deployment import (
+    DeploymentSolution,
     agreement_grid,
     middle_index,
     optimal_index,
@@ -132,6 +133,55 @@ class TestObjectiveVector:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode must be one of"):
             optimal_index("both", SystemParams())
+
+
+class TestDeploymentSolutionRecord:
+    """The written-out keyword-only constructor keeps the frozen dataclass behaviour."""
+
+    FIELDS = ["airs_index", "objective", "case", "relaxed_index", "brute_force_index",
+              "brute_force_agrees", "objectives", "middle_objective"]
+
+    @staticmethod
+    def _solution():
+        return optimal_index(WIT, SystemParams())
+
+    def _kwargs(self, sol):
+        return {name: getattr(sol, name) for name in self.FIELDS}
+
+    def test_fields_in_order(self):
+        assert [f.name for f in fields(DeploymentSolution)] == self.FIELDS
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        sol = self._solution()
+        with pytest.raises(FrozenInstanceError):
+            setattr(sol, name, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(sol, name)
+        assert sol == self._solution()
+
+    def test_equality_hash_and_repr_cover_every_field(self):
+        sol = self._solution()
+        again = DeploymentSolution(**self._kwargs(sol))
+        assert again == sol and hash(again) == hash(sol) and repr(again) == repr(sol)
+        assert repr(sol).startswith("DeploymentSolution(airs_index=5, objective=")
+        assert replace(sol, middle_objective=0.0) != sol
+
+    def test_replace_still_works(self):
+        sol = self._solution()
+        moved = replace(sol, airs_index=sol.airs_index - 1)
+        assert moved.airs_index == sol.airs_index - 1
+        assert self._kwargs(moved) == {**self._kwargs(sol), "airs_index": sol.airs_index - 1}
+
+    def test_rejects_positional_missing_and_unknown_fields(self):
+        kwargs = self._kwargs(self._solution())
+        with pytest.raises(TypeError):
+            DeploymentSolution(*kwargs.values())
+        for name in self.FIELDS:
+            with pytest.raises(TypeError, match=name):
+                DeploymentSolution(**{k: v for k, v in kwargs.items() if k != name})
+        with pytest.raises(TypeError, match="airs_indx"):
+            DeploymentSolution(**kwargs, airs_indx=3)
 
 
 class TestInformationPlacement:

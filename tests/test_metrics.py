@@ -280,6 +280,37 @@ class TestBitIdentity:
                     assert got.hex() == want.hex(), (mode, p, l)
 
 
+def _reference_budget(p):
+    """Every LinkBudget field, from the formulas the generated constructor used."""
+    def amplitude(distance):
+        return math.sqrt(p.ref_path_gain) / distance ** (p.path_loss_exponent / 2.0)
+
+    kappa_b = amplitude(p.bs_irs_distance)
+    kappa_i = amplitude(p.inter_irs_distance)
+    kappa_u = amplitude(p.irs_user_distance)
+    c_a = p.amp_power * p.airs_elements * kappa_u**2
+    c_t = p.tx_power * p.bs_antennas * kappa_b**2
+    np_kappa_i = p.pirs_elements * kappa_i
+    log_noise_power = math.log(p.noise_power)
+    return {
+        "kappa_b": kappa_b, "kappa_i": kappa_i, "kappa_u": kappa_u,
+        "c_a": c_a, "c_t": c_t, "np_kappa_i": np_kappa_i,
+        "log_noise_c_a": log_noise_power + math.log(c_a),
+        "log_noise_c_t": log_noise_power + math.log(c_t),
+        "log_noise_floor": 2.0 * log_noise_power,
+    }
+
+
+class TestBudgetBitIdentity:
+    def test_every_budget_field_matches_the_reference_formulas(self):
+        for p in _bit_identity_configs():
+            b = derive_link_budget(p)
+            want = _reference_budget(p)
+            for name, value in want.items():
+                assert getattr(b, name).hex() == value.hex(), (name, p)
+            assert b.f_decreasing is (want["np_kappa_i"] < 1.0), p
+
+
 def _reference_branch_counts(configs):
     """How often each comparison of the closed forms goes each way.
 

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from irschain.params import (
     MAX_ELEMENTS,
     MAX_SURFACES,
+    LinkBudget,
     SystemParams,
     db_to_linear,
     dbm_to_watts,
@@ -86,6 +87,56 @@ class TestLinkBudget:
             derive_link_budget(SystemParams(inter_irs_distance=-1.0))
         with pytest.raises(ValueError):
             derive_link_budget(SystemParams(tx_power=0.0))
+
+
+# repr(derive_link_budget(SystemParams())), frozen from the dataclass-generated
+# constructor; the written-out one must print the same fields in the same order
+DEFAULT_BUDGET_REPR = (
+    "LinkBudget(kappa_b=0.001769864460960345, kappa_i=0.000707945784384138, "
+    "kappa_u=0.001769864460960345, c_a=4.6986303152556797e-08, "
+    "c_t=3.1324202101704526e-05, np_kappa_i=0.0707945784384138, f_decreasing=True, "
+    "log_c_a=-16.873409699994106, log_c_t=-10.371119529120131, "
+    "log_np_kappa_i=-2.647972856943152, log_noise_power=-20.72326583694641, "
+    "log_signal=-54.00956821833581, log_noise_c_a=-37.596675536940516, "
+    "log_noise_c_t=-31.09438536606654, log_noise_floor=-41.44653167389282)"
+)
+
+
+class TestLinkBudgetRecord:
+    """The written-out constructor keeps the frozen dataclass behaviour."""
+
+    @pytest.mark.parametrize("name", ["kappa_b", "np_kappa_i", "f_decreasing",
+                                      "log_signal", "log_noise_floor"])
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        budget = derive_link_budget(SystemParams())
+        with pytest.raises(FrozenInstanceError):
+            setattr(budget, name, 1.0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(budget, name)
+        assert repr(budget) == DEFAULT_BUDGET_REPR
+
+    def test_equal_params_give_equal_budgets_and_hashes(self):
+        first = derive_link_budget(SystemParams(num_irs=9, pirs_elements=256))
+        second = derive_link_budget(SystemParams(num_irs=9, pirs_elements=256))
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert first != derive_link_budget(SystemParams(num_irs=8, pirs_elements=256))
+
+    def test_repr_is_unchanged(self):
+        assert repr(derive_link_budget(SystemParams())) == DEFAULT_BUDGET_REPR
+
+    def test_constructor_takes_the_linear_fields_and_params(self):
+        p = SystemParams()
+        budget = derive_link_budget(p)
+        linear = {name: getattr(budget, name) for name in
+                  ("kappa_b", "kappa_i", "kappa_u", "c_a", "c_t", "np_kappa_i")}
+        assert LinkBudget(**linear, p=p) == budget
+        assert LinkBudget(*linear.values(), p) == budget
+        with pytest.raises(TypeError):
+            LinkBudget(**linear)  # p is required
+        with pytest.raises(TypeError):
+            LinkBudget(**linear, p=p, log_c_a=0.0)  # derived fields are not arguments
+        assert not hasattr(budget, "p")
 
 
 class TestSystemParams:
