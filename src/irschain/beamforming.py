@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .channel import HopGeometry, PhaseConfig, hop_responses
+from .channel import HopGeometry, PhaseConfig, surface_weights
 from .params import LinkBudget, SystemParams, derive_link_budget
 
 
@@ -58,9 +58,9 @@ def optimal_configuration(airs_index: int, geometry: list[HopGeometry],
     """Jointly optimal (phases, beam) for a given active-surface position."""
     if budget is None:
         budget = derive_link_budget(p)
-    hops = hop_responses(geometry, p, airs_index)
-    beam = optimal_transmit_beam(hops[0][1], p.tx_power)
-    reflection = tuple(optimal_reflection_phases(hops[k - 1][0], hops[k][1])
-                       for k in range(1, p.num_irs + 1))
+    panels, _, bs_tx, _ = surface_weights(geometry, p, airs_index)
+    beam = optimal_transmit_beam(bs_tx, p.tx_power)
+    # optimal_reflection_phases' depart_k * conj(arrive_k) is conj(w_k): one conj per panel
+    phasors = {k: row for ks, weights in panels for k, row in zip(ks, np.conj(weights))}
     eta = amplification_factor(airs_index, budget, p)
-    return PhaseConfig(reflection=reflection, eta=eta), beam
+    return PhaseConfig._adopt([phasors[k] for k in sorted(phasors)], eta), beam

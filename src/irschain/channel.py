@@ -1,26 +1,25 @@
 """LoS channel model for the cascaded multi-surface link.
 
-Every hop between adjacent nodes is a rank-one product of the receive and
-transmit array responses, scaled by the hop's amplitude gain and carrier
-phase, and every array response has unit-modulus entries.  So the
-received signal is a product of scalars: the hop gains, the transmit
-beam's projection on the first departure response, and one reflection
-coefficient sum A_k per surface.  The matrix oracle, the reference
-against which all the closed-form expressions are checked, adds the logs
-of those magnitudes, so a chain of J surfaces with N elements each costs
-O(J * N) time and memory and never underflows.  ``hop_matrices`` builds
-the dense N x N hop matrices and serves as the small-N reference for it.
+Every hop is a rank-one product of the receive and transmit array
+responses, scaled by the hop's amplitude gain and carrier phase, and
+every array response has unit-modulus entries.  So the received signal
+is a product of scalars: the hop gains, the transmit beam's projection
+on the first departure response, and one reflection coefficient sum
+A_k = depart_k^H diag(phi_k) arrive_k = sum(phi_k * w_k) per surface.
+The matrix oracle, against which all the closed forms are checked, adds
+the logs of those magnitudes: O(J * N) time and memory for J surfaces of
+N elements, and no underflow.  ``hop_matrices`` builds the dense N x N
+hop matrices, the small-N reference for it.
 
-One oracle check (optimal configuration, SNR, power) builds each hop's
-array responses once: ``hop_responses`` memoises them, with the log hop
-gains, on the geometry, the parameters and the active index.  All
-surfaces with the same panel size get their responses from one stacked
-exp and outer-product pass, handed out as read-only rows.  ``full_snr``
-and ``full_power`` each evaluate the log powers; the evaluation first
-checks that the beam has ``bs_antennas`` entries and that the
-``PhaseConfig`` holds one phasor per element of every surface, raising
-``ValueError`` otherwise.  A ``PhaseConfig`` stores each surface's
-reflection phasors e^{j theta} as the beamformer produces them.
+A surface's two responses are Kronecker products of x- and z-axis
+steering vectors on one panel, so its weights w_k = conj(depart_k) *
+arrive_k are the Kronecker product of two steering vectors at the
+arrival minus the departure arguments; no response row is built.
+``surface_weights`` memoises them with the transmit response and the log
+hop gains, so one oracle check (optimal configuration, SNR, power) makes
+one exp and outer-product pass per panel size.  ``full_snr`` and
+``full_power`` raise ``ValueError`` for a beam without ``bs_antennas``
+entries or a ``PhaseConfig`` without one phasor per surface element.
 """
 
 from __future__ import annotations
@@ -60,9 +59,10 @@ class PhaseConfig:
     e^{j theta}; ``eta`` is the common amplification factor applied at the
     active surface (1 would be passive, feasibility is checked by the
     beamforming module).  The phasors are read-only copies taken at
-    construction, so they cannot change when the caller later changes its
-    own arrays.  Equality is identity: value comparison of arrays has no
-    single truth value.
+    construction, so later changes to the caller's arrays cannot reach
+    them; only the beamformer hands over the arrays it has just built
+    uncopied, through ``_adopt``.  Equality is identity: value comparison
+    of arrays has no single truth value.
     """
 
     reflection: tuple[np.ndarray, ...]
@@ -71,6 +71,12 @@ class PhaseConfig:
     def __post_init__(self):
         object.__setattr__(self, "reflection",
                            tuple(_read_only(np.array(r)) for r in self.reflection))
+
+    @classmethod
+    def _adopt(cls, reflection, eta: float) -> PhaseConfig:
+        config = object.__new__(cls)  # the arrays are kept, made read-only
+        vars(config).update(reflection=tuple(map(_read_only, reflection)), eta=eta)
+        return config
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -96,18 +102,19 @@ def ula_response(azimuth: float, n: int, spacing: float, wavelength: float) -> n
     return steering_vector(2.0 * spacing / wavelength * math.cos(azimuth), n)
 
 
-def _panel_responses(angles: list[tuple[float, float]], nx: int, nz: int,
-                     spacing: float, wavelength: float) -> np.ndarray:
-    """Planar-array responses of one nx x nz panel, one row per (azimuth, elevation).
+def _kron_steering(x_args: list[float], z_args: list[float], nx: int, nz: int) -> np.ndarray:
+    """Row r is the Kronecker product of the x- and z-axis steering vectors at
+    ``x_args[r]`` and ``z_args[r]``, all rows from one exp and outer-product pass."""
+    rows = len(x_args)
+    # a row-wise outer product is the Kronecker product of each pair of vectors; x is
+    # repeated out first, as a broadcast inner axis makes numpy page in fresh buffers
+    x = np.repeat(_steering_rows(x_args, nx), nz, axis=1).reshape(rows, nx, nz)
+    return (x * _steering_rows(z_args, nz)[:, None, :]).reshape(rows, nx * nz)
 
-    Row r is the Kronecker product of the x- and z-axis steering vectors;
-    every row comes out of the same exp and outer-product pass.
-    """
-    two_d = 2.0 * spacing / wavelength
-    x = _steering_rows([two_d * math.cos(az) * math.sin(el) for az, el in angles], nx)
-    z = _steering_rows([two_d * math.cos(el) for _, el in angles], nz)
-    # a row-wise outer product is the Kronecker product of each pair of vectors
-    return (x[:, :, None] * z[:, None, :]).reshape(len(angles), nx * nz)
+
+def _panel_args(azimuth: float, elevation: float, two_d: float) -> tuple[float, float]:
+    """(x, z) steering arguments of a planar array, two_d = 2 * spacing / wavelength."""
+    return two_d * math.cos(azimuth) * math.sin(elevation), two_d * math.cos(elevation)
 
 
 def upa_response(azimuth: float, elevation: float, nx: int, nz: int,
@@ -115,14 +122,8 @@ def upa_response(azimuth: float, elevation: float, nx: int, nz: int,
     """Planar-array response: Kronecker product of the x- and z-axis responses."""
     if nx < 1 or nz < 1:
         raise ValueError("panel dimensions must be >= 1")
-    return _panel_responses([(azimuth, elevation)], nx, nz, spacing, wavelength)[0]
-
-
-def _hop_gain(hop: HopGeometry, ref_path_gain: float, exponent: float,
-              wavelength: float) -> complex:
-    """Amplitude gain times carrier phase of a single hop."""
-    amp = amplitude_gain(hop.distance, ref_path_gain, exponent)
-    return amp * np.exp(-1j * TWO_PI * hop.distance / wavelength)
+    x_arg, z_arg = _panel_args(azimuth, elevation, 2.0 * spacing / wavelength)
+    return _kron_steering([x_arg], [z_arg], nx, nz)[0]
 
 
 def los_channel(hop: HopGeometry, rx_response: np.ndarray, tx_response: np.ndarray,
@@ -137,7 +138,9 @@ def los_channel(hop: HopGeometry, rx_response: np.ndarray, tx_response: np.ndarr
     tx = np.atleast_1d(np.asarray(tx_response))
     if rx.ndim != 1 or tx.ndim != 1:
         raise ValueError("array responses must be vectors")
-    return _hop_gain(hop, ref_path_gain, exponent, wavelength) * np.outer(rx, tx.conj())
+    gain = amplitude_gain(hop.distance, ref_path_gain, exponent) * np.exp(
+        -1j * TWO_PI * hop.distance / wavelength)
+    return gain * np.outer(rx, tx.conj())
 
 
 def chain_geometry(p: SystemParams) -> list[HopGeometry]:
@@ -153,13 +156,8 @@ def chain_geometry(p: SystemParams) -> list[HopGeometry]:
     for k, dist in enumerate(p.hop_distances()):
         heading = 0.5 * turn * (1.0 if k % 2 == 0 else -1.0)
         elevation = math.pi / 2.0 + tilt * (1.0 if k % 2 == 0 else -1.0)
-        hops.append(HopGeometry(
-            distance=dist,
-            dep_azimuth=heading,
-            dep_elevation=elevation,
-            arr_azimuth=math.pi - heading,
-            arr_elevation=math.pi - elevation,
-        ))
+        hops.append(HopGeometry(distance=dist, dep_azimuth=heading, dep_elevation=elevation,
+                                arr_azimuth=math.pi - heading, arr_elevation=math.pi - elevation))
     return hops
 
 
@@ -180,6 +178,12 @@ def random_geometry(p: SystemParams, rng: np.random.Generator) -> list[HopGeomet
     return [HopGeometry(dist, *hop_angles) for dist, hop_angles in zip(distances, angles)]
 
 
+def _check_chain(geometry: list[HopGeometry], p: SystemParams, airs_index: int) -> None:
+    if len(geometry) != p.num_irs + 1:
+        raise ValueError(f"expected {p.num_irs + 1} hops, got {len(geometry)}")
+    check_airs_index(airs_index, p.num_irs)
+
+
 def hop_responses(geometry: list[HopGeometry], p: SystemParams,
                   airs_index: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """(receive, transmit) array responses of every hop, transmitter hop first.
@@ -188,49 +192,54 @@ def hop_responses(geometry: list[HopGeometry], p: SystemParams,
     k for surface k+1, and hop J reaches the single-antenna receiver.  So
     surface k receives on ``hops[k - 1][0]`` and re-radiates on
     ``hops[k][1]``, the pair its reflection phases co-phase, and the
-    transmit beam matches ``hops[0][1]``.  Calls with equal arguments share
-    the same read-only arrays.
+    transmit beam matches ``hops[0][1]``.  Built afresh on every call, one
+    ``upa_response`` per surface side; only ``hop_matrices`` reads them.
     """
-    return list(_hop_terms(geometry, p, airs_index)[0])
-
-
-def _hop_terms(geometry: list[HopGeometry], p: SystemParams, airs_index: int):
-    """Memoised (hop responses, log hop gains) of a checked hop list and index."""
-    if len(geometry) != p.num_irs + 1:
-        raise ValueError(f"expected {p.num_irs + 1} hops, got {len(geometry)}")
-    check_airs_index(airs_index, p.num_irs)
-    return _build_hop_responses(tuple(geometry), p, airs_index)
-
-
-# One oracle check asks for the responses of one (geometry, params, index)
-# three times in a row (the beamformer, then full_snr and full_power), so a
-# single entry would serve every hit.  It is kept at four all the same: with
-# one entry the oracle workload ran about a quarter slower at the same build
-# count, most likely because the ~400 KB of stacked rows then go back to the
-# allocator after every check instead of being reused.
-@functools.lru_cache(maxsize=4)
-def _build_hop_responses(geometry: tuple[HopGeometry, ...], p: SystemParams, airs_index: int,
-                         ) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], tuple[float, ...]]:
+    _check_chain(geometry, p, airs_index)
     spacing, wavelength = p.element_spacing, p.wavelength
+    grids = [p.grid_at(k, airs_index) for k in range(1, p.num_irs + 1)]
+    rx = [upa_response(hop.arr_azimuth, hop.arr_elevation, *grid, spacing, wavelength)
+          for hop, grid in zip(geometry[:-1], grids)]
+    tx = [upa_response(hop.dep_azimuth, hop.dep_elevation, *grid, spacing, wavelength)
+          for hop, grid in zip(geometry[1:], grids)]
+    bs_tx = ula_response(geometry[0].dep_azimuth, p.bs_antennas, spacing, wavelength)
+    return list(zip(rx + [np.ones(1)], [bs_tx] + tx))  # single-antenna receiver
+
+
+def surface_weights(geometry: list[HopGeometry], p: SystemParams, airs_index: int):
+    """(panels, weights, BS transmit response, log|g_k| of hops 0..J) of a chain.
+
+    ``weights[k - 1]`` is surface k's w_k = conj(depart_k) * arrive_k; ``panels``
+    pairs the surfaces of each panel size with the stacked array of their
+    rows.  Calls with equal arguments share the same read-only arrays.
+    """
+    _check_chain(geometry, p, airs_index)
+    return _build_weights(tuple(geometry), p, airs_index)
+
+
+# An oracle check asks for one chain's weights three times (beamformer, full_snr,
+# full_power), yet with one entry the oracle ran about a quarter slower, most
+# likely because the rows then go back to the allocator after every check.
+@functools.lru_cache(maxsize=4)
+def _build_weights(geometry: tuple[HopGeometry, ...], p: SystemParams, airs_index: int):
+    two_d = 2.0 * p.element_spacing / p.wavelength
     surfaces_by_grid = {}
     for k in range(1, p.num_irs + 1):
         surfaces_by_grid.setdefault(p.grid_at(k, airs_index), []).append(k)
     # surface k receives at hop k-1's arrival angles and re-radiates at hop k's
     # departure angles; all surfaces of one panel size share one stacked build
-    rx, tx = {}, {}
+    panels, weights = [], {}
     for (nx, nz), ks in surfaces_by_grid.items():
-        angles = ([(geometry[k - 1].arr_azimuth, geometry[k - 1].arr_elevation) for k in ks]
-                  + [(geometry[k].dep_azimuth, geometry[k].dep_elevation) for k in ks])
-        rows = _read_only(_panel_responses(angles, nx, nz, spacing, wavelength))
-        rx.update(zip(ks, rows))
-        tx.update(zip(ks, rows[len(ks):]))
-    bs_tx = ula_response(geometry[0].dep_azimuth, p.bs_antennas, spacing, wavelength)
-    hops = ([(rx[1], _read_only(bs_tx))]
-            + [(rx[k + 1], tx[k]) for k in range(1, p.num_irs)]
-            + [(_read_only(np.ones(1)), tx[p.num_irs])])  # single-antenna receiver
+        arr = [_panel_args(geometry[k - 1].arr_azimuth, geometry[k - 1].arr_elevation, two_d)
+               for k in ks]
+        dep = [_panel_args(geometry[k].dep_azimuth, geometry[k].dep_elevation, two_d) for k in ks]
+        rows = _read_only(_kron_steering(*np.subtract(arr, dep).T, nx, nz))
+        panels.append((tuple(ks), rows))
+        weights.update(zip(ks, rows))
+    bs_tx = ula_response(geometry[0].dep_azimuth, p.bs_antennas, p.element_spacing, p.wavelength)
     log_gain = tuple(math.log(amplitude_gain(hop.distance, p.ref_path_gain, p.path_loss_exponent))
                      for hop in geometry)
-    return tuple(hops), log_gain
+    return tuple(panels), tuple(weights[k] for k in sorted(weights)), _read_only(bs_tx), log_gain
 
 
 def hop_matrices(geometry: list[HopGeometry], p: SystemParams,
@@ -243,11 +252,6 @@ def hop_matrices(geometry: list[HopGeometry], p: SystemParams,
     """
     return [los_channel(hop, rx, tx, p.ref_path_gain, p.path_loss_exponent, p.wavelength)
             for hop, (rx, tx) in zip(geometry, hop_responses(geometry, p, airs_index))]
-
-
-def reflection_coefficient_sum(arrive, depart, reflection) -> complex:
-    """A_k = depart^H diag(reflection) arrive for one surface, reflection = e^{j theta}."""
-    return complex(np.vdot(depart, reflection * arrive))
 
 
 def _log_abs(x: complex) -> float:
@@ -267,32 +271,30 @@ def _log_powers(airs_index, geometry, phases, beam, p) -> tuple[float, float, fl
     factor, such as eta = 0 or a null A_k, makes it -inf.
     """
     beam = np.asarray(beam, dtype=complex)
-    hops, log_gain = _hop_terms(geometry, p, airs_index)
-    _check_shapes(hops, phases, beam, p)
-    # log|tx_0^H w| at index 0, then log|A_k| of surface k at index k
-    log_coeff = [_log_abs(np.vdot(hops[0][1], beam))] + [
-        _log_abs(reflection_coefficient_sum(hops[k - 1][0], hops[k][1], phases.reflection[k - 1]))
-        for k in range(1, p.num_irs + 1)]
+    _, weights, bs_tx, log_gain = surface_weights(geometry, p, airs_index)
+    _check_shapes(weights, phases, beam, p)
+    # log|tx_0^H w| at index 0, then log|A_k| = log|sum(phi_k * w_k)| at index k
+    log_coeff = [_log_abs(np.vdot(bs_tx, beam))] + [
+        _log_abs(np.dot(reflection, w)) for reflection, w in zip(phases.reflection, weights)]
     l = airs_index
     log_incident = 2.0 * (math.fsum(log_gain[:l]) + math.fsum(log_coeff[:l]))
     log_out = 2.0 * (math.fsum(log_gain[l:]) + math.fsum(log_coeff[l + 1:]))
     log_eta2 = 2.0 * _log_abs(phases.eta)
     log_signal = log_incident + 2.0 * log_coeff[l] + log_eta2 + log_out
-    log_noise_gain = log_eta2 + log_out + math.log(hops[l][1].size)
+    log_noise_gain = log_eta2 + log_out + math.log(weights[l - 1].size)
     return log_signal, log_noise_gain, log_incident
 
 
-def _check_shapes(hops, phases: PhaseConfig, beam: np.ndarray, p: SystemParams) -> None:
+def _check_shapes(weights, phases: PhaseConfig, beam: np.ndarray, p: SystemParams) -> None:
     """Reject a beam or phasors that do not fit the chain; numpy would broadcast them."""
     if beam.shape != (p.bs_antennas,):
         raise ValueError(f"beam has shape {beam.shape}, but bs_antennas = {p.bs_antennas}")
     if len(phases.reflection) != p.num_irs:
         raise ValueError(f"phase config holds phasors of {len(phases.reflection)} surfaces, "
                          f"but the chain has {p.num_irs}")
-    for k, reflection in enumerate(phases.reflection, start=1):
-        elements = hops[k][1].size
-        if reflection.shape != (elements,):
-            raise ValueError(f"surface {k} has {elements} elements, but its reflection "
+    for k, (reflection, w) in enumerate(zip(phases.reflection, weights), start=1):
+        if reflection.shape != w.shape:
+            raise ValueError(f"surface {k} has {w.size} elements, but its reflection "
                              f"phasors have shape {reflection.shape}")
 
 
@@ -308,7 +310,5 @@ def full_power(airs_index: int, geometry: list[HopGeometry], phases: PhaseConfig
                beam: np.ndarray, p: SystemParams) -> float:
     """Total received signal-plus-amplification-noise power (watts)."""
     log_signal, log_noise_gain, _ = _log_powers(airs_index, geometry, phases, beam, p)
-    noise = 0.0
-    if p.noise_power > 0.0:
-        noise = math.exp(log_noise_gain + math.log(p.noise_power))
+    noise = math.exp(log_noise_gain + math.log(p.noise_power)) if p.noise_power > 0.0 else 0.0
     return math.exp(log_signal) + noise

@@ -185,26 +185,26 @@ def parse_sweep(text: str) -> list[int]:
         try:
             single = int(parts[0])
         except ValueError:
-            raise ConfigError(f"cannot parse sweep value {text!r}") from None
+            raise ConfigError(f"cannot parse --np value {text!r}") from None
         if single < 1:
             raise ConfigError(f"--np must be at least 1, got {single}")
         return [single]
     if len(parts) != 4:
-        raise ConfigError(f"sweep spec must be min:max:scale:n, got {text!r}")
+        raise ConfigError(f"--np spec must be min:max:scale:n, got {text!r}")
     try:
         minimum, maximum = int(parts[0]), int(parts[1])
         count_or_step = int(parts[3])
     except ValueError:
-        raise ConfigError(f"sweep spec must use integers, got {text!r}") from None
+        raise ConfigError(f"--np spec must use integers, got {text!r}") from None
     scale = parts[2].lower()
     if scale not in ("linear", "log"):
-        raise ConfigError(f"sweep scale must be linear or log, got {parts[2]!r}")
+        raise ConfigError(f"--np scale must be linear or log, got {parts[2]!r}")
     if minimum < 1 or maximum < minimum:
-        raise ConfigError("sweep needs 1 <= min <= max")
+        raise ConfigError(f"--np spec needs 1 <= min <= max, got {text!r}")
     if scale == "log" and count_or_step < 2:
-        raise ConfigError("log sweeps need a count >= 2")
+        raise ConfigError(f"--np log sweeps need a count >= 2, got {count_or_step}")
     if scale == "linear" and count_or_step < 1:
-        raise ConfigError("linear sweeps need a step >= 1")
+        raise ConfigError(f"--np linear sweeps need a step >= 1, got {count_or_step}")
     # checked before any point is built, which costs time and memory per point
     count = count_or_step if scale == "log" else (maximum - minimum) // count_or_step + 1
     if count > MAX_SWEEP_POINTS:

@@ -1,8 +1,11 @@
-"""Helpers that only the tests need: per-surface element counts, the
-per-element power incident on the active surface, the amplifier
-power-budget check and the paper's panel-size scaling orders."""
+"""Helpers that only the tests need: per-surface element counts, one
+surface's reflection coefficient sum, the per-element power incident on
+the active surface, the amplifier power-budget check and the paper's
+panel-size scaling orders."""
 
 import math
+
+import numpy as np
 
 from irschain import channel
 from irschain.params import SystemParams, check_airs_index
@@ -11,6 +14,11 @@ from irschain.params import SystemParams, check_airs_index
 def elements_at(p: SystemParams, k: int, airs_index: int) -> int:
     """Element count of surface k (1-based) given the active one's index."""
     return p.airs_elements if k == airs_index else p.pirs_elements
+
+
+def reflection_coefficient_sum(arrive, depart, reflection) -> complex:
+    """A_k = depart^H diag(reflection) arrive for one surface, reflection = e^{j theta}."""
+    return complex(np.vdot(depart, reflection * arrive))
 
 
 def incident_element_power(airs_index: int, geometry, phases, beam, p: SystemParams) -> float:

@@ -16,7 +16,6 @@ from irschain.channel import (
     full_snr,
     hop_responses,
     random_geometry,
-    reflection_coefficient_sum,
 )
 from irschain.cli import run
 from irschain.deployment import (
@@ -33,6 +32,7 @@ from reference import (
     elements_at,
     incident_element_power,
     power_scaling_order,
+    reflection_coefficient_sum,
     snr_scaling_order,
 )
 

@@ -14,11 +14,10 @@ from irschain.channel import (
     PhaseConfig,
     chain_geometry,
     full_snr,
-    reflection_coefficient_sum,
     upa_response,
 )
 from irschain.params import SystemParams, derive_link_budget
-from reference import check_power_constraint, incident_element_power
+from reference import check_power_constraint, incident_element_power, reflection_coefficient_sum
 
 
 def unit_vector(rng, n):

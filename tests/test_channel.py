@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from irschain import channel
-from irschain.beamforming import optimal_configuration
+from irschain.beamforming import optimal_configuration, optimal_reflection_phases
 from irschain.channel import (
     TWO_PI,
     HopGeometry,
@@ -19,6 +19,7 @@ from irschain.channel import (
     los_channel,
     random_geometry,
     steering_vector,
+    surface_weights,
     ula_response,
     upa_response,
 )
@@ -306,6 +307,16 @@ def _scalar_random_geometry(p, rng):
     ) for dist in p.hop_distances()]
 
 
+_PANEL_TABLE = [
+    (1, 100, 150),     # one surface, active at the only index
+    (7, 100, 150),
+    (7, 1024, 150),
+    (7, 2048, 150),
+    (5, 97, 31),       # prime counts: 1 x N panels
+    (3, 2, 1),         # a one-element active surface
+]
+
+
 def _direct_responses(geom, p, l):
     """Reference: every (receive, transmit) response built afresh."""
     spacing, wavelength = p.element_spacing, p.wavelength
@@ -328,30 +339,59 @@ def _assert_same_responses(got, want):
         np.testing.assert_array_equal(tx, want_tx)
 
 
+def _direct_weights(geom, p, l):
+    """Reference: each surface's w_k from its own pair of steering vectors, taken at
+    the arrival minus the departure arguments, and the BS transmit response."""
+    two_d = 2.0 * p.element_spacing / p.wavelength
+    weights = []
+    for k in range(1, p.num_irs + 1):
+        arr, dep = geom[k - 1], geom[k]
+        nx, nz = p.grid_at(k, l)
+        dx = (two_d * math.cos(arr.arr_azimuth) * math.sin(arr.arr_elevation)
+              - two_d * math.cos(dep.dep_azimuth) * math.sin(dep.dep_elevation))
+        dz = two_d * math.cos(arr.arr_elevation) - two_d * math.cos(dep.dep_elevation)
+        weights.append(np.outer(steering_vector(dx, nx), steering_vector(dz, nz)).ravel())
+    bs_tx = ula_response(geom[0].dep_azimuth, p.bs_antennas, p.element_spacing, p.wavelength)
+    return weights, bs_tx
+
+
+def _assert_same_weights(got, want):
+    (_, weights, bs_tx, _), (want_weights, want_bs_tx) = got, want
+    assert len(weights) == len(want_weights)
+    for w, want_w in zip(weights, want_weights):
+        np.testing.assert_array_equal(w, want_w)
+    np.testing.assert_array_equal(bs_tx, want_bs_tx)
+
+
 class TestHopResponseMemo:
+    """The per-chain memo behind every oracle check: the surface weights
+    w_k = conj(depart_k) * arrive_k, the BS transmit response and the log hop gains."""
+
     def setup_method(self):
         self.p = SystemParams(num_irs=3, airs_elements=20, pirs_elements=12, pirs_grid=(3, 4))
         self.geom = random_geometry(self.p, np.random.default_rng(41))
 
     def test_returned_arrays_refuse_writes(self):
-        for rx, tx in hop_responses(self.geom, self.p, 2):
-            for response in (rx, tx):
-                with pytest.raises(ValueError):
-                    response[0] = 0.0
+        panels, weights, bs_tx, _ = surface_weights(self.geom, self.p, 2)
+        for array in (*weights, bs_tx, *(stacked for _, stacked in panels)):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
     def test_equal_valued_inputs_give_equal_responses(self):
-        first = hop_responses(self.geom, self.p, 2)
+        first = surface_weights(self.geom, self.p, 2)
         geom = [replace(hop) for hop in self.geom]
         p = replace(self.p)
         assert p is not self.p and geom[0] is not self.geom[0]
-        _assert_same_responses(hop_responses(geom, p, 2), first)
-        _assert_same_responses(first, _direct_responses(self.geom, self.p, 2))
+        second = surface_weights(geom, p, 2)
+        _assert_same_weights(second, first[1:3])
+        assert second[3] == first[3]
+        _assert_same_weights(first, _direct_weights(self.geom, self.p, 2))
 
     @pytest.mark.parametrize("change", ["wavelength", "element_spacing", "pirs_grid",
                                         "airs_index", "hop_angle"])
     def test_changed_input_builds_fresh_responses(self, change):
         p, geom, l = self.p, list(self.geom), 2
-        before = hop_responses(geom, p, l)
+        before = surface_weights(geom, p, l)[1]
         if change == "wavelength":
             p = replace(p, wavelength=1.1 * p.wavelength)
         elif change == "element_spacing":
@@ -362,48 +402,62 @@ class TestHopResponseMemo:
             l = 3
         else:
             geom[1] = replace(geom[1], dep_azimuth=geom[1].dep_azimuth + 0.2)
-        after = hop_responses(geom, p, l)
-        _assert_same_responses(after, _direct_responses(geom, p, l))
-        assert any(not np.array_equal(a, b) for hop_a, hop_b in zip(after, before)
-                   for a, b in zip(hop_a, hop_b))
+        after = surface_weights(geom, p, l)
+        _assert_same_weights(after, _direct_weights(geom, p, l))
+        assert any(not np.array_equal(a, b) for a, b in zip(after[1], before))
 
     @pytest.mark.parametrize("airs_elements, passes", [(150, 2), (64, 1)])
     def test_one_check_builds_each_panel_size_once(self, monkeypatch, airs_elements, passes):
-        # the active panel is 10 x 15 or, at 64 elements, the passive 8 x 8
+        # one weights pass per panel size and one cache miss per check; the
+        # active panel is 10 x 15 or, at 64 elements, the passive 8 x 8
         p = replace(SystemParams(), pirs_elements=64, pirs_grid=None,
                     airs_elements=airs_elements, airs_grid=None)
         geom = random_geometry(p, np.random.default_rng(42))
         calls = []
 
-        def counting_panel_responses(angles, *args):
-            calls.append(len(angles))
-            return panel_responses(angles, *args)
+        def counting_kron_steering(x_args, *args):
+            calls.append(len(x_args))
+            return kron_steering(x_args, *args)
 
-        panel_responses = channel._panel_responses
-        channel._build_hop_responses.cache_clear()
-        monkeypatch.setattr(channel, "_panel_responses", counting_panel_responses)
+        kron_steering = channel._kron_steering
+        channel._build_weights.cache_clear()
+        monkeypatch.setattr(channel, "_kron_steering", counting_kron_steering)
         phases, beam = optimal_configuration(4, geom, p)
         full_snr(4, geom, phases, beam, p)
         full_power(4, geom, phases, beam, p)
         assert len(calls) == passes
-        assert sum(calls) == 2 * p.num_irs  # every surface's receive and transmit rows
-        assert channel._build_hop_responses.cache_info().misses == 1
+        assert sum(calls) == p.num_irs  # one weights row per surface
+        assert channel._build_weights.cache_info().misses == 1
 
-    @pytest.mark.parametrize("num_irs, n_p, n_a", [
-        (1, 100, 150),     # one surface, active at the only index
-        (7, 100, 150),
-        (7, 1024, 150),
-        (7, 2048, 150),
-        (5, 97, 31),       # prime counts: 1 x N panels
-        (3, 2, 1),         # a one-element active surface
-    ])
+    @pytest.mark.parametrize("num_irs, n_p, n_a", _PANEL_TABLE)
     def test_stacked_rows_bit_identical_to_upa_response(self, num_irs, n_p, n_a):
+        # the stacked weight rows equal a per-surface build bit for bit, and
+        # hop_responses equals one upa_response per surface side
         p = SystemParams(num_irs=num_irs, pirs_elements=n_p, airs_elements=n_a)
         rng = np.random.default_rng(1000 * num_irs + n_p)
         for l in sorted({1, num_irs}):
             for _ in range(5):
                 geom = random_geometry(p, rng)
+                _assert_same_weights(surface_weights(geom, p, l), _direct_weights(geom, p, l))
                 _assert_same_responses(hop_responses(geom, p, l), _direct_responses(geom, p, l))
+
+    @pytest.mark.parametrize("num_irs, n_p, n_a", _PANEL_TABLE)
+    def test_weights_and_phasors_match_the_responses(self, num_irs, n_p, n_a):
+        p = SystemParams(num_irs=num_irs, pirs_elements=n_p, airs_elements=n_a)
+        rng = np.random.default_rng(2000 * num_irs + n_p)
+        for l in sorted({1, num_irs}):
+            for _ in range(5):
+                geom = random_geometry(p, rng)
+                hops = hop_responses(geom, p, l)
+                weights = surface_weights(geom, p, l)[1]
+                phases, _ = optimal_configuration(l, geom, p)
+                for k in range(1, num_irs + 1):
+                    arrive, depart = hops[k - 1][0], hops[k][1]
+                    np.testing.assert_allclose(weights[k - 1], depart.conj() * arrive,
+                                               rtol=0.0, atol=1e-12)
+                    np.testing.assert_allclose(phases.reflection[k - 1],
+                                               optimal_reflection_phases(arrive, depart),
+                                               rtol=0.0, atol=1e-12)
 
 
 class TestLogPowersFollowInputs:
@@ -419,7 +473,7 @@ class TestLogPowersFollowInputs:
                      for oracle in (full_snr, full_power, incident_element_power))
 
     def _evaluate_with_fresh_responses(self, phases, beam, p):
-        channel._build_hop_responses.cache_clear()
+        channel._build_weights.cache_clear()
         return self._evaluate(phases, beam, p)
 
     @pytest.mark.parametrize("change", ["beam_in_place", "equal_phase_config", "eta",
@@ -524,6 +578,25 @@ class TestPhaseConfig:
             np.testing.assert_array_equal(phases.reflection[k], reflection_before[k])
         with pytest.raises(ValueError):
             phases.reflection[0][0] = 0.5
+
+    def test_beamformer_rows_of_one_panel_size_share_one_array(self):
+        # surfaces 1, 3 and 4 are passive 4 x 4 panels, surface 2 the active 4 x 5
+        p = SystemParams(num_irs=4, pirs_elements=16, airs_elements=20)
+        geom = random_geometry(p, np.random.default_rng(47))
+        phases, _ = optimal_configuration(2, geom, p)
+        passive = [phases.reflection[k - 1] for k in (1, 3, 4)]
+        base = passive[0].base
+        assert base is not None and all(r.base is base for r in passive)
+        assert phases.reflection[1].base is not base
+        assert base.shape == (3, 16)
+        # the beamformer's own array, not the memoised weights
+        assert not any(np.shares_memory(base, w) for w in surface_weights(geom, p, 2)[1])
+        for r in phases.reflection:
+            with pytest.raises(ValueError):
+                r[0] = 0.5
+        # any other caller's arrays, these rows included, are still copied
+        copied = PhaseConfig(reflection=phases.reflection, eta=phases.eta)
+        assert all(r.base is None and not np.shares_memory(r, base) for r in copied.reflection)
 
     def test_equality_is_identity(self):
         a = PhaseConfig(reflection=tuple(self.reflection), eta=1.0)

@@ -109,6 +109,21 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             parse_sweep(bad)
 
+    @pytest.mark.parametrize("spec, message", [
+        ("abc", "cannot parse --np value 'abc'"),
+        ("10:100:log", "--np spec must be min:max:scale:n, got '10:100:log'"),
+        ("a:b:log:3", "--np spec must use integers, got 'a:b:log:3'"),
+        ("10:100:geo:5", "--np scale must be linear or log, got 'geo'"),
+        ("0:10:log:5", "--np spec needs 1 <= min <= max, got '0:10:log:5'"),
+        ("10:5:log:5", "--np spec needs 1 <= min <= max, got '10:5:log:5'"),
+        ("10:100:log:1", "--np log sweeps need a count >= 2, got 1"),
+        ("10:100:linear:0", "--np linear sweeps need a step >= 1, got 0"),
+    ])
+    def test_every_spec_error_names_the_flag(self, spec, message):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_sweep(spec)
+        assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("spec, points", [
         ("1:100000:linear:1", 100000), ("1:200000:linear:2", 100000),
         ("10:1000:log:100000", 991)])
