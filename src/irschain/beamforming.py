@@ -61,6 +61,9 @@ def optimal_configuration(airs_index: int, geometry: list[HopGeometry],
     panels, _, bs_tx, _ = surface_weights(geometry, p, airs_index)
     beam = optimal_transmit_beam(bs_tx, p.tx_power)
     # optimal_reflection_phases' depart_k * conj(arrive_k) is conj(w_k): one conj per panel
-    phasors = {k: row for ks, weights in panels for k, row in zip(ks, np.conj(weights))}
+    phasors = [None] * p.num_irs
+    for ks, weights in panels:
+        for k, row in zip(ks, np.conj(weights)):
+            phasors[k - 1] = row
     eta = amplification_factor(airs_index, budget, p)
-    return PhaseConfig._adopt([phasors[k] for k in sorted(phasors)], eta), beam
+    return PhaseConfig._adopt(phasors, eta), beam

@@ -17,7 +17,8 @@ arrive_k are the Kronecker product of two steering vectors at the
 arrival minus the departure arguments; no response row is built.
 ``surface_weights`` memoises them with the transmit response and the log
 hop gains, so one oracle check (optimal configuration, SNR, power) makes
-one exp and outer-product pass per panel size.  ``full_snr`` and
+one exp pass per axis per chain, the BS transmit response riding in the
+x-axis pass, and one Kronecker product per panel size.  ``full_snr`` and
 ``full_power`` raise ``ValueError`` for a beam without ``bs_antennas``
 entries or a ``PhaseConfig`` without one phasor per surface element.
 """
@@ -35,13 +36,15 @@ from .params import SystemParams, amplitude_gain, check_airs_index
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HopGeometry:
     """Distance and departure/arrival angles (radians) of one hop.
 
     Hop k connects node k to node k+1 (node 0 is the transmitter, node
     J+1 the receiver).  The transmitter hop uses only the departure
     azimuth; the final hop has no arrival angles (single-antenna user).
+    The written-out ``__init__`` stores the five fields in one step; the
+    record is still frozen and compares, hashes and prints all five.
     """
 
     distance: float
@@ -49,6 +52,14 @@ class HopGeometry:
     dep_elevation: float = math.pi / 2.0
     arr_azimuth: float = 0.0
     arr_elevation: float = math.pi / 2.0
+
+    def __init__(self, distance: float, dep_azimuth: float,
+                 dep_elevation: float = math.pi / 2.0, arr_azimuth: float = 0.0,
+                 arr_elevation: float = math.pi / 2.0):
+        # one dict update instead of a frozen object.__setattr__ per field
+        vars(self).update(distance=distance, dep_azimuth=dep_azimuth,
+                          dep_elevation=dep_elevation, arr_azimuth=arr_azimuth,
+                          arr_elevation=arr_elevation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,14 +113,13 @@ def ula_response(azimuth: float, n: int, spacing: float, wavelength: float) -> n
     return steering_vector(2.0 * spacing / wavelength * math.cos(azimuth), n)
 
 
-def _kron_steering(x_args: list[float], z_args: list[float], nx: int, nz: int) -> np.ndarray:
-    """Row r is the Kronecker product of the x- and z-axis steering vectors at
-    ``x_args[r]`` and ``z_args[r]``, all rows from one exp and outer-product pass."""
-    rows = len(x_args)
+def _kron_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Row r is the Kronecker product of rows x[r] and z[r]."""
+    (rows, nx), nz = x.shape, z.shape[1]
     # a row-wise outer product is the Kronecker product of each pair of vectors; x is
     # repeated out first, as a broadcast inner axis makes numpy page in fresh buffers
-    x = np.repeat(_steering_rows(x_args, nx), nz, axis=1).reshape(rows, nx, nz)
-    return (x * _steering_rows(z_args, nz)[:, None, :]).reshape(rows, nx * nz)
+    x = np.repeat(x, nz, axis=1).reshape(rows, nx, nz)
+    return (x * z[:, None, :]).reshape(rows, nx * nz)
 
 
 def _panel_args(azimuth: float, elevation: float, two_d: float) -> tuple[float, float]:
@@ -123,7 +133,7 @@ def upa_response(azimuth: float, elevation: float, nx: int, nz: int,
     if nx < 1 or nz < 1:
         raise ValueError("panel dimensions must be >= 1")
     x_arg, z_arg = _panel_args(azimuth, elevation, 2.0 * spacing / wavelength)
-    return _kron_steering([x_arg], [z_arg], nx, nz)[0]
+    return _kron_rows(_steering_rows([x_arg], nx), _steering_rows([z_arg], nz))[0]
 
 
 def los_channel(hop: HopGeometry, rx_response: np.ndarray, tx_response: np.ndarray,
@@ -223,23 +233,35 @@ def surface_weights(geometry: list[HopGeometry], p: SystemParams, airs_index: in
 @functools.lru_cache(maxsize=4)
 def _build_weights(geometry: tuple[HopGeometry, ...], p: SystemParams, airs_index: int):
     two_d = 2.0 * p.element_spacing / p.wavelength
-    surfaces_by_grid = {}
-    for k in range(1, p.num_irs + 1):
-        surfaces_by_grid.setdefault(p.grid_at(k, airs_index), []).append(k)
-    # surface k receives at hop k-1's arrival angles and re-radiates at hop k's
-    # departure angles; all surfaces of one panel size share one stacked build
-    panels, weights = [], {}
-    for (nx, nz), ks in surfaces_by_grid.items():
-        arr = [_panel_args(geometry[k - 1].arr_azimuth, geometry[k - 1].arr_elevation, two_d)
-               for k in ks]
-        dep = [_panel_args(geometry[k].dep_azimuth, geometry[k].dep_elevation, two_d) for k in ks]
-        rows = _read_only(_kron_steering(*np.subtract(arr, dep).T, nx, nz))
-        panels.append((tuple(ks), rows))
-        weights.update(zip(ks, rows))
-    bs_tx = ula_response(geometry[0].dep_azimuth, p.bs_antennas, p.element_spacing, p.wavelength)
-    log_gain = tuple(math.log(amplitude_gain(hop.distance, p.ref_path_gain, p.path_loss_exponent))
-                     for hop in geometry)
-    return tuple(panels), tuple(weights[k] for k in sorted(weights)), _read_only(bs_tx), log_gain
+    # active surface first, so the surfaces of each panel size are one block of rows
+    order = [airs_index, *range(1, airs_index), *range(airs_index + 1, p.num_irs + 1)]
+    x_args, z_args = [], []
+    for k in order:  # surface k receives at hop k-1's arrival, re-radiates at hop k's departure
+        arr_x, arr_z = _panel_args(geometry[k - 1].arr_azimuth, geometry[k - 1].arr_elevation,
+                                   two_d)
+        dep_x, dep_z = _panel_args(geometry[k].dep_azimuth, geometry[k].dep_elevation, two_d)
+        x_args.append(arr_x - dep_x)
+        z_args.append(arr_z - dep_z)
+    (nx_a, nz_a), (nx_p, nz_p) = p.airs_grid, p.pirs_grid
+    # one exp pass per axis, the BS row last; a steering entry depends only on its
+    # argument and index, so a row cut from the longer pass is bit-identical
+    x = _steering_rows(x_args + [two_d * math.cos(geometry[0].dep_azimuth)],
+                       max(nx_a, nx_p, p.bs_antennas))
+    z = _steering_rows(z_args, max(nz_a, nz_p))
+    cuts = [0, p.num_irs] if p.airs_grid == p.pirs_grid else sorted({0, 1, p.num_irs})
+    panels, weights = [], [None] * p.num_irs
+    for start, stop in zip(cuts, cuts[1:]):
+        ks = tuple(order[start:stop])
+        nx, nz = p.grid_at(ks[0], airs_index)
+        rows = _read_only(_kron_rows(x[start:stop, :nx], z[start:stop, :nz]))
+        panels.append((ks, rows))
+        for k, row in zip(ks, rows):
+            weights[k - 1] = row
+    bs_tx = _read_only(x[p.num_irs, :p.bs_antennas])
+    distances = [hop.distance for hop in geometry]
+    log_of = {d: math.log(amplitude_gain(d, p.ref_path_gain, p.path_loss_exponent))
+              for d in set(distances)}
+    return tuple(panels), tuple(weights), bs_tx, tuple(map(log_of.__getitem__, distances))
 
 
 def hop_matrices(geometry: list[HopGeometry], p: SystemParams,

@@ -174,14 +174,34 @@ def amplitude_gain(distance: float, ref_path_gain: float, exponent: float) -> fl
     return math.sqrt(ref_path_gain) / distance ** (exponent / 2.0)
 
 
+def _hop_gain_error(p: SystemParams, distance_key: str) -> str | None:
+    """Message if the hop at ``distance_key`` has no amplitude gain in double range.
+
+    d**(alpha/2) overflows for a large exponent (OverflowError) or underflows
+    to 0 for a tiny distance (ZeroDivisionError).  Called only once a gain
+    has failed, so a valid budget pays no extra ``amplitude_gain`` call.
+    """
+    try:
+        amplitude_gain(getattr(p, distance_key), p.ref_path_gain, p.path_loss_exponent)
+    except (OverflowError, ZeroDivisionError):
+        return (f"path_loss_exponent = {p.path_loss_exponent:g} and {distance_key} = "
+                f"{getattr(p, distance_key):g} put the hop gain out of double range")
+    return None
+
+
 def derive_link_budget(p: SystemParams) -> LinkBudget:
     """Derive the link-budget constants from validated system parameters."""
     errors = [d for d in validate(p) if d.severity == "error"]
     if errors:
         raise ValueError("invalid system parameters: " + "; ".join(d.message for d in errors))
-    kappa_b = amplitude_gain(p.bs_irs_distance, p.ref_path_gain, p.path_loss_exponent)
-    kappa_i = amplitude_gain(p.inter_irs_distance, p.ref_path_gain, p.path_loss_exponent)
-    kappa_u = amplitude_gain(p.irs_user_distance, p.ref_path_gain, p.path_loss_exponent)
+    try:
+        kappa_b = amplitude_gain(p.bs_irs_distance, p.ref_path_gain, p.path_loss_exponent)
+        kappa_i = amplitude_gain(p.inter_irs_distance, p.ref_path_gain, p.path_loss_exponent)
+        kappa_u = amplitude_gain(p.irs_user_distance, p.ref_path_gain, p.path_loss_exponent)
+    except (OverflowError, ZeroDivisionError):
+        messages = (_hop_gain_error(p, key) for key in ("bs_irs_distance", "irs_user_distance"))
+        raise ValueError("invalid system parameters: "
+                         + "; ".join(m for m in messages if m)) from None
     return LinkBudget(
         kappa_b=kappa_b,
         kappa_i=kappa_i,
@@ -257,7 +277,12 @@ def validate(p: SystemParams) -> list[Diagnostic]:
         out.append(Diagnostic("warning", "far_field", "below the far-field threshold "
                               f"{threshold:.3g} m: {', '.join(near)}"))
 
-    kappa_i = amplitude_gain(p.inter_irs_distance, p.ref_path_gain, p.path_loss_exponent)
+    try:
+        kappa_i = amplitude_gain(p.inter_irs_distance, p.ref_path_gain, p.path_loss_exponent)
+    except (OverflowError, ZeroDivisionError):
+        out.append(Diagnostic("error", "path_loss_exponent",
+                              _hop_gain_error(p, "inter_irs_distance")))
+        return out
     if p.pirs_elements * kappa_i >= 1.0:
         out.append(Diagnostic(
             "warning", "f_non_decreasing",

@@ -1,12 +1,16 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from irschain import channel
-from irschain.beamforming import optimal_configuration, optimal_reflection_phases
+from irschain.beamforming import (
+    optimal_configuration,
+    optimal_reflection_phases,
+    optimal_transmit_beam,
+)
 from irschain.channel import (
     TWO_PI,
     HopGeometry,
@@ -296,6 +300,62 @@ class TestGeometryHelpers:
             assert rng.random() == reference_rng.random()
 
 
+# repr of HopGeometry(4.0, 0.175, HOP_ANGLES...) as the generated dataclass __init__ printed it
+HOP_REPR = ("HopGeometry(distance=4.0, dep_azimuth=0.175, dep_elevation=1.7207963267948965, "
+            "arr_azimuth=2.9665926535897933, arr_elevation=1.4207963267948966)")
+HOP_FIELDS = (4.0, 0.175, 1.7207963267948965, 2.9665926535897933, 1.4207963267948966)
+HOP_NAMES = ("distance", "dep_azimuth", "dep_elevation", "arr_azimuth", "arr_elevation")
+
+
+class TestHopGeometryRecord:
+    """The written-out constructor keeps the frozen dataclass behaviour."""
+
+    @pytest.mark.parametrize("name", HOP_NAMES)
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        hop = HopGeometry(*HOP_FIELDS)
+        with pytest.raises(FrozenInstanceError):
+            setattr(hop, name, 1.0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(hop, name)
+        assert repr(hop) == HOP_REPR
+
+    def test_equal_fields_give_equal_records_and_the_tuple_hash(self):
+        first, second = HopGeometry(*HOP_FIELDS), HopGeometry(*HOP_FIELDS)
+        assert first is not second
+        assert first == second and hash(first) == hash(second) == hash(HOP_FIELDS)
+        assert first != HopGeometry(*HOP_FIELDS[:4], 1.5)
+        assert first != HOP_FIELDS  # a record never equals a plain tuple
+
+    def test_repr_is_unchanged(self):
+        assert repr(HopGeometry(*HOP_FIELDS)) == HOP_REPR
+        assert repr(chain_geometry(SystemParams(num_irs=1))[0]) == HOP_REPR
+
+    def test_replace_and_defaults(self):
+        hop = HopGeometry(10.0, 0.5)
+        assert (hop.dep_elevation, hop.arr_azimuth, hop.arr_elevation) == (
+            math.pi / 2.0, 0.0, math.pi / 2.0)
+        moved = replace(HopGeometry(*HOP_FIELDS), distance=9.0, arr_azimuth=0.25)
+        assert moved == HopGeometry(9.0, *HOP_FIELDS[1:3], 0.25, HOP_FIELDS[4])
+        assert replace(hop) == hop and replace(hop) is not hop
+
+    def test_positional_and_keyword_construction(self):
+        hop = HopGeometry(*HOP_FIELDS)
+        assert HopGeometry(**dict(zip(HOP_NAMES, HOP_FIELDS))) == hop
+        assert HopGeometry(4.0, 0.175, arr_elevation=HOP_FIELDS[4],
+                           dep_elevation=HOP_FIELDS[2], arr_azimuth=HOP_FIELDS[3]) == hop
+        assert vars(hop) == dict(zip(HOP_NAMES, HOP_FIELDS))
+
+    def test_missing_or_unknown_argument_raises_type_error(self):
+        with pytest.raises(TypeError):
+            HopGeometry(4.0)  # dep_azimuth is required
+        with pytest.raises(TypeError):
+            HopGeometry(dep_azimuth=0.1)  # so is distance
+        with pytest.raises(TypeError):
+            HopGeometry(4.0, 0.1, azimuth=0.2)
+        with pytest.raises(TypeError):
+            HopGeometry(*HOP_FIELDS, 0.0)  # one positional too many
+
+
 def _scalar_random_geometry(p, rng):
     """Reference: one scalar draw per angle, in hop order."""
     return [HopGeometry(
@@ -314,6 +374,8 @@ _PANEL_TABLE = [
     (7, 2048, 150),
     (5, 97, 31),       # prime counts: 1 x N panels
     (3, 2, 1),         # a one-element active surface
+    (7, 100, 100),     # the active grid equals the passive one: a single block
+    (1, 1024, 2048),   # a full-size one-surface chain: no passive block
 ]
 
 
@@ -406,27 +468,37 @@ class TestHopResponseMemo:
         _assert_same_weights(after, _direct_weights(geom, p, l))
         assert any(not np.array_equal(a, b) for a, b in zip(after[1], before))
 
-    @pytest.mark.parametrize("airs_elements, passes", [(150, 2), (64, 1)])
+    @pytest.mark.parametrize("airs_elements, passes", [(150, 2), (64, 1), (1399, 2)])
     def test_one_check_builds_each_panel_size_once(self, monkeypatch, airs_elements, passes):
-        # one weights pass per panel size and one cache miss per check; the
-        # active panel is 10 x 15 or, at 64 elements, the passive 8 x 8
+        # two exp passes per check whatever the panel sizes (every x row plus the BS
+        # row, then every z row), one Kronecker product per panel size, one weights
+        # row per surface and one cache miss; the active panel is 10 x 15, the
+        # passive 8 x 8 at 64 elements, or the prime 1 x 1399
         p = replace(SystemParams(), pirs_elements=64, pirs_grid=None,
                     airs_elements=airs_elements, airs_grid=None)
         geom = random_geometry(p, np.random.default_rng(42))
-        calls = []
+        exp_passes, kron_rows = [], []
 
-        def counting_kron_steering(x_args, *args):
-            calls.append(len(x_args))
-            return kron_steering(x_args, *args)
+        def counting_steering_rows(varsigmas, length):
+            exp_passes.append((len(varsigmas), length))
+            return steering_rows(varsigmas, length)
 
-        kron_steering = channel._kron_steering
+        def counting_kron_rows(x, z):
+            kron_rows.append(len(x))
+            return kron(x, z)
+
+        steering_rows, kron = channel._steering_rows, channel._kron_rows
         channel._build_weights.cache_clear()
-        monkeypatch.setattr(channel, "_kron_steering", counting_kron_steering)
+        monkeypatch.setattr(channel, "_steering_rows", counting_steering_rows)
+        monkeypatch.setattr(channel, "_kron_rows", counting_kron_rows)
         phases, beam = optimal_configuration(4, geom, p)
         full_snr(4, geom, phases, beam, p)
         full_power(4, geom, phases, beam, p)
-        assert len(calls) == passes
-        assert sum(calls) == p.num_irs  # one weights row per surface
+        (nx_a, nz_a), (nx_p, nz_p) = p.airs_grid, p.pirs_grid
+        assert exp_passes == [(p.num_irs + 1, max(nx_a, nx_p, p.bs_antennas)),
+                              (p.num_irs, max(nz_a, nz_p))]
+        assert len(kron_rows) == passes
+        assert sum(kron_rows) == p.num_irs  # one weights row per surface
         assert channel._build_weights.cache_info().misses == 1
 
     @pytest.mark.parametrize("num_irs, n_p, n_a", _PANEL_TABLE)
@@ -458,6 +530,30 @@ class TestHopResponseMemo:
                     np.testing.assert_allclose(phases.reflection[k - 1],
                                                optimal_reflection_phases(arrive, depart),
                                                rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("num_irs, n_p, n_a, bs_antennas", [
+        *((*shape, 10) for shape in _PANEL_TABLE),
+        (7, 100, 100, 64),   # the BS row is the longest x row
+        # a prime 1 x 1399 passive panel with the 10 x 15 active one; kept out of
+        # _PANEL_TABLE, as conj(depart) * arrive rounds differently at phases of
+        # thousands of radians and misses the 1e-12 match above by about 2e-13
+        (7, 1399, 150, 10),
+    ])
+    def test_rows_and_phasors_bit_identical_at_every_active_position(
+            self, num_irs, n_p, n_a, bs_antennas):
+        # the active surface first, in the middle and last: its row is cut from the
+        # front of the stacked passes, whatever its place in the chain
+        p = SystemParams(num_irs=num_irs, pirs_elements=n_p, airs_elements=n_a,
+                         bs_antennas=bs_antennas)
+        rng = np.random.default_rng(3000 * num_irs + n_p + bs_antennas)
+        for l in sorted({1, (num_irs + 1) // 2, num_irs}):
+            geom = random_geometry(p, rng)
+            want_weights, want_bs_tx = _direct_weights(geom, p, l)
+            _assert_same_weights(surface_weights(geom, p, l), (want_weights, want_bs_tx))
+            phases, beam = optimal_configuration(l, geom, p)
+            for reflection, w in zip(phases.reflection, want_weights):
+                np.testing.assert_array_equal(reflection, np.conj(w))
+            np.testing.assert_array_equal(beam, optimal_transmit_beam(want_bs_tx, p.tx_power))
 
 
 class TestLogPowersFollowInputs:

@@ -241,6 +241,41 @@ class TestEvalCommand:
         assert captured.err.count("warning: ") == 1  # the three far-field distances, merged
 
 
+class TestHopGainOutOfRange:
+    """d**(alpha/2) overflows for a huge exponent and underflows to 0 for a tiny
+    distance; eval used to end in an OverflowError or ZeroDivisionError traceback."""
+
+    @pytest.mark.parametrize("config, key", [
+        ("alpha = 1e300\n", "inter_irs_distance"),
+        ("alpha = 3\nd_i = 1e-300\n", "inter_irs_distance"),
+        ("alpha = 3\nd_b = 1e-300\n", "bs_irs_distance"),
+        ("alpha = 3\nd_u = 1e-300\n", "irs_user_distance"),
+        ("alpha = 1e300\nd_i = 1\n", "bs_irs_distance"),  # 1**alpha stays in range
+    ], ids=["overflow-d_i", "underflow-d_i", "underflow-d_b", "underflow-d_u", "overflow-d_b"])
+    @pytest.mark.parametrize("mode", ["wit", "wpt"])
+    def test_eval_exits_2_naming_the_exponent_and_the_distance(self, tmp_path, capsys,
+                                                               config, key, mode):
+        cfg = tmp_path / "hop.cfg"
+        cfg.write_text(config)
+        assert run(["eval", "--mode", mode, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and captured.err.splitlines()[-1] == errors[0]
+        assert "path_loss_exponent = " in errors[0] and f"{key} = " in errors[0]
+        assert "out of double range" in errors[0]
+        assert captured.out == ""
+
+    def test_sweep_exits_2_naming_the_exponent_and_the_distance(self, tmp_path, capsys):
+        cfg = tmp_path / "hop.cfg"
+        cfg.write_text("alpha = 3\nd_u = 1e-300\n")
+        assert run(["sweep", "--mode", "wpt", "--np", "10:100:log:3", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: invalid system parameters: path_loss_exponent = 3 and irs_user_distance "
+            "= 1e-300 put the hop gain out of double range"]
+        assert captured.out == ""
+
+
 class TestSweepCommand:
     def test_power_sweep_pins_the_last_surface(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 from hypothesis import given, strategies as st
 
+from irschain import params as params_module
 from irschain.params import (
     MAX_ELEMENTS,
     MAX_SURFACES,
@@ -137,6 +138,58 @@ class TestLinkBudgetRecord:
         with pytest.raises(TypeError):
             LinkBudget(**linear, p=p, log_c_a=0.0)  # derived fields are not arguments
         assert not hasattr(budget, "p")
+
+
+class TestHopGainOutOfRange:
+    """A hop gain sqrt(beta_0) / d**(alpha/2) outside double range is an input
+    error naming the exponent and the hop's distance, never an ArithmeticError."""
+
+    @pytest.mark.parametrize("changes", [
+        {"path_loss_exponent": 1e300},                               # OverflowError
+        {"path_loss_exponent": 3.0, "inter_irs_distance": 1e-300},   # ZeroDivisionError
+    ])
+    def test_validate_reports_an_error_and_never_raises(self, changes):
+        p = SystemParams(**changes)
+        errors = [d for d in validate(p) if d.severity == "error"]
+        assert [d.name for d in errors] == ["path_loss_exponent"]
+        assert errors[0].message == (
+            f"path_loss_exponent = {p.path_loss_exponent:g} and inter_irs_distance = "
+            f"{p.inter_irs_distance:g} put the hop gain out of double range")
+        with pytest.raises(ValueError, match="^invalid system parameters: path_loss_exponent"):
+            derive_link_budget(p)
+
+    @pytest.mark.parametrize("changes, keys", [
+        ({"path_loss_exponent": 3.0, "bs_irs_distance": 1e-300}, ["bs_irs_distance"]),
+        ({"path_loss_exponent": 3.0, "irs_user_distance": 1e-300}, ["irs_user_distance"]),
+        ({"path_loss_exponent": 1e300, "inter_irs_distance": 1.0},
+         ["bs_irs_distance", "irs_user_distance"]),
+    ])
+    def test_derive_link_budget_names_kappa_b_and_kappa_u_keys(self, changes, keys):
+        p = SystemParams(**changes)
+        assert [d for d in validate(p) if d.severity == "error"] == []
+        with pytest.raises(ValueError) as info:
+            derive_link_budget(p)
+        message = str(info.value)
+        assert message.startswith("invalid system parameters: ")
+        assert message.count("path_loss_exponent = ") == len(keys)
+        for key in ("bs_irs_distance", "irs_user_distance"):
+            assert (f"and {key} = " in message) == (key in keys)
+
+    def test_valid_budget_takes_three_amplitude_gains(self, monkeypatch):
+        # the guard costs nothing on valid input: no extra amplitude_gain call
+        calls = []
+        gain = params_module.amplitude_gain
+
+        def counting_gain(*args):
+            calls.append(args[0])
+            return gain(*args)
+
+        monkeypatch.setattr(params_module, "amplitude_gain", counting_gain)
+        p = SystemParams()
+        derive_link_budget(p)
+        # validate takes kappa_i for its regime warning, then the budget all three
+        assert calls == [p.inter_irs_distance, p.bs_irs_distance, p.inter_irs_distance,
+                         p.irs_user_distance]
 
 
 class TestSystemParams:
