@@ -300,7 +300,7 @@ class TestGeometryHelpers:
             assert rng.random() == reference_rng.random()
 
 
-# repr of HopGeometry(4.0, 0.175, HOP_ANGLES...) as the generated dataclass __init__ printed it
+# repr of HopGeometry(*HOP_FIELDS), frozen from the dataclass-generated constructor's record
 HOP_REPR = ("HopGeometry(distance=4.0, dep_azimuth=0.175, dep_elevation=1.7207963267948965, "
             "arr_azimuth=2.9665926535897933, arr_elevation=1.4207963267948966)")
 HOP_FIELDS = (4.0, 0.175, 1.7207963267948965, 2.9665926535897933, 1.4207963267948966)
