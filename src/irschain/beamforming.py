@@ -58,12 +58,7 @@ def optimal_configuration(airs_index: int, geometry: list[HopGeometry],
     """Jointly optimal (phases, beam) for a given active-surface position."""
     if budget is None:
         budget = derive_link_budget(p)
-    panels, _, bs_tx, _ = surface_weights(geometry, p, airs_index)
-    beam = optimal_transmit_beam(bs_tx, p.tx_power)
-    # optimal_reflection_phases' depart_k * conj(arrive_k) is conj(w_k): one conj per panel
-    phasors = [None] * p.num_irs
-    for ks, weights in panels:
-        for k, row in zip(ks, np.conj(weights)):
-            phasors[k - 1] = row
-    eta = amplification_factor(airs_index, budget, p)
-    return PhaseConfig._adopt(phasors, eta), beam
+    weights, bs_tx, _ = surface_weights(geometry, p, airs_index)
+    # optimal_reflection_phases' depart_k * conj(arrive_k) is conj(w_k)
+    phases = PhaseConfig(tuple(map(np.conj, weights)), amplification_factor(airs_index, budget, p))
+    return phases, optimal_transmit_beam(bs_tx, p.tx_power)

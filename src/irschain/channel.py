@@ -15,12 +15,14 @@ A surface's two responses are Kronecker products of x- and z-axis
 steering vectors on one panel, so its weights w_k = conj(depart_k) *
 arrive_k are the Kronecker product of two steering vectors at the
 arrival minus the departure arguments; no response row is built.
-``surface_weights`` memoises them with the transmit response and the log
-hop gains, so one oracle check (optimal configuration, SNR, power) makes
-one exp pass per axis per chain, the BS transmit response riding in the
-x-axis pass, and one Kronecker product per panel size.  ``full_snr`` and
-``full_power`` raise ``ValueError`` for a beam without ``bs_antennas``
-entries or a ``PhaseConfig`` without one phasor per surface element.
+``surface_weights`` memoises them, one read-only row per surface, with
+the transmit response and the log hop gains, so one oracle check
+(optimal configuration, SNR, power) makes one exp pass per axis per
+chain, the BS transmit response riding in the x-axis pass, and one
+Kronecker product per panel size.  How the rows are laid out is this
+module's business alone.  ``full_snr`` and ``full_power`` raise
+``ValueError`` for a beam without ``bs_antennas`` entries or a
+``PhaseConfig`` without one phasor per surface element.
 """
 
 from __future__ import annotations
@@ -69,28 +71,21 @@ class PhaseConfig:
     ``reflection[k - 1]`` holds surface k's per-element phasors
     e^{j theta}; ``eta`` is the common amplification factor applied at the
     active surface (1 would be passive, feasibility is checked by the
-    beamforming module).  The phasors are read-only copies taken at
-    construction, so later changes to the caller's arrays cannot reach
-    them; only the beamformer hands over the arrays it has just built
-    uncopied, through ``_adopt``.  Equality is identity: value comparison
-    of arrays has no single truth value.
+    beamforming module).  The record holds the arrays it is given, uncopied:
+    the oracle reads the phasors when it is called, so a phasor edited in
+    place is read afresh.  Equality is identity: value comparison of arrays
+    has no single truth value.
     """
 
     reflection: tuple[np.ndarray, ...]
     eta: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "reflection",
-                           tuple(_read_only(np.array(r)) for r in self.reflection))
-
-    @classmethod
-    def _adopt(cls, reflection, eta: float) -> PhaseConfig:
-        config = object.__new__(cls)  # the arrays are kept, made read-only
-        vars(config).update(reflection=tuple(map(_read_only, reflection)), eta=eta)
-        return config
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark a and the array owning its memory read-only, so neither can be made
+    writeable again."""
+    if a.base is not None:
+        a.base.flags.writeable = False
     a.flags.writeable = False
     return a
 
@@ -217,11 +212,10 @@ def hop_responses(geometry: list[HopGeometry], p: SystemParams,
 
 
 def surface_weights(geometry: list[HopGeometry], p: SystemParams, airs_index: int):
-    """(panels, weights, BS transmit response, log|g_k| of hops 0..J) of a chain.
+    """(weights, BS transmit response, log|g_k| of hops 0..J) of a chain.
 
-    ``weights[k - 1]`` is surface k's w_k = conj(depart_k) * arrive_k; ``panels``
-    pairs the surfaces of each panel size with the stacked array of their
-    rows.  Calls with equal arguments share the same read-only arrays.
+    ``weights[k - 1]`` is surface k's w_k = conj(depart_k) * arrive_k.  Calls
+    with equal arguments share the same read-only arrays.
     """
     _check_chain(geometry, p, airs_index)
     return _build_weights(tuple(geometry), p, airs_index)
@@ -245,23 +239,20 @@ def _build_weights(geometry: tuple[HopGeometry, ...], p: SystemParams, airs_inde
     (nx_a, nz_a), (nx_p, nz_p) = p.airs_grid, p.pirs_grid
     # one exp pass per axis, the BS row last; a steering entry depends only on its
     # argument and index, so a row cut from the longer pass is bit-identical
-    x = _steering_rows(x_args + [two_d * math.cos(geometry[0].dep_azimuth)],
-                       max(nx_a, nx_p, p.bs_antennas))
+    x = _read_only(_steering_rows(x_args + [two_d * math.cos(geometry[0].dep_azimuth)],
+                                  max(nx_a, nx_p, p.bs_antennas)))
     z = _steering_rows(z_args, max(nz_a, nz_p))
     cuts = [0, p.num_irs] if p.airs_grid == p.pirs_grid else sorted({0, 1, p.num_irs})
-    panels, weights = [], [None] * p.num_irs
+    weights = [None] * p.num_irs
     for start, stop in zip(cuts, cuts[1:]):
-        ks = tuple(order[start:stop])
-        nx, nz = p.grid_at(ks[0], airs_index)
+        nx, nz = p.grid_at(order[start], airs_index)
         rows = _read_only(_kron_rows(x[start:stop, :nx], z[start:stop, :nz]))
-        panels.append((ks, rows))
-        for k, row in zip(ks, rows):
+        for k, row in zip(order[start:stop], rows):
             weights[k - 1] = row
-    bs_tx = _read_only(x[p.num_irs, :p.bs_antennas])
     distances = [hop.distance for hop in geometry]
     log_of = {d: math.log(amplitude_gain(d, p.ref_path_gain, p.path_loss_exponent))
               for d in set(distances)}
-    return tuple(panels), tuple(weights), bs_tx, tuple(map(log_of.__getitem__, distances))
+    return tuple(weights), x[p.num_irs, :p.bs_antennas], tuple(map(log_of.__getitem__, distances))
 
 
 def hop_matrices(geometry: list[HopGeometry], p: SystemParams,
@@ -293,7 +284,7 @@ def _log_powers(airs_index, geometry, phases, beam, p) -> tuple[float, float, fl
     factor, such as eta = 0 or a null A_k, makes it -inf.
     """
     beam = np.asarray(beam, dtype=complex)
-    _, weights, bs_tx, log_gain = surface_weights(geometry, p, airs_index)
+    weights, bs_tx, log_gain = surface_weights(geometry, p, airs_index)
     _check_shapes(weights, phases, beam, p)
     # log|tx_0^H w| at index 0, then log|A_k| = log|sum(phi_k * w_k)| at index k
     log_coeff = [_log_abs(np.vdot(bs_tx, beam))] + [

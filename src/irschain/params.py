@@ -184,9 +184,40 @@ def _hop_gain_error(p: SystemParams, distance_key: str) -> str | None:
     try:
         amplitude_gain(getattr(p, distance_key), p.ref_path_gain, p.path_loss_exponent)
     except (OverflowError, ZeroDivisionError):
-        return (f"path_loss_exponent = {p.path_loss_exponent:g} and {distance_key} = "
-                f"{getattr(p, distance_key):g} put the hop gain out of double range")
+        return _out_of_range(p, ("path_loss_exponent", distance_key), "the hop gain")
     return None
+
+
+def _out_of_range(p: SystemParams, keys: tuple[str, ...], quantity: str) -> str:
+    """'k1 = v1, ... and kn = vn put <quantity> out of double range'."""
+    named = [f"{key} = {getattr(p, key):g}" for key in keys]
+    return f"{', '.join(named[:-1])} and {named[-1]} put {quantity} out of double range"
+
+
+def _budget_error(p: SystemParams, kappa_b: float, kappa_i: float, kappa_u: float) -> str:
+    """Message naming the keys of every budget constant outside (0, inf).
+
+    A constant underflows to 0 or overflows (kappa**2 raises, a product
+    rounds to inf).  Called only once the range check has failed, so a
+    valid budget pays for that one check.
+    """
+    messages = []
+    for scale, kappa, power, quantity, keys in (
+            (p.amp_power * p.airs_elements, kappa_u, 2,
+             "c_a = amp_power * airs_elements * kappa_u**2",
+             ("amp_power", "airs_elements", "irs_user_distance")),
+            (p.tx_power * p.bs_antennas, kappa_b, 2, "c_t = tx_power * bs_antennas * kappa_b**2",
+             ("tx_power", "bs_antennas", "bs_irs_distance")),
+            (p.pirs_elements, kappa_i, 1, "np_kappa_i = pirs_elements * kappa_i",
+             ("pirs_elements", "inter_irs_distance"))):
+        try:
+            value = scale * kappa**power
+        except OverflowError:
+            value = math.inf
+        if not 0.0 < value < math.inf:
+            messages.append(_out_of_range(p, keys + ("ref_path_gain", "path_loss_exponent"),
+                                          quantity))
+    return "; ".join(messages)
 
 
 def derive_link_budget(p: SystemParams) -> LinkBudget:
@@ -202,15 +233,17 @@ def derive_link_budget(p: SystemParams) -> LinkBudget:
         messages = (_hop_gain_error(p, key) for key in ("bs_irs_distance", "irs_user_distance"))
         raise ValueError("invalid system parameters: "
                          + "; ".join(m for m in messages if m)) from None
-    return LinkBudget(
-        kappa_b=kappa_b,
-        kappa_i=kappa_i,
-        kappa_u=kappa_u,
-        c_a=p.amp_power * p.airs_elements * kappa_u**2,
-        c_t=p.tx_power * p.bs_antennas * kappa_b**2,
-        np_kappa_i=p.pirs_elements * kappa_i,
-        p=p,
-    )
+    try:
+        c_a = p.amp_power * p.airs_elements * kappa_u**2
+        c_t = p.tx_power * p.bs_antennas * kappa_b**2
+    except OverflowError:  # a gain squared past the largest double
+        c_a = c_t = math.inf
+    np_kappa_i = p.pirs_elements * kappa_i
+    if not (0.0 < c_a < math.inf and 0.0 < c_t < math.inf and 0.0 < np_kappa_i < math.inf):
+        raise ValueError("invalid system parameters: "
+                         + _budget_error(p, kappa_b, kappa_i, kappa_u))
+    return LinkBudget(kappa_b=kappa_b, kappa_i=kappa_i, kappa_u=kappa_u, c_a=c_a, c_t=c_t,
+                      np_kappa_i=np_kappa_i, p=p)
 
 
 @dataclass(frozen=True)
@@ -226,13 +259,25 @@ def _aperture(nx: int, nz: int, spacing: float) -> float:
 
 
 def fraunhofer_distance(p: SystemParams) -> float:
-    """Far-field threshold 2 D^2 / wavelength, D the largest array aperture."""
-    d_max = (p.bs_antennas - 1) * p.element_spacing
-    if p.airs_grid is not None:
-        d_max = max(d_max, _aperture(*p.airs_grid, p.element_spacing))
-    if p.pirs_grid is not None:
-        d_max = max(d_max, _aperture(*p.pirs_grid, p.element_spacing))
-    return 2.0 * d_max**2 / p.wavelength
+    """Far-field threshold 2 D^2 / wavelength, D the largest array aperture.
+
+    Raises ``ValueError`` naming the keys that set it when it leaves double
+    range (d_max**2 raises, or a product rounds to inf).
+    """
+    try:
+        d_max = (p.bs_antennas - 1) * p.element_spacing
+        if p.airs_grid is not None:
+            d_max = max(d_max, _aperture(*p.airs_grid, p.element_spacing))
+        if p.pirs_grid is not None:
+            d_max = max(d_max, _aperture(*p.pirs_grid, p.element_spacing))
+        threshold = 2.0 * d_max**2 / p.wavelength
+    except OverflowError:
+        threshold = math.inf
+    if threshold < math.inf:
+        return threshold
+    raise ValueError(_out_of_range(
+        p, ("bs_antennas", "airs_elements", "pirs_elements", "element_spacing", "wavelength"),
+        "the far-field threshold 2 D**2 / wavelength"))
 
 
 def validate(p: SystemParams) -> list[Diagnostic]:
@@ -269,13 +314,17 @@ def validate(p: SystemParams) -> list[Diagnostic]:
     if out:
         return out  # derived checks below need sane inputs
 
-    threshold = fraunhofer_distance(p)
-    near = [f"{name}={getattr(p, name):g} m" for name in
-            ("bs_irs_distance", "irs_user_distance", "inter_irs_distance")
-            if getattr(p, name) < threshold]
-    if near:
-        out.append(Diagnostic("warning", "far_field", "below the far-field threshold "
-                              f"{threshold:.3g} m: {', '.join(near)}"))
+    try:
+        threshold = fraunhofer_distance(p)
+    except ValueError as exc:
+        out.append(Diagnostic("error", "far_field", str(exc)))
+    else:
+        near = [f"{name}={getattr(p, name):g} m" for name in
+                ("bs_irs_distance", "irs_user_distance", "inter_irs_distance")
+                if getattr(p, name) < threshold]
+        if near:
+            out.append(Diagnostic("warning", "far_field", "below the far-field threshold "
+                                  f"{threshold:.3g} m: {', '.join(near)}"))
 
     try:
         kappa_i = amplitude_gain(p.inter_irs_distance, p.ref_path_gain, p.path_loss_exponent)

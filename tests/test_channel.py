@@ -418,7 +418,7 @@ def _direct_weights(geom, p, l):
 
 
 def _assert_same_weights(got, want):
-    (_, weights, bs_tx, _), (want_weights, want_bs_tx) = got, want
+    (weights, bs_tx, _), (want_weights, want_bs_tx) = got, want
     assert len(weights) == len(want_weights)
     for w, want_w in zip(weights, want_weights):
         np.testing.assert_array_equal(w, want_w)
@@ -434,10 +434,15 @@ class TestHopResponseMemo:
         self.geom = random_geometry(self.p, np.random.default_rng(41))
 
     def test_returned_arrays_refuse_writes(self):
-        panels, weights, bs_tx, _ = surface_weights(self.geom, self.p, 2)
-        for array in (*weights, bs_tx, *(stacked for _, stacked in panels)):
+        weights, bs_tx, _ = surface_weights(self.geom, self.p, 2)
+        for array in (*weights, bs_tx):
             with pytest.raises(ValueError):
                 array[0] = 0.0
+            # the arrays they view are read-only too, so the flag cannot be switched back
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+        _assert_same_weights(surface_weights(self.geom, self.p, 2),
+                             _direct_weights(self.geom, self.p, 2))
 
     def test_equal_valued_inputs_give_equal_responses(self):
         first = surface_weights(self.geom, self.p, 2)
@@ -445,15 +450,15 @@ class TestHopResponseMemo:
         p = replace(self.p)
         assert p is not self.p and geom[0] is not self.geom[0]
         second = surface_weights(geom, p, 2)
-        _assert_same_weights(second, first[1:3])
-        assert second[3] == first[3]
+        _assert_same_weights(second, first[:2])
+        assert second[2] == first[2]
         _assert_same_weights(first, _direct_weights(self.geom, self.p, 2))
 
     @pytest.mark.parametrize("change", ["wavelength", "element_spacing", "pirs_grid",
                                         "airs_index", "hop_angle"])
     def test_changed_input_builds_fresh_responses(self, change):
         p, geom, l = self.p, list(self.geom), 2
-        before = surface_weights(geom, p, l)[1]
+        before = surface_weights(geom, p, l)[0]
         if change == "wavelength":
             p = replace(p, wavelength=1.1 * p.wavelength)
         elif change == "element_spacing":
@@ -466,7 +471,7 @@ class TestHopResponseMemo:
             geom[1] = replace(geom[1], dep_azimuth=geom[1].dep_azimuth + 0.2)
         after = surface_weights(geom, p, l)
         _assert_same_weights(after, _direct_weights(geom, p, l))
-        assert any(not np.array_equal(a, b) for a, b in zip(after[1], before))
+        assert any(not np.array_equal(a, b) for a, b in zip(after[0], before))
 
     @pytest.mark.parametrize("airs_elements, passes", [(150, 2), (64, 1), (1399, 2)])
     def test_one_check_builds_each_panel_size_once(self, monkeypatch, airs_elements, passes):
@@ -521,7 +526,7 @@ class TestHopResponseMemo:
             for _ in range(5):
                 geom = random_geometry(p, rng)
                 hops = hop_responses(geom, p, l)
-                weights = surface_weights(geom, p, l)[1]
+                weights = surface_weights(geom, p, l)[0]
                 phases, _ = optimal_configuration(l, geom, p)
                 for k in range(1, num_irs + 1):
                     arrive, depart = hops[k - 1][0], hops[k][1]
@@ -665,34 +670,16 @@ class TestPhaseConfig:
             np.testing.assert_allclose(phases.reflection[k], np.exp(1j * theta),
                                        rtol=0.0, atol=1e-15)
 
-    def test_later_changes_to_the_callers_arrays_do_not_reach_it(self):
-        phases = PhaseConfig(reflection=tuple(self.reflection), eta=1.0)
-        reflection_before = [r.copy() for r in phases.reflection]
-        for r in self.reflection:
-            r[:] = 0.5
-        for k in range(len(self.reflection)):
-            np.testing.assert_array_equal(phases.reflection[k], reflection_before[k])
-        with pytest.raises(ValueError):
-            phases.reflection[0][0] = 0.5
-
-    def test_beamformer_rows_of_one_panel_size_share_one_array(self):
+    def test_beamformer_phasors_share_no_memory_with_the_memoised_weights(self):
         # surfaces 1, 3 and 4 are passive 4 x 4 panels, surface 2 the active 4 x 5
         p = SystemParams(num_irs=4, pirs_elements=16, airs_elements=20)
         geom = random_geometry(p, np.random.default_rng(47))
         phases, _ = optimal_configuration(2, geom, p)
-        passive = [phases.reflection[k - 1] for k in (1, 3, 4)]
-        base = passive[0].base
-        assert base is not None and all(r.base is base for r in passive)
-        assert phases.reflection[1].base is not base
-        assert base.shape == (3, 16)
-        # the beamformer's own array, not the memoised weights
-        assert not any(np.shares_memory(base, w) for w in surface_weights(geom, p, 2)[1])
+        weights = surface_weights(geom, p, 2)[0]
+        assert not any(np.shares_memory(r, w) for r in phases.reflection for w in weights)
         for r in phases.reflection:
-            with pytest.raises(ValueError):
-                r[0] = 0.5
-        # any other caller's arrays, these rows included, are still copied
-        copied = PhaseConfig(reflection=phases.reflection, eta=phases.eta)
-        assert all(r.base is None and not np.shares_memory(r, base) for r in copied.reflection)
+            r[:] = 0.5
+        _assert_same_weights(surface_weights(geom, p, 2), _direct_weights(geom, p, 2))
 
     def test_equality_is_identity(self):
         a = PhaseConfig(reflection=tuple(self.reflection), eta=1.0)

@@ -276,6 +276,50 @@ class TestHopGainOutOfRange:
         assert captured.out == ""
 
 
+class TestInputsAtTheEdgeOfDoubleRange:
+    """One key at a time at 1e-300 ... 1.7e308.  eval used to end in a traceback
+    (far-field threshold, kappa**2, floor of an infinite relaxed index), print
+    objective_linear = nan, or exit with a bare 'math domain error'."""
+
+    @pytest.mark.parametrize("mode", ["wit", "wpt"])
+    @pytest.mark.parametrize("value", ["1e-300", "1e-30", "1e30", "1e300", "1.7e308"])
+    @pytest.mark.parametrize("key", ["j", "m", "na", "np", "d_b", "d_u", "d_i", "pt", "pa",
+                                     "sigma2", "alpha", "beta0", "wavelength", "spacing"])
+    def test_eval_gives_a_finite_report_or_one_error(self, tmp_path, capsys, key, value, mode):
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        code = run(["eval", "--mode", mode, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code in (0, 2)
+        assert "math domain error" not in captured.err
+        if code == 0:
+            values = [line.split(" = ", 1)[1] for line in captured.out.splitlines()]
+            assert not {"nan", "inf", "-inf"} & set(values)
+        else:
+            assert captured.out == ""
+            assert [line for line in captured.err.splitlines()
+                    if line.startswith("error: ")] == [captured.err.splitlines()[-1]]
+
+    @pytest.mark.parametrize("config, keys", [
+        ("pa = 1.7e308\n", ["amp_power", "airs_elements", "irs_user_distance"]),
+        ("pt = 1.7e308\n", ["tx_power", "bs_antennas", "bs_irs_distance"]),
+        ("d_b = 1e300\n", ["tx_power", "bs_antennas", "bs_irs_distance"]),
+        ("d_u = 1e-300\n", ["amp_power", "airs_elements", "irs_user_distance"]),
+        ("m = 1e300\n", ["bs_antennas", "element_spacing", "wavelength"]),
+        ("spacing = 1e300\n", ["bs_antennas", "element_spacing", "wavelength"]),
+    ])
+    @pytest.mark.parametrize("mode", ["wit", "wpt"])
+    def test_error_names_the_keys_of_the_quantity(self, tmp_path, capsys, config, keys, mode):
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(config)
+        assert run(["eval", "--mode", mode, "--config", str(cfg)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        (error,) = [line for line in lines if line.startswith("error: ")]
+        assert error == lines[-1] and error.endswith("out of double range")
+        for key in keys:
+            assert f"{key} = " in error
+
+
 class TestSweepCommand:
     def test_power_sweep_pins_the_last_surface(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -192,6 +192,55 @@ class TestHopGainOutOfRange:
                          p.irs_user_distance]
 
 
+class TestBudgetOutOfRange:
+    """c_a, c_t, np_kappa_i and the far-field threshold out of double range are
+    input errors naming the keys that feed them, never an ArithmeticError, a
+    'math domain error' or an infinite constant."""
+
+    @pytest.mark.parametrize("changes, quantity", [
+        ({"amp_power": 1.7e308}, "c_a"),                   # the product rounds to inf
+        ({"irs_user_distance": 1e-300}, "c_a"),            # kappa_u**2 raises
+        ({"irs_user_distance": 1e300}, "c_a"),             # kappa_u**2 underflows to 0
+        ({"tx_power": 1.7e308}, "c_t"),
+        ({"bs_irs_distance": 1e-300}, "c_t"),
+        ({"bs_irs_distance": 1e300}, "c_t"),
+        ({"ref_path_gain": 1e-300, "inter_irs_distance": 1e300}, "np_kappa_i"),
+    ])
+    def test_derive_link_budget_names_the_constant_and_its_keys(self, changes, quantity):
+        p = SystemParams(**changes)
+        assert [d for d in validate(p) if d.severity == "error"] == []
+        with pytest.raises(ValueError) as info:
+            derive_link_budget(p)
+        message = str(info.value)
+        assert message.startswith("invalid system parameters: ")
+        assert message.count(" put ") == 1 and f" put {quantity} = " in message
+        for key, value in changes.items():
+            assert f"{key} = {value:g}" in message
+
+    def test_both_constants_out_of_range_are_both_named(self):
+        p = SystemParams(tx_power=1.7e308, amp_power=1.7e308)
+        with pytest.raises(ValueError, match="put c_a = .*; .*put c_t = "):
+            derive_link_budget(p)
+
+    @pytest.mark.parametrize("changes", [
+        {"bs_antennas": 10**300},                         # d_max**2 raises
+        {"element_spacing": 1e300},
+        {"wavelength": 1.7e308},                          # d_max rounds to inf, no raise
+    ])
+    def test_far_field_threshold_out_of_range_is_an_error(self, changes):
+        p = SystemParams(**changes)
+        with pytest.raises(ValueError, match="put the far-field threshold"):
+            fraunhofer_distance(p)
+        errors = [d for d in validate(p) if d.severity == "error"]
+        assert [d.name for d in errors] == ["far_field"]
+        assert errors[0].message == (
+            f"bs_antennas = {p.bs_antennas:g}, airs_elements = 150, pirs_elements = 100, "
+            f"element_spacing = {p.element_spacing:g} and wavelength = {p.wavelength:g} "
+            "put the far-field threshold 2 D**2 / wavelength out of double range")
+        with pytest.raises(ValueError, match="^invalid system parameters: bs_antennas = "):
+            derive_link_budget(p)
+
+
 class TestSystemParams:
     def test_default_grids_factor_exactly(self):
         p = SystemParams()
