@@ -83,10 +83,10 @@ class PhaseConfig:
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     """Mark a and the array owning its memory read-only, so neither can be made
-    writeable again."""
+    writeable again (``setflags`` costs less than writing ``a.flags``)."""
     if a.base is not None:
-        a.base.flags.writeable = False
-    a.flags.writeable = False
+        a.base.setflags(write=False)
+    a.setflags(write=False)
     return a
 
 
