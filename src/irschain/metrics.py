@@ -8,10 +8,10 @@ position-independent logs come from ``LinkBudget``, taken once per
 budget: log c_a, log c_t, log np_kappa_i, the log noise power and the log
 signal power log(c_a c_t N_a np_kappa_i**(2(J-1))), and the sums
 log(noise) + log c_a, log(noise) + log c_t and 2 log(noise).  A position
-costs one multiply-add per position-dependent term; each sum is then
-shifted by its largest term.  The SNR takes an fsum of its three
-denominator exps and one exp for the ratio; the power skips the exp of
-each shift, which is exactly 1, and takes three exps in all.
+is one ``objective`` call (``snr_closed`` and ``power_closed`` are its
+named forms): a multiply-add per position-dependent term, each sum
+shifted by its largest term, and three exps for the SNR's denominator
+fsum and one for the ratio, or three in all for the power.
 """
 
 from __future__ import annotations
@@ -49,32 +49,37 @@ def _ratio_of_term_sums(log_num_terms: list[float], log_den_terms: list[float]) 
 
 def snr_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = None) -> float:
     """Receiver SNR under optimal beam, phases, and amplification."""
-    if budget is None:
-        budget = derive_link_budget(p)
-    log_npk, j, l = budget.log_np_kappa_i, p.num_irs, airs_index
-    check_airs_index(l, j)
-    amp = budget.log_noise_c_a + 2.0 * (j - l) * log_npk    # amplified surface noise
-    awgn = budget.log_noise_c_t + 2.0 * (l - 1) * log_npk   # receiver AWGN, signal-scaled
-    floor = budget.log_noise_floor                          # receiver AWGN floor
-    # max() without the call; as in max(), the first of equal terms wins
-    m = amp if amp >= awgn else awgn
-    m = m if m >= floor else floor
-    # fsum, not sum: a plain 3-term sum rounds differently, and sub-ulp gaps decide ties
-    den = math.fsum((math.exp(amp - m), math.exp(awgn - m), math.exp(floor - m)))
-    return math.exp(budget.log_signal - m) * (1.0 / den)
+    return objective(WIT, p, airs_index, budget)
 
 
 def power_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = None) -> float:
     """Received signal-plus-amplification-noise power (watts) at the optimum."""
+    return objective(WPT, p, airs_index, budget)
+
+
+def objective(mode: str, p: SystemParams, airs_index: int,
+              budget: LinkBudget | None = None) -> float:
+    """SNR ("wit") or received watts ("wpt") at one active-surface position."""
+    if mode != WIT and mode != WPT:
+        check_mode(mode)  # raises, before the budget or the index is looked at
     if budget is None:
         budget = derive_link_budget(p)
     j, l = p.num_irs, airs_index
     check_airs_index(l, j)
-    # one name per line: a 4-name unpack builds and unpacks a tuple on every call
     log_npk = budget.log_np_kappa_i
+    amp = budget.log_noise_c_a + 2.0 * (j - l) * log_npk    # amplified surface noise
+    if mode == WIT:
+        awgn = budget.log_noise_c_t + 2.0 * (l - 1) * log_npk   # receiver AWGN, signal-scaled
+        floor = budget.log_noise_floor                          # receiver AWGN floor
+        # max() without the call; as in max(), the first of equal terms wins
+        m = amp if amp >= awgn else awgn
+        m = m if m >= floor else floor
+        # fsum, not sum: a plain 3-term sum rounds differently, and sub-ulp gaps decide ties
+        den = math.fsum((math.exp(amp - m), math.exp(awgn - m), math.exp(floor - m)))
+        return math.exp(budget.log_signal - m) * (1.0 / den)
+    # one name per line: a 4-name unpack builds and unpacks a tuple on every call
     log_s2 = budget.log_noise_power
     signal = budget.log_signal
-    amp = budget.log_noise_c_a + 2.0 * (j - l) * log_npk
     incident = budget.log_c_t + 2.0 * (l - 1) * log_npk
     # Each sum is shifted by its larger term, whose exp is exp(0.0) == 1.0
     # exactly, so only the other term needs an exp.  One IEEE addition is
@@ -89,15 +94,3 @@ def power_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = N
     else:
         m_den, den = log_s2, 1.0 + math.exp(incident - log_s2)
     return math.exp(m_num - m_den) * (num / den)
-
-
-def objective(mode: str, p: SystemParams, airs_index: int,
-              budget: LinkBudget | None = None) -> float:
-    """SNR ("wit") or received watts ("wpt") at one active-surface position."""
-    # dispatch by name, not through a dict of functions: a wrapper installed on
-    # the module attribute (perfbench/tracing.py does this) must see every call
-    if mode == WIT:
-        return snr_closed(p, airs_index, budget)
-    if mode == WPT:
-        return power_closed(p, airs_index, budget)
-    check_mode(mode)  # raises: mode is neither WIT nor WPT

@@ -188,9 +188,17 @@ def _hop_gain_error(p: SystemParams, distance_key: str) -> str | None:
     return None
 
 
+def _g(value: float) -> str:
+    try:
+        return f"{value:g}"
+    except OverflowError:  # an int beyond double range; Decimal gives :g's six digits
+        from decimal import Context  # here, not at the top: it adds ms to every start-up
+        return f"{Context(prec=6).create_decimal(value).normalize():g}"
+
+
 def _out_of_range(p: SystemParams, keys: tuple[str, ...], quantity: str) -> str:
     """'k1 = v1, ... and kn = vn put <quantity> out of double range'."""
-    named = [f"{key} = {getattr(p, key):g}" for key in keys]
+    named = [f"{key} = {_g(getattr(p, key))}" for key in keys]
     return f"{', '.join(named[:-1])} and {named[-1]} put {quantity} out of double range"
 
 
@@ -222,8 +230,7 @@ def _budget_error(p: SystemParams, kappa_b: float, kappa_i: float, kappa_u: floa
 
 def derive_link_budget(p: SystemParams) -> LinkBudget:
     """Derive the link-budget constants from validated system parameters."""
-    errors = [d for d in validate(p) if d.severity == "error"]
-    if errors:
+    if errors := validate(p, warnings=False):
         raise ValueError("invalid system parameters: " + "; ".join(d.message for d in errors))
     try:
         kappa_b = amplitude_gain(p.bs_irs_distance, p.ref_path_gain, p.path_loss_exponent)
@@ -280,12 +287,12 @@ def fraunhofer_distance(p: SystemParams) -> float:
         "the far-field threshold 2 D**2 / wavelength"))
 
 
-def validate(p: SystemParams) -> list[Diagnostic]:
+def validate(p: SystemParams, *, warnings: bool = True) -> list[Diagnostic]:
     """Check every parameter invariant; diagnostics are data, never raised.
 
     Errors make the parameter set unusable; warnings flag modeling
-    assumptions that do not hold (far-field margin, non-decreasing
-    effective-gain regime).
+    assumptions that do not hold (far-field margin, f(l) non-decreasing).
+    ``warnings=False`` returns the same errors and formats no warning.
     """
     out: list[Diagnostic] = []
     if p.num_irs < 1:
@@ -319,9 +326,9 @@ def validate(p: SystemParams) -> list[Diagnostic]:
     except ValueError as exc:
         out.append(Diagnostic("error", "far_field", str(exc)))
     else:
-        near = [f"{name}={getattr(p, name):g} m" for name in
-                ("bs_irs_distance", "irs_user_distance", "inter_irs_distance")
-                if getattr(p, name) < threshold]
+        near = warnings and [f"{name}={getattr(p, name):g} m" for name in
+                             ("bs_irs_distance", "irs_user_distance", "inter_irs_distance")
+                             if getattr(p, name) < threshold]
         if near:
             out.append(Diagnostic("warning", "far_field", "below the far-field threshold "
                                   f"{threshold:.3g} m: {', '.join(near)}"))
@@ -332,7 +339,7 @@ def validate(p: SystemParams) -> list[Diagnostic]:
         out.append(Diagnostic("error", "path_loss_exponent",
                               _hop_gain_error(p, "inter_irs_distance")))
         return out
-    if p.pirs_elements * kappa_i >= 1.0:
+    if warnings and p.pirs_elements * kappa_i >= 1.0:
         out.append(Diagnostic(
             "warning", "f_non_decreasing",
             "f(l) non-decreasing regime: pirs_elements * kappa_i = "

@@ -1,10 +1,12 @@
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irschain.beamforming import optimal_configuration
 from irschain.channel import (
@@ -13,7 +15,7 @@ from irschain.channel import (
     full_snr,
     random_geometry,
 )
-from irschain.deployment import agreement_grid
+from irschain.deployment import agreement_grid, optimal_index
 from irschain.metrics import objective, power_closed, snr_closed
 from irschain.params import SystemParams, derive_link_budget
 from reference import incident_element_power, power_scaling_order, snr_scaling_order
@@ -163,6 +165,12 @@ class TestObjective:
         with pytest.raises(ValueError):
             objective("both", SystemParams(), 1)
 
+    @pytest.mark.parametrize("l", [0, 1, 8])
+    def test_unknown_mode_is_reported_before_the_index(self, l):
+        p = SystemParams()  # J = 7
+        with pytest.raises(ValueError, match="^mode must be one of"):
+            objective("both", p, l, derive_link_budget(p))
+
 
 _CLOSED_FORMS = {
     "snr_closed": snr_closed,
@@ -186,6 +194,14 @@ class TestIndexCheck:
         # ratio_diagnostics evaluates the objectives at (J+1)/2
         p = SystemParams(num_irs=8)
         assert math.isfinite(_CLOSED_FORMS[name](p, 4.5, derive_link_budget(p)))
+
+    @pytest.mark.parametrize("mode", ["wit", "wpt"])
+    def test_real_middle_index_matches_the_reference_bit_for_bit(self, mode):
+        for p in agreement_grid()[::7]:
+            if p.num_irs % 2 == 0:
+                budget = derive_link_budget(p)
+                l = (p.num_irs + 1) / 2.0
+                assert objective(mode, p, l, budget) == _reference_objective(mode, p, budget, l)
 
 
 # Reference formulation of the closed forms: five logs per call, then each
@@ -343,3 +359,45 @@ class TestBitIdentityCoverage:
             "wpt incident >= noise": 13628, "wpt incident < noise": 37602,
             "wit max amp": 5006, "wit max awgn": 10885, "wit max floor": 35339,
         }
+
+
+# Two properties of the SNR closed form that need no oracle, drawn over J <= 60,
+# np 2..1400 and +-20 dB around the default powers.
+_DB = st.floats(min_value=-20.0, max_value=20.0)
+
+
+def _drawn_params(j, n_p, pt_db, pa_db, s2_db, **changes):
+    base = SystemParams()
+    return replace(base, num_irs=j, pirs_elements=n_p, pirs_grid=None,
+                   tx_power=base.tx_power * 10.0 ** (pt_db / 10.0),
+                   amp_power=base.amp_power * 10.0 ** (pa_db / 10.0),
+                   noise_power=base.noise_power * 10.0 ** (s2_db / 10.0), **changes)
+
+
+class TestSnrProperties:
+    @settings(deadline=None)
+    @given(st.integers(1, 60), st.integers(2, 1400), _DB, _DB, _DB, _DB)
+    def test_scaling_every_power_by_one_factor_leaves_the_snr(self, j, n_p, pt_db, pa_db,
+                                                               s2_db, scale_db):
+        p = _drawn_params(j, n_p, pt_db, pa_db, s2_db)
+        scale = 10.0 ** (scale_db / 10.0)
+        scaled = replace(p, tx_power=p.tx_power * scale, amp_power=p.amp_power * scale,
+                         noise_power=p.noise_power * scale)
+        for a, b in zip(optimal_index("wit", p).objectives,
+                        optimal_index("wit", scaled).objectives, strict=True):
+            # below the smallest normal double an SNR keeps fewer than 53 bits, so the
+            # 1e-12 relative bound is floored at that edge (seen at J = 57, np = 2)
+            assert a == pytest.approx(b, rel=1e-12, abs=1e-12 * sys.float_info.min)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 60), st.integers(2, 1400), _DB, _DB, _DB,
+           st.integers(1, 400), st.floats(min_value=1.0, max_value=100.0))
+    def test_swapping_the_two_powers_mirrors_the_snr(self, j, n_p, pt_db, pa_db, s2_db,
+                                                      antennas, d_edge):
+        # with M = N_a and d_b = d_u, c_t and c_a trade places exactly
+        p = _drawn_params(j, n_p, pt_db, pa_db, s2_db, bs_antennas=antennas,
+                          airs_elements=antennas, airs_grid=None,
+                          bs_irs_distance=d_edge, irs_user_distance=d_edge)
+        swapped = replace(p, tx_power=p.amp_power, amp_power=p.tx_power)
+        mirrored = optimal_index("wit", swapped).objectives[::-1]
+        assert optimal_index("wit", p).objectives == mirrored

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from irschain import params as params_module
+from irschain.cli import ConfigError, params_from_config, parse_config_text
+from irschain.deployment import agreement_grid
 from irschain.params import (
     MAX_ELEMENTS,
     MAX_SURFACES,
@@ -239,6 +241,95 @@ class TestBudgetOutOfRange:
             "put the far-field threshold 2 D**2 / wavelength out of double range")
         with pytest.raises(ValueError, match="^invalid system parameters: bs_antennas = "):
             derive_link_budget(p)
+
+    @pytest.mark.parametrize("bs_antennas, text", [(10**400, "1e+400"),
+                                                   (17 * 10**400, "1.7e+401")],
+                             ids=["1e400", "1.7e401"])
+    def test_antenna_count_beyond_double_range_is_named_not_raised(self, bs_antennas, text):
+        # :g converts an int to float, which used to raise OverflowError here
+        p = SystemParams(bs_antennas=bs_antennas)
+        errors = validate(p)
+        assert [d.name for d in errors] == ["far_field"]
+        assert errors[0].message.startswith(f"bs_antennas = {text}, airs_elements = 150, ")
+        with pytest.raises(ValueError) as info:
+            derive_link_budget(p)
+        assert str(info.value).startswith(f"invalid system parameters: bs_antennas = {text}, ")
+
+
+def _edge_params():
+    """Every input of the double-range edge tests.
+
+    The one-key configs of tests/test_cli.py's TestInputsAtTheEdgeOfDoubleRange
+    and TestHopGainOutOfRange (those a config file accepts), and the inputs of
+    this module's TestHopGainOutOfRange and TestBudgetOutOfRange.
+    """
+    texts = [f"{key} = {value}\n"
+             for key in ("j", "m", "na", "np", "d_b", "d_u", "d_i", "pt", "pa", "sigma2",
+                         "alpha", "beta0", "wavelength", "spacing")
+             for value in ("1e-300", "1e-30", "1e30", "1e300", "1.7e308")]
+    texts += ["alpha = 1e300\n", "alpha = 3\nd_i = 1e-300\n", "alpha = 3\nd_b = 1e-300\n",
+              "alpha = 3\nd_u = 1e-300\n", "alpha = 1e300\nd_i = 1\n"]
+    out = []
+    for text in texts:
+        try:
+            out.append(params_from_config(parse_config_text(text)))
+        except ConfigError:
+            pass  # rejected while parsing, so never validated
+    changes = [
+        {"path_loss_exponent": 1e300}, {"path_loss_exponent": 3.0, "inter_irs_distance": 1e-300},
+        {"path_loss_exponent": 3.0, "bs_irs_distance": 1e-300},
+        {"path_loss_exponent": 3.0, "irs_user_distance": 1e-300},
+        {"path_loss_exponent": 1e300, "inter_irs_distance": 1.0},
+        {"amp_power": 1.7e308}, {"irs_user_distance": 1e-300}, {"irs_user_distance": 1e300},
+        {"tx_power": 1.7e308}, {"bs_irs_distance": 1e-300}, {"bs_irs_distance": 1e300},
+        {"ref_path_gain": 1e-300, "inter_irs_distance": 1e300},
+        {"tx_power": 1.7e308, "amp_power": 1.7e308}, {"bs_antennas": 10**300},
+        {"element_spacing": 1e300}, {"wavelength": 1.7e308}, {"bs_antennas": 10**400},
+    ]
+    return out + [SystemParams(**c) for c in changes]
+
+
+class TestValidateErrorsOnly:
+    """``validate(p, warnings=False)`` is the error part of ``validate(p)``."""
+
+    @staticmethod
+    def _assert_errors_only(p):
+        full = validate(p)
+        assert validate(p, warnings=False) == [d for d in full if d.severity == "error"]
+        return full
+
+    def test_agreement_grid(self):
+        for p in agreement_grid():
+            self._assert_errors_only(p)
+
+    @pytest.mark.parametrize("n_p", [1413, 2000])
+    def test_non_decreasing_regime(self, n_p):
+        full = self._assert_errors_only(SystemParams(pirs_elements=n_p))
+        assert "f_non_decreasing" in [d.name for d in full]
+
+    def test_far_field_geometry(self):
+        p = SystemParams(bs_irs_distance=40.0, irs_user_distance=40.0, inter_irs_distance=40.0)
+        assert self._assert_errors_only(p) == []
+
+    def test_inputs_at_the_edge_of_double_range(self):
+        edges = _edge_params()
+        assert len(edges) > 60
+        for p in edges:
+            self._assert_errors_only(p)
+
+    def test_budget_builds_no_diagnostic(self, monkeypatch):
+        built = []
+        diagnostic = params_module.Diagnostic
+
+        def counting(*args):
+            built.append(args[1])
+            return diagnostic(*args)
+
+        monkeypatch.setattr(params_module, "Diagnostic", counting)
+        derive_link_budget(SystemParams())
+        assert built == []
+        validate(SystemParams())  # the default geometry is inside the far field
+        assert built == ["far_field"]
 
 
 class TestSystemParams:
