@@ -27,7 +27,6 @@ from .channel import (
     chain_geometry,
     full_power,
     full_snr,
-    los_channel,
     random_geometry,
     steering_vector,
     upa_response,
@@ -61,7 +60,7 @@ __all__ = [
     "derive_link_budget", "fraunhofer_distance", "linear_to_db", "validate",
     "watts_to_dbm",
     "HopGeometry", "PhaseConfig", "chain_geometry", "full_power",
-    "full_snr", "los_channel", "random_geometry",
+    "full_snr", "random_geometry",
     "steering_vector", "upa_response",
     "amplification_factor", "optimal_configuration", "optimal_reflection_phases",
     "optimal_transmit_beam",

@@ -8,8 +8,9 @@ on the first departure response, and one reflection coefficient sum
 A_k = depart_k^H diag(phi_k) arrive_k = sum(phi_k * w_k) per surface.
 The matrix oracle, against which all the closed forms are checked, adds
 the logs of those magnitudes: O(J * N) time and memory for J surfaces of
-N elements, and no underflow.  ``hop_matrices`` builds the dense N x N
-hop matrices, the small-N reference for it.
+N elements, and no underflow.  ``hop_matrices`` is the small-N reference
+for it: it builds every hop's receive and transmit responses itself and
+returns the dense N x N hop matrices.
 
 A surface's two responses are Kronecker products of x- and z-axis
 steering vectors on one panel, so its weights w_k = conj(depart_k) *
@@ -131,23 +132,6 @@ def upa_response(azimuth: float, elevation: float, nx: int, nz: int,
     return _kron_rows(_steering_rows([x_arg], nx), _steering_rows([z_arg], nz))[0]
 
 
-def los_channel(hop: HopGeometry, rx_response: np.ndarray, tx_response: np.ndarray,
-                ref_path_gain: float, exponent: float, wavelength: float) -> np.ndarray:
-    """Dense rank-one LoS channel matrix of a single hop.
-
-    Every entry has modulus sqrt(ref_path_gain) / distance**(exponent/2);
-    the returned matrix maps the transmit side (columns) to the receive
-    side (rows).
-    """
-    rx = np.atleast_1d(np.asarray(rx_response))
-    tx = np.atleast_1d(np.asarray(tx_response))
-    if rx.ndim != 1 or tx.ndim != 1:
-        raise ValueError("array responses must be vectors")
-    gain = amplitude_gain(hop.distance, ref_path_gain, exponent) * np.exp(
-        -1j * TWO_PI * hop.distance / wavelength)
-    return gain * np.outer(rx, tx.conj())
-
-
 def chain_geometry(p: SystemParams) -> list[HopGeometry]:
     """Default zig-zag placement producing non-degenerate hop angles.
 
@@ -187,28 +171,6 @@ def _check_chain(geometry: list[HopGeometry], p: SystemParams, airs_index: int) 
     if len(geometry) != p.num_irs + 1:
         raise ValueError(f"expected {p.num_irs + 1} hops, got {len(geometry)}")
     check_airs_index(airs_index, p.num_irs)
-
-
-def hop_responses(geometry: list[HopGeometry], p: SystemParams,
-                  airs_index: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(receive, transmit) array responses of every hop, transmitter hop first.
-
-    Hop 0 leaves the transmitter array, hop k (1 <= k < J) leaves surface
-    k for surface k+1, and hop J reaches the single-antenna receiver.  So
-    surface k receives on ``hops[k - 1][0]`` and re-radiates on
-    ``hops[k][1]``, the pair its reflection phases co-phase, and the
-    transmit beam matches ``hops[0][1]``.  Built afresh on every call, one
-    ``upa_response`` per surface side; only ``hop_matrices`` reads them.
-    """
-    _check_chain(geometry, p, airs_index)
-    spacing, wavelength = p.element_spacing, p.wavelength
-    grids = [p.grid_at(k, airs_index) for k in range(1, p.num_irs + 1)]
-    rx = [upa_response(hop.arr_azimuth, hop.arr_elevation, *grid, spacing, wavelength)
-          for hop, grid in zip(geometry[:-1], grids)]
-    tx = [upa_response(hop.dep_azimuth, hop.dep_elevation, *grid, spacing, wavelength)
-          for hop, grid in zip(geometry[1:], grids)]
-    bs_tx = ula_response(geometry[0].dep_azimuth, p.bs_antennas, spacing, wavelength)
-    return list(zip(rx + [np.ones(1)], [bs_tx] + tx))  # single-antenna receiver
 
 
 def surface_weights(geometry: list[HopGeometry], p: SystemParams, airs_index: int):
@@ -260,11 +222,26 @@ def hop_matrices(geometry: list[HopGeometry], p: SystemParams,
     """Dense per-hop channel matrices, transmitter hop first.
 
     Entry 0 is (N_1 x M), entries 1..J-1 are (N_{k+1} x N_k), and the
-    final user hop is returned as a (1 x N_J) row.  This is the small-N
-    reference for the per-surface-sum oracle; it needs O(J * N^2) memory.
+    final user hop is returned as a (1 x N_J) row.  Hop k is
+    g_k e^{-j 2 pi d_k / lambda} rx_k tx_k^H with unit-modulus responses
+    built afresh, one ``upa_response`` per surface side: surface k receives
+    on hop k-1's arrival angles and re-radiates on hop k's departure angles.
+    This is the small-N reference for the per-surface-sum oracle; it needs
+    O(J * N^2) memory.
     """
-    return [los_channel(hop, rx, tx, p.ref_path_gain, p.path_loss_exponent, p.wavelength)
-            for hop, (rx, tx) in zip(geometry, hop_responses(geometry, p, airs_index))]
+    _check_chain(geometry, p, airs_index)
+    spacing, wavelength = p.element_spacing, p.wavelength
+    rx, tx = [], [ula_response(geometry[0].dep_azimuth, p.bs_antennas, spacing, wavelength)]
+    for k in range(1, p.num_irs + 1):
+        arrive, depart, grid = geometry[k - 1], geometry[k], p.grid_at(k, airs_index)
+        rx.append(upa_response(arrive.arr_azimuth, arrive.arr_elevation, *grid,
+                               spacing, wavelength))
+        tx.append(upa_response(depart.dep_azimuth, depart.dep_elevation, *grid,
+                               spacing, wavelength))
+    rx.append(np.ones(1))  # single-antenna receiver
+    return [amplitude_gain(hop.distance, p.ref_path_gain, p.path_loss_exponent)
+            * np.exp(-1j * TWO_PI * hop.distance / wavelength) * np.outer(r, t.conj())
+            for hop, r, t in zip(geometry, rx, tx)]
 
 
 def _log_abs(x: complex) -> float:

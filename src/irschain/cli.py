@@ -91,6 +91,12 @@ def _parse_value(raw: str, key: str, canon: str) -> float:
     cap = _KEY_CAPS.get(canon)
     if cap is not None and value > cap:
         raise ConfigError(f"key {key!r} ({canon}) must be at most {cap}, got {raw!r}")
+    # both would fail only later, under a field name the file does not contain
+    if canon in _INT_FIELDS and round(value) < 1:
+        raise ConfigError(f"key {key!r} ({canon}) must be at least 1, got {raw!r}")
+    if canon == "frequency" and SPEED_OF_LIGHT / value == math.inf:
+        raise ConfigError(f"key {key!r} ({canon}) is too small for a finite wavelength, "
+                          f"got {raw!r}")
     return value
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .metrics import WIT, WPT, _ratio_of_term_sums, check_mode, objective
+from .metrics import WIT, WPT, check_mode, objective
 from .params import LinkBudget, SystemParams, derive_link_budget
 
 CASE_FALLBACK = "brute-force-fallback"
@@ -211,6 +211,21 @@ class RatioReport:
     vs_all_pirs_exact: float
     vs_all_pirs_closed: float
     vs_all_pirs_limit: float
+
+
+def _ratio_of_term_sums(log_num_terms: list[float], log_den_terms: list[float]) -> float:
+    """exp-sum ratio that keeps both range safety and relative precision.
+
+    Factoring out each side's largest term caps every exponential at 1,
+    so extreme exponents cannot overflow, while the residual sums stay in
+    linear domain where sub-ulp-of-log differences (which decide argmax
+    ties between adjacent indices) remain representable.
+    """
+    m_num = max(log_num_terms)
+    m_den = max(log_den_terms)
+    s_num = math.fsum(math.exp(t - m_num) for t in log_num_terms)
+    s_den = math.fsum(math.exp(t - m_den) for t in log_den_terms)
+    return math.exp(m_num - m_den) * (s_num / s_den)
 
 
 def ratio_diagnostics(mode: str, p: SystemParams,

@@ -32,21 +32,6 @@ def check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _ratio_of_term_sums(log_num_terms: list[float], log_den_terms: list[float]) -> float:
-    """exp-sum ratio that keeps both range safety and relative precision.
-
-    Factoring out each side's largest term caps every exponential at 1,
-    so extreme exponents cannot overflow, while the residual sums stay in
-    linear domain where sub-ulp-of-log differences (which decide argmax
-    ties between adjacent indices) remain representable.
-    """
-    m_num = max(log_num_terms)
-    m_den = max(log_den_terms)
-    s_num = math.fsum(math.exp(t - m_num) for t in log_num_terms)
-    s_den = math.fsum(math.exp(t - m_den) for t in log_den_terms)
-    return math.exp(m_num - m_den) * (s_num / s_den)
-
-
 def snr_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = None) -> float:
     """Receiver SNR under optimal beam, phases, and amplification."""
     return objective(WIT, p, airs_index, budget)

@@ -1,7 +1,7 @@
-"""Helpers that only the tests need: per-surface element counts, one
-surface's reflection coefficient sum, the per-element power incident on
-the active surface, the amplifier power-budget check and the paper's
-panel-size scaling orders."""
+"""Helpers that only the tests need: per-surface element counts, every
+hop's array responses, one surface's reflection coefficient sum, the
+per-element power incident on the active surface, the amplifier
+power-budget check and the paper's panel-size scaling orders."""
 
 import math
 
@@ -14,6 +14,29 @@ from irschain.params import SystemParams, check_airs_index
 def elements_at(p: SystemParams, k: int, airs_index: int) -> int:
     """Element count of surface k (1-based) given the active one's index."""
     return p.airs_elements if k == airs_index else p.pirs_elements
+
+
+def hop_responses(geometry, p: SystemParams,
+                  airs_index: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(receive, transmit) array responses of every hop, transmitter hop first.
+
+    Hop 0 leaves the transmitter array, hop k (1 <= k < J) leaves surface
+    k for surface k+1, and hop J reaches the single-antenna receiver.  So
+    surface k receives on ``hops[k - 1][0]`` and re-radiates on
+    ``hops[k][1]``, the pair its reflection phases co-phase, and the
+    transmit beam matches ``hops[0][1]``.  Every response is built afresh.
+    """
+    spacing, wavelength = p.element_spacing, p.wavelength
+    tx = channel.ula_response(geometry[0].dep_azimuth, p.bs_antennas, spacing, wavelength)
+    hops = []
+    for k in range(1, p.num_irs + 1):
+        nx, nz = p.grid_at(k, airs_index)
+        rx = channel.upa_response(geometry[k - 1].arr_azimuth, geometry[k - 1].arr_elevation,
+                                  nx, nz, spacing, wavelength)
+        hops.append((rx, tx))
+        tx = channel.upa_response(geometry[k].dep_azimuth, geometry[k].dep_elevation,
+                                  nx, nz, spacing, wavelength)
+    return hops + [(np.ones(1), tx)]  # single-antenna receiver
 
 
 def reflection_coefficient_sum(arrive, depart, reflection) -> complex:

@@ -14,7 +14,6 @@ from irschain.beamforming import optimal_configuration, optimal_transmit_beam
 from irschain.channel import (
     full_power,
     full_snr,
-    hop_responses,
     random_geometry,
 )
 from irschain.cli import run
@@ -30,6 +29,7 @@ from irschain.params import SystemParams, derive_link_budget
 from reference import (
     check_power_constraint,
     elements_at,
+    hop_responses,
     incident_element_power,
     power_scaling_order,
     reflection_coefficient_sum,

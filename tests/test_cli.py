@@ -185,6 +185,13 @@ class TestEvalCommand:
         ("pt = -5000 dBm", "tx_power"),  # underflows to 0 W
         ("np = 1000000000039", "pirs_elements"),  # above the element cap
         ("na = 1e12", "airs_elements"),
+        ("np = 1e-12", "pirs_elements"),  # positive, but rounds to no element
+        ("na = 1e-12", "airs_elements"),
+        ("m = 1e-12", "bs_antennas"),
+        ("j = 1e-12", "num_irs"),
+        ("num_irs = 0.4", "num_irs"),
+        ("frequency = 1e-300", "frequency"),  # c / f overflows
+        ("carrier = 1e-320", "frequency"),
     ])
     def test_non_finite_value_exits_2_naming_the_key(self, tmp_path, capsys, line, name):
         cfg = tmp_path / "bad.cfg"
@@ -192,7 +199,8 @@ class TestEvalCommand:
         assert run(["eval", "--mode", "wit", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         key = line.split("=")[0].strip()
-        assert f"key {key!r} ({name})" in captured.err
+        (error,) = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+        assert f"key {key!r} ({name})" in error
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
@@ -284,7 +292,8 @@ class TestInputsAtTheEdgeOfDoubleRange:
     @pytest.mark.parametrize("mode", ["wit", "wpt"])
     @pytest.mark.parametrize("value", ["1e-300", "1e-30", "1e30", "1e300", "1.7e308"])
     @pytest.mark.parametrize("key", ["j", "m", "na", "np", "d_b", "d_u", "d_i", "pt", "pa",
-                                     "sigma2", "alpha", "beta0", "wavelength", "spacing"])
+                                     "sigma2", "alpha", "beta0", "wavelength", "frequency",
+                                     "carrier", "spacing"])
     def test_eval_gives_a_finite_report_or_one_error(self, tmp_path, capsys, key, value, mode):
         cfg = tmp_path / "edge.cfg"
         cfg.write_text(f"{key} = {value}\n")
