@@ -91,13 +91,19 @@ def _parse_value(raw: str, key: str, canon: str) -> float:
     cap = _KEY_CAPS.get(canon)
     if cap is not None and value > cap:
         raise ConfigError(f"key {key!r} ({canon}) must be at most {cap}, got {raw!r}")
-    # both would fail only later, under a field name the file does not contain
-    if canon in _INT_FIELDS and round(value) < 1:
-        raise ConfigError(f"key {key!r} ({canon}) must be at least 1, got {raw!r}")
     if canon == "frequency" and SPEED_OF_LIGHT / value == math.inf:
         raise ConfigError(f"key {key!r} ({canon}) is too small for a finite wavelength, "
                           f"got {raw!r}")
-    return value
+    if canon not in _INT_FIELDS:
+        return value
+    # a count comes back as an int; both checks would fail only later, under a field
+    # name the file does not contain
+    count = round(value)
+    if count < 1:
+        raise ConfigError(f"key {key!r} ({canon}) must be at least 1, got {raw!r}")
+    if abs(value - count) > 1e-9:
+        raise ConfigError(f"key {key!r} ({canon}) must be an integer, got {raw!r}")
+    return count
 
 
 _KEY_ALIASES = {
@@ -151,11 +157,6 @@ def params_from_config(values: dict[str, float]) -> SystemParams:
         if "wavelength" in fields:
             raise ConfigError("give either frequency or wavelength, not both")
         fields["wavelength"] = SPEED_OF_LIGHT / frequency
-    for name in _INT_FIELDS & fields.keys():
-        rounded = round(fields[name])
-        if abs(fields[name] - rounded) > 1e-9:
-            raise ConfigError(f"{name} must be an integer, got {fields[name]}")
-        fields[name] = int(rounded)
     try:
         return SystemParams(**fields)
     except TypeError as exc:
@@ -275,11 +276,11 @@ def cmd_eval(args) -> int:
     p = load_params(args.config)
     if args.np is not None:
         p = _with_np(p, args.np)
-    # warnings first, so one that explains a failed evaluation is still shown
+    # warnings first, so one that explains a failed evaluation is still shown; the
+    # error itself comes from evaluate_point, with the same text as sweep and figures
     for diag in validate(p):
-        if diag.severity == "error":
-            raise ConfigError(diag.message)
-        print(f"warning: {diag.message}", file=sys.stderr)
+        if diag.severity == "warning":
+            print(f"warning: {diag.message}", file=sys.stderr)
     row = evaluate_point(args.mode, p)
     with _output(args.output) as stream:
         for key in CSV_COLUMNS:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .metrics import WIT, WPT, check_mode, objective
-from .params import LinkBudget, SystemParams, derive_link_budget
+from .params import LinkBudget, SystemParams, derive_link_budget, out_of_range_message
 
 CASE_FALLBACK = "brute-force-fallback"
 CASE_FINAL = "final"
@@ -60,12 +60,6 @@ class DeploymentSolution:
             middle_objective=middle_objective)
 
 
-def _out_of_double_range(what: str, p: SystemParams) -> ValueError:
-    # with np * kappa_i > 1 each surface multiplies the value by up to (np * kappa_i)**2
-    return ValueError(f"{what} overflows double precision at num_irs={p.num_irs}, "
-                      f"pirs_elements={p.pirs_elements}; use a shorter chain or smaller panels")
-
-
 def _wit_closed_form(budget: LinkBudget, j: int,
                      objectives: tuple[float, ...]) -> tuple[int, str, float | None]:
     """Closed-form SNR-optimal index as (index, case, relaxed index).
@@ -100,7 +94,7 @@ def optimal_index(mode: str, p: SystemParams,
     transfer takes the closed-form index, power transfer the final one
     while np_kappa_i < 1; outside that regime the exhaustive-scan answer
     is used.  An objective out of double range raises ``ValueError``
-    naming ``num_irs`` and ``pirs_elements``.
+    naming every field that feeds it (``params.out_of_range_message``).
     """
     if budget is None:
         budget = derive_link_budget(p)
@@ -110,7 +104,7 @@ def optimal_index(mode: str, p: SystemParams,
         # fragmented the heap enough to add ~1 MB of peak RSS over many solves
         objectives = tuple([objective(mode, p, l, budget) for l in range(1, j + 1)])
     except OverflowError:
-        raise _out_of_double_range("objective", p) from None
+        raise ValueError(out_of_range_message(p, "objective")) from None
     brute = objectives.index(max(objectives)) + 1  # ties keep the smaller index
 
     relaxed = None
@@ -164,7 +158,7 @@ def scheme_all_pirs(mode: str, p: SystemParams,
     spends tx_power + airs_elements * amp_power, so both schemes draw the
     same total power.  Returns an SNR for "wit" and watts for "wpt".  It can
     leave double range at shorter chains than the objectives; that raises
-    its own ``ValueError`` naming ``num_irs`` and ``pirs_elements``.
+    its own ``ValueError`` naming the same fields as the objectives' one.
     """
     check_mode(mode)
     if budget is None:
@@ -175,7 +169,7 @@ def scheme_all_pirs(mode: str, p: SystemParams,
     try:
         return math.exp(log_signal)
     except OverflowError:
-        raise _out_of_double_range("all-passive baseline", p) from None
+        raise ValueError(out_of_range_message(p, "all_pirs")) from None
 
 
 def wpt_crossover_np(p: SystemParams, budget: LinkBudget | None = None) -> float:

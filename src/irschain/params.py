@@ -174,20 +174,6 @@ def amplitude_gain(distance: float, ref_path_gain: float, exponent: float) -> fl
     return math.sqrt(ref_path_gain) / distance ** (exponent / 2.0)
 
 
-def _hop_gain_error(p: SystemParams, distance_key: str) -> str | None:
-    """Message if the hop at ``distance_key`` has no amplitude gain in double range.
-
-    d**(alpha/2) overflows for a large exponent (OverflowError) or underflows
-    to 0 for a tiny distance (ZeroDivisionError).  Called only once a gain
-    has failed, so a valid budget pays no extra ``amplitude_gain`` call.
-    """
-    try:
-        amplitude_gain(getattr(p, distance_key), p.ref_path_gain, p.path_loss_exponent)
-    except (OverflowError, ZeroDivisionError):
-        return _out_of_range(p, ("path_loss_exponent", distance_key), "the hop gain")
-    return None
-
-
 def _g(value: float) -> str:
     try:
         return f"{value:g}"
@@ -196,35 +182,43 @@ def _g(value: float) -> str:
         return f"{Context(prec=6).create_decimal(value).normalize():g}"
 
 
-def _out_of_range(p: SystemParams, keys: tuple[str, ...], quantity: str) -> str:
-    """'k1 = v1, ... and kn = vn put <quantity> out of double range'."""
-    named = [f"{key} = {_g(getattr(p, key))}" for key in keys]
-    return f"{', '.join(named[:-1])} and {named[-1]} put {quantity} out of double range"
+# Each derived quantity that can leave double range: its name in the error and the
+# fields that feed it.  Read only once a range test has failed.  A hop gain raises
+# only through d**(alpha/2); the constants built on it also scale with sqrt(beta_0).
+_GAIN = ("ref_path_gain", "path_loss_exponent")
+_OUT_OF_RANGE = {
+    "kappa_b": ("the hop gain", ("path_loss_exponent", "bs_irs_distance")),
+    "kappa_i": ("the hop gain", ("path_loss_exponent", "inter_irs_distance")),
+    "kappa_u": ("the hop gain", ("path_loss_exponent", "irs_user_distance")),
+    "c_a": ("c_a = amp_power * airs_elements * kappa_u**2",
+            ("amp_power", "airs_elements", "irs_user_distance") + _GAIN),
+    "c_t": ("c_t = tx_power * bs_antennas * kappa_b**2",
+            ("tx_power", "bs_antennas", "bs_irs_distance") + _GAIN),
+    "np_kappa_i": ("np_kappa_i = pirs_elements * kappa_i",
+                   ("pirs_elements", "inter_irs_distance") + _GAIN),
+    "far_field": ("the far-field threshold 2 D**2 / wavelength",
+                  ("bs_antennas", "airs_elements", "pirs_elements", "element_spacing",
+                   "wavelength")),
+}
+# the objectives and the all-passive baseline take every budget constant, J, N_a and the noise
+_CHAIN = tuple(dict.fromkeys(("num_irs",) + _OUT_OF_RANGE["np_kappa_i"][1]
+                             + _OUT_OF_RANGE["c_a"][1] + _OUT_OF_RANGE["c_t"][1]
+                             + ("noise_power",)))
+_OUT_OF_RANGE["objective"] = ("the objective", _CHAIN)
+_OUT_OF_RANGE["all_pirs"] = ("the all-passive baseline", _CHAIN)
 
 
-def _budget_error(p: SystemParams, kappa_b: float, kappa_i: float, kappa_u: float) -> str:
-    """Message naming the keys of every budget constant outside (0, inf).
+def out_of_range_message(p: SystemParams, *quantities: str) -> str:
+    """'f1 = v1, ... and fn = vn put <quantity> out of double range', "; "-joined.
 
-    A constant underflows to 0 or overflows (kappa**2 raises, a product
-    rounds to inf).  Called only once the range check has failed, so a
-    valid budget pays for that one check.
+    A quantity is "kappa_b", "kappa_i", "kappa_u", "c_a", "c_t", "np_kappa_i",
+    "far_field", "objective" or "all_pirs"; f1..fn are the fields that feed it.
     """
     messages = []
-    for scale, kappa, power, quantity, keys in (
-            (p.amp_power * p.airs_elements, kappa_u, 2,
-             "c_a = amp_power * airs_elements * kappa_u**2",
-             ("amp_power", "airs_elements", "irs_user_distance")),
-            (p.tx_power * p.bs_antennas, kappa_b, 2, "c_t = tx_power * bs_antennas * kappa_b**2",
-             ("tx_power", "bs_antennas", "bs_irs_distance")),
-            (p.pirs_elements, kappa_i, 1, "np_kappa_i = pirs_elements * kappa_i",
-             ("pirs_elements", "inter_irs_distance"))):
-        try:
-            value = scale * kappa**power
-        except OverflowError:
-            value = math.inf
-        if not 0.0 < value < math.inf:
-            messages.append(_out_of_range(p, keys + ("ref_path_gain", "path_loss_exponent"),
-                                          quantity))
+    for quantity in quantities:
+        text, fields = _OUT_OF_RANGE[quantity]
+        named = [f"{field} = {_g(getattr(p, field))}" for field in fields]
+        messages.append(f"{', '.join(named[:-1])} and {named[-1]} put {text} out of double range")
     return "; ".join(messages)
 
 
@@ -236,19 +230,30 @@ def derive_link_budget(p: SystemParams) -> LinkBudget:
         kappa_b = amplitude_gain(p.bs_irs_distance, p.ref_path_gain, p.path_loss_exponent)
         kappa_i = amplitude_gain(p.inter_irs_distance, p.ref_path_gain, p.path_loss_exponent)
         kappa_u = amplitude_gain(p.irs_user_distance, p.ref_path_gain, p.path_loss_exponent)
-    except (OverflowError, ZeroDivisionError):
-        messages = (_hop_gain_error(p, key) for key in ("bs_irs_distance", "irs_user_distance"))
+    except (OverflowError, ZeroDivisionError):  # validate has taken kappa_i already
+        failed = []
+        for quantity, distance in (("kappa_b", p.bs_irs_distance),
+                                   ("kappa_u", p.irs_user_distance)):
+            try:
+                amplitude_gain(distance, p.ref_path_gain, p.path_loss_exponent)
+            except (OverflowError, ZeroDivisionError):
+                failed.append(quantity)
         raise ValueError("invalid system parameters: "
-                         + "; ".join(m for m in messages if m)) from None
-    try:
+                         + out_of_range_message(p, *failed)) from None
+    try:  # a product can round to 0 or inf
         c_a = p.amp_power * p.airs_elements * kappa_u**2
-        c_t = p.tx_power * p.bs_antennas * kappa_b**2
     except OverflowError:  # a gain squared past the largest double
-        c_a = c_t = math.inf
+        c_a = math.inf
+    try:
+        c_t = p.tx_power * p.bs_antennas * kappa_b**2
+    except OverflowError:
+        c_t = math.inf
     np_kappa_i = p.pirs_elements * kappa_i
     if not (0.0 < c_a < math.inf and 0.0 < c_t < math.inf and 0.0 < np_kappa_i < math.inf):
-        raise ValueError("invalid system parameters: "
-                         + _budget_error(p, kappa_b, kappa_i, kappa_u))
+        raise ValueError("invalid system parameters: " + out_of_range_message(
+            p, *(quantity for quantity, value in
+                 (("c_a", c_a), ("c_t", c_t), ("np_kappa_i", np_kappa_i))
+                 if not 0.0 < value < math.inf)))
     return LinkBudget(kappa_b=kappa_b, kappa_i=kappa_i, kappa_u=kappa_u, c_a=c_a, c_t=c_t,
                       np_kappa_i=np_kappa_i, p=p)
 
@@ -268,7 +273,7 @@ def _aperture(nx: int, nz: int, spacing: float) -> float:
 def fraunhofer_distance(p: SystemParams) -> float:
     """Far-field threshold 2 D^2 / wavelength, D the largest array aperture.
 
-    Raises ``ValueError`` naming the keys that set it when it leaves double
+    Raises ``ValueError`` naming the fields that set it when it leaves double
     range (d_max**2 raises, or a product rounds to inf).
     """
     try:
@@ -282,9 +287,7 @@ def fraunhofer_distance(p: SystemParams) -> float:
         threshold = math.inf
     if threshold < math.inf:
         return threshold
-    raise ValueError(_out_of_range(
-        p, ("bs_antennas", "airs_elements", "pirs_elements", "element_spacing", "wavelength"),
-        "the far-field threshold 2 D**2 / wavelength"))
+    raise ValueError(out_of_range_message(p, "far_field"))
 
 
 def validate(p: SystemParams, *, warnings: bool = True) -> list[Diagnostic]:
@@ -337,7 +340,7 @@ def validate(p: SystemParams, *, warnings: bool = True) -> list[Diagnostic]:
         kappa_i = amplitude_gain(p.inter_irs_distance, p.ref_path_gain, p.path_loss_exponent)
     except (OverflowError, ZeroDivisionError):
         out.append(Diagnostic("error", "path_loss_exponent",
-                              _hop_gain_error(p, "inter_irs_distance")))
+                              out_of_range_message(p, "kappa_i")))
         return out
     if warnings and p.pirs_elements * kappa_i >= 1.0:
         out.append(Diagnostic(

@@ -1,12 +1,16 @@
 import csv
 import hashlib
+import io
 import os
+import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from irschain import deployment
 from irschain.cli import (
@@ -192,6 +196,8 @@ class TestEvalCommand:
         ("num_irs = 0.4", "num_irs"),
         ("frequency = 1e-300", "frequency"),  # c / f overflows
         ("carrier = 1e-320", "frequency"),
+        ("m = 10.5", "bs_antennas"),  # not a count
+        ("np = 2.5", "pirs_elements"),
     ])
     def test_non_finite_value_exits_2_naming_the_key(self, tmp_path, capsys, line, name):
         cfg = tmp_path / "bad.cfg"
@@ -328,6 +334,99 @@ class TestInputsAtTheEdgeOfDoubleRange:
         for key in keys:
             assert f"{key} = " in error
 
+    @pytest.mark.parametrize("mode", ["wit", "wpt"])
+    @pytest.mark.parametrize("config", ["alpha = 1e300\n", "spacing = 1e300\n",
+                                        "pa = 1.7e308\n", "d_i = 7.7235e-179\n"])
+    def test_eval_and_sweep_print_the_same_error(self, tmp_path, capsys, config, mode):
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(config)
+        errors = []
+        for command in (["eval"], ["sweep", "--np", "100"]):
+            assert run([*command, "--mode", mode, "--config", str(cfg)]) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert [line for line in lines if line.startswith("error: ")] == lines[-1:]
+            errors.append(lines[-1])
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("mode", ["wit", "wpt"])
+    def test_objective_overflow_names_the_distance_that_caused_it(self, tmp_path, capsys,
+                                                                  mode):
+        # np * kappa_i ~ 9e177 here; the error used to name only num_irs and pirs_elements
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("d_i = 7.7235e-179\n")
+        assert run(["eval", "--mode", mode, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: num_irs = 7, pirs_elements = 100, inter_irs_distance = 7.7235e-179, "
+            "ref_path_gain = 5.01187e-05, path_loss_exponent = 2, amp_power = 0.0001, "
+            "airs_elements = 150, irs_user_distance = 4, tx_power = 1, bs_antennas = 10, "
+            "bs_irs_distance = 4 and noise_power = 1e-09 put the objective out of double range")
+
+
+# every key and alias a config file accepts, and the field each one sets; a frequency
+# sets the wavelength, which is what an error about it names
+_CONFIG_KEYS = {
+    "j": "num_irs", "num_irs": "num_irs", "m": "bs_antennas", "bs_antennas": "bs_antennas",
+    "na": "airs_elements", "airs_elements": "airs_elements",
+    "np": "pirs_elements", "pirs_elements": "pirs_elements",
+    "d_b": "bs_irs_distance", "bs_irs_distance": "bs_irs_distance",
+    "d_u": "irs_user_distance", "irs_user_distance": "irs_user_distance",
+    "d_i": "inter_irs_distance", "inter_irs_distance": "inter_irs_distance",
+    "pt": "tx_power", "tx_power": "tx_power", "pa": "amp_power", "amp_power": "amp_power",
+    "sigma2": "noise_power", "noise_power": "noise_power",
+    "alpha": "path_loss_exponent", "path_loss_exponent": "path_loss_exponent",
+    "beta0": "ref_path_gain", "ref_path_gain": "ref_path_gain",
+    "wavelength": "wavelength", "frequency": "wavelength", "carrier": "wavelength",
+    "spacing": "element_spacing", "element_spacing": "element_spacing",
+}
+_KEY_TEXT = st.sampled_from(sorted(_CONFIG_KEYS)).flatmap(
+    lambda key: st.sampled_from([key, key.upper(), key.replace("_", "-")]))
+_VALUE_TEXT = st.one_of(
+    st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e400", "abc", "", "1 2 3", "10.5",
+                     "0.4", "1e-12", "1e9", "1000000000039", "1.7e308", "1e-300",
+                     "7.7235e-179", "9.25e213", "4.03e-211", "3.5e9", "100"]),
+    st.builds(lambda mantissa, exponent: f"{mantissa:.5g}e{exponent}",
+              st.floats(1.0, 9.99999), st.integers(-330, 330)),  # log-uniform magnitudes
+    st.integers(-400, 400).map(str),
+)
+_UNIT_TEXT = st.sampled_from(["", "", " dB", " dBm", " DBM", " dBW", "dBm"])
+_CONFIG_LINE = st.tuples(_KEY_TEXT, _VALUE_TEXT, _UNIT_TEXT)
+
+# ROADMAP item 1: a long decaying chain underflows out of log domain and exits 2 with
+# one of these, which name nothing; exempt until the log-domain placement removes them
+_UNDERFLOW_ERRORS = {"error: linear_to_db requires a positive ratio",
+                     "error: watts_to_dbm requires a positive power"}
+
+
+class TestConfigFuzz:
+    """Any config text gives a report or one error line that names what was set."""
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(_CONFIG_LINE, min_size=1, max_size=3), st.sampled_from(["wit", "wpt"]),
+           st.none() | st.integers(-2, 2 * 10**9))
+    def test_eval_reports_or_names_a_key_it_was_given(self, tmp_path_factory, lines, mode,
+                                                      n_p):
+        cfg = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        cfg.write_text("".join(f"{key} = {value}{unit}\n" for key, value, unit in lines))
+        argv = ["eval", "--mode", mode, "--config", str(cfg)]
+        names = set()
+        if n_p is not None:
+            argv += ["--np", str(n_p)]
+            names.add("--np")
+        for key, _, _ in lines:
+            names |= {key, _CONFIG_KEYS[key.lower().replace("-", "_")]}
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 2)
+        if code == 0:
+            return
+        err_lines = err.getvalue().splitlines()
+        assert [line for line in err_lines if line.startswith("error: ")] == err_lines[-1:]
+        if err_lines[-1] in _UNDERFLOW_ERRORS:
+            return
+        assert any(re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", err_lines[-1])
+                   for name in names), (err_lines[-1], names)
+
 
 class TestSweepCommand:
     def test_power_sweep_pins_the_last_surface(self, tmp_path):
@@ -435,6 +534,14 @@ class TestOverflow:
 
     SRC = Path(__file__).resolve().parents[1] / "src"
 
+    @staticmethod
+    def message(j, n_p, quantity, d_i=10):
+        # every field that feeds the objectives and the baseline, at its value
+        return (f"num_irs = {j}, pirs_elements = {n_p}, inter_irs_distance = {d_i}, "
+                "ref_path_gain = 5.01187e-05, path_loss_exponent = 2, amp_power = 0.0001, "
+                "airs_elements = 150, irs_user_distance = 4, tx_power = 1, bs_antennas = 10, "
+                f"bs_irs_distance = 4 and noise_power = 1e-09 put {quantity} out of double range")
+
     @pytest.mark.parametrize("mode", ["wit", "wpt"])
     def test_eval_exits_2_naming_both_keys(self, tmp_path, mode):
         cfg = tmp_path / "long.cfg"
@@ -450,24 +557,26 @@ class TestOverflow:
         lines = proc.stderr.splitlines()
         errors = [line for line in lines if line.startswith("error: ")]
         assert errors == lines[-1:]
-        assert "num_irs=300" in lines[-1] and "pirs_elements=20000" in lines[-1]
+        assert lines[-1] == "error: " + self.message(300, 20000, "the objective")
         # the warning that explains the failure is printed before it
         assert any(line.startswith("warning: f(l) non-decreasing regime")
                    for line in lines[:-1])
         assert proc.stdout == ""
 
-    @pytest.mark.parametrize("command, config, panel", [
-        (["sweep", "--mode", "wpt", "--np", "1000"], "j = 300\nd_i = 2\n", 1000),
-        (["figures", "--outdir", "{tmp}"], "j = 300\nd_i = 0.05\n", 25),  # np = 10 fits
+    @pytest.mark.parametrize("command, d_i, panel, quantity", [
+        (["sweep", "--mode", "wpt", "--np", "1000"], 2, 1000, "the objective"),
+        # np = 10 fits
+        (["figures", "--outdir", "{tmp}"], 0.05, 25, "the all-passive baseline"),
     ])
     def test_sweep_and_figures_exit_2_naming_the_point(self, tmp_path, capsys,
-                                                       command, config, panel):
+                                                       command, d_i, panel, quantity):
         cfg = tmp_path / "long.cfg"
-        cfg.write_text(config)
+        cfg.write_text(f"j = 300\nd_i = {d_i}\n")
         argv = [arg.format(tmp=tmp_path) for arg in command]
         assert run([*argv, "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
-        assert f"num_irs=300, pirs_elements={panel};" in captured.err
+        assert captured.err.splitlines() == [
+            "error: " + self.message(300, panel, quantity, d_i)]
         assert captured.out == ""
 
     @pytest.mark.parametrize("mode, j, what", [
@@ -477,6 +586,6 @@ class TestOverflow:
     ])
     def test_evaluate_point_raises_value_error_naming_both_keys(self, mode, j, what):
         p = SystemParams(num_irs=j, pirs_elements=20000, pirs_grid=None)
-        with pytest.raises(ValueError, match=f"^{what} overflows double precision "
-                                             f"at num_irs={j}, pirs_elements=20000;"):
+        with pytest.raises(ValueError) as info:
             evaluate_point(mode, p)
+        assert str(info.value) == self.message(j, 20000, f"the {what}")

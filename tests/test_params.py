@@ -10,6 +10,7 @@ from irschain.deployment import agreement_grid
 from irschain.params import (
     MAX_ELEMENTS,
     MAX_SURFACES,
+    Diagnostic,
     LinkBudget,
     SystemParams,
     db_to_linear,
@@ -416,3 +417,56 @@ class TestValidate:
     def test_negative_distance_is_an_error(self):
         diags = validate(SystemParams(bs_irs_distance=-2.0))
         assert any(d.name == "bs_irs_distance" and d.severity == "error" for d in diags)
+
+
+class TestGuards:
+    """Each range test at its own boundary, with inputs only the library takes: the
+    config parser rejects an exact 0 or inf before ``validate`` ever sees it."""
+
+    FLOAT_FIELDS = ("bs_irs_distance", "irs_user_distance", "inter_irs_distance",
+                    "tx_power", "amp_power", "noise_power", "ref_path_gain",
+                    "wavelength", "element_spacing", "path_loss_exponent")
+
+    @pytest.mark.parametrize("value", [0.0, math.inf], ids=["zero", "inf"])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_float_field_at_zero_or_inf_is_an_error(self, name, value):
+        p = SystemParams(**{name: value})
+        errors = [d for d in validate(p) if d.severity == "error"]
+        assert Diagnostic("error", name, f"{name} must be positive and finite, got {value}") \
+            in errors
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            derive_link_budget(p)
+
+    def test_panel_at_the_element_cap_is_accepted(self):
+        assert [d for d in validate(SystemParams(pirs_elements=MAX_ELEMENTS))
+                if d.severity == "error"] == []
+        errors = [d for d in validate(SystemParams(pirs_elements=MAX_ELEMENTS + 1))
+                  if d.severity == "error"]
+        assert [d.name for d in errors] == ["pirs_elements"]
+
+    def test_passive_panel_sets_the_far_field_threshold(self):
+        # 25 x 40 passive panels outreach the 10 x 15 active one and the 10-antenna array
+        p = SystemParams(pirs_elements=1000)
+        assert p.pirs_grid == (25, 40)
+        assert fraunhofer_distance(p) == (2.0 * math.hypot(24 * p.element_spacing,
+                                                           39 * p.element_spacing) ** 2
+                                          / p.wavelength)
+        assert fraunhofer_distance(p) > fraunhofer_distance(SystemParams())
+
+    def test_infinite_np_kappa_i_is_an_error(self):
+        # kappa_i = 1e150 / 1e-150 = 1e300 is finite; 10**9 of it is not
+        p = SystemParams(ref_path_gain=1e300, inter_irs_distance=1e-150,
+                         pirs_elements=10**9)
+        assert [d for d in validate(p) if d.severity == "error"] == []
+        assert any(d.message.startswith("f(l) non-decreasing regime: pirs_elements * "
+                                        "kappa_i = inf >= 1") for d in validate(p))
+        with pytest.raises(ValueError) as info:
+            derive_link_budget(p)
+        assert str(info.value) == (
+            "invalid system parameters: pirs_elements = 1e+09, inter_irs_distance = 1e-150, "
+            "ref_path_gain = 1e+300 and path_loss_exponent = 2 put np_kappa_i = "
+            "pirs_elements * kappa_i out of double range")
+
+    def test_zero_hop_distance_is_rejected(self):
+        with pytest.raises(ValueError, match="^hop distance must be positive$"):
+            params_module.amplitude_gain(0.0, 1e-4, 2.0)
