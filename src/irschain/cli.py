@@ -223,24 +223,20 @@ def parse_sweep(text: str) -> list[int]:
 _LOG_UNITS = {metrics.WIT: ("db", linear_to_db), metrics.WPT: ("dbm", watts_to_dbm)}
 
 
-def _objective_db(mode: str, value: float) -> float:
-    return _LOG_UNITS[mode][1](value)
-
-
 def evaluate_point(mode: str, p: SystemParams) -> dict[str, object]:
     """All columns of one sweep row; eval prints the same mapping."""
     budget = derive_link_budget(p)
     sol = deployment.optimal_index(mode, p, budget)
+    to_db = _LOG_UNITS[mode][1]  # after the solve, which rejects an unknown mode
     return {
         "np": p.pirs_elements,
         "mode": mode,
         "l_star": sol.airs_index,
         "case": sol.case,
         "objective_linear": _fmt(sol.objective),
-        "objective_db": _fmt(_objective_db(mode, sol.objective)),
-        "mid_objective_db": _fmt(_objective_db(mode, sol.middle_objective)),
-        "all_pirs_objective_db": _fmt(_objective_db(
-            mode, deployment.scheme_all_pirs(mode, p, budget))),
+        "objective_db": _fmt(to_db(sol.objective)),
+        "mid_objective_db": _fmt(to_db(sol.middle_objective)),
+        "all_pirs_objective_db": _fmt(to_db(deployment.scheme_all_pirs(mode, p, budget))),
         "brute_force_l": sol.brute_force_index,
         "agrees": "true" if sol.brute_force_agrees else "false",
         "_relaxed_index": sol.relaxed_index,
@@ -363,9 +359,9 @@ def figure_rows(base: SystemParams) -> tuple[list[dict], list[dict], list[dict]]
                 "middle": sol.middle_objective,
                 "all_pirs": deployment.scheme_all_pirs(mode, p, budget),
             }
-            unit = _LOG_UNITS[mode][0]
+            unit, to_db = _LOG_UNITS[mode]
             objective_rows[mode].append({"np": n_p, **{
-                f"{name}_{unit}": _fmt(_objective_db(mode, value))
+                f"{name}_{unit}": _fmt(to_db(value))
                 for name, value in schemes.items()}})
         index_rows.append(index_row)
     return index_rows, objective_rows[metrics.WIT], objective_rows[metrics.WPT]

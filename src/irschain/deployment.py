@@ -93,18 +93,14 @@ def optimal_index(mode: str, p: SystemParams,
     The objective is evaluated exactly once per position.  Information
     transfer takes the closed-form index, power transfer the final one
     while np_kappa_i < 1; outside that regime the exhaustive-scan answer
-    is used.  An objective out of double range raises ``ValueError``
-    naming every field that feeds it (``params.out_of_range_message``).
+    is used.  ``objective`` raises the out-of-double-range ``ValueError``.
     """
     if budget is None:
         budget = derive_link_budget(p)
     j = p.num_irs
-    try:
-        # from a list, not a generator: tuple(<genexpr>) grows by resizing, which
-        # fragmented the heap enough to add ~1 MB of peak RSS over many solves
-        objectives = tuple([objective(mode, p, l, budget) for l in range(1, j + 1)])
-    except OverflowError:
-        raise ValueError(out_of_range_message(p, "objective")) from None
+    # from a list, not a generator: tuple(<genexpr>) grows by resizing, which
+    # fragmented the heap enough to add ~1 MB of peak RSS over many solves
+    objectives = tuple([objective(mode, p, l, budget) for l in range(1, j + 1)])
     brute = objectives.index(max(objectives)) + 1  # ties keep the smaller index
 
     relaxed = None

@@ -4,12 +4,10 @@ Both objectives collapse to ratios of a handful of positive terms of the
 form const * (pirs_elements * kappa_i)**(2k).  Those powers reach the
 underflow edge of double precision well before the model breaks down, so
 every term is assembled in log domain and combined with logaddexp.  The
-position-independent logs come from ``LinkBudget``, taken once per
-budget: log c_a, log c_t, log np_kappa_i, the log noise power and the log
-signal power log(c_a c_t N_a np_kappa_i**(2(J-1))), and the sums
-log(noise) + log c_a, log(noise) + log c_t and 2 log(noise).  A position
-is one ``objective`` call (``snr_closed`` and ``power_closed`` are its
-named forms): a multiply-add per position-dependent term, each sum
+position-independent logs come from ``LinkBudget``, once per budget.  A
+position is one ``objective`` call (``snr_closed`` and ``power_closed``
+are its named forms), which given a budget calls only math functions: an
+inline index test, a multiply-add per position-dependent term, each sum
 shifted by its largest term, and three exps for the SNR's denominator
 fsum and one for the ratio, or three in all for the power.
 """
@@ -18,7 +16,8 @@ from __future__ import annotations
 
 import math
 
-from .params import LinkBudget, SystemParams, check_airs_index, derive_link_budget
+from .params import (LinkBudget, SystemParams, check_airs_index, derive_link_budget,
+                     out_of_range_message)
 
 WIT = "wit"  # information transfer: maximize receiver SNR
 WPT = "wpt"  # power transfer: maximize received signal-plus-noise power
@@ -44,38 +43,49 @@ def power_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = N
 
 def objective(mode: str, p: SystemParams, airs_index: int,
               budget: LinkBudget | None = None) -> float:
-    """SNR ("wit") or received watts ("wpt") at one active-surface position."""
+    """SNR ("wit") or received watts ("wpt") at one active-surface position.
+
+    ``airs_index`` may be real, as (J+1)/2.  An overflow (of the final exp, or the power's
+    product to inf) raises ``ValueError`` naming every field that feeds the objective.
+    """
     if mode != WIT and mode != WPT:
         check_mode(mode)  # raises, before the budget or the index is looked at
     if budget is None:
         budget = derive_link_budget(p)
     j, l = p.num_irs, airs_index
-    check_airs_index(l, j)
-    log_npk = budget.log_np_kappa_i
-    amp = budget.log_noise_c_a + 2.0 * (j - l) * log_npk    # amplified surface noise
-    if mode == WIT:
-        awgn = budget.log_noise_c_t + 2.0 * (l - 1) * log_npk   # receiver AWGN, signal-scaled
-        floor = budget.log_noise_floor                          # receiver AWGN floor
-        # max() without the call; as in max(), the first of equal terms wins
-        m = amp if amp >= awgn else awgn
-        m = m if m >= floor else floor
-        # fsum, not sum: a plain 3-term sum rounds differently, and sub-ulp gaps decide ties
-        den = math.fsum((math.exp(amp - m), math.exp(awgn - m), math.exp(floor - m)))
-        return math.exp(budget.log_signal - m) * (1.0 / den)
-    # one name per line: a 4-name unpack builds and unpacks a tuple on every call
-    log_s2 = budget.log_noise_power
-    signal = budget.log_signal
-    incident = budget.log_c_t + 2.0 * (l - 1) * log_npk
-    # Each sum is shifted by its larger term, whose exp is exp(0.0) == 1.0
-    # exactly, so only the other term needs an exp.  One IEEE addition is
-    # correctly rounded and commutes, so 1.0 + e equals fsum of both exps,
-    # and a tie still gives 2.0.
-    if signal >= amp:
-        m_num, num = signal, 1.0 + math.exp(amp - signal)
-    else:
-        m_num, num = amp, 1.0 + math.exp(signal - amp)
-    if incident >= log_s2:
-        m_den, den = incident, 1.0 + math.exp(log_s2 - incident)
-    else:
-        m_den, den = log_s2, 1.0 + math.exp(incident - log_s2)
-    return math.exp(m_num - m_den) * (num / den)
+    if not 1 <= l <= j:
+        check_airs_index(l, j)  # raises, with the one index message
+    try:  # every exp but the final one takes a non-positive argument
+        log_npk = budget.log_np_kappa_i
+        amp = budget.log_noise_c_a + 2.0 * (j - l) * log_npk    # amplified surface noise
+        if mode == WIT:
+            awgn = budget.log_noise_c_t + 2.0 * (l - 1) * log_npk   # receiver AWGN, signal-scaled
+            floor = budget.log_noise_floor                          # receiver AWGN floor
+            # max() without the call; as in max(), the first of equal terms wins
+            m = amp if amp >= awgn else awgn
+            m = m if m >= floor else floor
+            # fsum, not sum: a plain 3-term sum rounds differently, and sub-ulp gaps decide ties
+            den = math.fsum((math.exp(amp - m), math.exp(awgn - m), math.exp(floor - m)))
+            return math.exp(budget.log_signal - m) * (1.0 / den)
+        # one name per line: a 4-name unpack builds and unpacks a tuple on every call
+        log_s2 = budget.log_noise_power
+        signal = budget.log_signal
+        incident = budget.log_c_t + 2.0 * (l - 1) * log_npk
+        # Each sum is shifted by its larger term, whose exp is exp(0.0) == 1.0
+        # exactly, so only the other term needs an exp.  One IEEE addition is
+        # correctly rounded and commutes, so 1.0 + e equals fsum of both exps,
+        # and a tie still gives 2.0.
+        if signal >= amp:
+            m_num, num = signal, 1.0 + math.exp(amp - signal)
+        else:
+            m_num, num = amp, 1.0 + math.exp(signal - amp)
+        if incident >= log_s2:
+            m_den, den = incident, 1.0 + math.exp(log_s2 - incident)
+        else:
+            m_den, den = log_s2, 1.0 + math.exp(incident - log_s2)
+        watts = math.exp(m_num - m_den) * (num / den)
+        if watts < math.inf:  # num / den is up to 2: a finite exp can still round to inf
+            return watts
+    except OverflowError:
+        pass
+    raise ValueError(out_of_range_message(p, "objective"))

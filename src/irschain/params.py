@@ -254,8 +254,7 @@ def derive_link_budget(p: SystemParams) -> LinkBudget:
             p, *(quantity for quantity, value in
                  (("c_a", c_a), ("c_t", c_t), ("np_kappa_i", np_kappa_i))
                  if not 0.0 < value < math.inf)))
-    return LinkBudget(kappa_b=kappa_b, kappa_i=kappa_i, kappa_u=kappa_u, c_a=c_a, c_t=c_t,
-                      np_kappa_i=np_kappa_i, p=p)
+    return LinkBudget(kappa_b, kappa_i, kappa_u, c_a, c_t, np_kappa_i, p)  # by position: cheaper
 
 
 @dataclass(frozen=True)
@@ -265,23 +264,22 @@ class Diagnostic:
     message: str
 
 
-def _aperture(nx: int, nz: int, spacing: float) -> float:
-    # panel diagonal; a 1-element array has zero extent
-    return math.hypot((nx - 1) * spacing, (nz - 1) * spacing)
-
-
 def fraunhofer_distance(p: SystemParams) -> float:
     """Far-field threshold 2 D^2 / wavelength, D the largest array aperture.
 
-    Raises ``ValueError`` naming the fields that set it when it leaves double
-    range (d_max**2 raises, or a product rounds to inf).
+    D is the transmit array's length or a panel's diagonal, taken inline; a
+    1-element array has zero extent, and as in max() the first of equal terms
+    wins.  Raises ``ValueError`` naming the fields that set it when it leaves
+    double range (d_max**2 raises, or a product rounds to inf).
     """
+    s = p.element_spacing
     try:
-        d_max = (p.bs_antennas - 1) * p.element_spacing
-        if p.airs_grid is not None:
-            d_max = max(d_max, _aperture(*p.airs_grid, p.element_spacing))
-        if p.pirs_grid is not None:
-            d_max = max(d_max, _aperture(*p.pirs_grid, p.element_spacing))
+        d_max = (p.bs_antennas - 1) * s
+        for grid in (p.airs_grid, p.pirs_grid):
+            if grid is not None:
+                aperture = math.hypot((grid[0] - 1) * s, (grid[1] - 1) * s)
+                if aperture > d_max:
+                    d_max = aperture
         threshold = 2.0 * d_max**2 / p.wavelength
     except OverflowError:
         threshold = math.inf

@@ -361,6 +361,18 @@ class TestInputsAtTheEdgeOfDoubleRange:
             "airs_elements = 150, irs_user_distance = 4, tx_power = 1, bs_antennas = 10, "
             "bs_irs_distance = 4 and noise_power = 1e-09 put the objective out of double range")
 
+    def test_power_that_rounds_to_inf_exits_2(self, tmp_path, capsys):
+        # c_a ~ 1.5e308 is finite; at l = J the power's last product rounds it to inf
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("pa = 2e304\nd_u = 1e-3\nsigma2 = 1e-16\n")
+        assert run(["eval", "--mode", "wpt", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1] == (
+            "error: num_irs = 7, pirs_elements = 100, inter_irs_distance = 10, "
+            "ref_path_gain = 5.01187e-05, path_loss_exponent = 2, amp_power = 2e+304, "
+            "airs_elements = 150, irs_user_distance = 0.001, tx_power = 1, bs_antennas = 10, "
+            "bs_irs_distance = 4 and noise_power = 1e-16 put the objective out of double range")
+
 
 # every key and alias a config file accepts, and the field each one sets; a frequency
 # sets the wavelength, which is what an error about it names
@@ -522,6 +534,43 @@ class TestFiguresCommand:
         assert int(rows[0]["wit_l_star"]) < 7
         assert all(row["wpt_l_star"] == "7" for row in rows)
         assert rows[-1]["wit_l_star"] == "7"
+
+
+def _digest(text):
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+
+class TestPinnedOutputs:
+    # blake2b (16-byte) digests of the default-scenario sweep CSVs and eval reports,
+    # both sides of np * kappa_i = 1 (np = 1413).  If a change is meant to alter them,
+    # regenerate each with, for example,
+    #   irschain sweep --mode wit --np 2:2000:log:200 | b2sum -l 128
+    SWEEPS = {
+        ("wit", "2:2000:log:200"): "96985a9c1aad325bbdaef030bedbc528",
+        ("wit", "1:3000:linear:7"): "81f160e8be1b0a4196eed73eb093baa8",
+        ("wpt", "2:2000:log:200"): "1ae1e4dd7b025782b07bad619277e5a8",
+        ("wpt", "1:3000:linear:7"): "ed3f681b4575f05f449e89296067a738",
+    }
+    # (stdout, stderr): the far-field warning, and at np = 2000 the regime one too
+    EVALS = {
+        ("wit", None): ("16d79932a8dbc5c4057a8d15fc2552f5", "68797b0cdadbd7712cd588c1e24b4c02"),
+        ("wit", "2000"): ("354a76098399feae1a890c0cc3dcd012", "bc40b9e93bdc184edbb5dc39c28e0a14"),
+        ("wpt", None): ("6ccfbadb2f36c5743cff54d9ed846f08", "68797b0cdadbd7712cd588c1e24b4c02"),
+        ("wpt", "2000"): ("9b0f5a8034ca8ea98c16d38038f5f885", "bc40b9e93bdc184edbb5dc39c28e0a14"),
+    }
+
+    @pytest.mark.parametrize("mode, spec", list(SWEEPS))
+    def test_sweep_matches_pinned_digest(self, capsys, mode, spec):
+        assert run(["sweep", "--mode", mode, "--np", spec]) == 0
+        captured = capsys.readouterr()
+        assert _digest(captured.out) == self.SWEEPS[mode, spec]
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("mode, n_p", list(EVALS))
+    def test_eval_matches_pinned_digests(self, capsys, mode, n_p):
+        assert run(["eval", "--mode", mode, *(["--np", n_p] if n_p else [])]) == 0
+        captured = capsys.readouterr()
+        assert (_digest(captured.out), _digest(captured.err)) == self.EVALS[mode, n_p]
 
 
 class TestOverflow:

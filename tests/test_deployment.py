@@ -390,6 +390,40 @@ class TestOverflow:
             optimal_index(mode, self.chain(300))
         assert str(info.value) == self.message(300, "the objective")
 
+    # every entry to the objective raises the solve's error, not a bare OverflowError
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda mode, p: (snr_closed if mode == WIT else power_closed)(
+            p, middle_index(p.num_irs)), id="named-closed-form"),
+        pytest.param(scheme_middle, id="scheme_middle"),
+        pytest.param(lambda mode, p: objective(mode, p, (p.num_irs + 1) / 2.0),
+                     id="real-middle-index"),
+    ])
+    @pytest.mark.parametrize("mode", [WIT, WPT])
+    def test_every_objective_entry_names_the_fields(self, mode, call):
+        with pytest.raises(ValueError) as info:
+            call(mode, self.chain(300))
+        assert str(info.value) == self.message(300, "the objective")
+
+    def test_power_rounding_to_inf_names_the_fields(self):
+        # At l = J the power's exp is c_a ~ 1.5e308, under DBL_MAX, and amplified
+        # noise leads the signal by about 4/3, so num / den ~ 1.75 rounds the
+        # product to inf without an OverflowError.
+        p = SystemParams(irs_user_distance=1e-3, amp_power=2e304, noise_power=1e-16)
+        budget = derive_link_budget(p)
+        assert 1e308 < math.exp(budget.log_c_a) < 1.7976931348623157e308
+        assert math.isfinite(objective(WPT, p, p.num_irs - 1, budget))
+        assert math.isfinite(objective(WIT, p, p.num_irs, budget))
+        text = ("num_irs = 7, pirs_elements = 100, inter_irs_distance = 10, "
+                "ref_path_gain = 5.01187e-05, path_loss_exponent = 2, amp_power = 2e+304, "
+                "airs_elements = 150, irs_user_distance = 0.001, tx_power = 1, "
+                "bs_antennas = 10, bs_irs_distance = 4 and noise_power = 1e-16 "
+                "put the objective out of double range")
+        for call in (lambda: objective(WPT, p, p.num_irs, budget),
+                     lambda: power_closed(p, p.num_irs), lambda: optimal_index(WPT, p)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == text
+
     # first chain lengths whose baseline overflows: 132 (wit) and 136 (wpt);
     # the objectives stay finite up to 265 (wit) and 137 (wpt)
     @pytest.mark.parametrize("mode, j", [(WIT, 200), (WPT, 137)])

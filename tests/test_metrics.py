@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from irschain import metrics as metrics_module
 from irschain.beamforming import optimal_configuration
 from irschain.channel import (
     chain_geometry,
@@ -202,6 +203,39 @@ class TestIndexCheck:
                 budget = derive_link_budget(p)
                 l = (p.num_irs + 1) / 2.0
                 assert objective(mode, p, l, budget) == _reference_objective(mode, p, budget, l)
+
+
+class TestIndexTestedInline:
+    """``objective`` tests the index itself and calls ``check_airs_index`` only to
+    raise, so a solve over positions 1..J makes no call for it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        check = metrics_module.check_airs_index
+
+        def counting_check(airs_index, num_irs):
+            seen.append(airs_index)
+            check(airs_index, num_irs)
+
+        monkeypatch.setattr(metrics_module, "check_airs_index", counting_check)
+        return seen
+
+    @pytest.mark.parametrize("name", _CLOSED_FORMS)
+    def test_every_position_and_the_real_middle_make_no_call(self, calls, name):
+        p = SystemParams(num_irs=8)
+        budget = derive_link_budget(p)
+        for l in [*range(1, 9), 4.5]:
+            assert math.isfinite(_CLOSED_FORMS[name](p, l, budget))
+        assert calls == []
+
+    @pytest.mark.parametrize("name", _CLOSED_FORMS)
+    @pytest.mark.parametrize("l", [0, 0.5, 8.5, 9])
+    def test_an_index_outside_the_chain_is_checked_once(self, calls, name, l):
+        p = SystemParams(num_irs=8)
+        with pytest.raises(ValueError, match=f"^active-surface index {l} outside 1..8$"):
+            _CLOSED_FORMS[name](p, l, derive_link_budget(p))
+        assert calls == [l]
 
 
 # Reference formulation of the closed forms: five logs per call, then each

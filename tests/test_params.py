@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -470,3 +472,79 @@ class TestGuards:
     def test_zero_hop_distance_is_rejected(self):
         with pytest.raises(ValueError, match="^hop distance must be positive$"):
             params_module.amplitude_gain(0.0, 1e-4, 2.0)
+
+
+def _reference_fraunhofer_distance(p):
+    """The far-field threshold as one aperture helper and two max() calls."""
+    def aperture(nx, nz, spacing):
+        return math.hypot((nx - 1) * spacing, (nz - 1) * spacing)
+
+    d_max = (p.bs_antennas - 1) * p.element_spacing
+    if p.airs_grid is not None:
+        d_max = max(d_max, aperture(*p.airs_grid, p.element_spacing))
+    if p.pirs_grid is not None:
+        d_max = max(d_max, aperture(*p.pirs_grid, p.element_spacing))
+    return 2.0 * d_max**2 / p.wavelength
+
+
+class TestFarFieldBitIdentity:
+    """``fraunhofer_distance`` takes both panel diagonals inline; it must give the
+    helper-and-max() formulation's value to the last bit."""
+
+    @staticmethod
+    def panels(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            na, n_p, m = (round(10.0 ** rng.uniform(0, 3.7)) for _ in range(3))
+            yield SystemParams(
+                bs_antennas=m, airs_elements=na, pirs_elements=n_p,
+                # a transposed grid too: hypot takes its legs in the order given
+                airs_grid=rng.choice([None, (na, 1), (1, na)]),
+                pirs_grid=rng.choice([None, (n_p, 1), (1, n_p)]),
+                element_spacing=0.0428 * 10.0 ** rng.uniform(-3, 3),
+                wavelength=0.0857 * 10.0 ** rng.uniform(-3, 3))
+
+    def test_seeded_random_panels(self):
+        winners = Counter()
+        for p in self.panels(22, 2000):
+            threshold = fraunhofer_distance(p)
+            assert threshold == _reference_fraunhofer_distance(p), p
+            spans = [(p.bs_antennas - 1) * p.element_spacing,
+                     math.hypot(*((n - 1) * p.element_spacing for n in p.airs_grid)),
+                     math.hypot(*((n - 1) * p.element_spacing for n in p.pirs_grid))]
+            winners[spans.index(max(spans))] += 1
+        # the array, the active panel and the passive panel each set the threshold
+        assert min(winners[k] for k in range(3)) >= 100, winners
+
+    @pytest.mark.parametrize("changes", [
+        {"bs_antennas": 1, "airs_elements": 1, "pirs_elements": 1},   # all zero extent
+        {"airs_elements": 1, "pirs_elements": 1},                     # the array alone
+        {"bs_antennas": 1, "airs_elements": 1},                       # the passive panel
+        {"pirs_elements": 1399},                                      # prime: a 1 x 1399 row
+        {"bs_antennas": 64},                                          # array outreaches both
+        {"airs_elements": 0},                                         # no active grid
+        {"airs_elements": 1399, "pirs_elements": 1399},               # equal diagonals
+    ])
+    def test_edge_panels(self, changes):
+        p = SystemParams(**changes)
+        assert fraunhofer_distance(p) == _reference_fraunhofer_distance(p)
+
+    def test_prime_passive_panel_and_long_array_set_the_threshold(self):
+        prime = SystemParams(pirs_elements=1399)
+        assert prime.pirs_grid == (1, 1399)
+        assert fraunhofer_distance(prime) == 2.0 * (1398 * prime.element_spacing) ** 2 \
+            / prime.wavelength
+        array = SystemParams(bs_antennas=64)  # np = 100: 63 spacings beat both diagonals
+        assert fraunhofer_distance(array) == 2.0 * (63 * array.element_spacing) ** 2 \
+            / array.wavelength
+
+    def test_out_of_range_text_is_unchanged(self):
+        p = SystemParams(element_spacing=1e300)
+        with pytest.raises(ValueError) as info:
+            fraunhofer_distance(p)
+        assert str(info.value) == (
+            "bs_antennas = 10, airs_elements = 150, pirs_elements = 100, "
+            "element_spacing = 1e+300 and wavelength = 0.085655 put the far-field "
+            "threshold 2 D**2 / wavelength out of double range")
+        with pytest.raises(OverflowError):
+            _reference_fraunhofer_distance(p)  # the same square leaves double range
