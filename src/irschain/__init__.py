@@ -24,17 +24,14 @@ from .params import (
 from .channel import (
     HopGeometry,
     PhaseConfig,
-    chain_geometry,
     full_power,
     full_snr,
     random_geometry,
-    steering_vector,
     upa_response,
 )
 from .beamforming import (
     amplification_factor,
     optimal_configuration,
-    optimal_reflection_phases,
     optimal_transmit_beam,
 )
 from .metrics import (
@@ -59,11 +56,9 @@ __all__ = [
     "Diagnostic", "LinkBudget", "SystemParams", "db_to_linear", "dbm_to_watts",
     "derive_link_budget", "fraunhofer_distance", "linear_to_db", "validate",
     "watts_to_dbm",
-    "HopGeometry", "PhaseConfig", "chain_geometry", "full_power",
-    "full_snr", "random_geometry",
-    "steering_vector", "upa_response",
-    "amplification_factor", "optimal_configuration", "optimal_reflection_phases",
-    "optimal_transmit_beam",
+    "HopGeometry", "PhaseConfig", "full_power", "full_snr", "random_geometry",
+    "upa_response",
+    "amplification_factor", "optimal_configuration", "optimal_transmit_beam",
     "WIT", "WPT", "power_closed", "snr_closed",
     "DeploymentSolution", "RatioReport", "optimal_index", "ratio_diagnostics",
     "scheme_all_pirs", "scheme_middle", "wpt_crossover_np",

@@ -3,6 +3,8 @@
 The transmit beam matched to the first-hop array response and per-surface
 co-phasing make every reflection coefficient sum coherently, after which
 the active surface runs its amplifier at the per-element power boundary.
+Surface k's co-phasing phasors depart_k * conj(arrive_k) = conj(w_k) put
+every term of A_k on the positive real axis, so |A_k| is its element count.
 """
 
 from __future__ import annotations
@@ -24,23 +26,6 @@ def optimal_transmit_beam(channel_vec: np.ndarray, tx_power: float) -> np.ndarra
     return math.sqrt(tx_power) * h / norm
 
 
-def optimal_reflection_phases(arrive: np.ndarray, depart: np.ndarray) -> np.ndarray:
-    """Per-element reflection phasors that co-phase arrive/depart responses.
-
-    Each reflected term picks up arrive_n * conj(depart_n); multiplying it
-    by depart_n * conj(arrive_n) puts every summand on the positive real
-    axis, so the reflection coefficient sum |depart^H diag(r) arrive|
-    equals the element count.  For unit-modulus responses, which every
-    array response is, the returned r is e^{j theta} with
-    theta = -arg(arrive * conj(depart)), up to rounding.
-    """
-    arrive = np.asarray(arrive)
-    depart = np.asarray(depart)
-    if arrive.shape != depart.shape:
-        raise ValueError("arrival/departure responses must have equal length")
-    return depart * arrive.conj()
-
-
 def amplification_factor(airs_index: int, budget: LinkBudget, p: SystemParams) -> float:
     """Largest feasible common gain under the per-element power budget.
 
@@ -59,6 +44,5 @@ def optimal_configuration(airs_index: int, geometry: list[HopGeometry],
     if budget is None:
         budget = derive_link_budget(p)
     weights, bs_tx, _ = surface_weights(geometry, p, airs_index)
-    # optimal_reflection_phases' depart_k * conj(arrive_k) is conj(w_k)
     phases = PhaseConfig(tuple(map(np.conj, weights)), amplification_factor(airs_index, budget, p))
     return phases, optimal_transmit_beam(bs_tx, p.tx_power)

@@ -12,10 +12,11 @@ N elements, and no underflow.  ``hop_matrices`` is the small-N reference
 for it: it builds every hop's receive and transmit responses itself and
 returns the dense N x N hop matrices.
 
-A surface's two responses are Kronecker products of x- and z-axis
-steering vectors on one panel, so its weights w_k = conj(depart_k) *
-arrive_k are the Kronecker product of two steering vectors at the
-arrival minus the departure arguments; no response row is built.
+``upa_response`` is the one array response, the Kronecker product of x-
+and z-axis phase ramps exp(-j pi m varsigma); a linear array is one row
+high.  So a surface's weights w_k = conj(depart_k) * arrive_k are the
+Kronecker product of two ramps at the arrival minus the departure
+arguments; no response row is built.
 ``surface_weights`` memoises them, one read-only row per surface, with
 the transmit response and the log hop gains, so one oracle check
 (optimal configuration, SNR, power) makes one exp pass per axis per
@@ -97,18 +98,6 @@ def _steering_rows(varsigmas: list[float], length: int) -> np.ndarray:
                   * np.arange(length))
 
 
-def steering_vector(varsigma: float, length: int) -> np.ndarray:
-    """Array response [exp(-j*pi*m*varsigma)] for m = 0..length-1."""
-    if length < 1:
-        raise ValueError("steering vector length must be >= 1")
-    return _steering_rows([varsigma], length)[0]
-
-
-def ula_response(azimuth: float, n: int, spacing: float, wavelength: float) -> np.ndarray:
-    """Linear-array response for a departure/arrival azimuth."""
-    return steering_vector(2.0 * spacing / wavelength * math.cos(azimuth), n)
-
-
 def _kron_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Row r is the Kronecker product of rows x[r] and z[r]."""
     (rows, nx), nz = x.shape, z.shape[1]
@@ -125,29 +114,12 @@ def _panel_args(azimuth: float, elevation: float, two_d: float) -> tuple[float, 
 
 def upa_response(azimuth: float, elevation: float, nx: int, nz: int,
                  spacing: float, wavelength: float) -> np.ndarray:
-    """Planar-array response: Kronecker product of the x- and z-axis responses."""
+    """Planar-array response: Kronecker product of the x- and z-axis responses.
+    A linear array along x is the panel with nz = 1 at elevation pi / 2."""
     if nx < 1 or nz < 1:
         raise ValueError("panel dimensions must be >= 1")
     x_arg, z_arg = _panel_args(azimuth, elevation, 2.0 * spacing / wavelength)
     return _kron_rows(_steering_rows([x_arg], nx), _steering_rows([z_arg], nz))[0]
-
-
-def chain_geometry(p: SystemParams) -> list[HopGeometry]:
-    """Default zig-zag placement producing non-degenerate hop angles.
-
-    Headings alternate by +-turn/2 around the +x axis and elevations
-    wobble by +-tilt around horizontal (turn 0.35 rad, tilt 0.15 rad);
-    only the distances carry physical meaning, the angles just have to
-    exist and stay consistent.
-    """
-    turn, tilt = 0.35, 0.15
-    hops = []
-    for k, dist in enumerate(p.hop_distances()):
-        heading = 0.5 * turn * (1.0 if k % 2 == 0 else -1.0)
-        elevation = math.pi / 2.0 + tilt * (1.0 if k % 2 == 0 else -1.0)
-        hops.append(HopGeometry(distance=dist, dep_azimuth=heading, dep_elevation=elevation,
-                                arr_azimuth=math.pi - heading, arr_elevation=math.pi - elevation))
-    return hops
 
 
 # per hop: departure azimuth, departure elevation, arrival azimuth, arrival elevation
@@ -224,14 +196,16 @@ def hop_matrices(geometry: list[HopGeometry], p: SystemParams,
     Entry 0 is (N_1 x M), entries 1..J-1 are (N_{k+1} x N_k), and the
     final user hop is returned as a (1 x N_J) row.  Hop k is
     g_k e^{-j 2 pi d_k / lambda} rx_k tx_k^H with unit-modulus responses
-    built afresh, one ``upa_response`` per surface side: surface k receives
-    on hop k-1's arrival angles and re-radiates on hop k's departure angles.
+    built afresh, one ``upa_response`` per surface side and one for the
+    transmitter's linear array: surface k receives on hop k-1's arrival
+    angles and re-radiates on hop k's departure angles.
     This is the small-N reference for the per-surface-sum oracle; it needs
     O(J * N^2) memory.
     """
     _check_chain(geometry, p, airs_index)
     spacing, wavelength = p.element_spacing, p.wavelength
-    rx, tx = [], [ula_response(geometry[0].dep_azimuth, p.bs_antennas, spacing, wavelength)]
+    rx, tx = [], [upa_response(geometry[0].dep_azimuth, math.pi / 2.0, p.bs_antennas, 1,
+                               spacing, wavelength)]
     for k in range(1, p.num_irs + 1):
         arrive, depart, grid = geometry[k - 1], geometry[k], p.grid_at(k, airs_index)
         rx.append(upa_response(arrive.arr_azimuth, arrive.arr_elevation, *grid,

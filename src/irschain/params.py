@@ -49,11 +49,10 @@ def check_airs_index(airs_index: int, num_irs: int) -> None:
 
 def _near_square_grid(n: int) -> tuple[int, int]:
     # largest divisor <= sqrt(n), so the panel is as square as n allows
-    best = 1
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            best = d
-    return best, n // best
+    d = math.isqrt(n)
+    while n % d:
+        d -= 1
+    return d, n // d
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,39 @@
-"""Helpers that only the tests need: per-surface element counts, every
-hop's array responses, one surface's reflection coefficient sum, the
-per-element power incident on the active surface, the amplifier
-power-budget check and the paper's panel-size scaling orders."""
+"""Helpers that only the tests need: per-surface element counts, a fixed
+zig-zag chain, every hop's array responses, the co-phasing rule, one
+surface's reflection coefficient sum, the per-element power incident on
+the active surface, the amplifier power-budget check and the paper's
+panel-size scaling orders."""
 
 import math
 
 import numpy as np
 
 from irschain import channel
+from irschain.channel import HopGeometry
 from irschain.params import SystemParams, check_airs_index
 
 
 def elements_at(p: SystemParams, k: int, airs_index: int) -> int:
     """Element count of surface k (1-based) given the active one's index."""
     return p.airs_elements if k == airs_index else p.pirs_elements
+
+
+def chain_geometry(p: SystemParams) -> list[HopGeometry]:
+    """Default zig-zag placement producing non-degenerate hop angles.
+
+    Headings alternate by +-turn/2 around the +x axis and elevations
+    wobble by +-tilt around horizontal (turn 0.35 rad, tilt 0.15 rad);
+    only the distances carry physical meaning, the angles just have to
+    exist and stay consistent.
+    """
+    turn, tilt = 0.35, 0.15
+    hops = []
+    for k, dist in enumerate(p.hop_distances()):
+        heading = 0.5 * turn * (1.0 if k % 2 == 0 else -1.0)
+        elevation = math.pi / 2.0 + tilt * (1.0 if k % 2 == 0 else -1.0)
+        hops.append(HopGeometry(distance=dist, dep_azimuth=heading, dep_elevation=elevation,
+                                arr_azimuth=math.pi - heading, arr_elevation=math.pi - elevation))
+    return hops
 
 
 def hop_responses(geometry, p: SystemParams,
@@ -27,7 +47,8 @@ def hop_responses(geometry, p: SystemParams,
     transmit beam matches ``hops[0][1]``.  Every response is built afresh.
     """
     spacing, wavelength = p.element_spacing, p.wavelength
-    tx = channel.ula_response(geometry[0].dep_azimuth, p.bs_antennas, spacing, wavelength)
+    tx = channel.upa_response(geometry[0].dep_azimuth, math.pi / 2.0, p.bs_antennas, 1,
+                              spacing, wavelength)
     hops = []
     for k in range(1, p.num_irs + 1):
         nx, nz = p.grid_at(k, airs_index)
@@ -37,6 +58,12 @@ def hop_responses(geometry, p: SystemParams,
         tx = channel.upa_response(geometry[k].dep_azimuth, geometry[k].dep_elevation,
                                   nx, nz, spacing, wavelength)
     return hops + [(np.ones(1), tx)]  # single-antenna receiver
+
+
+def cophasing_phases(arrive, depart) -> np.ndarray:
+    """Phasors depart * conj(arrive), which put every term of depart^H diag(r) arrive
+    on the positive real axis; numpy rejects unequal lengths other than one."""
+    return depart * arrive.conj()
 
 
 def reflection_coefficient_sum(arrive, depart, reflection) -> complex:

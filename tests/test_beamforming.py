@@ -7,17 +7,23 @@ from hypothesis import given, strategies as st
 from irschain.beamforming import (
     amplification_factor,
     optimal_configuration,
-    optimal_reflection_phases,
     optimal_transmit_beam,
 )
 from irschain.channel import (
     PhaseConfig,
-    chain_geometry,
     full_snr,
+    random_geometry,
     upa_response,
 )
 from irschain.params import SystemParams, derive_link_budget
-from reference import check_power_constraint, incident_element_power, reflection_coefficient_sum
+from reference import (
+    chain_geometry,
+    check_power_constraint,
+    cophasing_phases,
+    hop_responses,
+    incident_element_power,
+    reflection_coefficient_sum,
+)
 
 
 def unit_vector(rng, n):
@@ -32,6 +38,17 @@ def panel_response_pairs(n, seed, count=10):
     for _ in range(count):
         yield tuple(upa_response(rng.uniform(0, 2 * np.pi), rng.uniform(0.1, 3.0),
                                  nx, nz, p.element_spacing, p.wavelength) for _ in range(2))
+
+
+def chain_surfaces(n, seed):
+    """(arrive, depart, phasors from ``optimal_configuration``) of every surface of a
+    random three-surface chain of n-element panels, surface 2 active."""
+    p = SystemParams(num_irs=3, pirs_elements=n, airs_elements=n)
+    geom = random_geometry(p, np.random.default_rng(seed))
+    hops = hop_responses(geom, p, 2)
+    phases, _ = optimal_configuration(2, geom, p)
+    for k, reflection in enumerate(phases.reflection, start=1):
+        yield hops[k - 1][0], hops[k][1], reflection
 
 
 def angle_round_trip(arrive, depart):
@@ -69,34 +86,42 @@ class TestTransmitBeam:
 
 
 class TestReflectionPhases:
+    """The co-phasing rule depart * conj(arrive), through the reference one-liner and,
+    where a chain is at hand, through the phasors ``optimal_configuration`` returns."""
+
     def test_aligned_responses_need_no_phase(self):
         ones = np.ones(5, dtype=complex)
-        reflection = optimal_reflection_phases(ones, ones)
+        reflection = cophasing_phases(ones, ones)
         np.testing.assert_allclose(np.angle(reflection), 0.0)
         assert reflection_coefficient_sum(ones, ones, reflection) == pytest.approx(5.0)
 
     def test_random_responses_cophase_to_element_count(self):
         rng = np.random.default_rng(3)
         arrive, depart = unit_vector(rng, 64), unit_vector(rng, 64)
-        reflection = optimal_reflection_phases(arrive, depart)
+        reflection = cophasing_phases(arrive, depart)
         coeff = reflection_coefficient_sum(arrive, depart, reflection)
         assert abs(coeff) == pytest.approx(64.0, rel=1e-10)
 
     def test_single_element(self):
         rng = np.random.default_rng(4)
         arrive, depart = unit_vector(rng, 1), unit_vector(rng, 1)
-        reflection = optimal_reflection_phases(arrive, depart)
+        reflection = cophasing_phases(arrive, depart)
         coeff = reflection_coefficient_sum(arrive, depart, reflection)
         assert abs(coeff) == pytest.approx(1.0)
+        for arrive, depart, reflection in chain_surfaces(1, seed=4):
+            coeff = reflection_coefficient_sum(arrive, depart, reflection)
+            assert reflection.shape == (1,) and abs(coeff) == pytest.approx(1.0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            optimal_reflection_phases(np.ones(3), np.ones(4))
+            cophasing_phases(np.ones(3), np.ones(4))
 
     def test_unit_modulus(self):
         rng = np.random.default_rng(5)
-        reflection = optimal_reflection_phases(unit_vector(rng, 200), unit_vector(rng, 200))
+        reflection = cophasing_phases(unit_vector(rng, 200), unit_vector(rng, 200))
         assert np.all(np.abs(np.abs(reflection) - 1.0) <= 4 * np.finfo(float).eps)
+        for _, _, reflection in chain_surfaces(200, seed=5):
+            assert np.all(np.abs(np.abs(reflection) - 1.0) <= 4 * np.finfo(float).eps)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=math.tau), min_size=1, max_size=40),
            st.lists(st.floats(min_value=0.0, max_value=math.tau), min_size=1, max_size=40))
@@ -104,7 +129,7 @@ class TestReflectionPhases:
         n = min(len(in_phases), len(out_phases))
         arrive = np.exp(1j * np.array(in_phases[:n]))
         depart = np.exp(1j * np.array(out_phases[:n]))
-        reflection = optimal_reflection_phases(arrive, depart)
+        reflection = cophasing_phases(arrive, depart)
         coeff = reflection_coefficient_sum(arrive, depart, reflection)
         assert abs(coeff) == pytest.approx(float(n), rel=1e-10)
 
@@ -117,20 +142,31 @@ class TestReflectionPhases:
                                   10, 10, p.element_spacing, p.wavelength)
             depart = upa_response(rng.uniform(0, 2 * np.pi), rng.uniform(0.1, 3.0),
                                   10, 10, p.element_spacing, p.wavelength)
-            reflection = optimal_reflection_phases(arrive, depart)
+            reflection = cophasing_phases(arrive, depart)
+            coeff = reflection_coefficient_sum(arrive, depart, reflection)
+            assert abs(coeff) == pytest.approx(100.0, rel=1e-10)
+        for arrive, depart, reflection in chain_surfaces(100, seed=6):
             coeff = reflection_coefficient_sum(arrive, depart, reflection)
             assert abs(coeff) == pytest.approx(100.0, rel=1e-10)
 
     @pytest.mark.parametrize("n", [1, 2, 100, 1024, 2048])
     def test_matches_the_angle_round_trip(self, n):
         for arrive, depart in panel_response_pairs(n, seed=n):
-            np.testing.assert_allclose(optimal_reflection_phases(arrive, depart),
+            np.testing.assert_allclose(cophasing_phases(arrive, depart),
                                        angle_round_trip(arrive, depart), rtol=0.0, atol=2e-15)
+        # the beamformer's conj(w_k) is built from the arrival minus the departure
+        # arguments, so it rounds apart from the product of the two responses
+        for arrive, depart, reflection in chain_surfaces(n, seed=n):
+            np.testing.assert_allclose(reflection, angle_round_trip(arrive, depart),
+                                       rtol=0.0, atol=1e-12)
 
     def test_cophasing_at_full_panel_size(self):
         for arrive, depart in panel_response_pairs(2048, seed=8):
             coeff = reflection_coefficient_sum(arrive, depart,
-                                               optimal_reflection_phases(arrive, depart))
+                                               cophasing_phases(arrive, depart))
+            assert abs(abs(coeff) / 2048 - 1.0) <= 1e-13
+        for arrive, depart, reflection in chain_surfaces(2048, seed=8):
+            coeff = reflection_coefficient_sum(arrive, depart, reflection)
             assert abs(abs(coeff) / 2048 - 1.0) <= 1e-13
 
 

@@ -6,47 +6,45 @@ import numpy as np
 import pytest
 
 from irschain import channel
-from irschain.beamforming import (
-    optimal_configuration,
-    optimal_reflection_phases,
-    optimal_transmit_beam,
-)
+from irschain.beamforming import optimal_configuration, optimal_transmit_beam
 from irschain.channel import (
     TWO_PI,
     HopGeometry,
     PhaseConfig,
-    chain_geometry,
     full_power,
     full_snr,
     hop_matrices,
     random_geometry,
-    steering_vector,
     surface_weights,
-    ula_response,
     upa_response,
 )
 from irschain.metrics import power_closed, snr_closed
 from irschain.params import SystemParams, amplitude_gain, derive_link_budget
-from reference import hop_responses, incident_element_power
+from reference import chain_geometry, cophasing_phases, hop_responses, incident_element_power
 
 
-class TestSteeringVector:
+def _steering(varsigma, length):
+    """One row [exp(-j*pi*m*varsigma)], m = 0..length-1, of the stacked exp pass."""
+    return channel._steering_rows([varsigma], length)[0]
+
+
+class TestSteeringRows:
     def test_zero_gradient_is_all_ones(self):
-        np.testing.assert_allclose(steering_vector(0.0, 4), np.ones(4))
+        np.testing.assert_allclose(_steering(0.0, 4), np.ones(4))
 
     def test_half_turn_alternates_sign(self):
-        np.testing.assert_allclose(steering_vector(1.0, 2), [1.0, -1.0], atol=1e-15)
+        np.testing.assert_allclose(_steering(1.0, 2), [1.0, -1.0], atol=1e-15)
 
     def test_quarter_turn_by_hand(self):
-        np.testing.assert_allclose(steering_vector(0.5, 3), [1.0, -1.0j, -1.0], atol=1e-15)
+        np.testing.assert_allclose(_steering(0.5, 3), [1.0, -1.0j, -1.0], atol=1e-15)
 
     def test_unit_modulus(self):
-        vec = steering_vector(0.73, 33)
+        vec = _steering(0.73, 33)
         np.testing.assert_allclose(np.abs(vec), 1.0, atol=1e-14)
 
-    def test_rejects_empty(self):
+    def test_empty_linear_array_rejected(self):
         with pytest.raises(ValueError):
-            steering_vector(0.3, 0)
+            upa_response(0.3, math.pi / 2.0, 0, 1, 0.5, 1.0)
 
 
 class TestUpaResponse:
@@ -85,12 +83,26 @@ class TestUpaResponse:
             assert np.array_equal(vec, expected)
 
     @pytest.mark.parametrize("length", [1, 2, 33, 64])
-    def test_steering_vector_bit_identical_to_scalar_formula(self, length):
+    def test_steering_rows_bit_identical_to_scalar_formula(self, length):
         rng = np.random.default_rng(length)
-        for varsigma in rng.uniform(-2.0, 2.0, 20):
-            varsigma = float(varsigma)
-            np.testing.assert_array_equal(steering_vector(varsigma, length),
-                                          _scalar_steering_vector(varsigma, length))
+        varsigmas = rng.uniform(-2.0, 2.0, 20).tolist()
+        rows = channel._steering_rows(varsigmas, length)
+        for varsigma, row in zip(varsigmas, rows):
+            want = _scalar_steering_vector(varsigma, length)
+            np.testing.assert_array_equal(_steering(varsigma, length), want)
+            np.testing.assert_array_equal(row, want)
+
+    @pytest.mark.parametrize("length", [1, 2, 10, 33, 64])
+    def test_linear_array_bit_identical_to_scalar_formula(self, length):
+        # a panel one row high at elevation pi/2: sin(pi/2) == 1.0 and the z row is 1
+        rng = np.random.default_rng(100 + length)
+        for _ in range(20):
+            azimuth = rng.uniform(0.0, 2 * math.pi)
+            spacing, wavelength = rng.uniform(0.2, 0.6), rng.uniform(0.5, 1.5)
+            want = _scalar_steering_vector(2.0 * spacing / wavelength * math.cos(azimuth),
+                                           length)
+            vec = upa_response(azimuth, math.pi / 2.0, length, 1, spacing, wavelength)
+            assert np.array_equal(vec, want)
 
 
 def _scalar_steering_vector(varsigma, length):
@@ -406,8 +418,9 @@ def _direct_weights(geom, p, l):
         dx = (two_d * math.cos(arr.arr_azimuth) * math.sin(arr.arr_elevation)
               - two_d * math.cos(dep.dep_azimuth) * math.sin(dep.dep_elevation))
         dz = two_d * math.cos(arr.arr_elevation) - two_d * math.cos(dep.dep_elevation)
-        weights.append(np.outer(steering_vector(dx, nx), steering_vector(dz, nz)).ravel())
-    bs_tx = ula_response(geom[0].dep_azimuth, p.bs_antennas, p.element_spacing, p.wavelength)
+        weights.append(np.outer(_steering(dx, nx), _steering(dz, nz)).ravel())
+    bs_tx = upa_response(geom[0].dep_azimuth, math.pi / 2.0, p.bs_antennas, 1,
+                         p.element_spacing, p.wavelength)
     return weights, bs_tx
 
 
@@ -530,7 +543,7 @@ class TestHopResponseMemo:
                     np.testing.assert_allclose(weights[k - 1], depart.conj() * arrive,
                                                rtol=0.0, atol=1e-12)
                     np.testing.assert_allclose(phases.reflection[k - 1],
-                                               optimal_reflection_phases(arrive, depart),
+                                               cophasing_phases(arrive, depart),
                                                rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("num_irs, n_p, n_a, bs_antennas", [

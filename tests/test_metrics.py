@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from irschain import metrics as metrics_module
 from irschain.beamforming import optimal_configuration
 from irschain.channel import (
-    chain_geometry,
     full_power,
     full_snr,
     random_geometry,
@@ -19,7 +18,12 @@ from irschain.channel import (
 from irschain.deployment import agreement_grid, optimal_index
 from irschain.metrics import objective, power_closed, snr_closed
 from irschain.params import SystemParams, derive_link_budget
-from reference import incident_element_power, power_scaling_order, snr_scaling_order
+from reference import (
+    chain_geometry,
+    incident_element_power,
+    power_scaling_order,
+    snr_scaling_order,
+)
 
 # f(4) at the default scenario with 100-element passive panels,
 # frozen from kappa_b**2 * (100 * kappa_i)**6 computed directly

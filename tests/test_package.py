@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -27,3 +28,12 @@ def test_no_private_name_is_imported_from_a_sibling_module(path):
         if alias.name.startswith("_")
     ]
     assert imported == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_retired_test_only_helpers_stay_out(path):
+    # tests/reference.py holds these; upa_response is the one array response
+    name = "irschain" if path.stem == "__init__" else f"irschain.{path.stem}"
+    module = importlib.import_module(name)
+    retired = ("steering_vector", "ula_response", "optimal_reflection_phases", "chain_geometry")
+    assert [attr for attr in retired if hasattr(module, attr)] == []

@@ -346,6 +346,14 @@ class TestSystemParams:
         assert SystemParams(pirs_elements=150).pirs_grid == (10, 15)
         assert SystemParams(pirs_elements=7).pirs_grid == (1, 7)  # prime panel
 
+    @pytest.mark.parametrize("counts", [range(1, 5001), [10**9, 999_999_937, 735_134_400]],
+                             ids=["n<=5000", "large"])
+    def test_grid_is_the_largest_divisor_up_to_the_square_root(self, counts):
+        # 999_999_937 is prime and 735_134_400 has 1344 divisors
+        for n in counts:
+            short = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+            assert SystemParams(pirs_elements=n).pirs_grid == (short, n // short)
+
     def test_no_grid_search_above_the_element_cap(self):
         # the divisor scan is O(sqrt(n)): at 10**20 elements it would run for minutes
         p = SystemParams(airs_elements=MAX_ELEMENTS + 1, pirs_elements=10**20)
