@@ -55,20 +55,33 @@ def _fmt(x: float) -> str:
     return format(x, ".10g")
 
 
-# the one suffix each key accepts; every key not listed takes a bare number
-_KEY_UNITS = {
-    "tx_power": "dBm", "amp_power": "dBm", "noise_power": "dBm",
-    "ref_path_gain": "dB",
+# One row per parameter: its short key; the one unit suffix it accepts (None: a bare
+# number only); the cap checked at parse time, for the counts whose size sets the cost
+# of building the scenario; whether it is a count.  "frequency" sets the wavelength.
+_KEYS = {
+    "num_irs":            ("j",       None,  MAX_SURFACES, True),
+    "bs_antennas":        ("m",       None,  None,         True),
+    "airs_elements":      ("na",      None,  MAX_ELEMENTS, True),
+    "pirs_elements":      ("np",      None,  MAX_ELEMENTS, True),
+    "bs_irs_distance":    ("d_b",     None,  None,         False),
+    "irs_user_distance":  ("d_u",     None,  None,         False),
+    "inter_irs_distance": ("d_i",     None,  None,         False),
+    "tx_power":           ("pt",      "dBm", None,         False),
+    "amp_power":          ("pa",      "dBm", None,         False),
+    "noise_power":        ("sigma2",  "dBm", None,         False),
+    "path_loss_exponent": ("alpha",   None,  None,         False),
+    "ref_path_gain":      ("beta0",   "dB",  None,         False),
+    "wavelength":         (None,      None,  None,         False),
+    "frequency":          ("carrier", None,  None,         False),
+    "element_spacing":    ("spacing", None,  None,         False),
 }
-
-# counts whose size sets the cost of building the scenario; checked at parse time
-_KEY_CAPS = {
-    "airs_elements": MAX_ELEMENTS, "pirs_elements": MAX_ELEMENTS,
-    "num_irs": MAX_SURFACES,
-}
+# each key, in lower case with "_" for "-", to the parameter it sets
+_KEY_ALIASES = {key: canon for canon, (short, *_) in _KEYS.items()
+                for key in (canon, short) if key is not None}
 
 
 def _parse_value(raw: str, key: str, canon: str) -> float:
+    _, unit, cap, is_count = _KEYS[canon]
     tokens = raw.split()
     try:
         value = float(tokens[0])
@@ -77,7 +90,6 @@ def _parse_value(raw: str, key: str, canon: str) -> float:
     if len(tokens) > 2:
         raise ConfigError(f"unexpected trailing tokens in {raw!r} for key {key!r}")
     if len(tokens) == 2:
-        unit = _KEY_UNITS.get(canon)
         if unit is None or tokens[1].lower() != unit.lower():
             allowed = f"use {unit}" if unit else "give a bare number"
             raise ConfigError(f"unit {tokens[1]!r} is not valid for key {key!r} ({allowed})")
@@ -88,13 +100,12 @@ def _parse_value(raw: str, key: str, canon: str) -> float:
     # every scenario quantity is positive; also rejects nan, inf and dBm underflow
     if not 0.0 < value < math.inf:
         raise ConfigError(f"key {key!r} ({canon}) must be positive and finite, got {raw!r}")
-    cap = _KEY_CAPS.get(canon)
     if cap is not None and value > cap:
         raise ConfigError(f"key {key!r} ({canon}) must be at most {cap}, got {raw!r}")
     if canon == "frequency" and SPEED_OF_LIGHT / value == math.inf:
         raise ConfigError(f"key {key!r} ({canon}) is too small for a finite wavelength, "
                           f"got {raw!r}")
-    if canon not in _INT_FIELDS:
+    if not is_count:
         return value
     # a count comes back as an int; both checks would fail only later, under a field
     # name the file does not contain
@@ -104,27 +115,6 @@ def _parse_value(raw: str, key: str, canon: str) -> float:
     if abs(value - count) > 1e-9:
         raise ConfigError(f"key {key!r} ({canon}) must be an integer, got {raw!r}")
     return count
-
-
-_KEY_ALIASES = {
-    "j": "num_irs", "num_irs": "num_irs",
-    "m": "bs_antennas", "bs_antennas": "bs_antennas",
-    "na": "airs_elements", "airs_elements": "airs_elements",
-    "np": "pirs_elements", "pirs_elements": "pirs_elements",
-    "d_b": "bs_irs_distance", "bs_irs_distance": "bs_irs_distance",
-    "d_u": "irs_user_distance", "irs_user_distance": "irs_user_distance",
-    "d_i": "inter_irs_distance", "inter_irs_distance": "inter_irs_distance",
-    "pt": "tx_power", "tx_power": "tx_power",
-    "pa": "amp_power", "amp_power": "amp_power",
-    "sigma2": "noise_power", "noise_power": "noise_power",
-    "alpha": "path_loss_exponent", "path_loss_exponent": "path_loss_exponent",
-    "beta0": "ref_path_gain", "ref_path_gain": "ref_path_gain",
-    "wavelength": "wavelength",
-    "frequency": "frequency", "carrier": "frequency",
-    "spacing": "element_spacing", "element_spacing": "element_spacing",
-}
-
-_INT_FIELDS = {"num_irs", "bs_antennas", "airs_elements", "pirs_elements"}
 
 
 def parse_config_text(text: str) -> dict[str, float]:

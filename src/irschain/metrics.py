@@ -61,7 +61,7 @@ def objective(mode: str, p: SystemParams, airs_index: int,
         if mode == WIT:
             awgn = budget.log_noise_c_t + 2.0 * (l - 1) * log_npk   # receiver AWGN, signal-scaled
             floor = budget.log_noise_floor                          # receiver AWGN floor
-            # max() without the call; as in max(), the first of equal terms wins
+            # max() without the call; on a tie both branches take the same shift
             m = amp if amp >= awgn else awgn
             m = m if m >= floor else floor
             # fsum, not sum: a plain 3-term sum rounds differently, and sub-ulp gaps decide ties

@@ -267,8 +267,8 @@ def fraunhofer_distance(p: SystemParams) -> float:
     """Far-field threshold 2 D^2 / wavelength, D the largest array aperture.
 
     D is the transmit array's length or a panel's diagonal, taken inline; a
-    1-element array has zero extent, and as in max() the first of equal terms
-    wins.  Raises ``ValueError`` naming the fields that set it when it leaves
+    1-element array has zero extent, and on a tie D is the same float either
+    way.  Raises ``ValueError`` naming the fields that set it when it leaves
     double range (d_max**2 raises, or a product rounds to inf).
     """
     s = p.element_spacing

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import math
 import os
 import re
 import subprocess
@@ -21,7 +22,7 @@ from irschain.cli import (
     parse_sweep,
     run,
 )
-from irschain.params import SPEED_OF_LIGHT, SystemParams
+from irschain.params import MAX_ELEMENTS, MAX_SURFACES, SPEED_OF_LIGHT, SystemParams
 
 
 class TestConfigParsing:
@@ -79,6 +80,19 @@ class TestConfigParsing:
     def test_non_integer_count(self):
         with pytest.raises(ConfigError):
             params_from_config(parse_config_text("m = 10.5"))
+
+    def test_counts_at_their_bounds_are_accepted(self):
+        # the errors just outside, at 0.4 and one above each cap, are tested with eval
+        assert parse_config_text("j = 1\nm = 1\nna = 1\nnp = 1") == {
+            "num_irs": 1, "bs_antennas": 1, "airs_elements": 1, "pirs_elements": 1}
+        at_cap = parse_config_text("j = 1e6\nna = 1000000000\nnp = 1e9")
+        assert at_cap == {"num_irs": MAX_SURFACES, "airs_elements": MAX_ELEMENTS,
+                          "pirs_elements": MAX_ELEMENTS}
+        assert all(type(value) is int for value in at_cap.values())
+
+    def test_unknown_field_names_it(self):
+        with pytest.raises(ConfigError, match="'bogus'"):
+            params_from_config({"bogus": 1.0})
 
     def test_parameter_given_twice(self):
         cases = [
@@ -245,6 +259,14 @@ class TestEvalCommand:
             "error: key 'j' (num_irs) must be at most 1000000, got '1000001'"]
         assert captured.out == ""
 
+    def test_trailing_tokens_exit_2_naming_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "trailing.cfg"
+        cfg.write_text("pt = 30 dBm 5\n")
+        assert run(["eval", "--mode", "wit", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unexpected trailing tokens in '30 dBm 5' for key 'pt'\n"
+
     def test_warnings_go_to_stderr_not_the_report(self, tmp_path, capsys):
         report = tmp_path / "report.txt"
         assert run(["eval", "--mode", "wit", "-o", str(report)]) == 0
@@ -390,6 +412,61 @@ _CONFIG_KEYS = {
     "wavelength": "wavelength", "frequency": "wavelength", "carrier": "wavelength",
     "spacing": "element_spacing", "element_spacing": "element_spacing",
 }
+
+
+class TestKeySpellings:
+    """Each key spelling with each value and suffix: the exact value parsed, or the exact
+    error.  The expected outcome is written out here from the format's rules, in the
+    order the parser applies them."""
+
+    UNITS = {"tx_power": "dBm", "amp_power": "dBm", "noise_power": "dBm",
+             "ref_path_gain": "dB"}  # every other key takes a bare number
+    CAPS = {"num_irs": MAX_SURFACES, "airs_elements": MAX_ELEMENTS,
+            "pirs_elements": MAX_ELEMENTS}
+    COUNTS = {"num_irs", "bs_antennas", "airs_elements", "pirs_elements"}
+
+    @classmethod
+    def expected(cls, key, canon, number, suffix):
+        """(parameter, parsed value) or the ConfigError text for ``key = number suffix``."""
+        raw = number + suffix
+        value = float(number)
+        if suffix:
+            unit = cls.UNITS.get(canon)
+            if unit is None or suffix.strip().lower() != unit.lower():
+                allowed = f"use {unit}" if unit else "give a bare number"
+                return f"unit {suffix.strip()!r} is not valid for key {key!r} ({allowed})"
+            try:
+                value = 10.0 ** ((value - 30.0) / 10.0 if unit == "dBm" else value / 10.0)
+            except OverflowError:
+                return f"value {raw!r} for key {key!r} is out of range"
+        if value <= 0.0:
+            return f"key {key!r} ({canon}) must be positive and finite, got {raw!r}"
+        if value > cls.CAPS.get(canon, math.inf):
+            return f"key {key!r} ({canon}) must be at most {cls.CAPS[canon]}, got {raw!r}"
+        if canon not in cls.COUNTS:
+            return canon, value
+        if value != round(value):
+            return f"key {key!r} ({canon}) must be an integer, got {raw!r}"
+        return canon, int(value)
+
+    @pytest.mark.parametrize("name", sorted(_CONFIG_KEYS))
+    def test_every_spelling_value_and_suffix(self, name):
+        # frequency and carrier set the wavelength, but the parser names them frequency
+        canon = "frequency" if name in ("frequency", "carrier") else _CONFIG_KEYS[name]
+        for key in sorted({name, name.upper(), name.replace("_", "-")}):
+            for suffix in ("", " dB", " dBm", " dBW"):
+                for number in ("0", "10.5", "1e10", "3"):
+                    want = self.expected(key, canon, number, suffix)
+                    try:
+                        got = parse_config_text(f"{key} = {number}{suffix}")
+                    except ConfigError as exc:
+                        assert str(exc) == want, (key, number, suffix)
+                        continue
+                    assert isinstance(want, tuple), (key, number, suffix, got)
+                    assert got == dict([want]), (key, number, suffix)
+                    assert type(got[canon]) is type(want[1]), (key, number, suffix)
+
+
 _KEY_TEXT = st.sampled_from(sorted(_CONFIG_KEYS)).flatmap(
     lambda key: st.sampled_from([key, key.upper(), key.replace("_", "-")]))
 _VALUE_TEXT = st.one_of(

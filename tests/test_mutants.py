@@ -14,7 +14,7 @@ _SPEC.loader.exec_module(mutants)
 
 # the modules whose mutation runs are recorded; the mutator itself takes any source
 SOURCES = [ROOT / "src" / "irschain" / name
-           for name in ("metrics.py", "params.py", "deployment.py")]
+           for name in ("metrics.py", "params.py", "deployment.py", "cli.py")]
 
 
 def _enumerate(path):

@@ -424,6 +424,12 @@ class TestValidate:
         assert fraunhofer_distance(at) == threshold
         assert [d for d in validate(at) if d.name == "far_field"] == []
 
+    def test_no_transmit_antenna_is_an_error(self):
+        assert validate(SystemParams(bs_antennas=0)) == [
+            Diagnostic("error", "bs_antennas", "need at least one transmit antenna, got 0")]
+        assert [d for d in validate(SystemParams(bs_antennas=1)) if d.severity == "error"] \
+            == []
+
     def test_negative_distance_is_an_error(self):
         diags = validate(SystemParams(bs_irs_distance=-2.0))
         assert any(d.name == "bs_irs_distance" and d.severity == "error" for d in diags)

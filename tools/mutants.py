@@ -56,6 +56,11 @@ EQUIVALENT = {
     ("params.py", "fraunhofer_distance", "aperture > d_max", ">="):
         "a running max(d_max, aperture); on a tie both are the same non-negative float, "
         "so d_max and the threshold keep every bit",
+    # the config parser's test that a count is a whole number
+    ("cli.py", "_parse_value", "abs(value - count) > 1e-09", ">="):
+        "a count's value is above 0.5, so it and its rounded count are multiples of "
+        "2**-53, as is their difference, which is exact near 1e-9; the double 1e-9 "
+        "(0x1.12e0be826d695p-30) is no such multiple, so the two never differ by it",
 }
 
 # What the copy leaves out: history and caches, which the suite does not read, and
