@@ -183,9 +183,7 @@ def parse_sweep(text: str) -> list[int]:
             single = int(parts[0])
         except ValueError:
             raise ConfigError(f"cannot parse --np value {text!r}") from None
-        if single < 1:
-            raise ConfigError(f"--np must be at least 1, got {single}")
-        return [single]
+        return [single]  # _with_np bounds it, as it does every point
     if len(parts) != 4:
         raise ConfigError(f"--np spec must be min:max:scale:n, got {text!r}")
     try:

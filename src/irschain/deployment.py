@@ -161,7 +161,7 @@ def scheme_all_pirs(mode: str, p: SystemParams,
         budget = derive_link_budget(p)
     log_signal = _log_all_pirs_power(p, budget)
     if mode == WIT:
-        log_signal -= math.log(p.noise_power)
+        log_signal -= budget.log_noise_power
     try:
         return math.exp(log_signal)
     except OverflowError:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from irschain import deployment
+from irschain import cli, deployment
 from irschain.cli import (
     ConfigError,
     evaluate_point,
@@ -120,6 +120,10 @@ class TestSweepSpec:
 
     def test_single_value(self):
         assert parse_sweep("128") == [128]
+
+    @pytest.mark.parametrize("spec", ["7:7:linear:1", "7:7:log:2"])
+    def test_equal_bounds_give_one_point(self, spec):
+        assert parse_sweep(spec) == [7]
 
     @pytest.mark.parametrize("bad", ["10:5:log:10", "10:100:geo:5", "a:b:log:3",
                                      "10:100:log:1", "0:10:linear:1"])
@@ -232,6 +236,17 @@ class TestEvalCommand:
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert "--np must be at most 1000000000, got 1000000000039" in captured.err
+        assert captured.out == ""
+
+    def test_panel_at_the_element_cap_is_accepted(self, capsys):
+        assert run(["eval", "--mode", "wit", "--np", "1000000000"]) == 0
+        assert "np = 1000000000" in capsys.readouterr().out
+
+    def test_panel_one_above_the_element_cap_exits_2(self, capsys):
+        assert run(["eval", "--mode", "wit", "--np", "1000000001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: --np must be at most 1000000000, got 1000000001"]
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv, value", [
@@ -570,6 +585,14 @@ class TestValidateCommand:
         assert "(wit): 2430 configs, 0 mismatches" in out
         assert "(wpt): 2430 configs, 0 mismatches" in out
         assert "result: OK" in out
+
+    @pytest.mark.parametrize("error, result, status", [
+        (1e-8, "OK", 0), (math.nextafter(1e-8, 1.0), "FAILED", 1)])
+    def test_oracle_tolerance_is_inclusive(self, capsys, monkeypatch,
+                                            error, result, status):
+        monkeypatch.setattr(cli, "_oracle_error", lambda *args: error)
+        assert run(["validate", "--oracle-samples", "1"]) == status
+        assert capsys.readouterr().out.splitlines()[-1] == f"result: {result}"
 
     @pytest.mark.parametrize("flag", ["--oracle-samples", "--seed"])
     def test_negative_oracle_samples_exit_2(self, capsys, flag):

@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,11 +12,20 @@ import irschain
 MODULES = sorted(Path(irschain.__file__).parent.glob("*.py"))
 
 
-def test_every_export_resolves_once():
-    names = irschain.__all__
-    assert len(names) == len(set(names))
-    missing = [name for name in names if not hasattr(irschain, name)]
-    assert missing == []
+def test_package_binds_only_its_submodules():
+    # every name is imported from the module that defines it
+    submodules = {path.stem for path in MODULES}
+    public = [name for name in vars(irschain) if not name.startswith("_")]
+    assert [name for name in public if name not in submodules] == []
+
+
+def test_closed_form_core_imports_without_numpy():
+    code = ("import sys, irschain.params, irschain.metrics, irschain.deployment; "
+            "print('numpy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(irschain.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
