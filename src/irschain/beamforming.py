@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .channel import HopGeometry, PhaseConfig, surface_weights
-from .params import LinkBudget, SystemParams, derive_link_budget
+from .params import LinkBudget, SystemParams
 
 
 def optimal_transmit_beam(channel_vec: np.ndarray, tx_power: float) -> np.ndarray:
@@ -38,11 +38,8 @@ def amplification_factor(airs_index: int, budget: LinkBudget, p: SystemParams) -
 
 
 def optimal_configuration(airs_index: int, geometry: list[HopGeometry],
-                          p: SystemParams, budget: LinkBudget | None = None,
-                          ) -> tuple[PhaseConfig, np.ndarray]:
+                          p: SystemParams, budget: LinkBudget) -> tuple[PhaseConfig, np.ndarray]:
     """Jointly optimal (phases, beam) for a given active-surface position."""
-    if budget is None:
-        budget = derive_link_budget(p)
     weights, bs_tx, _ = surface_weights(geometry, p, airs_index)
     phases = PhaseConfig(tuple(map(np.conj, weights)), amplification_factor(airs_index, budget, p))
     return phases, optimal_transmit_beam(bs_tx, p.tx_power)

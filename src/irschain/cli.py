@@ -305,7 +305,8 @@ def cmd_validate(args) -> int:
     grid = deployment.agreement_grid()
     mismatches = 0
     for mode in metrics.MODES:
-        count = sum(not deployment.optimal_index(mode, p).brute_force_agrees for p in grid)
+        count = sum(not deployment.optimal_index(mode, p, derive_link_budget(p)).brute_force_agrees
+                    for p in grid)
         print(f"closed-form vs brute force ({mode}): {len(grid)} configs, "
               f"{count} mismatches")
         mismatches += count

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .metrics import WIT, WPT, check_mode, objective
-from .params import LinkBudget, SystemParams, derive_link_budget, out_of_range_message
+from .params import LinkBudget, SystemParams, out_of_range_message
 
 CASE_FALLBACK = "brute-force-fallback"
 CASE_FINAL = "final"
@@ -86,8 +86,7 @@ def _wit_closed_form(budget: LinkBudget, j: int,
     return best, case, relaxed
 
 
-def optimal_index(mode: str, p: SystemParams,
-                  budget: LinkBudget | None = None) -> DeploymentSolution:
+def optimal_index(mode: str, p: SystemParams, budget: LinkBudget) -> DeploymentSolution:
     """Place the active surface for "wit" (SNR) or "wpt" (received power).
 
     The objective is evaluated exactly once per position.  Information
@@ -95,8 +94,6 @@ def optimal_index(mode: str, p: SystemParams,
     while np_kappa_i < 1; outside that regime the exhaustive-scan answer
     is used.  ``objective`` raises the out-of-double-range ``ValueError``.
     """
-    if budget is None:
-        budget = derive_link_budget(p)
     j = p.num_irs
     # from a list, not a generator: tuple(<genexpr>) grows by resizing, which
     # fragmented the heap enough to add ~1 MB of peak RSS over many solves
@@ -127,8 +124,7 @@ def middle_index(num_irs: int) -> int:
     return (num_irs + 1) // 2
 
 
-def scheme_middle(mode: str, p: SystemParams,
-                  budget: LinkBudget | None = None) -> float:
+def scheme_middle(mode: str, p: SystemParams, budget: LinkBudget) -> float:
     """Baseline that parks the active surface at the middle of the chain."""
     return objective(mode, p, middle_index(p.num_irs), budget)
 
@@ -146,8 +142,7 @@ def _log_all_pirs_power(p: SystemParams, budget: LinkBudget) -> float:
     )
 
 
-def scheme_all_pirs(mode: str, p: SystemParams,
-                    budget: LinkBudget | None = None) -> float:
+def scheme_all_pirs(mode: str, p: SystemParams, budget: LinkBudget) -> float:
     """All-passive baseline with the transmit power raised by the saved budget.
 
     The active surface is swapped for a passive one and the transmitter
@@ -157,27 +152,26 @@ def scheme_all_pirs(mode: str, p: SystemParams,
     its own ``ValueError`` naming the same fields as the objectives' one.
     """
     check_mode(mode)
-    if budget is None:
-        budget = derive_link_budget(p)
     log_signal = _log_all_pirs_power(p, budget)
     if mode == WIT:
         log_signal -= budget.log_noise_power
     try:
-        return math.exp(log_signal)
+        value = math.exp(log_signal)
+        if value < math.inf:  # a boosted power can round to inf; exp(inf) does not raise
+            return value
     except OverflowError:
-        raise ValueError(out_of_range_message(p, "all_pirs")) from None
+        pass
+    raise ValueError(out_of_range_message(p, "all_pirs"))
 
 
-def wpt_crossover_np(p: SystemParams, budget: LinkBudget | None = None) -> float:
+def wpt_crossover_np(p: SystemParams, budget: LinkBudget) -> float:
     """Panel size below which the active chain out-delivers the all-passive one.
 
     The all-passive power grows as pirs_elements**(2J); this is the panel
     size at which it reaches c_a * airs_elements, the active chain's
     vanishing-noise power.  Valid as a strict crossover only in that regime.
     """
-    if budget is None:
-        budget = derive_link_budget(p)
-    log_gap = math.log(budget.c_a * p.airs_elements) - _log_all_pirs_power(p, budget)
+    log_gap = budget.log_c_a + math.log(p.airs_elements) - _log_all_pirs_power(p, budget)
     return math.exp(math.log(p.pirs_elements) + log_gap / (2.0 * p.num_irs))
 
 
@@ -218,10 +212,7 @@ def _ratio_of_term_sums(log_num_terms: list[float], log_den_terms: list[float]) 
     return math.exp(m_num - m_den) * (s_num / s_den)
 
 
-def ratio_diagnostics(mode: str, p: SystemParams,
-                      budget: LinkBudget | None = None) -> RatioReport:
-    if budget is None:
-        budget = derive_link_budget(p)
+def ratio_diagnostics(mode: str, p: SystemParams, budget: LinkBudget) -> RatioReport:
     sol = optimal_index(mode, p, budget)
     passive = scheme_all_pirs(mode, p, budget)
     final = sol.objectives[-1]

@@ -4,20 +4,19 @@ Both objectives collapse to ratios of a handful of positive terms of the
 form const * (pirs_elements * kappa_i)**(2k).  Those powers reach the
 underflow edge of double precision well before the model breaks down, so
 every term is assembled in log domain and combined with logaddexp.  The
-position-independent logs come from ``LinkBudget``, once per budget.  A
-position is one ``objective`` call (``snr_closed`` and ``power_closed``
-are its named forms), which given a budget calls only math functions: an
-inline index test, a multiply-add per position-dependent term, each sum
-shifted by its largest term, and three exps for the SNR's denominator
-fsum and one for the ratio, or three in all for the power.
+position-independent logs come from the ``LinkBudget`` the caller
+passes.  A position is one ``objective`` call (``snr_closed`` and
+``power_closed`` are its named forms), which calls only math functions:
+an inline index test, a multiply-add per position-dependent term, each
+sum shifted by its largest term, and three exps for the SNR's
+denominator fsum and one for the ratio, or three in all for the power.
 """
 
 from __future__ import annotations
 
 import math
 
-from .params import (LinkBudget, SystemParams, check_airs_index, derive_link_budget,
-                     out_of_range_message)
+from .params import LinkBudget, SystemParams, check_airs_index, out_of_range_message
 
 WIT = "wit"  # information transfer: maximize receiver SNR
 WPT = "wpt"  # power transfer: maximize received signal-plus-noise power
@@ -31,18 +30,17 @@ def check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def snr_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = None) -> float:
+def snr_closed(p: SystemParams, airs_index: int, budget: LinkBudget) -> float:
     """Receiver SNR under optimal beam, phases, and amplification."""
     return objective(WIT, p, airs_index, budget)
 
 
-def power_closed(p: SystemParams, airs_index: int, budget: LinkBudget | None = None) -> float:
+def power_closed(p: SystemParams, airs_index: int, budget: LinkBudget) -> float:
     """Received signal-plus-amplification-noise power (watts) at the optimum."""
     return objective(WPT, p, airs_index, budget)
 
 
-def objective(mode: str, p: SystemParams, airs_index: int,
-              budget: LinkBudget | None = None) -> float:
+def objective(mode: str, p: SystemParams, airs_index: int, budget: LinkBudget) -> float:
     """SNR ("wit") or received watts ("wpt") at one active-surface position.
 
     ``airs_index`` may be real, as (J+1)/2.  An overflow (of the final exp, or the power's
@@ -50,8 +48,6 @@ def objective(mode: str, p: SystemParams, airs_index: int,
     """
     if mode != WIT and mode != WPT:
         check_mode(mode)  # raises, before the budget or the index is looked at
-    if budget is None:
-        budget = derive_link_budget(p)
     j, l = p.num_irs, airs_index
     if not 1 <= l <= j:
         check_airs_index(l, j)  # raises, with the one index message

@@ -88,7 +88,8 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_information_placement_matches_brute_force():
     start = time.monotonic()
     grid = agreement_grid()
-    mismatches = sum(not optimal_index(WIT, p).brute_force_agrees for p in grid)
+    mismatches = sum(not optimal_index(WIT, p, derive_link_budget(p)).brute_force_agrees
+                     for p in grid)
     elapsed = time.monotonic() - start
     _report(2, "closed-form SNR placement", mismatches == 0 and elapsed < 5.0,
             f"{len(grid)} configs, {mismatches} mismatches, {elapsed:.2f}s")
@@ -99,7 +100,7 @@ def test_criterion_3_power_placement_matches_brute_force():
     grid = agreement_grid()
     bad = 0
     for p in grid:
-        sol = optimal_index(WPT, p)
+        sol = optimal_index(WPT, p, derive_link_budget(p))
         if sol.airs_index != p.num_irs or not sol.brute_force_agrees:
             bad += 1
     elapsed = time.monotonic() - start
@@ -142,7 +143,7 @@ def test_criterion_5_scheme_comparisons():
         flags[0] and not flags[-1] for flags in active_vs_passive.values())
 
     quiet = replace(DEFAULTS, noise_power=1e-15)  # -120 dBm
-    threshold = wpt_crossover_np(quiet)
+    threshold = wpt_crossover_np(quiet, derive_link_budget(quiet))
     crossing = None
     for n_p in range(int(threshold) - 50, int(threshold) + 50):
         q = _with_np(quiet, n_p)
@@ -174,7 +175,10 @@ def _fitted_slope(mode: str, airs_index: int, ca_ct_log10: float) -> float:
                  noise_power=1e-40)
     sizes = [int(round(v)) for v in np.geomspace(2**10, 2**14, 9)]
     closed = snr_closed if mode == WIT else power_closed
-    values = [math.log(closed(_with_np(p0, n), airs_index)) for n in sizes]
+    values = []
+    for n in sizes:
+        p = _with_np(p0, n)
+        values.append(math.log(closed(p, airs_index, derive_link_budget(p))))
     return float(np.polyfit(np.log(sizes), values, 1)[0])
 
 

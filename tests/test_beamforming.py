@@ -46,7 +46,7 @@ def chain_surfaces(n, seed):
     p = SystemParams(num_irs=3, pirs_elements=n, airs_elements=n)
     geom = random_geometry(p, np.random.default_rng(seed))
     hops = hop_responses(geom, p, 2)
-    phases, _ = optimal_configuration(2, geom, p)
+    phases, _ = optimal_configuration(2, geom, p, derive_link_budget(p))
     for k, reflection in enumerate(phases.reflection, start=1):
         yield hops[k - 1][0], hops[k][1], reflection
 

@@ -503,7 +503,7 @@ class TestHopResponseMemo:
         channel._build_weights.cache_clear()
         monkeypatch.setattr(channel, "_steering_rows", counting_steering_rows)
         monkeypatch.setattr(channel, "_kron_rows", counting_kron_rows)
-        phases, beam = optimal_configuration(4, geom, p)
+        phases, beam = optimal_configuration(4, geom, p, derive_link_budget(p))
         full_snr(4, geom, phases, beam, p)
         full_power(4, geom, phases, beam, p)
         (nx_a, nz_a), (nx_p, nz_p) = p.airs_grid, p.pirs_grid
@@ -537,7 +537,7 @@ class TestHopResponseMemo:
                 geom = random_geometry(p, rng)
                 hops = hop_responses(geom, p, l)
                 weights = surface_weights(geom, p, l)[0]
-                phases, _ = optimal_configuration(l, geom, p)
+                phases, _ = optimal_configuration(l, geom, p, derive_link_budget(p))
                 for k in range(1, num_irs + 1):
                     arrive, depart = hops[k - 1][0], hops[k][1]
                     np.testing.assert_allclose(weights[k - 1], depart.conj() * arrive,
@@ -565,7 +565,7 @@ class TestHopResponseMemo:
             geom = random_geometry(p, rng)
             want_weights, want_bs_tx = _direct_weights(geom, p, l)
             _assert_same_weights(surface_weights(geom, p, l), (want_weights, want_bs_tx))
-            phases, beam = optimal_configuration(l, geom, p)
+            phases, beam = optimal_configuration(l, geom, p, derive_link_budget(p))
             for reflection, w in zip(phases.reflection, want_weights):
                 np.testing.assert_array_equal(reflection, np.conj(w))
             np.testing.assert_array_equal(beam, optimal_transmit_beam(want_bs_tx, p.tx_power))
@@ -577,7 +577,8 @@ class TestLogPowersFollowInputs:
     def setup_method(self):
         self.p = SystemParams(num_irs=4, pirs_elements=36, airs_elements=20)
         self.geom = random_geometry(self.p, np.random.default_rng(44))
-        self.phases, self.beam = optimal_configuration(2, self.geom, self.p)
+        self.phases, self.beam = optimal_configuration(2, self.geom, self.p,
+                                                       derive_link_budget(self.p))
 
     def _evaluate(self, phases, beam, p):
         return tuple(oracle(2, self.geom, phases, beam, p)
@@ -613,7 +614,7 @@ class TestLogPowersFollowInputs:
     def test_phasors_edited_in_place_are_read_afresh(self):
         p = SystemParams(num_irs=3)
         geom = chain_geometry(p)
-        phases, beam = optimal_configuration(2, geom, p)
+        phases, beam = optimal_configuration(2, geom, p, derive_link_budget(p))
         oracles = (full_snr, full_power, incident_element_power)
         before = [oracle(2, geom, phases, beam, p) for oracle in oracles]
         phases.reflection[0].flags.writeable = True
@@ -630,7 +631,8 @@ class TestShapeChecks:
     def setup_method(self):
         self.p = SystemParams(num_irs=3, pirs_elements=16, airs_elements=16)
         self.geom = random_geometry(self.p, np.random.default_rng(45))
-        self.phases, self.beam = optimal_configuration(2, self.geom, self.p)
+        self.phases, self.beam = optimal_configuration(2, self.geom, self.p,
+                                                       derive_link_budget(self.p))
 
     def _assert_rejected(self, phases, beam, match):
         for oracle in (full_snr, full_power, incident_element_power):
@@ -663,7 +665,7 @@ class TestShapeChecks:
     def test_single_element_surfaces_still_work(self):
         p = SystemParams(num_irs=3, pirs_elements=1, airs_elements=1)
         geom = random_geometry(p, np.random.default_rng(46))
-        phases, beam = optimal_configuration(2, geom, p)
+        phases, beam = optimal_configuration(2, geom, p, derive_link_budget(p))
         assert all(r.shape == (1,) for r in phases.reflection)
         _assert_matches_dense(2, geom, phases, beam, p)
 
@@ -684,7 +686,7 @@ class TestPhaseConfig:
         # surfaces 1, 3 and 4 are passive 4 x 4 panels, surface 2 the active 4 x 5
         p = SystemParams(num_irs=4, pirs_elements=16, airs_elements=20)
         geom = random_geometry(p, np.random.default_rng(47))
-        phases, _ = optimal_configuration(2, geom, p)
+        phases, _ = optimal_configuration(2, geom, p, derive_link_budget(p))
         weights = surface_weights(geom, p, 2)[0]
         assert not any(np.shares_memory(r, w) for r in phases.reflection for w in weights)
         for r in phases.reflection:
@@ -751,7 +753,7 @@ class TestRankOneMatchesDense:
         for l in range(1, num_irs + 1):
             p = _small_random_params(rng, num_irs)
             geom = random_geometry(p, rng)
-            phases, beam = optimal_configuration(l, geom, p)
+            phases, beam = optimal_configuration(l, geom, p, derive_link_budget(p))
             _assert_matches_dense(l, geom, phases, beam, p)
 
     @pytest.mark.parametrize("num_irs", [1, 2, 4, 9])
@@ -761,7 +763,7 @@ class TestRankOneMatchesDense:
         for l in range(1, num_irs + 1):
             p = _small_random_params(rng, num_irs)
             geom = random_geometry(p, rng)
-            optimal, beam = optimal_configuration(l, geom, p)
+            optimal, beam = optimal_configuration(l, geom, p, derive_link_budget(p))
             reflection = tuple(np.exp(1j * rng.uniform(0.0, 2 * math.pi, r.size))
                                for r in optimal.reflection)
             phases = PhaseConfig(reflection=reflection, eta=optimal.eta * rng.uniform(0.1, 3.0))
@@ -787,5 +789,5 @@ class TestOracleAtLargeSizes:
     def test_long_chain_snr_is_tiny_but_positive(self):
         p = replace(SystemParams(), num_irs=60, pirs_elements=100, pirs_grid=None)
         geom = random_geometry(p, np.random.default_rng(60))
-        phases, beam = optimal_configuration(60, geom, p)
+        phases, beam = optimal_configuration(60, geom, p, derive_link_budget(p))
         assert 0.0 < full_snr(60, geom, phases, beam, p) < 1e-120

@@ -410,6 +410,19 @@ class TestInputsAtTheEdgeOfDoubleRange:
             "airs_elements = 150, irs_user_distance = 0.001, tx_power = 1, bs_antennas = 10, "
             "bs_irs_distance = 4 and noise_power = 1e-16 put the objective out of double range")
 
+    @pytest.mark.parametrize("mode", ["wit", "wpt"])
+    def test_boosted_power_that_rounds_to_inf_exits_2(self, tmp_path, capsys, mode):
+        # tx_power + airs_elements * amp_power rounds to inf, whose log and exp raise
+        # nothing; the objectives stay finite (3.5e306 for wit)
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("pt = 1e308\npa = 1e306\nm = 1\n")
+        assert run(["eval", "--mode", mode, "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        (error,) = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert out == "" and error == err.splitlines()[-1]
+        assert "tx_power = 1e+308" in error
+        assert error.endswith("put the all-passive baseline out of double range")
+
 
 # every key and alias a config file accepts, and the field each one sets; a frequency
 # sets the wavelength, which is what an error about it names

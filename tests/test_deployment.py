@@ -80,24 +80,29 @@ def _random_decreasing_params(rng, count):
 
 class TestBruteForce:
     def test_single_surface(self):
-        sol = optimal_index(WIT, SystemParams(num_irs=1))
+        p = SystemParams(num_irs=1)
+        sol = optimal_index(WIT, p, derive_link_budget(p))
         assert sol.brute_force_index == 1
         assert sol.objectives == (sol.objective,)
         assert sol.brute_force_agrees
 
     def test_default_scenario_information(self):
-        sol = optimal_index(WIT, SystemParams())
+        p = SystemParams()
+        sol = optimal_index(WIT, p, derive_link_budget(p))
         assert sol.brute_force_index == 5
 
     @pytest.mark.parametrize("n_p", [10, 100, 800, 1400])
     def test_default_scenario_power_always_last(self, n_p):
-        sol = optimal_index(WPT, with_np(SystemParams(), n_p))
+        p = with_np(SystemParams(), n_p)
+        sol = optimal_index(WPT, p, derive_link_budget(p))
         assert sol.brute_force_index == 7
 
     def test_objective_matches_metrics(self):
         p = SystemParams()
-        sol = optimal_index(WIT, p)
-        assert sol.objectives[sol.brute_force_index - 1] == snr_closed(p, sol.brute_force_index)
+        budget = derive_link_budget(p)
+        sol = optimal_index(WIT, p, budget)
+        l = sol.brute_force_index
+        assert sol.objectives[l - 1] == snr_closed(p, l, budget)
 
 
 class TestObjectiveVector:
@@ -132,7 +137,8 @@ class TestObjectiveVector:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode must be one of"):
-            optimal_index("both", SystemParams())
+            p = SystemParams()
+            optimal_index("both", p, derive_link_budget(p))
 
 
 class TestDeploymentSolutionRecord:
@@ -143,7 +149,8 @@ class TestDeploymentSolutionRecord:
 
     @staticmethod
     def _solution():
-        return optimal_index(WIT, SystemParams())
+        p = SystemParams()
+        return optimal_index(WIT, p, derive_link_budget(p))
 
     def _kwargs(self, sol):
         return {name: getattr(sol, name) for name in self.FIELDS}
@@ -189,7 +196,7 @@ class TestInformationPlacement:
         self.p = SystemParams()
 
     def test_default_scenario(self):
-        sol = optimal_index(WIT, self.p)
+        sol = optimal_index(WIT, self.p, derive_link_budget(self.p))
         assert sol.airs_index == 5
         assert sol.case == "I"
         assert sol.relaxed_index == pytest.approx(RELAXED_AT_100, rel=1e-9)
@@ -197,7 +204,8 @@ class TestInformationPlacement:
 
     @pytest.mark.parametrize("n_p", [822, 1000, 1412])
     def test_large_panels_push_to_the_last_surface(self, n_p):
-        sol = optimal_index(WIT, with_np(self.p, n_p))
+        p = with_np(self.p, n_p)
+        sol = optimal_index(WIT, p, derive_link_budget(p))
         assert sol.airs_index == 7
         assert sol.case == "I"
         assert sol.brute_force_agrees
@@ -222,7 +230,7 @@ class TestInformationPlacement:
     def test_amplifier_heavy_drive_mirrors_to_the_first_half(self):
         p = replace(self.p, amp_power=1.0, airs_elements=1000, airs_grid=None,
                     tx_power=1e-3, bs_antennas=2)
-        sol = optimal_index(WIT, p)
+        sol = optimal_index(WIT, p, derive_link_budget(p))
         assert sol.case == "III"
         assert sol.airs_index <= middle_index(p.num_irs)
         assert sol.brute_force_agrees
@@ -230,24 +238,27 @@ class TestInformationPlacement:
     def test_amplifier_heavy_boundary_reaches_the_first_surface(self):
         p = replace(self.p, amp_power=1.0, airs_elements=1000, airs_grid=None,
                     tx_power=1e-3, bs_antennas=2)
-        sol = optimal_index(WIT, with_np(p, 600))
+        p = with_np(p, 600)
+        sol = optimal_index(WIT, p, derive_link_budget(p))
         assert sol.case == "III"
         assert sol.airs_index == 1
         assert sol.brute_force_agrees
 
     def test_growing_regime_falls_back_to_brute_force(self):
-        sol = optimal_index(WIT, with_np(self.p, 1500))
+        p = with_np(self.p, 1500)
+        sol = optimal_index(WIT, p, derive_link_budget(p))
         assert sol.case == "brute-force-fallback"
         assert sol.brute_force_agrees
 
     def test_single_surface_has_no_relaxed_point(self):
-        sol = optimal_index(WIT, SystemParams(num_irs=1))
+        p = SystemParams(num_irs=1)
+        sol = optimal_index(WIT, p, derive_link_budget(p))
         assert sol.airs_index == 1
         assert sol.relaxed_index is None
 
     def test_agreement_over_small_grid_sample(self):
         for p in agreement_grid()[::97]:
-            assert optimal_index(WIT, p).brute_force_agrees
+            assert optimal_index(WIT, p, derive_link_budget(p)).brute_force_agrees
 
     @pytest.mark.parametrize("source", ["agreement_grid", "random"])
     def test_clamp_matches_the_boundary_branches(self, source):
@@ -273,22 +284,26 @@ class TestInformationPlacement:
 
 class TestPowerPlacement:
     def test_always_the_final_surface(self):
-        sol = optimal_index(WPT, SystemParams())
+        p = SystemParams()
+        sol = optimal_index(WPT, p, derive_link_budget(p))
         assert sol.airs_index == 7
         assert sol.case == "final"
         assert sol.brute_force_agrees
 
     def test_single_surface(self):
-        assert optimal_index(WPT, SystemParams(num_irs=1)).airs_index == 1
+        p = SystemParams(num_irs=1)
+        assert optimal_index(WPT, p, derive_link_budget(p)).airs_index == 1
 
     @pytest.mark.parametrize("n_p", [4, 16, 64, 256])
     def test_brute_force_agreement_across_panel_sizes(self, n_p):
-        sol = optimal_index(WPT, with_np(SystemParams(), n_p))
+        p = with_np(SystemParams(), n_p)
+        sol = optimal_index(WPT, p, derive_link_budget(p))
         assert sol.airs_index == 7
         assert sol.brute_force_agrees
 
     def test_growing_regime_falls_back(self):
-        sol = optimal_index(WPT, with_np(SystemParams(), 1500))
+        p = with_np(SystemParams(), 1500)
+        sol = optimal_index(WPT, p, derive_link_budget(p))
         assert sol.case == "brute-force-fallback"
 
 
@@ -308,7 +323,7 @@ class TestRegimeEdge:
 
     @pytest.mark.parametrize("mode", [WIT, WPT])
     def test_every_position_ties_and_brute_force_picks_the_first(self, mode):
-        sol = optimal_index(mode, self.P)
+        sol = optimal_index(mode, self.P, derive_link_budget(self.P))
         assert len(sol.objectives) == 7 and len(set(sol.objectives)) == 1
         assert sol.brute_force_index == 1
         assert sol.airs_index == 1 and sol.case == "brute-force-fallback"
@@ -330,8 +345,9 @@ class TestBaselineSchemes:
         assert mid == snr_closed(self.p, 4, self.budget)
 
     def test_optimal_dominates_middle(self):
-        assert optimal_index(WIT, self.p).objective >= scheme_middle(WIT, self.p)
-        assert optimal_index(WPT, self.p).objective > scheme_middle(WPT, self.p)
+        b = self.budget
+        assert optimal_index(WIT, self.p, b).objective >= scheme_middle(WIT, self.p, b)
+        assert optimal_index(WPT, self.p, b).objective > scheme_middle(WPT, self.p, b)
 
     def test_all_passive_single_surface_formula(self):
         # kappa_i = 1/100 exactly; one surface, so no inter-surface hops at all
@@ -386,22 +402,24 @@ class TestOverflow:
 
     @pytest.mark.parametrize("mode", [WIT, WPT])
     def test_objective_overflow_names_both_keys(self, mode):
+        p = self.chain(300)
         with pytest.raises(ValueError) as info:
-            optimal_index(mode, self.chain(300))
+            optimal_index(mode, p, derive_link_budget(p))
         assert str(info.value) == self.message(300, "the objective")
 
     # every entry to the objective raises the solve's error, not a bare OverflowError
     @pytest.mark.parametrize("call", [
-        pytest.param(lambda mode, p: (snr_closed if mode == WIT else power_closed)(
-            p, middle_index(p.num_irs)), id="named-closed-form"),
+        pytest.param(lambda mode, p, budget: (snr_closed if mode == WIT else power_closed)(
+            p, middle_index(p.num_irs), budget), id="named-closed-form"),
         pytest.param(scheme_middle, id="scheme_middle"),
-        pytest.param(lambda mode, p: objective(mode, p, (p.num_irs + 1) / 2.0),
+        pytest.param(lambda mode, p, budget: objective(mode, p, (p.num_irs + 1) / 2.0, budget),
                      id="real-middle-index"),
     ])
     @pytest.mark.parametrize("mode", [WIT, WPT])
     def test_every_objective_entry_names_the_fields(self, mode, call):
+        p = self.chain(300)
         with pytest.raises(ValueError) as info:
-            call(mode, self.chain(300))
+            call(mode, p, derive_link_budget(p))
         assert str(info.value) == self.message(300, "the objective")
 
     def test_power_rounding_to_inf_names_the_fields(self):
@@ -419,7 +437,8 @@ class TestOverflow:
                 "bs_antennas = 10, bs_irs_distance = 4 and noise_power = 1e-16 "
                 "put the objective out of double range")
         for call in (lambda: objective(WPT, p, p.num_irs, budget),
-                     lambda: power_closed(p, p.num_irs), lambda: optimal_index(WPT, p)):
+                     lambda: power_closed(p, p.num_irs, budget),
+                     lambda: optimal_index(WPT, p, budget)):
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == text
@@ -429,22 +448,48 @@ class TestOverflow:
     @pytest.mark.parametrize("mode, j", [(WIT, 200), (WPT, 137)])
     def test_baseline_overflow_leaves_the_solve_finite(self, mode, j):
         p = self.chain(j)
-        sol = optimal_index(mode, p)
+        budget = derive_link_budget(p)
+        sol = optimal_index(mode, p, budget)
         assert all(math.isfinite(v) for v in sol.objectives)
         with pytest.raises(ValueError) as info:
-            scheme_all_pirs(mode, p)
+            scheme_all_pirs(mode, p, budget)
         assert str(info.value) == self.message(j, "the all-passive baseline")
 
 
+    @pytest.mark.parametrize("mode", [WIT, WPT])
+    def test_boosted_power_rounding_to_inf_names_the_fields(self, mode):
+        # 1e308 + 150 * 1e306 is inf, and exp(log(inf)) returns inf without raising
+        p = SystemParams(tx_power=1e308, amp_power=1e306, bs_antennas=1)
+        budget = derive_link_budget(p)
+        assert all(math.isfinite(v) for v in optimal_index(mode, p, budget).objectives)
+        with pytest.raises(ValueError) as info:
+            scheme_all_pirs(mode, p, budget)
+        assert str(info.value) == (
+            "num_irs = 7, pirs_elements = 100, inter_irs_distance = 10, "
+            "ref_path_gain = 5.01187e-05, path_loss_exponent = 2, amp_power = 1e+306, "
+            "airs_elements = 150, irs_user_distance = 4, tx_power = 1e+308, bs_antennas = 1, "
+            "bs_irs_distance = 4 and noise_power = 1e-09 put the all-passive baseline out of "
+            "double range")
+
+
 class TestCrossover:
+    def test_finite_when_c_a_times_airs_elements_overflows(self):
+        # c_a ~ 2.0e304 is finite, but c_a * airs_elements is not
+        p = replace(SystemParams(), amp_power=1e300, irs_user_distance=0.05,
+                    airs_elements=10**6, airs_grid=None)
+        budget = derive_link_budget(p)
+        assert math.isfinite(budget.c_a) and math.isinf(budget.c_a * p.airs_elements)
+        assert wpt_crossover_np(p, budget) == pytest.approx(2820.2933571382387, rel=1e-12)
+
     def test_frozen_default_threshold(self):
-        assert wpt_crossover_np(SystemParams()) == pytest.approx(
+        p = SystemParams()
+        assert wpt_crossover_np(p, derive_link_budget(p)) == pytest.approx(
             CROSSOVER_AT_DEFAULTS, rel=1e-12)
 
     def test_bracketed_by_the_actual_low_noise_crossover(self):
         # scan the exact power ratio at -120 dBm noise around the threshold
         p = replace(SystemParams(), noise_power=1e-15)
-        threshold = wpt_crossover_np(p)
+        threshold = wpt_crossover_np(p, derive_link_budget(p))
         crossing = None
         for n_p in range(1000, 1300):
             q = with_np(p, n_p)
@@ -459,7 +504,8 @@ class TestCrossover:
         # one active element: threshold ~ amp_power**(1/(2J)) near zero,
         # so the decay is slow but monotone
         p = replace(SystemParams(), airs_elements=1, airs_grid=None)
-        values = [wpt_crossover_np(replace(p, amp_power=pa)) for pa in (1e-1, 1e-6, 1e-60)]
+        drives = [replace(p, amp_power=pa) for pa in (1e-1, 1e-6, 1e-60)]
+        values = [wpt_crossover_np(q, derive_link_budget(q)) for q in drives]
         assert values[0] > values[1] > values[2]
         assert values[2] < 1.0
 
@@ -468,8 +514,9 @@ class TestCrossover:
         p = SystemParams()
         assert p.path_loss_exponent == 2.0
         j = p.num_irs
-        halved = wpt_crossover_np(replace(p, inter_irs_distance=2 * p.inter_irs_distance))
-        full = wpt_crossover_np(p)
+        far = replace(p, inter_irs_distance=2 * p.inter_irs_distance)
+        halved = wpt_crossover_np(far, derive_link_budget(far))
+        full = wpt_crossover_np(p, derive_link_budget(p))
         assert halved / full == pytest.approx(2 ** ((j - 1) / j), rel=1e-12)
 
 
@@ -478,7 +525,7 @@ class TestRatioDiagnostics:
         self.p = SystemParams()
 
     def test_power_ratios_are_algebraic_identities(self):
-        rep = ratio_diagnostics(WPT, self.p)
+        rep = ratio_diagnostics(WPT, self.p, derive_link_budget(self.p))
         assert rep.vs_middle_exact == pytest.approx(rep.vs_middle_closed, rel=1e-10)
         assert rep.vs_all_pirs_exact == pytest.approx(rep.vs_all_pirs_closed, rel=1e-10)
 
@@ -492,13 +539,14 @@ class TestRatioDiagnostics:
             b.np_kappa_i ** (1 - quiet.num_irs), rel=1e-12)
 
     def test_single_surface_middle_ratio_is_one(self):
-        rep = ratio_diagnostics(WPT, SystemParams(num_irs=1))
+        p = SystemParams(num_irs=1)
+        rep = ratio_diagnostics(WPT, p, derive_link_budget(p))
         assert rep.vs_middle_exact == pytest.approx(1.0, rel=1e-12)
 
     def test_information_closed_forms_are_lower_bounds(self):
         for n_p in (30, 100, 400):
             p = with_np(self.p, n_p)
-            rep = ratio_diagnostics(WIT, p)
+            rep = ratio_diagnostics(WIT, p, derive_link_budget(p))
             assert rep.vs_middle_exact >= rep.vs_middle_closed * (1 - 1e-12)
             assert rep.vs_all_pirs_exact >= rep.vs_all_pirs_closed * (1 - 1e-12)
 
@@ -516,7 +564,7 @@ class TestRatioDiagnostics:
     def test_limits_are_the_closed_forms_without_noise(self, mode):
         # noise far below the weakest signal term c_t * x**2 (~5e-19 W here)
         quiet = replace(self.p, noise_power=1e-40)
-        rep = ratio_diagnostics(mode, quiet)
+        rep = ratio_diagnostics(mode, quiet, derive_link_budget(quiet))
         assert rep.vs_middle_limit == pytest.approx(rep.vs_middle_closed, rel=1e-12)
         assert rep.vs_all_pirs_limit == pytest.approx(rep.vs_all_pirs_closed, rel=1e-12)
 
@@ -524,14 +572,16 @@ class TestRatioDiagnostics:
     @pytest.mark.parametrize("j", [60, 100, 130])
     def test_long_chains_give_finite_ratios(self, mode, j):
         # x**2 and pirs_elements**(2J) leave double range here; only log-domain terms do not
-        rep = ratio_diagnostics(mode, replace(self.p, num_irs=j))
+        p = replace(self.p, num_irs=j)
+        rep = ratio_diagnostics(mode, p, derive_link_budget(p))
         fields = (rep.vs_middle_exact, rep.vs_middle_closed, rep.vs_middle_limit,
                   rep.vs_all_pirs_exact, rep.vs_all_pirs_closed, rep.vs_all_pirs_limit)
         assert all(0.0 < v < math.inf for v in fields)
 
     @pytest.mark.parametrize("j", [61, 101, 129])
     def test_long_odd_power_chains_closed_equals_exact(self, j):
-        rep = ratio_diagnostics(WPT, replace(self.p, num_irs=j))
+        p = replace(self.p, num_irs=j)
+        rep = ratio_diagnostics(WPT, p, derive_link_budget(p))
         assert rep.vs_middle_closed == pytest.approx(rep.vs_middle_exact, rel=1e-10)
         assert rep.vs_all_pirs_closed == pytest.approx(rep.vs_all_pirs_exact, rel=1e-10)
 

@@ -89,7 +89,7 @@ class TestSnrClosed:
         values = []
         for n_p in (25, 50, 100, 200, 400):
             p = replace(self.p, pirs_elements=n_p, pirs_grid=None)
-            values.append(snr_closed(p, 4))
+            values.append(snr_closed(p, 4, derive_link_budget(p)))
         assert values == sorted(values)
         assert values[0] < values[-1]
 
@@ -168,7 +168,8 @@ class TestScalingOrders:
 class TestObjective:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
-            objective("both", SystemParams(), 1)
+            p = SystemParams()
+            objective("both", p, 1, derive_link_budget(p))
 
     @pytest.mark.parametrize("l", [0, 1, 8])
     def test_unknown_mode_is_reported_before_the_index(self, l):
@@ -320,8 +321,9 @@ class TestBitIdentity:
         draws = _bit_identity_configs()
         assert sum(not derive_link_budget(p).f_decreasing for p in draws) == 300
         for p in draws[-300:]:
+            b = derive_link_budget(p)
             for l in range(1, p.num_irs + 1):
-                assert math.isfinite(snr_closed(p, l)) and math.isfinite(power_closed(p, l))
+                assert math.isfinite(snr_closed(p, l, b)) and math.isfinite(power_closed(p, l, b))
 
     def test_closed_forms_match_the_reference_bit_for_bit(self):
         for p in _bit_identity_configs():
@@ -421,8 +423,9 @@ class TestSnrProperties:
         scale = 10.0 ** (scale_db / 10.0)
         scaled = replace(p, tx_power=p.tx_power * scale, amp_power=p.amp_power * scale,
                          noise_power=p.noise_power * scale)
-        for a, b in zip(optimal_index("wit", p).objectives,
-                        optimal_index("wit", scaled).objectives, strict=True):
+        for a, b in zip(optimal_index("wit", p, derive_link_budget(p)).objectives,
+                        optimal_index("wit", scaled, derive_link_budget(scaled)).objectives,
+                        strict=True):
             # below the smallest normal double an SNR keeps fewer than 53 bits, so the
             # 1e-12 relative bound is floored at that edge (seen at J = 57, np = 2)
             assert a == pytest.approx(b, rel=1e-12, abs=1e-12 * sys.float_info.min)
@@ -437,5 +440,5 @@ class TestSnrProperties:
                           airs_elements=antennas, airs_grid=None,
                           bs_irs_distance=d_edge, irs_user_distance=d_edge)
         swapped = replace(p, tx_power=p.amp_power, amp_power=p.tx_power)
-        mirrored = optimal_index("wit", swapped).objectives[::-1]
-        assert optimal_index("wit", p).objectives == mirrored
+        mirrored = optimal_index("wit", swapped, derive_link_budget(swapped)).objectives[::-1]
+        assert optimal_index("wit", p, derive_link_budget(p)).objectives == mirrored

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -26,6 +27,37 @@ def test_closed_form_core_imports_without_numpy():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
+
+
+# the closed forms and the oracle's beamformer read the LinkBudget they are given
+BUDGET_READERS = {
+    "metrics": ("objective", "snr_closed", "power_closed"),
+    "deployment": ("optimal_index", "scheme_middle", "scheme_all_pirs", "wpt_crossover_np",
+                   "ratio_diagnostics"),
+    "beamforming": ("optimal_configuration",),
+}
+
+
+def test_budget_readers_take_the_budget_without_a_default():
+    defaulted = [
+        f"{module}.{name}"
+        for module, names in BUDGET_READERS.items()
+        for name in names
+        if inspect.signature(getattr(importlib.import_module(f"irschain.{module}"), name))
+        .parameters["budget"].default is not inspect.Parameter.empty
+    ]
+    assert defaulted == []
+
+
+def test_only_params_checks_parameters():
+    # derive_link_budget validates; the layers that compute take its budget as given
+    bound = [
+        f"{module}.{name}"
+        for module in ("metrics", "deployment", "beamforming", "channel")
+        for name in ("derive_link_budget", "validate")
+        if name in vars(importlib.import_module(f"irschain.{module}"))
+    ]
+    assert bound == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
