@@ -303,13 +303,14 @@ def cmd_validate(args) -> int:
         if value < 0:
             raise ConfigError(f"{flag} must be >= 0, got {value}")
     grid = deployment.agreement_grid()
-    mismatches = 0
-    for mode in metrics.MODES:
-        count = sum(not deployment.optimal_index(mode, p, derive_link_budget(p)).brute_force_agrees
-                    for p in grid)
+    counts = dict.fromkeys(metrics.MODES, 0)
+    for p in grid:
+        budget = derive_link_budget(p)
+        for mode in counts:
+            counts[mode] += not deployment.optimal_index(mode, p, budget).brute_force_agrees
+    for mode, count in counts.items():
         print(f"closed-form vs brute force ({mode}): {len(grid)} configs, "
               f"{count} mismatches")
-        mismatches += count
 
     rng = np.random.default_rng(args.seed)
     worst = 0.0
@@ -321,7 +322,7 @@ def cmd_validate(args) -> int:
     print(f"matrix oracle vs closed form: {args.oracle_samples} configs, "
           f"max relative error {worst:.3e} (tolerance 1e-08)")
 
-    ok = mismatches == 0 and worst <= 1e-8
+    ok = sum(counts.values()) == 0 and worst <= 1e-8
     print("result:", "OK" if ok else "FAILED")
     return EXIT_OK if ok else EXIT_FAILED_CHECK
 

@@ -132,6 +132,8 @@ def scheme_middle(mode: str, p: SystemParams, budget: LinkBudget) -> float:
 def _log_all_pirs_power(p: SystemParams, budget: LinkBudget) -> float:
     """Log of the all-passive chain's received power (watts), boosted transmitter."""
     boosted = p.tx_power + p.airs_elements * p.amp_power
+    if boosted == math.inf:  # a finite sum can round to inf, whose log and exp raise nothing
+        raise ValueError(out_of_range_message(p, "all_pirs"))
     return (
         math.log(boosted)
         + math.log(p.bs_antennas)
@@ -156,12 +158,9 @@ def scheme_all_pirs(mode: str, p: SystemParams, budget: LinkBudget) -> float:
     if mode == WIT:
         log_signal -= budget.log_noise_power
     try:
-        value = math.exp(log_signal)
-        if value < math.inf:  # a boosted power can round to inf; exp(inf) does not raise
-            return value
+        return math.exp(log_signal)
     except OverflowError:
-        pass
-    raise ValueError(out_of_range_message(p, "all_pirs"))
+        raise ValueError(out_of_range_message(p, "all_pirs")) from None
 
 
 def wpt_crossover_np(p: SystemParams, budget: LinkBudget) -> float:

@@ -229,9 +229,10 @@ def derive_link_budget(p: SystemParams) -> LinkBudget:
         kappa_b = amplitude_gain(p.bs_irs_distance, p.ref_path_gain, p.path_loss_exponent)
         kappa_i = amplitude_gain(p.inter_irs_distance, p.ref_path_gain, p.path_loss_exponent)
         kappa_u = amplitude_gain(p.irs_user_distance, p.ref_path_gain, p.path_loss_exponent)
-    except (OverflowError, ZeroDivisionError):  # validate has taken kappa_i already
+    except (OverflowError, ZeroDivisionError):
         failed = []
         for quantity, distance in (("kappa_b", p.bs_irs_distance),
+                                   ("kappa_i", p.inter_irs_distance),
                                    ("kappa_u", p.irs_user_distance)):
             try:
                 amplitude_gain(distance, p.ref_path_gain, p.path_loss_exponent)
@@ -292,7 +293,8 @@ def validate(p: SystemParams, *, warnings: bool = True) -> list[Diagnostic]:
 
     Errors make the parameter set unusable; warnings flag modeling
     assumptions that do not hold (far-field margin, f(l) non-decreasing).
-    ``warnings=False`` returns the same errors and formats no warning.
+    ``warnings=False`` returns the same errors and formats no warning.  A hop
+    gain out of double range is left to ``derive_link_budget``, which names it.
     """
     out: list[Diagnostic] = []
     if p.num_irs < 1:
@@ -334,16 +336,14 @@ def validate(p: SystemParams, *, warnings: bool = True) -> list[Diagnostic]:
                                   f"{threshold:.3g} m: {', '.join(near)}"))
 
     try:
-        kappa_i = amplitude_gain(p.inter_irs_distance, p.ref_path_gain, p.path_loss_exponent)
+        np_kappa_i = warnings and p.pirs_elements * amplitude_gain(
+            p.inter_irs_distance, p.ref_path_gain, p.path_loss_exponent)
     except (OverflowError, ZeroDivisionError):
-        out.append(Diagnostic("error", "path_loss_exponent",
-                              out_of_range_message(p, "kappa_i")))
         return out
-    if warnings and p.pirs_elements * kappa_i >= 1.0:
+    if np_kappa_i >= 1.0:
         out.append(Diagnostic(
             "warning", "f_non_decreasing",
-            "f(l) non-decreasing regime: pirs_elements * kappa_i = "
-            f"{p.pirs_elements * kappa_i:.4g} >= 1; closed-form placement "
-            "falls back to brute force",
+            f"f(l) non-decreasing regime: pirs_elements * kappa_i = {np_kappa_i:.4g} >= 1; "
+            "closed-form placement falls back to brute force",
         ))
     return out

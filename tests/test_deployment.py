@@ -481,6 +481,17 @@ class TestCrossover:
         assert math.isfinite(budget.c_a) and math.isinf(budget.c_a * p.airs_elements)
         assert wpt_crossover_np(p, budget) == pytest.approx(2820.2933571382387, rel=1e-12)
 
+    def test_boosted_power_rounding_to_inf_names_the_fields(self):
+        # 1e308 + 150 * 1e306 is inf; the crossover used to return 0.0 from a -inf log gap
+        p = SystemParams(tx_power=1e308, amp_power=1e306, bs_antennas=1)
+        budget = derive_link_budget(p)
+        with pytest.raises(ValueError) as crossover:
+            wpt_crossover_np(p, budget)
+        with pytest.raises(ValueError) as baseline:
+            scheme_all_pirs(WPT, p, budget)
+        assert str(crossover.value) == str(baseline.value)
+        assert str(crossover.value).endswith("put the all-passive baseline out of double range")
+
     def test_frozen_default_threshold(self):
         p = SystemParams()
         assert wpt_crossover_np(p, derive_link_budget(p)) == pytest.approx(

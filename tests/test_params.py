@@ -149,19 +149,22 @@ class TestHopGainOutOfRange:
     """A hop gain sqrt(beta_0) / d**(alpha/2) outside double range is an input
     error naming the exponent and the hop's distance, never an ArithmeticError."""
 
-    @pytest.mark.parametrize("changes", [
-        {"path_loss_exponent": 1e300},                               # OverflowError
-        {"path_loss_exponent": 3.0, "inter_irs_distance": 1e-300},   # ZeroDivisionError
+    @pytest.mark.parametrize("changes, keys", [
+        ({"path_loss_exponent": 1e300},                               # OverflowError, every hop
+         ["bs_irs_distance", "inter_irs_distance", "irs_user_distance"]),
+        ({"path_loss_exponent": 3.0, "inter_irs_distance": 1e-300},   # ZeroDivisionError
+         ["inter_irs_distance"]),
     ])
-    def test_validate_reports_an_error_and_never_raises(self, changes):
+    def test_validate_reports_nothing_and_never_raises(self, changes, keys):
+        # derive_link_budget alone takes the hop gains; validate drops the regime warning
         p = SystemParams(**changes)
-        errors = [d for d in validate(p) if d.severity == "error"]
-        assert [d.name for d in errors] == ["path_loss_exponent"]
-        assert errors[0].message == (
-            f"path_loss_exponent = {p.path_loss_exponent:g} and inter_irs_distance = "
-            f"{p.inter_irs_distance:g} put the hop gain out of double range")
-        with pytest.raises(ValueError, match="^invalid system parameters: path_loss_exponent"):
+        assert validate(p, warnings=False) == []
+        assert [(d.severity, d.name) for d in validate(p)] == [("warning", "far_field")]
+        with pytest.raises(ValueError) as info:
             derive_link_budget(p)
+        assert str(info.value) == "invalid system parameters: " + "; ".join(
+            f"path_loss_exponent = {p.path_loss_exponent:g} and {key} = {getattr(p, key):g} "
+            "put the hop gain out of double range" for key in keys)
 
     @pytest.mark.parametrize("changes, keys", [
         ({"path_loss_exponent": 3.0, "bs_irs_distance": 1e-300}, ["bs_irs_distance"]),
@@ -192,9 +195,7 @@ class TestHopGainOutOfRange:
         monkeypatch.setattr(params_module, "amplitude_gain", counting_gain)
         p = SystemParams()
         derive_link_budget(p)
-        # validate takes kappa_i for its regime warning, then the budget all three
-        assert calls == [p.inter_irs_distance, p.bs_irs_distance, p.inter_irs_distance,
-                         p.irs_user_distance]
+        assert calls == [p.bs_irs_distance, p.inter_irs_distance, p.irs_user_distance]
 
 
 class TestBudgetOutOfRange:

@@ -68,9 +68,8 @@ EQUIVALENT = {
 # the listed equivalents.
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                  ".perfbench", ".benchmarks", "*.egg-info", "test_mutants.py")
-# CI's tier-1 command, warnings-as-errors included, with -x and no cache
-TIER1 = ("-W", "error::RuntimeWarning", "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors")
+# the tier-1 command, with -x and no cache; pyproject.toml makes RuntimeWarnings errors
+TIER1 = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors")
 TIMEOUT_S = 900  # per suite run, about 60 times tier-1's; a mutant past it is reported
 
 
