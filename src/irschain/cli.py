@@ -30,7 +30,7 @@ from .params import (
     dbm_to_watts,
     derive_link_budget,
     linear_to_db,
-    validate,
+    model_warnings,
     watts_to_dbm,
 )
 
@@ -213,7 +213,10 @@ _LOG_UNITS = {metrics.WIT: ("db", linear_to_db), metrics.WPT: ("dbm", watts_to_d
 
 def evaluate_point(mode: str, p: SystemParams) -> dict[str, object]:
     """All columns of one sweep row; eval prints the same mapping."""
-    budget = derive_link_budget(p)
+    return _row(mode, p, derive_link_budget(p))
+
+
+def _row(mode: str, p: SystemParams, budget) -> dict[str, object]:
     sol = deployment.optimal_index(mode, p, budget)
     to_db = _LOG_UNITS[mode][1]  # after the solve, which rejects an unknown mode
     return {
@@ -260,12 +263,10 @@ def cmd_eval(args) -> int:
     p = load_params(args.config)
     if args.np is not None:
         p = _with_np(p, args.np)
-    # warnings first, so one that explains a failed evaluation is still shown; the
-    # error itself comes from evaluate_point, with the same text as sweep and figures
-    for diag in validate(p):
-        if diag.severity == "warning":
-            print(f"warning: {diag.message}", file=sys.stderr)
-    row = evaluate_point(args.mode, p)
+    budget = derive_link_budget(p)  # its error reads as in sweep and figures
+    for diag in model_warnings(p, budget):  # before the solve, so a failed one is explained
+        print(f"warning: {diag.message}", file=sys.stderr)
+    row = _row(args.mode, p, budget)
     with _output(args.output) as stream:
         for key in CSV_COLUMNS:
             print(f"{key} = {row[key]}", file=stream)

@@ -221,25 +221,32 @@ def out_of_range_message(p: SystemParams, *quantities: str) -> str:
     return "; ".join(messages)
 
 
+def _gains_out_of_range(p: SystemParams) -> list[str]:
+    """Each of "kappa_b", "kappa_i" and "kappa_u" out of double range; validate takes none."""
+    failed = []
+    for quantity, distance in (("kappa_b", p.bs_irs_distance), ("kappa_i", p.inter_irs_distance),
+                               ("kappa_u", p.irs_user_distance)):
+        try:
+            amplitude_gain(distance, p.ref_path_gain, p.path_loss_exponent)
+        except (OverflowError, ZeroDivisionError):
+            failed.append(quantity)
+    return failed
+
+
 def derive_link_budget(p: SystemParams) -> LinkBudget:
     """Derive the link-budget constants from validated system parameters."""
-    if errors := validate(p, warnings=False):
-        raise ValueError("invalid system parameters: " + "; ".join(d.message for d in errors))
+    if errors := validate(p):
+        messages = [d.message for d in errors]
+        if all(d.name == "far_field" for d in errors) and (failed := _gains_out_of_range(p)):
+            messages.append(out_of_range_message(p, *failed))
+        raise ValueError("invalid system parameters: " + "; ".join(messages))
     try:
         kappa_b = amplitude_gain(p.bs_irs_distance, p.ref_path_gain, p.path_loss_exponent)
         kappa_i = amplitude_gain(p.inter_irs_distance, p.ref_path_gain, p.path_loss_exponent)
         kappa_u = amplitude_gain(p.irs_user_distance, p.ref_path_gain, p.path_loss_exponent)
     except (OverflowError, ZeroDivisionError):
-        failed = []
-        for quantity, distance in (("kappa_b", p.bs_irs_distance),
-                                   ("kappa_i", p.inter_irs_distance),
-                                   ("kappa_u", p.irs_user_distance)):
-            try:
-                amplitude_gain(distance, p.ref_path_gain, p.path_loss_exponent)
-            except (OverflowError, ZeroDivisionError):
-                failed.append(quantity)
         raise ValueError("invalid system parameters: "
-                         + out_of_range_message(p, *failed)) from None
+                         + out_of_range_message(p, *_gains_out_of_range(p))) from None
     try:  # a product can round to 0 or inf
         c_a = p.amp_power * p.airs_elements * kappa_u**2
     except OverflowError:  # a gain squared past the largest double
@@ -288,14 +295,9 @@ def fraunhofer_distance(p: SystemParams) -> float:
     raise ValueError(out_of_range_message(p, "far_field"))
 
 
-def validate(p: SystemParams, *, warnings: bool = True) -> list[Diagnostic]:
-    """Check every parameter invariant; diagnostics are data, never raised.
-
-    Errors make the parameter set unusable; warnings flag modeling
-    assumptions that do not hold (far-field margin, f(l) non-decreasing).
-    ``warnings=False`` returns the same errors and formats no warning.  A hop
-    gain out of double range is left to ``derive_link_budget``, which names it.
-    """
+def validate(p: SystemParams) -> list[Diagnostic]:
+    """The errors that make ``p`` unusable, as data, never raised.  A hop gain or a
+    budget constant out of double range is left to ``derive_link_budget``."""
     out: list[Diagnostic] = []
     if p.num_irs < 1:
         out.append(Diagnostic("error", "num_irs",
@@ -319,31 +321,27 @@ def validate(p: SystemParams, *, warnings: bool = True) -> list[Diagnostic]:
         if not 0.0 < getattr(p, name) < math.inf:  # also rejects nan
             out.append(Diagnostic("error", name,
                                   f"{name} must be positive and finite, got {getattr(p, name)}"))
+    if not out:  # the threshold needs sane inputs
+        try:
+            fraunhofer_distance(p)
+        except ValueError as exc:
+            out.append(Diagnostic("error", "far_field", str(exc)))
+    return out
 
-    if out:
-        return out  # derived checks below need sane inputs
 
-    try:
-        threshold = fraunhofer_distance(p)
-    except ValueError as exc:
-        out.append(Diagnostic("error", "far_field", str(exc)))
-    else:
-        near = warnings and [f"{name}={getattr(p, name):g} m" for name in
-                             ("bs_irs_distance", "irs_user_distance", "inter_irs_distance")
-                             if getattr(p, name) < threshold]
-        if near:
-            out.append(Diagnostic("warning", "far_field", "below the far-field threshold "
-                                  f"{threshold:.3g} m: {', '.join(near)}"))
-
-    try:
-        np_kappa_i = warnings and p.pirs_elements * amplitude_gain(
-            p.inter_irs_distance, p.ref_path_gain, p.path_loss_exponent)
-    except (OverflowError, ZeroDivisionError):
-        return out
-    if np_kappa_i >= 1.0:
-        out.append(Diagnostic(
-            "warning", "f_non_decreasing",
-            f"f(l) non-decreasing regime: pirs_elements * kappa_i = {np_kappa_i:.4g} >= 1; "
-            "closed-form placement falls back to brute force",
-        ))
+def model_warnings(p: SystemParams, budget: LinkBudget) -> list[Diagnostic]:
+    """The far-field margin and f(l) non-decreasing warnings, for ``budget`` =
+    ``derive_link_budget(p)``, whose ``f_decreasing`` also steers ``optimal_index``."""
+    out = []
+    threshold = fraunhofer_distance(p)
+    near = [f"{name}={getattr(p, name):g} m" for name in
+            ("bs_irs_distance", "irs_user_distance", "inter_irs_distance")
+            if getattr(p, name) < threshold]
+    if near:
+        out.append(Diagnostic("warning", "far_field", "below the far-field threshold "
+                              f"{threshold:.3g} m: {', '.join(near)}"))
+    if not budget.f_decreasing:
+        out.append(Diagnostic("warning", "f_non_decreasing", "f(l) non-decreasing regime: "
+                              f"pirs_elements * kappa_i = {budget.np_kappa_i:.4g} >= 1; "
+                              "closed-form placement falls back to brute force"))
     return out

@@ -7,13 +7,14 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from irschain import cli, deployment
+from irschain import cli, deployment, params
 from irschain.cli import (
     ConfigError,
     evaluate_point,
@@ -174,6 +175,22 @@ class TestEvalCommand:
         assert "l_star = 7" in out
         assert "case = final" in out
 
+    @pytest.mark.parametrize("mode", ["wit", "wpt"])
+    def test_validates_once_and_takes_three_hop_gains(self, monkeypatch, capsys, mode):
+        # the warnings come from the budget eval solves with, not from a second validate
+        calls = []
+        for name in ("validate", "amplitude_gain"):
+            def counting(*args, _name=name, _original=getattr(params, name)):
+                calls.append(_name)
+                return _original(*args)
+
+            for module in (params, cli):
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, counting)
+        assert run(["eval", "--mode", mode]) == 0
+        assert Counter(calls) == {"validate": 1, "amplitude_gain": 3}
+        assert capsys.readouterr().err.startswith("warning: below the far-field threshold")
+
     def test_np_defaults_to_scenario_value(self, capsys):
         assert run(["eval", "--mode", "wit"]) == 0
         assert "np = 100" in capsys.readouterr().out
@@ -311,10 +328,28 @@ class TestHopGainOutOfRange:
         assert run(["eval", "--mode", mode, "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
-        assert len(errors) == 1 and captured.err.splitlines()[-1] == errors[0]
+        # no warning before it: with no budget derived, eval has none to print
+        assert len(errors) == 1 and captured.err.splitlines() == errors
         assert "path_loss_exponent = " in errors[0] and f"{key} = " in errors[0]
         assert "out of double range" in errors[0]
         assert captured.out == ""
+
+    @pytest.mark.parametrize("mode", ["wit", "wpt"])
+    def test_far_field_error_names_the_hop_gains_too(self, tmp_path, capsys, mode):
+        cfg = tmp_path / "hop.cfg"
+        cfg.write_text("alpha = 1e300\nspacing = 1e300\n")
+        assert run(["eval", "--mode", mode, "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (error,) = err.splitlines()
+        assert error.startswith("error: invalid system parameters: bs_antennas = 10, ")
+        assert ("element_spacing = 1e+300 and wavelength = 0.085655 put the far-field "
+                "threshold 2 D**2 / wavelength out of double range; ") in error
+        assert error.endswith("path_loss_exponent = 1e+300 and bs_irs_distance = 4 put the hop "
+                              "gain out of double range; path_loss_exponent = 1e+300 and "
+                              "inter_irs_distance = 10 put the hop gain out of double range; "
+                              "path_loss_exponent = 1e+300 and irs_user_distance = 4 put the "
+                              "hop gain out of double range")
 
     def test_sweep_exits_2_naming_the_exponent_and_the_distance(self, tmp_path, capsys):
         cfg = tmp_path / "hop.cfg"

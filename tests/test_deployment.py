@@ -16,7 +16,7 @@ from irschain.deployment import (
     wpt_crossover_np,
 )
 from irschain.metrics import WIT, WPT, objective, power_closed, snr_closed
-from irschain.params import SystemParams, derive_link_budget, validate
+from irschain.params import SystemParams, derive_link_budget, model_warnings, validate
 
 # Frozen from direct arithmetic at the default scenario (100-element panels):
 # relaxed optimizer (J+1)/2 + log(c_a/c_t) / (4 log(np_kappa_i)) and the
@@ -318,7 +318,8 @@ class TestRegimeEdge:
         budget = derive_link_budget(self.P)
         assert budget.np_kappa_i == 1.0
         assert budget.f_decreasing is False
-        assert "f_non_decreasing" in [d.name for d in validate(self.P)
+        assert validate(self.P) == []
+        assert "f_non_decreasing" in [d.name for d in model_warnings(self.P, budget)
                                       if d.severity == "warning"]
 
     @pytest.mark.parametrize("mode", [WIT, WPT])
@@ -327,6 +328,26 @@ class TestRegimeEdge:
         assert len(sol.objectives) == 7 and len(set(sol.objectives)) == 1
         assert sol.brute_force_index == 1
         assert sol.airs_index == 1 and sol.case == "brute-force-fallback"
+
+
+class TestRegimeHasOneOwner:
+    """``LinkBudget.f_decreasing`` alone decides the regime: the warning
+    ``model_warnings`` prints and the solves' brute-force fallback agree with it."""
+
+    CONFIGS = agreement_grid() + [
+        SystemParams(pirs_elements=n_p) for n_p in (1412, 1413, 2000)  # 1/kappa_i = 1412.5
+    ] + [TestRegimeEdge.P]  # np_kappa_i == 1.0 exactly
+
+    def test_warning_iff_not_decreasing_iff_both_solves_fall_back(self):
+        regimes = set()
+        for p in self.CONFIGS:
+            budget = derive_link_budget(p)
+            warned = "f_non_decreasing" in [d.name for d in model_warnings(p, budget)]
+            fallback = [optimal_index(mode, p, budget).case == deployment.CASE_FALLBACK
+                        for mode in (WIT, WPT)]
+            assert warned == (not budget.f_decreasing) == all(fallback) == any(fallback), p
+            regimes.add(budget.f_decreasing)
+        assert regimes == {True, False}
 
 
 class TestBaselineSchemes:

@@ -20,6 +20,7 @@ from irschain.params import (
     derive_link_budget,
     fraunhofer_distance,
     linear_to_db,
+    model_warnings,
     validate,
     watts_to_dbm,
 )
@@ -156,10 +157,10 @@ class TestHopGainOutOfRange:
          ["inter_irs_distance"]),
     ])
     def test_validate_reports_nothing_and_never_raises(self, changes, keys):
-        # derive_link_budget alone takes the hop gains; validate drops the regime warning
+        # derive_link_budget alone takes the hop gains; with no budget there is no
+        # model_warnings call, so eval prints the error alone (tests/test_cli.py)
         p = SystemParams(**changes)
-        assert validate(p, warnings=False) == []
-        assert [(d.severity, d.name) for d in validate(p)] == [("warning", "far_field")]
+        assert validate(p) == []
         with pytest.raises(ValueError) as info:
             derive_link_budget(p)
         assert str(info.value) == "invalid system parameters: " + "; ".join(
@@ -182,6 +183,30 @@ class TestHopGainOutOfRange:
         assert message.count("path_loss_exponent = ") == len(keys)
         for key in ("bs_irs_distance", "irs_user_distance"):
             assert (f"and {key} = " in message) == (key in keys)
+
+    def test_far_field_error_names_every_hop_gain_out_of_range(self):
+        # the far-field threshold takes no hop gain, so its error does not hide theirs
+        p = SystemParams(path_loss_exponent=1e300, element_spacing=1e300)
+        assert [d.name for d in validate(p)] == ["far_field"]
+        with pytest.raises(ValueError) as info:
+            derive_link_budget(p)
+        assert str(info.value) == (
+            "invalid system parameters: bs_antennas = 10, airs_elements = 150, "
+            "pirs_elements = 100, element_spacing = 1e+300 and wavelength = 0.085655 put "
+            "the far-field threshold 2 D**2 / wavelength out of double range; " + "; ".join(
+                f"path_loss_exponent = 1e+300 and {key} = {value} put the hop gain out of "
+                "double range" for key, value in (("bs_irs_distance", 4),
+                                                  ("inter_irs_distance", 10),
+                                                  ("irs_user_distance", 4))))
+
+    def test_other_errors_name_no_hop_gain(self):
+        # with a count wrong, validate stops before the far-field threshold, and so does
+        # the budget before the gains, whatever their range
+        p = SystemParams(num_irs=0, path_loss_exponent=1e300)
+        with pytest.raises(ValueError) as info:
+            derive_link_budget(p)
+        assert str(info.value) == ("invalid system parameters: need at least one surface, "
+                                   "got num_irs=0")
 
     def test_valid_budget_takes_three_amplitude_gains(self, monkeypatch):
         # the guard costs nothing on valid input: no extra amplitude_gain call
@@ -243,8 +268,9 @@ class TestBudgetOutOfRange:
             f"bs_antennas = {p.bs_antennas:g}, airs_elements = 150, pirs_elements = 100, "
             f"element_spacing = {p.element_spacing:g} and wavelength = {p.wavelength:g} "
             "put the far-field threshold 2 D**2 / wavelength out of double range")
-        with pytest.raises(ValueError, match="^invalid system parameters: bs_antennas = "):
+        with pytest.raises(ValueError) as info:  # the hop gains are in range: no more clauses
             derive_link_budget(p)
+        assert str(info.value) == "invalid system parameters: " + errors[0].message
 
     @pytest.mark.parametrize("bs_antennas, text", [(10**400, "1e+400"),
                                                    (17 * 10**400, "1.7e+401")],
@@ -294,32 +320,40 @@ def _edge_params():
 
 
 class TestValidateErrorsOnly:
-    """``validate(p, warnings=False)`` is the error part of ``validate(p)``."""
+    """``validate(p)`` returns only errors, and ``model_warnings(p, budget)`` only
+    warnings, for every ``p`` whose budget ``derive_link_budget(p)`` derives."""
 
     @staticmethod
-    def _assert_errors_only(p):
-        full = validate(p)
-        assert validate(p, warnings=False) == [d for d in full if d.severity == "error"]
-        return full
+    def _assert_apart(p):
+        errors = validate(p)
+        assert {d.severity for d in errors} <= {"error"}
+        try:
+            budget = derive_link_budget(p)
+        except ValueError:
+            return None  # no budget, so no warnings: eval prints the error alone
+        assert errors == []
+        warnings = model_warnings(p, budget)
+        assert {d.severity for d in warnings} <= {"warning"}
+        return warnings
 
     def test_agreement_grid(self):
         for p in agreement_grid():
-            self._assert_errors_only(p)
+            assert self._assert_apart(p) is not None
 
     @pytest.mark.parametrize("n_p", [1413, 2000])
     def test_non_decreasing_regime(self, n_p):
-        full = self._assert_errors_only(SystemParams(pirs_elements=n_p))
-        assert "f_non_decreasing" in [d.name for d in full]
+        warnings = self._assert_apart(SystemParams(pirs_elements=n_p))
+        assert "f_non_decreasing" in [d.name for d in warnings]
 
     def test_far_field_geometry(self):
         p = SystemParams(bs_irs_distance=40.0, irs_user_distance=40.0, inter_irs_distance=40.0)
-        assert self._assert_errors_only(p) == []
+        assert self._assert_apart(p) == []
 
     def test_inputs_at_the_edge_of_double_range(self):
         edges = _edge_params()
         assert len(edges) > 60
-        for p in edges:
-            self._assert_errors_only(p)
+        derived = [p for p in edges if self._assert_apart(p) is not None]
+        assert 0 < len(derived) < len(edges)
 
     def test_budget_builds_no_diagnostic(self, monkeypatch):
         built = []
@@ -330,9 +364,10 @@ class TestValidateErrorsOnly:
             return diagnostic(*args)
 
         monkeypatch.setattr(params_module, "Diagnostic", counting)
-        derive_link_budget(SystemParams())
-        assert built == []
-        validate(SystemParams())  # the default geometry is inside the far field
+        p = SystemParams()
+        budget = derive_link_budget(p)
+        assert validate(p) == [] and built == []
+        model_warnings(p, budget)  # the default geometry is inside the far field
         assert built == ["far_field"]
 
 
@@ -401,7 +436,9 @@ class TestValidate:
             derive_link_budget(SystemParams(num_irs=MAX_SURFACES + 1))
 
     def test_large_panel_flags_non_decreasing_regime(self):
-        diags = validate(SystemParams(pirs_elements=2000))
+        p = SystemParams(pirs_elements=2000)
+        assert validate(p) == []
+        diags = model_warnings(p, derive_link_budget(p))
         assert any(d.name == "f_non_decreasing" and d.severity == "warning" for d in diags)
 
     def test_grid_mismatch_is_an_error(self):
@@ -414,7 +451,8 @@ class TestValidate:
         assert threshold == pytest.approx(2 * (math.hypot(9, 14) * p.element_spacing) ** 2
                                           / p.wavelength)
         # all three distances sit below the default threshold here: one warning names them
-        warnings = [d for d in validate(p) if d.name == "far_field"]
+        assert validate(p) == []
+        warnings = [d for d in model_warnings(p, derive_link_budget(p)) if d.name == "far_field"]
         assert len(warnings) == 1
         for part in ("bs_irs_distance=4 m", "irs_user_distance=4 m",
                      "inter_irs_distance=10 m", f"{threshold:.3g} m"):
@@ -423,7 +461,7 @@ class TestValidate:
         at = replace(p, bs_irs_distance=threshold, irs_user_distance=threshold,
                      inter_irs_distance=threshold)
         assert fraunhofer_distance(at) == threshold
-        assert [d for d in validate(at) if d.name == "far_field"] == []
+        assert model_warnings(at, derive_link_budget(at)) == []
 
     def test_no_transmit_antenna_is_an_error(self):
         assert validate(SystemParams(bs_antennas=0)) == [
@@ -474,9 +512,9 @@ class TestGuards:
         # kappa_i = 1e150 / 1e-150 = 1e300 is finite; 10**9 of it is not
         p = SystemParams(ref_path_gain=1e300, inter_irs_distance=1e-150,
                          pirs_elements=10**9)
-        assert [d for d in validate(p) if d.severity == "error"] == []
-        assert any(d.message.startswith("f(l) non-decreasing regime: pirs_elements * "
-                                        "kappa_i = inf >= 1") for d in validate(p))
+        # validate reports nothing, not even a kappa_i = inf regime warning: the error
+        # below names np_kappa_i, and with no budget there is no model_warnings call
+        assert validate(p) == []
         with pytest.raises(ValueError) as info:
             derive_link_budget(p)
         assert str(info.value) == (

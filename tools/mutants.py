@@ -15,7 +15,8 @@ checks that this alone changes nothing.  Stdlib only.  From the repository root:
     python3 tools/mutants.py src/irschain/metrics.py [more sources ...]
 
 Exit status: 0 when every survivor is a listed equivalent, 1 when one is not (or
-a mutant timed out), 2 when the suite fails on the unmutated sources.
+a mutant timed out), 2 when the suite fails on the unmutated sources, 143 when
+stopped by SIGTERM, after killing the running suite and removing the copy.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -125,6 +127,9 @@ def main(argv: list[str] | None = None) -> int:
         if not path.is_file() or ROOT not in path.parents:
             parser.error(f"{path} is not a file of this repository")
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sources}
+    # SIGTERM unwinds as an exception does, so subprocess.run kills the running suite
+    # and TemporaryDirectory removes the copy; by default it ends the process at once
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     start = time.perf_counter()
     counts = dict.fromkeys(("killed", "equivalent", "survived", "timeout"), 0)
