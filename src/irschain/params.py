@@ -118,7 +118,8 @@ class LinkBudget:
     np_kappa_i = pirs_elements * kappa_i is the one-hop passive relay
     factor; the closed-form placement results require np_kappa_i < 1
     (``f_decreasing``), where per-hop attenuation beats the passive
-    beamforming gain.  The ``log_*`` fields are log(c_a), log(c_t),
+    beamforming gain.  far_field = fraunhofer_distance(p) is the far-field
+    threshold in meters.  The ``log_*`` fields are log(c_a), log(c_t),
     log(np_kappa_i), ``log_noise_power`` = log(noise_power) and
     ``log_signal`` = log c_a + log c_t + log(airs_elements)
     + 2(J-1) log(np_kappa_i), added in that order: the log received signal
@@ -127,10 +128,10 @@ class LinkBudget:
     + log c_a, ``log_noise_c_t`` = log(noise_power) + log c_t and
     ``log_noise_floor`` = 2 log(noise_power); each is the first addition
     of a left-to-right sum in the objectives, so taking it here changes no
-    bit.  The written-out ``__init__`` takes the six linear fields and ``p``
+    bit.  The written-out ``__init__`` takes the seven linear fields and ``p``
     (a constructor argument only, supplying noise_power, airs_elements and
-    J), derives the other nine and stores all fifteen in one step; the
-    record is still frozen and compares, hashes and prints all fifteen.
+    J), derives the other nine and stores all sixteen in one step; the
+    record is still frozen and compares, hashes and prints all sixteen.
     """
 
     kappa_b: float
@@ -139,6 +140,7 @@ class LinkBudget:
     c_a: float
     c_t: float
     np_kappa_i: float
+    far_field: float
     f_decreasing: bool
     log_c_a: float
     log_c_t: float
@@ -150,7 +152,7 @@ class LinkBudget:
     log_noise_floor: float
 
     def __init__(self, kappa_b: float, kappa_i: float, kappa_u: float, c_a: float,
-                 c_t: float, np_kappa_i: float, p: SystemParams):
+                 c_t: float, np_kappa_i: float, far_field: float, p: SystemParams):
         log_c_a = math.log(c_a)
         log_c_t = math.log(c_t)
         log_np_kappa_i = math.log(np_kappa_i)
@@ -158,8 +160,9 @@ class LinkBudget:
         # one dict update instead of a frozen object.__setattr__ per field
         vars(self).update(
             kappa_b=kappa_b, kappa_i=kappa_i, kappa_u=kappa_u, c_a=c_a, c_t=c_t,
-            np_kappa_i=np_kappa_i, f_decreasing=np_kappa_i < 1.0, log_c_a=log_c_a,
-            log_c_t=log_c_t, log_np_kappa_i=log_np_kappa_i, log_noise_power=log_noise_power,
+            np_kappa_i=np_kappa_i, far_field=far_field, f_decreasing=np_kappa_i < 1.0,
+            log_c_a=log_c_a, log_c_t=log_c_t, log_np_kappa_i=log_np_kappa_i,
+            log_noise_power=log_noise_power,
             log_signal=(log_c_a + log_c_t + math.log(p.airs_elements)
                         + 2.0 * (p.num_irs - 1) * log_np_kappa_i),
             log_noise_c_a=log_noise_power + log_c_a, log_noise_c_t=log_noise_power + log_c_t,
@@ -222,7 +225,7 @@ def out_of_range_message(p: SystemParams, *quantities: str) -> str:
 
 
 def _gains_out_of_range(p: SystemParams) -> list[str]:
-    """Each of "kappa_b", "kappa_i" and "kappa_u" out of double range; validate takes none."""
+    """Each of "kappa_b", "kappa_i" and "kappa_u" out of double range."""
     failed = []
     for quantity, distance in (("kappa_b", p.bs_irs_distance), ("kappa_i", p.inter_irs_distance),
                                ("kappa_u", p.irs_user_distance)):
@@ -234,39 +237,45 @@ def _gains_out_of_range(p: SystemParams) -> list[str]:
 
 
 def derive_link_budget(p: SystemParams) -> LinkBudget:
-    """Derive the link-budget constants from validated system parameters."""
+    """Derive the link-budget constants and the far-field threshold of ``p``.
+
+    Raises ``ValueError`` with ``validate``'s errors, else with one clause per
+    derived quantity out of double range: the far-field threshold, then the hop
+    gains or, when every gain is in range, c_a, c_t and np_kappa_i.
+    """
     if errors := validate(p):
-        messages = [d.message for d in errors]
-        if all(d.name == "far_field" for d in errors) and (failed := _gains_out_of_range(p)):
-            messages.append(out_of_range_message(p, *failed))
-        raise ValueError("invalid system parameters: " + "; ".join(messages))
+        raise ValueError("invalid system parameters: " + "; ".join(d.message for d in errors))
+    far_field = fraunhofer_distance(p)
+    failed = [] if far_field < math.inf else ["far_field"]
     try:
         kappa_b = amplitude_gain(p.bs_irs_distance, p.ref_path_gain, p.path_loss_exponent)
         kappa_i = amplitude_gain(p.inter_irs_distance, p.ref_path_gain, p.path_loss_exponent)
         kappa_u = amplitude_gain(p.irs_user_distance, p.ref_path_gain, p.path_loss_exponent)
     except (OverflowError, ZeroDivisionError):
-        raise ValueError("invalid system parameters: "
-                         + out_of_range_message(p, *_gains_out_of_range(p))) from None
-    try:  # a product can round to 0 or inf
-        c_a = p.amp_power * p.airs_elements * kappa_u**2
-    except OverflowError:  # a gain squared past the largest double
-        c_a = math.inf
-    try:
-        c_t = p.tx_power * p.bs_antennas * kappa_b**2
-    except OverflowError:
-        c_t = math.inf
-    np_kappa_i = p.pirs_elements * kappa_i
-    if not (0.0 < c_a < math.inf and 0.0 < c_t < math.inf and 0.0 < np_kappa_i < math.inf):
-        raise ValueError("invalid system parameters: " + out_of_range_message(
-            p, *(quantity for quantity, value in
-                 (("c_a", c_a), ("c_t", c_t), ("np_kappa_i", np_kappa_i))
-                 if not 0.0 < value < math.inf)))
-    return LinkBudget(kappa_b, kappa_i, kappa_u, c_a, c_t, np_kappa_i, p)  # by position: cheaper
+        failed += _gains_out_of_range(p)
+    else:
+        try:  # a product can round to 0 or inf
+            c_a = p.amp_power * p.airs_elements * kappa_u**2
+        except OverflowError:  # a gain squared past the largest double
+            c_a = math.inf
+        try:
+            c_t = p.tx_power * p.bs_antennas * kappa_b**2
+        except OverflowError:
+            c_t = math.inf
+        np_kappa_i = p.pirs_elements * kappa_i
+        if not (0.0 < c_a < math.inf and 0.0 < c_t < math.inf and 0.0 < np_kappa_i < math.inf):
+            failed += [quantity for quantity, value in
+                       (("c_a", c_a), ("c_t", c_t), ("np_kappa_i", np_kappa_i))
+                       if not 0.0 < value < math.inf]
+    if failed:
+        raise ValueError("invalid system parameters: " + out_of_range_message(p, *failed))
+    # by position: cheaper than by keyword
+    return LinkBudget(kappa_b, kappa_i, kappa_u, c_a, c_t, np_kappa_i, far_field, p)
 
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str  # "error" | "warning"
+    """A field error from ``validate`` or a warning from ``model_warnings``."""
     name: str
     message: str
 
@@ -276,8 +285,8 @@ def fraunhofer_distance(p: SystemParams) -> float:
 
     D is the transmit array's length or a panel's diagonal, taken inline; a
     1-element array has zero extent, and on a tie D is the same float either
-    way.  Raises ``ValueError`` naming the fields that set it when it leaves
-    double range (d_max**2 raises, or a product rounds to inf).
+    way.  Returns ``math.inf`` when the threshold leaves double range (d_max**2
+    raises, or a product rounds to inf).
     """
     s = p.element_spacing
     try:
@@ -287,61 +296,50 @@ def fraunhofer_distance(p: SystemParams) -> float:
                 aperture = math.hypot((grid[0] - 1) * s, (grid[1] - 1) * s)
                 if aperture > d_max:
                     d_max = aperture
-        threshold = 2.0 * d_max**2 / p.wavelength
+        return 2.0 * d_max**2 / p.wavelength
     except OverflowError:
-        threshold = math.inf
-    if threshold < math.inf:
-        return threshold
-    raise ValueError(out_of_range_message(p, "far_field"))
+        return math.inf
 
 
 def validate(p: SystemParams) -> list[Diagnostic]:
-    """The errors that make ``p`` unusable, as data, never raised.  A hop gain or a
-    budget constant out of double range is left to ``derive_link_budget``."""
+    """The per-field errors that make ``p`` unusable, as data, never raised.  A
+    derived quantity out of double range is left to ``derive_link_budget``."""
     out: list[Diagnostic] = []
     if p.num_irs < 1:
-        out.append(Diagnostic("error", "num_irs",
-                              f"need at least one surface, got num_irs={p.num_irs}"))
+        out.append(Diagnostic("num_irs", f"need at least one surface, got num_irs={p.num_irs}"))
     elif p.num_irs > MAX_SURFACES:
-        out.append(Diagnostic("error", "num_irs",
+        out.append(Diagnostic("num_irs",
                               f"num_irs must be at most {MAX_SURFACES} surfaces, got {p.num_irs}"))
     if p.bs_antennas < 1:
-        out.append(Diagnostic("error", "bs_antennas",
+        out.append(Diagnostic("bs_antennas",
                               f"need at least one transmit antenna, got {p.bs_antennas}"))
     for count, grid in (("airs_elements", "airs_grid"), ("pirs_elements", "pirs_grid")):
         n, g = getattr(p, count), getattr(p, grid)
         if not 1 <= n <= MAX_ELEMENTS:
-            out.append(Diagnostic("error", count,
-                                  f"{count} must be 1..{MAX_ELEMENTS} elements, got {n}"))
+            out.append(Diagnostic(count, f"{count} must be 1..{MAX_ELEMENTS} elements, got {n}"))
         if g is not None and g[0] * g[1] != n:
-            out.append(Diagnostic("error", grid, f"grid {g} does not factor {count}={n}"))
+            out.append(Diagnostic(grid, f"grid {g} does not factor {count}={n}"))
     for name in ("bs_irs_distance", "irs_user_distance", "inter_irs_distance",
                  "tx_power", "amp_power", "noise_power", "ref_path_gain",
                  "wavelength", "element_spacing", "path_loss_exponent"):
-        if not 0.0 < getattr(p, name) < math.inf:  # also rejects nan
-            out.append(Diagnostic("error", name,
-                                  f"{name} must be positive and finite, got {getattr(p, name)}"))
-    if not out:  # the threshold needs sane inputs
-        try:
-            fraunhofer_distance(p)
-        except ValueError as exc:
-            out.append(Diagnostic("error", "far_field", str(exc)))
+        if not 0.0 < (value := getattr(p, name)) < math.inf:  # also rejects nan
+            out.append(Diagnostic(name, f"{name} must be positive and finite, got {value}"))
     return out
 
 
 def model_warnings(p: SystemParams, budget: LinkBudget) -> list[Diagnostic]:
     """The far-field margin and f(l) non-decreasing warnings, for ``budget`` =
-    ``derive_link_budget(p)``, whose ``f_decreasing`` also steers ``optimal_index``."""
+    ``derive_link_budget(p)``: they read its ``far_field`` threshold and its
+    ``f_decreasing``, which also steers ``optimal_index``."""
     out = []
-    threshold = fraunhofer_distance(p)
     near = [f"{name}={getattr(p, name):g} m" for name in
             ("bs_irs_distance", "irs_user_distance", "inter_irs_distance")
-            if getattr(p, name) < threshold]
+            if getattr(p, name) < budget.far_field]
     if near:
-        out.append(Diagnostic("warning", "far_field", "below the far-field threshold "
-                              f"{threshold:.3g} m: {', '.join(near)}"))
+        out.append(Diagnostic("far_field", "below the far-field threshold "
+                              f"{budget.far_field:.3g} m: {', '.join(near)}"))
     if not budget.f_decreasing:
-        out.append(Diagnostic("warning", "f_non_decreasing", "f(l) non-decreasing regime: "
+        out.append(Diagnostic("f_non_decreasing", "f(l) non-decreasing regime: "
                               f"pirs_elements * kappa_i = {budget.np_kappa_i:.4g} >= 1; "
                               "closed-form placement falls back to brute force"))
     return out

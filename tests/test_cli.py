@@ -177,9 +177,10 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("mode", ["wit", "wpt"])
     def test_validates_once_and_takes_three_hop_gains(self, monkeypatch, capsys, mode):
-        # the warnings come from the budget eval solves with, not from a second validate
+        # the warnings come from the budget eval solves with, not from a second validate,
+        # and read the far-field threshold that budget carries
         calls = []
-        for name in ("validate", "amplitude_gain"):
+        for name in ("validate", "amplitude_gain", "fraunhofer_distance"):
             def counting(*args, _name=name, _original=getattr(params, name)):
                 calls.append(_name)
                 return _original(*args)
@@ -188,7 +189,7 @@ class TestEvalCommand:
                 if name in vars(module):
                     monkeypatch.setattr(module, name, counting)
         assert run(["eval", "--mode", mode]) == 0
-        assert Counter(calls) == {"validate": 1, "amplitude_gain": 3}
+        assert Counter(calls) == {"validate": 1, "amplitude_gain": 3, "fraunhofer_distance": 1}
         assert capsys.readouterr().err.startswith("warning: below the far-field threshold")
 
     def test_np_defaults_to_scenario_value(self, capsys):
@@ -394,6 +395,8 @@ class TestInputsAtTheEdgeOfDoubleRange:
         ("d_u = 1e-300\n", ["amp_power", "airs_elements", "irs_user_distance"]),
         ("m = 1e300\n", ["bs_antennas", "element_spacing", "wavelength"]),
         ("spacing = 1e300\n", ["bs_antennas", "element_spacing", "wavelength"]),
+        # one error names the far-field threshold and the constant the same input breaks
+        ("spacing = 1e300\npa = 1.7e308\n", ["element_spacing", "amp_power"]),
         # the objective overflows; the error names the field set, not only J and N_p
         ("beta0 = 9.25e213\n", ["ref_path_gain"]),
         ("d_i = 7.7235e-179\n", ["inter_irs_distance"]),

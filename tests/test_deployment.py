@@ -319,8 +319,7 @@ class TestRegimeEdge:
         assert budget.np_kappa_i == 1.0
         assert budget.f_decreasing is False
         assert validate(self.P) == []
-        assert "f_non_decreasing" in [d.name for d in model_warnings(self.P, budget)
-                                      if d.severity == "warning"]
+        assert "f_non_decreasing" in [d.name for d in model_warnings(self.P, budget)]
 
     @pytest.mark.parametrize("mode", [WIT, WPT])
     def test_every_position_ties_and_brute_force_picks_the_first(self, mode):

@@ -54,7 +54,7 @@ def test_only_params_checks_parameters():
     bound = [
         f"{module}.{name}"
         for module in ("metrics", "deployment", "beamforming", "channel")
-        for name in ("derive_link_budget", "validate", "model_warnings")
+        for name in ("derive_link_budget", "validate", "model_warnings", "fraunhofer_distance")
         if name in vars(importlib.import_module(f"irschain.{module}"))
     ]
     assert bound == []

@@ -1,7 +1,7 @@
 import math
 import random
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +21,7 @@ from irschain.params import (
     fraunhofer_distance,
     linear_to_db,
     model_warnings,
+    out_of_range_message,
     validate,
     watts_to_dbm,
 )
@@ -101,7 +102,8 @@ class TestLinkBudget:
 DEFAULT_BUDGET_REPR = (
     "LinkBudget(kappa_b=0.001769864460960345, kappa_i=0.000707945784384138, "
     "kappa_u=0.001769864460960345, c_a=4.6986303152556797e-08, "
-    "c_t=3.1324202101704526e-05, np_kappa_i=0.0707945784384138, f_decreasing=True, "
+    "c_t=3.1324202101704526e-05, np_kappa_i=0.0707945784384138, "
+    "far_field=11.863215837999999, f_decreasing=True, "
     "log_c_a=-16.873409699994106, log_c_t=-10.371119529120131, "
     "log_np_kappa_i=-2.647972856943152, log_noise_power=-20.72326583694641, "
     "log_signal=-54.00956821833581, log_noise_c_a=-37.596675536940516, "
@@ -136,9 +138,10 @@ class TestLinkBudgetRecord:
         p = SystemParams()
         budget = derive_link_budget(p)
         linear = {name: getattr(budget, name) for name in
-                  ("kappa_b", "kappa_i", "kappa_u", "c_a", "c_t", "np_kappa_i")}
+                  ("kappa_b", "kappa_i", "kappa_u", "c_a", "c_t", "np_kappa_i", "far_field")}
+        assert budget.far_field == fraunhofer_distance(p)
         assert LinkBudget(**linear, p=p) == budget
-        assert LinkBudget(*linear.values(), p) == budget
+        assert LinkBudget(*linear.values(), p) == budget  # the threshold is the seventh
         with pytest.raises(TypeError):
             LinkBudget(**linear)  # p is required
         with pytest.raises(TypeError):
@@ -175,7 +178,7 @@ class TestHopGainOutOfRange:
     ])
     def test_derive_link_budget_names_kappa_b_and_kappa_u_keys(self, changes, keys):
         p = SystemParams(**changes)
-        assert [d for d in validate(p) if d.severity == "error"] == []
+        assert validate(p) == []
         with pytest.raises(ValueError) as info:
             derive_link_budget(p)
         message = str(info.value)
@@ -187,7 +190,7 @@ class TestHopGainOutOfRange:
     def test_far_field_error_names_every_hop_gain_out_of_range(self):
         # the far-field threshold takes no hop gain, so its error does not hide theirs
         p = SystemParams(path_loss_exponent=1e300, element_spacing=1e300)
-        assert [d.name for d in validate(p)] == ["far_field"]
+        assert validate(p) == [] and fraunhofer_distance(p) == math.inf
         with pytest.raises(ValueError) as info:
             derive_link_budget(p)
         assert str(info.value) == (
@@ -200,8 +203,8 @@ class TestHopGainOutOfRange:
                                                   ("irs_user_distance", 4))))
 
     def test_other_errors_name_no_hop_gain(self):
-        # with a count wrong, validate stops before the far-field threshold, and so does
-        # the budget before the gains, whatever their range
+        # with a count wrong, the budget stops before the far-field threshold and the
+        # gains, whatever their range
         p = SystemParams(num_irs=0, path_loss_exponent=1e300)
         with pytest.raises(ValueError) as info:
             derive_link_budget(p)
@@ -239,7 +242,7 @@ class TestBudgetOutOfRange:
     ])
     def test_derive_link_budget_names_the_constant_and_its_keys(self, changes, quantity):
         p = SystemParams(**changes)
-        assert [d for d in validate(p) if d.severity == "error"] == []
+        assert validate(p) == []
         with pytest.raises(ValueError) as info:
             derive_link_budget(p)
         message = str(info.value)
@@ -260,30 +263,33 @@ class TestBudgetOutOfRange:
     ])
     def test_far_field_threshold_out_of_range_is_an_error(self, changes):
         p = SystemParams(**changes)
-        with pytest.raises(ValueError, match="put the far-field threshold"):
-            fraunhofer_distance(p)
-        errors = [d for d in validate(p) if d.severity == "error"]
-        assert [d.name for d in errors] == ["far_field"]
-        assert errors[0].message == (
-            f"bs_antennas = {p.bs_antennas:g}, airs_elements = 150, pirs_elements = 100, "
-            f"element_spacing = {p.element_spacing:g} and wavelength = {p.wavelength:g} "
-            "put the far-field threshold 2 D**2 / wavelength out of double range")
+        assert fraunhofer_distance(p) == math.inf
+        assert validate(p) == []  # each field is in range
         with pytest.raises(ValueError) as info:  # the hop gains are in range: no more clauses
             derive_link_budget(p)
-        assert str(info.value) == "invalid system parameters: " + errors[0].message
+        assert str(info.value) == (
+            f"invalid system parameters: bs_antennas = {p.bs_antennas:g}, airs_elements = 150, "
+            f"pirs_elements = 100, element_spacing = {p.element_spacing:g} and wavelength = "
+            f"{p.wavelength:g} put the far-field threshold 2 D**2 / wavelength out of double "
+            "range")
 
     @pytest.mark.parametrize("bs_antennas, text", [(10**400, "1e+400"),
                                                    (17 * 10**400, "1.7e+401")],
                              ids=["1e400", "1.7e401"])
     def test_antenna_count_beyond_double_range_is_named_not_raised(self, bs_antennas, text):
-        # :g converts an int to float, which used to raise OverflowError here
+        # :g converts an int to float, which used to raise OverflowError here; the
+        # same conversion puts c_t = tx_power * bs_antennas * kappa_b**2 out of range
         p = SystemParams(bs_antennas=bs_antennas)
-        errors = validate(p)
-        assert [d.name for d in errors] == ["far_field"]
-        assert errors[0].message.startswith(f"bs_antennas = {text}, airs_elements = 150, ")
+        assert validate(p) == [] and fraunhofer_distance(p) == math.inf
         with pytest.raises(ValueError) as info:
             derive_link_budget(p)
-        assert str(info.value).startswith(f"invalid system parameters: bs_antennas = {text}, ")
+        assert str(info.value) == (
+            f"invalid system parameters: bs_antennas = {text}, airs_elements = 150, "
+            "pirs_elements = 100, element_spacing = 0.0428275 and wavelength = 0.085655 put "
+            "the far-field threshold 2 D**2 / wavelength out of double range; tx_power = 1, "
+            f"bs_antennas = {text}, bs_irs_distance = 4, ref_path_gain = 5.01187e-05 and "
+            "path_loss_exponent = 2 put c_t = tx_power * bs_antennas * kappa_b**2 out of "
+            "double range")
 
 
 def _edge_params():
@@ -319,21 +325,64 @@ def _edge_params():
     return out + [SystemParams(**c) for c in changes]
 
 
-class TestValidateErrorsOnly:
-    """``validate(p)`` returns only errors, and ``model_warnings(p, budget)`` only
-    warnings, for every ``p`` whose budget ``derive_link_budget(p)`` derives."""
+def _far_field_crosses():
+    """Inputs that take the far-field threshold out of double range, each crossed
+    with inputs that take a budget constant or the hop gains out too."""
+    far = [{"element_spacing": 1e300}, {"wavelength": 1e-300}, {"bs_antennas": 10**300}]
+    rest = [{"amp_power": 1.7e308}, {"tx_power": 1.7e308}, {"irs_user_distance": 1e-300},
+            {"bs_irs_distance": 1e300}, {"ref_path_gain": 1e-300, "inter_irs_distance": 1e300},
+            {"path_loss_exponent": 1e300}]
+    return [SystemParams(**f, **r) for f in far for r in rest]
 
-    @staticmethod
-    def _assert_apart(p):
+
+def _reference_out_of_range(p):
+    """The derived quantities of ``p`` out of double range, each from its own float
+    formula, left to right: the far-field threshold, then each hop's path loss
+    d**(alpha/2) or, when all three are in range, c_a, c_t and np_kappa_i."""
+    def outside(formula, low=0.0):
+        try:
+            return not low < formula() < math.inf
+        except OverflowError:
+            return True
+
+    failed = ["far_field"] if outside(lambda: _reference_fraunhofer_distance(p), -1.0) else []
+    hops = {"kappa_b": p.bs_irs_distance, "kappa_i": p.inter_irs_distance,
+            "kappa_u": p.irs_user_distance}
+    gains = [name for name, d in hops.items()
+             if outside(lambda: d ** (p.path_loss_exponent / 2.0))]
+    if gains:
+        return failed + gains
+    kappa = {name: math.sqrt(p.ref_path_gain) / d ** (p.path_loss_exponent / 2.0)
+             for name, d in hops.items()}
+    constants = {
+        "c_a": lambda: p.amp_power * p.airs_elements * kappa["kappa_u"] ** 2,
+        "c_t": lambda: p.tx_power * p.bs_antennas * kappa["kappa_b"] ** 2,
+        "np_kappa_i": lambda: p.pirs_elements * kappa["kappa_i"],
+    }
+    return failed + [name for name, formula in constants.items() if outside(formula)]
+
+
+class TestValidateErrorsOnly:
+    """``validate(p)`` checks the fields only, each error named by its field, and
+    ``model_warnings(p, budget)`` reads the threshold ``budget.far_field`` rather
+    than taking its own, for every ``p`` whose budget ``derive_link_budget(p)`` derives."""
+
+    FIELDS = {f.name for f in fields(SystemParams)}
+
+    @classmethod
+    def _assert_apart(cls, p):
         errors = validate(p)
-        assert {d.severity for d in errors} <= {"error"}
+        assert {d.name for d in errors} <= cls.FIELDS
         try:
             budget = derive_link_budget(p)
         except ValueError:
             return None  # no budget, so no warnings: eval prints the error alone
         assert errors == []
-        warnings = model_warnings(p, budget)
-        assert {d.severity for d in warnings} <= {"warning"}
+        assert budget.far_field == fraunhofer_distance(p)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(params_module, "fraunhofer_distance", None)  # a call would raise
+            warnings = model_warnings(p, budget)
+        assert {d.name for d in warnings} <= {"far_field", "f_non_decreasing"}
         return warnings
 
     def test_agreement_grid(self):
@@ -360,7 +409,7 @@ class TestValidateErrorsOnly:
         diagnostic = params_module.Diagnostic
 
         def counting(*args):
-            built.append(args[1])
+            built.append(args[0])
             return diagnostic(*args)
 
         monkeypatch.setattr(params_module, "Diagnostic", counting)
@@ -369,6 +418,39 @@ class TestValidateErrorsOnly:
         assert validate(p) == [] and built == []
         model_warnings(p, budget)  # the default geometry is inside the far field
         assert built == ["far_field"]
+
+
+class TestOneErrorNamesEveryQuantity:
+    """``derive_link_budget`` names, in one error, every derived quantity that an
+    independent reference puts out of double range, or ``validate``'s errors."""
+
+    def test_edge_and_crossed_inputs(self):
+        named = Counter()
+        inputs = _edge_params() + _far_field_crosses()
+        assert len(inputs) == 93
+        for p in inputs:
+            errors = validate(p)
+            expected = [] if errors else _reference_out_of_range(p)
+            if errors or expected:
+                with pytest.raises(ValueError) as info:
+                    derive_link_budget(p)
+                assert str(info.value) == "invalid system parameters: " + (
+                    "; ".join(d.message for d in errors) if errors
+                    else out_of_range_message(p, *expected)), p
+            else:
+                assert derive_link_budget(p).far_field == _reference_fraunhofer_distance(p)
+            named.update(expected)
+        assert set(named) == {"far_field", "kappa_b", "kappa_i", "kappa_u", "c_a", "c_t",
+                              "np_kappa_i"}
+        # a huge spacing or array names the threshold and one more quantity; a tiny
+        # wavelength does not, since the spacing follows it and 2 D**2 / wavelength
+        # underflows to 0
+        for p in _far_field_crosses():
+            names = _reference_out_of_range(p)
+            if p.wavelength == 1e-300:
+                assert "far_field" not in names and names, p
+            else:
+                assert names[0] == "far_field" and len(names) > 1, p
 
 
 class TestSystemParams:
@@ -394,7 +476,7 @@ class TestSystemParams:
         # the divisor scan is O(sqrt(n)): at 10**20 elements it would run for minutes
         p = SystemParams(airs_elements=MAX_ELEMENTS + 1, pirs_elements=10**20)
         assert p.airs_grid is None and p.pirs_grid is None
-        errors = [d.name for d in validate(p) if d.severity == "error"]
+        errors = [d.name for d in validate(p)]
         assert errors == ["airs_elements", "pirs_elements"]
         with pytest.raises(ValueError, match="pirs_elements must be 1..1000000000"):
             derive_link_budget(p)
@@ -416,20 +498,16 @@ class TestSystemParams:
 
 class TestValidate:
     def test_defaults_have_no_errors(self):
-        diags = validate(SystemParams())
-        assert [d for d in diags if d.severity == "error"] == []
+        assert validate(SystemParams()) == []
 
     def test_zero_surfaces_is_an_error(self):
-        diags = validate(SystemParams(num_irs=0))
-        errors = [d for d in diags if d.severity == "error"]
+        errors = validate(SystemParams(num_irs=0))
         assert len(errors) == 1
         assert errors[0].name == "num_irs"
 
     def test_chain_above_the_surface_cap_is_an_error(self):
-        assert not [d for d in validate(SystemParams(num_irs=MAX_SURFACES))
-                    if d.severity == "error"]
-        errors = [d for d in validate(SystemParams(num_irs=MAX_SURFACES + 1))
-                  if d.severity == "error"]
+        assert not validate(SystemParams(num_irs=MAX_SURFACES))
+        errors = validate(SystemParams(num_irs=MAX_SURFACES + 1))
         assert [d.name for d in errors] == ["num_irs"]
         assert errors[0].message == "num_irs must be at most 1000000 surfaces, got 1000001"
         with pytest.raises(ValueError, match="num_irs must be at most 1000000"):
@@ -439,11 +517,11 @@ class TestValidate:
         p = SystemParams(pirs_elements=2000)
         assert validate(p) == []
         diags = model_warnings(p, derive_link_budget(p))
-        assert any(d.name == "f_non_decreasing" and d.severity == "warning" for d in diags)
+        assert any(d.name == "f_non_decreasing" for d in diags)
 
     def test_grid_mismatch_is_an_error(self):
         diags = validate(SystemParams(airs_elements=150, airs_grid=(3, 5)))
-        assert any(d.name == "airs_grid" and d.severity == "error" for d in diags)
+        assert any(d.name == "airs_grid" for d in diags)
 
     def test_far_field_warning_threshold(self):
         p = SystemParams()
@@ -451,7 +529,7 @@ class TestValidate:
         assert threshold == pytest.approx(2 * (math.hypot(9, 14) * p.element_spacing) ** 2
                                           / p.wavelength)
         # all three distances sit below the default threshold here: one warning names them
-        assert validate(p) == []
+        assert validate(p) == [] and derive_link_budget(p).far_field == threshold
         warnings = [d for d in model_warnings(p, derive_link_budget(p)) if d.name == "far_field"]
         assert len(warnings) == 1
         for part in ("bs_irs_distance=4 m", "irs_user_distance=4 m",
@@ -465,13 +543,12 @@ class TestValidate:
 
     def test_no_transmit_antenna_is_an_error(self):
         assert validate(SystemParams(bs_antennas=0)) == [
-            Diagnostic("error", "bs_antennas", "need at least one transmit antenna, got 0")]
-        assert [d for d in validate(SystemParams(bs_antennas=1)) if d.severity == "error"] \
-            == []
+            Diagnostic("bs_antennas", "need at least one transmit antenna, got 0")]
+        assert validate(SystemParams(bs_antennas=1)) == []
 
     def test_negative_distance_is_an_error(self):
         diags = validate(SystemParams(bs_irs_distance=-2.0))
-        assert any(d.name == "bs_irs_distance" and d.severity == "error" for d in diags)
+        assert any(d.name == "bs_irs_distance" for d in diags)
 
 
 class TestGuards:
@@ -486,17 +563,14 @@ class TestGuards:
     @pytest.mark.parametrize("name", FLOAT_FIELDS)
     def test_float_field_at_zero_or_inf_is_an_error(self, name, value):
         p = SystemParams(**{name: value})
-        errors = [d for d in validate(p) if d.severity == "error"]
-        assert Diagnostic("error", name, f"{name} must be positive and finite, got {value}") \
-            in errors
+        assert Diagnostic(name, f"{name} must be positive and finite, got {value}") \
+            in validate(p)
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             derive_link_budget(p)
 
     def test_panel_at_the_element_cap_is_accepted(self):
-        assert [d for d in validate(SystemParams(pirs_elements=MAX_ELEMENTS))
-                if d.severity == "error"] == []
-        errors = [d for d in validate(SystemParams(pirs_elements=MAX_ELEMENTS + 1))
-                  if d.severity == "error"]
+        assert validate(SystemParams(pirs_elements=MAX_ELEMENTS)) == []
+        errors = validate(SystemParams(pirs_elements=MAX_ELEMENTS + 1))
         assert [d.name for d in errors] == ["pirs_elements"]
 
     def test_passive_panel_sets_the_far_field_threshold(self):
@@ -593,11 +667,12 @@ class TestFarFieldBitIdentity:
 
     def test_out_of_range_text_is_unchanged(self):
         p = SystemParams(element_spacing=1e300)
+        assert fraunhofer_distance(p) == math.inf
         with pytest.raises(ValueError) as info:
-            fraunhofer_distance(p)
+            derive_link_budget(p)
         assert str(info.value) == (
-            "bs_antennas = 10, airs_elements = 150, pirs_elements = 100, "
-            "element_spacing = 1e+300 and wavelength = 0.085655 put the far-field "
-            "threshold 2 D**2 / wavelength out of double range")
+            "invalid system parameters: bs_antennas = 10, airs_elements = 150, "
+            "pirs_elements = 100, element_spacing = 1e+300 and wavelength = 0.085655 put the "
+            "far-field threshold 2 D**2 / wavelength out of double range")
         with pytest.raises(OverflowError):
             _reference_fraunhofer_distance(p)  # the same square leaves double range
