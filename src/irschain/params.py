@@ -118,8 +118,7 @@ class LinkBudget:
     np_kappa_i = pirs_elements * kappa_i is the one-hop passive relay
     factor; the closed-form placement results require np_kappa_i < 1
     (``f_decreasing``), where per-hop attenuation beats the passive
-    beamforming gain.  far_field = fraunhofer_distance(p) is the far-field
-    threshold in meters.  The ``log_*`` fields are log(c_a), log(c_t),
+    beamforming gain.  The ``log_*`` fields are log(c_a), log(c_t),
     log(np_kappa_i), ``log_noise_power`` = log(noise_power) and
     ``log_signal`` = log c_a + log c_t + log(airs_elements)
     + 2(J-1) log(np_kappa_i), added in that order: the log received signal
@@ -128,10 +127,10 @@ class LinkBudget:
     + log c_a, ``log_noise_c_t`` = log(noise_power) + log c_t and
     ``log_noise_floor`` = 2 log(noise_power); each is the first addition
     of a left-to-right sum in the objectives, so taking it here changes no
-    bit.  The written-out ``__init__`` takes the seven linear fields and ``p``
+    bit.  The written-out ``__init__`` takes the six linear fields and ``p``
     (a constructor argument only, supplying noise_power, airs_elements and
-    J), derives the other nine and stores all sixteen in one step; the
-    record is still frozen and compares, hashes and prints all sixteen.
+    J), derives the other nine and stores all fifteen in one step; the
+    record is still frozen and compares, hashes and prints all fifteen.
     """
 
     kappa_b: float
@@ -140,7 +139,6 @@ class LinkBudget:
     c_a: float
     c_t: float
     np_kappa_i: float
-    far_field: float
     f_decreasing: bool
     log_c_a: float
     log_c_t: float
@@ -152,7 +150,7 @@ class LinkBudget:
     log_noise_floor: float
 
     def __init__(self, kappa_b: float, kappa_i: float, kappa_u: float, c_a: float,
-                 c_t: float, np_kappa_i: float, far_field: float, p: SystemParams):
+                 c_t: float, np_kappa_i: float, p: SystemParams):
         log_c_a = math.log(c_a)
         log_c_t = math.log(c_t)
         log_np_kappa_i = math.log(np_kappa_i)
@@ -160,7 +158,7 @@ class LinkBudget:
         # one dict update instead of a frozen object.__setattr__ per field
         vars(self).update(
             kappa_b=kappa_b, kappa_i=kappa_i, kappa_u=kappa_u, c_a=c_a, c_t=c_t,
-            np_kappa_i=np_kappa_i, far_field=far_field, f_decreasing=np_kappa_i < 1.0,
+            np_kappa_i=np_kappa_i, f_decreasing=np_kappa_i < 1.0,
             log_c_a=log_c_a, log_c_t=log_c_t, log_np_kappa_i=log_np_kappa_i,
             log_noise_power=log_noise_power,
             log_signal=(log_c_a + log_c_t + math.log(p.airs_elements)
@@ -198,9 +196,6 @@ _OUT_OF_RANGE = {
             ("tx_power", "bs_antennas", "bs_irs_distance") + _GAIN),
     "np_kappa_i": ("np_kappa_i = pirs_elements * kappa_i",
                    ("pirs_elements", "inter_irs_distance") + _GAIN),
-    "far_field": ("the far-field threshold 2 D**2 / wavelength",
-                  ("bs_antennas", "airs_elements", "pirs_elements", "element_spacing",
-                   "wavelength")),
 }
 # the objectives and the all-passive baseline take every budget constant, J, N_a and the noise
 _CHAIN = tuple(dict.fromkeys(("num_irs",) + _OUT_OF_RANGE["np_kappa_i"][1]
@@ -214,7 +209,7 @@ def out_of_range_message(p: SystemParams, *quantities: str) -> str:
     """'f1 = v1, ... and fn = vn put <quantity> out of double range', "; "-joined.
 
     A quantity is "kappa_b", "kappa_i", "kappa_u", "c_a", "c_t", "np_kappa_i",
-    "far_field", "objective" or "all_pirs"; f1..fn are the fields that feed it.
+    "objective" or "all_pirs"; f1..fn are the fields that feed it.
     """
     messages = []
     for quantity in quantities:
@@ -224,36 +219,24 @@ def out_of_range_message(p: SystemParams, *quantities: str) -> str:
     return "; ".join(messages)
 
 
-def _gains_out_of_range(p: SystemParams) -> list[str]:
-    """Each of "kappa_b", "kappa_i" and "kappa_u" out of double range."""
-    failed = []
-    for quantity, distance in (("kappa_b", p.bs_irs_distance), ("kappa_i", p.inter_irs_distance),
-                               ("kappa_u", p.irs_user_distance)):
-        try:
-            amplitude_gain(distance, p.ref_path_gain, p.path_loss_exponent)
-        except (OverflowError, ZeroDivisionError):
-            failed.append(quantity)
-    return failed
-
-
 def derive_link_budget(p: SystemParams) -> LinkBudget:
-    """Derive the link-budget constants and the far-field threshold of ``p``.
+    """Derive the link-budget constants of ``p``.
 
     Raises ``ValueError`` with ``validate``'s errors, else with one clause per
-    derived quantity out of double range: the far-field threshold, then the hop
-    gains or, when every gain is in range, c_a, c_t and np_kappa_i.
+    derived quantity out of double range: the hop gains or, when every gain is
+    in range, c_a, c_t and np_kappa_i.
     """
     if errors := validate(p):
         raise ValueError("invalid system parameters: " + "; ".join(d.message for d in errors))
-    far_field = fraunhofer_distance(p)
-    failed = [] if far_field < math.inf else ["far_field"]
-    try:
-        kappa_b = amplitude_gain(p.bs_irs_distance, p.ref_path_gain, p.path_loss_exponent)
-        kappa_i = amplitude_gain(p.inter_irs_distance, p.ref_path_gain, p.path_loss_exponent)
-        kappa_u = amplitude_gain(p.irs_user_distance, p.ref_path_gain, p.path_loss_exponent)
-    except (OverflowError, ZeroDivisionError):
-        failed += _gains_out_of_range(p)
-    else:
+    gains, failed = [], []
+    for quantity, distance in (("kappa_b", p.bs_irs_distance), ("kappa_i", p.inter_irs_distance),
+                               ("kappa_u", p.irs_user_distance)):
+        try:
+            gains.append(amplitude_gain(distance, p.ref_path_gain, p.path_loss_exponent))
+        except (OverflowError, ZeroDivisionError):
+            failed.append(quantity)
+    if not failed:
+        kappa_b, kappa_i, kappa_u = gains
         try:  # a product can round to 0 or inf
             c_a = p.amp_power * p.airs_elements * kappa_u**2
         except OverflowError:  # a gain squared past the largest double
@@ -263,14 +246,13 @@ def derive_link_budget(p: SystemParams) -> LinkBudget:
         except OverflowError:
             c_t = math.inf
         np_kappa_i = p.pirs_elements * kappa_i
-        if not (0.0 < c_a < math.inf and 0.0 < c_t < math.inf and 0.0 < np_kappa_i < math.inf):
-            failed += [quantity for quantity, value in
-                       (("c_a", c_a), ("c_t", c_t), ("np_kappa_i", np_kappa_i))
-                       if not 0.0 < value < math.inf]
+        failed = [quantity for quantity, value in
+                  (("c_a", c_a), ("c_t", c_t), ("np_kappa_i", np_kappa_i))
+                  if not 0.0 < value < math.inf]
     if failed:
         raise ValueError("invalid system parameters: " + out_of_range_message(p, *failed))
     # by position: cheaper than by keyword
-    return LinkBudget(kappa_b, kappa_i, kappa_u, c_a, c_t, np_kappa_i, far_field, p)
+    return LinkBudget(kappa_b, kappa_i, kappa_u, c_a, c_t, np_kappa_i, p)
 
 
 @dataclass(frozen=True)
@@ -286,7 +268,7 @@ def fraunhofer_distance(p: SystemParams) -> float:
     D is the transmit array's length or a panel's diagonal, taken inline; a
     1-element array has zero extent, and on a tie D is the same float either
     way.  Returns ``math.inf`` when the threshold leaves double range (d_max**2
-    raises, or a product rounds to inf).
+    raises, or a product rounds to inf); it feeds only ``model_warnings``.
     """
     s = p.element_spacing
     try:
@@ -328,16 +310,17 @@ def validate(p: SystemParams) -> list[Diagnostic]:
 
 
 def model_warnings(p: SystemParams, budget: LinkBudget) -> list[Diagnostic]:
-    """The far-field margin and f(l) non-decreasing warnings, for ``budget`` =
-    ``derive_link_budget(p)``: they read its ``far_field`` threshold and its
-    ``f_decreasing``, which also steers ``optimal_index``."""
+    """The far-field margin, from ``fraunhofer_distance(p)`` (an infinite threshold
+    warns of every hop), and the f(l) non-decreasing warning, from ``budget`` =
+    ``derive_link_budget(p)``'s ``f_decreasing``, which also steers ``optimal_index``."""
     out = []
+    far_field = fraunhofer_distance(p)
     near = [f"{name}={getattr(p, name):g} m" for name in
             ("bs_irs_distance", "irs_user_distance", "inter_irs_distance")
-            if getattr(p, name) < budget.far_field]
+            if getattr(p, name) < far_field]
     if near:
         out.append(Diagnostic("far_field", "below the far-field threshold "
-                              f"{budget.far_field:.3g} m: {', '.join(near)}"))
+                              f"{far_field:.3g} m: {', '.join(near)}"))
     if not budget.f_decreasing:
         out.append(Diagnostic("f_non_decreasing", "f(l) non-decreasing regime: "
                               f"pirs_elements * kappa_i = {budget.np_kappa_i:.4g} >= 1; "

@@ -178,7 +178,7 @@ class TestEvalCommand:
     @pytest.mark.parametrize("mode", ["wit", "wpt"])
     def test_validates_once_and_takes_three_hop_gains(self, monkeypatch, capsys, mode):
         # the warnings come from the budget eval solves with, not from a second validate,
-        # and read the far-field threshold that budget carries
+        # and model_warnings alone takes the far-field threshold
         calls = []
         for name in ("validate", "amplitude_gain", "fraunhofer_distance"):
             def counting(*args, _name=name, _original=getattr(params, name)):
@@ -191,6 +191,24 @@ class TestEvalCommand:
         assert run(["eval", "--mode", mode]) == 0
         assert Counter(calls) == {"validate": 1, "amplitude_gain": 3, "fraunhofer_distance": 1}
         assert capsys.readouterr().err.startswith("warning: below the far-field threshold")
+
+    @pytest.mark.parametrize("config, same_report", [
+        ("wavelength = 1e300\n", True),  # a finite 1.4e302 m, past double range as squared
+        ("spacing = 1e300\n", True),
+        ("m = 1e300\n", False),           # c_t grows with the array, so the report moves
+    ])
+    @pytest.mark.parametrize("mode", ["wit", "wpt"])
+    def test_far_field_threshold_past_double_range_only_warns(self, tmp_path, capsys,
+                                                              config, same_report, mode):
+        assert run(["eval", "--mode", mode]) == 0
+        default = capsys.readouterr().out
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(config)
+        assert run(["eval", "--mode", mode, "--config", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ("warning: below the far-field threshold inf m: bs_irs_distance=4 m, "
+                       "irs_user_distance=4 m, inter_irs_distance=10 m\n")
+        assert (out == default) == same_report and out.startswith("np = 100\n")
 
     def test_np_defaults_to_scenario_value(self, capsys):
         assert run(["eval", "--mode", "wit"]) == 0
@@ -310,6 +328,34 @@ class TestEvalCommand:
         assert captured.err.count("warning: ") == 1  # the three far-field distances, merged
 
 
+class TestFarFieldThresholdCalls:
+    """Only eval's warnings take the far-field threshold; no budget does, so sweep,
+    figures and validate never take it (eval's one call: TestEvalCommand)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = params.fraunhofer_distance
+        monkeypatch.setattr(params, "fraunhofer_distance",
+                            lambda p: calls.append(p) or original(p))
+        return calls
+
+    @pytest.mark.parametrize("mode", ["wit", "wpt"])
+    def test_evaluate_point_takes_none(self, calls, mode):
+        evaluate_point(mode, SystemParams())
+        assert calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--mode", "wit", "--np", "2:2000:log:20"],
+        ["sweep", "--mode", "wpt", "--np", "2:2000:log:20"],
+        ["figures", "--outdir", "{tmp}"],
+        ["validate", "--oracle-samples", "20"],
+    ], ids=["sweep-wit", "sweep-wpt", "figures", "validate"])
+    def test_sweep_figures_and_validate_take_none(self, calls, capsys, tmp_path, argv):
+        assert run([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 0
+        assert calls == []
+
+
 class TestHopGainOutOfRange:
     """d**(alpha/2) overflows for a huge exponent and underflows to 0 for a tiny
     distance; eval used to end in an OverflowError or ZeroDivisionError traceback."""
@@ -336,21 +382,18 @@ class TestHopGainOutOfRange:
         assert captured.out == ""
 
     @pytest.mark.parametrize("mode", ["wit", "wpt"])
-    def test_far_field_error_names_the_hop_gains_too(self, tmp_path, capsys, mode):
+    def test_huge_spacing_adds_nothing_to_the_hop_gain_error(self, tmp_path, capsys, mode):
+        # the far-field threshold only warns, and with no budget eval prints no warning
         cfg = tmp_path / "hop.cfg"
         cfg.write_text("alpha = 1e300\nspacing = 1e300\n")
         assert run(["eval", "--mode", mode, "--config", str(cfg)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        (error,) = err.splitlines()
-        assert error.startswith("error: invalid system parameters: bs_antennas = 10, ")
-        assert ("element_spacing = 1e+300 and wavelength = 0.085655 put the far-field "
-                "threshold 2 D**2 / wavelength out of double range; ") in error
-        assert error.endswith("path_loss_exponent = 1e+300 and bs_irs_distance = 4 put the hop "
-                              "gain out of double range; path_loss_exponent = 1e+300 and "
-                              "inter_irs_distance = 10 put the hop gain out of double range; "
-                              "path_loss_exponent = 1e+300 and irs_user_distance = 4 put the "
-                              "hop gain out of double range")
+        assert err.splitlines() == [
+            "error: invalid system parameters: path_loss_exponent = 1e+300 and bs_irs_distance "
+            "= 4 put the hop gain out of double range; path_loss_exponent = 1e+300 and "
+            "inter_irs_distance = 10 put the hop gain out of double range; path_loss_exponent "
+            "= 1e+300 and irs_user_distance = 4 put the hop gain out of double range"]
 
     def test_sweep_exits_2_naming_the_exponent_and_the_distance(self, tmp_path, capsys):
         cfg = tmp_path / "hop.cfg"
@@ -393,10 +436,10 @@ class TestInputsAtTheEdgeOfDoubleRange:
         ("pt = 1.7e308\n", ["tx_power", "bs_antennas", "bs_irs_distance"]),
         ("d_b = 1e300\n", ["tx_power", "bs_antennas", "bs_irs_distance"]),
         ("d_u = 1e-300\n", ["amp_power", "airs_elements", "irs_user_distance"]),
-        ("m = 1e300\n", ["bs_antennas", "element_spacing", "wavelength"]),
-        ("spacing = 1e300\n", ["bs_antennas", "element_spacing", "wavelength"]),
-        # one error names the far-field threshold and the constant the same input breaks
-        ("spacing = 1e300\npa = 1.7e308\n", ["element_spacing", "amp_power"]),
+        ("m = 1e300\npt = 1e20\n", ["tx_power", "bs_antennas", "bs_irs_distance",
+                                    "ref_path_gain", "path_loss_exponent"]),
+        # the far-field threshold is out of range too, yet only warns: c_a alone is named
+        ("spacing = 1e300\npa = 1.7e308\n", ["amp_power", "airs_elements", "irs_user_distance"]),
         # the objective overflows; the error names the field set, not only J and N_p
         ("beta0 = 9.25e213\n", ["ref_path_gain"]),
         ("d_i = 7.7235e-179\n", ["inter_irs_distance"]),
@@ -413,9 +456,11 @@ class TestInputsAtTheEdgeOfDoubleRange:
         assert error == lines[-1] and error.endswith("out of double range")
         for key in keys:
             assert f"{key} = " in error
+        # no budget quantity reads the spacing or the wavelength
+        assert "element_spacing" not in error and "wavelength" not in error
 
     @pytest.mark.parametrize("mode", ["wit", "wpt"])
-    @pytest.mark.parametrize("config", ["alpha = 1e300\n", "spacing = 1e300\n",
+    @pytest.mark.parametrize("config", ["alpha = 1e300\n", "m = 1e300\npt = 1e20\n",
                                         "pa = 1.7e308\n", "d_i = 7.7235e-179\n"])
     def test_eval_and_sweep_print_the_same_error(self, tmp_path, capsys, config, mode):
         cfg = tmp_path / "edge.cfg"

@@ -4,13 +4,16 @@ import inspect
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import irschain
+from irschain.params import LinkBudget
 
 MODULES = sorted(Path(irschain.__file__).parent.glob("*.py"))
+PERFBENCH = Path(irschain.__file__).parents[2] / "perfbench"
 
 
 def test_package_binds_only_its_submodules():
@@ -58,6 +61,25 @@ def test_only_params_checks_parameters():
         if name in vars(importlib.import_module(f"irschain.{module}"))
     ]
     assert bound == []
+
+
+def test_every_budget_field_is_read():
+    # the budget holds what the solvers read: each field is read as an attribute
+    # outside the constructor that stores it (perfbench's checks read kappa_i)
+    sources = MODULES + sorted(PERFBENCH.glob("*.py"))
+    assert PERFBENCH / "run.py" in sources
+    read = set()
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        constructor = [node for cls in tree.body
+                       if isinstance(cls, ast.ClassDef) and cls.name == "LinkBudget"
+                       for node in cls.body
+                       if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+        skipped = {node for init in constructor for node in ast.walk(init)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                 and node not in skipped}
+    assert [field.name for field in fields(LinkBudget) if field.name not in read] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from irschain import params as params_module
-from irschain.cli import ConfigError, params_from_config, parse_config_text
+from irschain.cli import ConfigError, evaluate_point, params_from_config, parse_config_text
 from irschain.deployment import agreement_grid
 from irschain.params import (
     MAX_ELEMENTS,
@@ -102,8 +102,7 @@ class TestLinkBudget:
 DEFAULT_BUDGET_REPR = (
     "LinkBudget(kappa_b=0.001769864460960345, kappa_i=0.000707945784384138, "
     "kappa_u=0.001769864460960345, c_a=4.6986303152556797e-08, "
-    "c_t=3.1324202101704526e-05, np_kappa_i=0.0707945784384138, "
-    "far_field=11.863215837999999, f_decreasing=True, "
+    "c_t=3.1324202101704526e-05, np_kappa_i=0.0707945784384138, f_decreasing=True, "
     "log_c_a=-16.873409699994106, log_c_t=-10.371119529120131, "
     "log_np_kappa_i=-2.647972856943152, log_noise_power=-20.72326583694641, "
     "log_signal=-54.00956821833581, log_noise_c_a=-37.596675536940516, "
@@ -138,15 +137,16 @@ class TestLinkBudgetRecord:
         p = SystemParams()
         budget = derive_link_budget(p)
         linear = {name: getattr(budget, name) for name in
-                  ("kappa_b", "kappa_i", "kappa_u", "c_a", "c_t", "np_kappa_i", "far_field")}
-        assert budget.far_field == fraunhofer_distance(p)
+                  ("kappa_b", "kappa_i", "kappa_u", "c_a", "c_t", "np_kappa_i")}
         assert LinkBudget(**linear, p=p) == budget
-        assert LinkBudget(*linear.values(), p) == budget  # the threshold is the seventh
+        assert LinkBudget(*linear.values(), p) == budget  # p is the seventh
+        with pytest.raises(TypeError):
+            LinkBudget(*linear.values(), fraunhofer_distance(p), p)  # no threshold argument
         with pytest.raises(TypeError):
             LinkBudget(**linear)  # p is required
         with pytest.raises(TypeError):
             LinkBudget(**linear, p=p, log_c_a=0.0)  # derived fields are not arguments
-        assert not hasattr(budget, "p")
+        assert not hasattr(budget, "p") and not hasattr(budget, "far_field")
 
 
 class TestHopGainOutOfRange:
@@ -187,24 +187,19 @@ class TestHopGainOutOfRange:
         for key in ("bs_irs_distance", "irs_user_distance"):
             assert (f"and {key} = " in message) == (key in keys)
 
-    def test_far_field_error_names_every_hop_gain_out_of_range(self):
-        # the far-field threshold takes no hop gain, so its error does not hide theirs
+    def test_infinite_far_field_threshold_adds_nothing_to_the_hop_gain_error(self):
+        # the threshold only warns, so a spacing past double range is named nowhere
         p = SystemParams(path_loss_exponent=1e300, element_spacing=1e300)
         assert validate(p) == [] and fraunhofer_distance(p) == math.inf
         with pytest.raises(ValueError) as info:
             derive_link_budget(p)
-        assert str(info.value) == (
-            "invalid system parameters: bs_antennas = 10, airs_elements = 150, "
-            "pirs_elements = 100, element_spacing = 1e+300 and wavelength = 0.085655 put "
-            "the far-field threshold 2 D**2 / wavelength out of double range; " + "; ".join(
-                f"path_loss_exponent = 1e+300 and {key} = {value} put the hop gain out of "
-                "double range" for key, value in (("bs_irs_distance", 4),
-                                                  ("inter_irs_distance", 10),
-                                                  ("irs_user_distance", 4))))
+        assert str(info.value) == "invalid system parameters: " + "; ".join(
+            f"path_loss_exponent = 1e+300 and {key} = {value} put the hop gain out of "
+            "double range" for key, value in (("bs_irs_distance", 4), ("inter_irs_distance", 10),
+                                              ("irs_user_distance", 4)))
 
     def test_other_errors_name_no_hop_gain(self):
-        # with a count wrong, the budget stops before the far-field threshold and the
-        # gains, whatever their range
+        # with a count wrong, the budget stops before the gains, whatever their range
         p = SystemParams(num_irs=0, path_loss_exponent=1e300)
         with pytest.raises(ValueError) as info:
             derive_link_budget(p)
@@ -227,9 +222,9 @@ class TestHopGainOutOfRange:
 
 
 class TestBudgetOutOfRange:
-    """c_a, c_t, np_kappa_i and the far-field threshold out of double range are
-    input errors naming the keys that feed them, never an ArithmeticError, a
-    'math domain error' or an infinite constant."""
+    """c_a, c_t and np_kappa_i out of double range are input errors naming the keys
+    that feed them, never an ArithmeticError, a 'math domain error' or an infinite
+    constant.  The far-field threshold feeds only a warning, so it is never one."""
 
     @pytest.mark.parametrize("changes, quantity", [
         ({"amp_power": 1.7e308}, "c_a"),                   # the product rounds to inf
@@ -261,17 +256,14 @@ class TestBudgetOutOfRange:
         {"element_spacing": 1e300},
         {"wavelength": 1.7e308},                          # d_max rounds to inf, no raise
     ])
-    def test_far_field_threshold_out_of_range_is_an_error(self, changes):
+    def test_far_field_threshold_out_of_range_only_warns(self, changes):
         p = SystemParams(**changes)
         assert fraunhofer_distance(p) == math.inf
         assert validate(p) == []  # each field is in range
-        with pytest.raises(ValueError) as info:  # the hop gains are in range: no more clauses
-            derive_link_budget(p)
-        assert str(info.value) == (
-            f"invalid system parameters: bs_antennas = {p.bs_antennas:g}, airs_elements = 150, "
-            f"pirs_elements = 100, element_spacing = {p.element_spacing:g} and wavelength = "
-            f"{p.wavelength:g} put the far-field threshold 2 D**2 / wavelength out of double "
-            "range")
+        budget = derive_link_budget(p)
+        assert model_warnings(p, budget) == [Diagnostic(
+            "far_field", "below the far-field threshold inf m: bs_irs_distance=4 m, "
+            "irs_user_distance=4 m, inter_irs_distance=10 m")]
 
     @pytest.mark.parametrize("bs_antennas, text", [(10**400, "1e+400"),
                                                    (17 * 10**400, "1.7e+401")],
@@ -284,12 +276,9 @@ class TestBudgetOutOfRange:
         with pytest.raises(ValueError) as info:
             derive_link_budget(p)
         assert str(info.value) == (
-            f"invalid system parameters: bs_antennas = {text}, airs_elements = 150, "
-            "pirs_elements = 100, element_spacing = 0.0428275 and wavelength = 0.085655 put "
-            "the far-field threshold 2 D**2 / wavelength out of double range; tx_power = 1, "
-            f"bs_antennas = {text}, bs_irs_distance = 4, ref_path_gain = 5.01187e-05 and "
-            "path_loss_exponent = 2 put c_t = tx_power * bs_antennas * kappa_b**2 out of "
-            "double range")
+            f"invalid system parameters: tx_power = 1, bs_antennas = {text}, bs_irs_distance = "
+            "4, ref_path_gain = 5.01187e-05 and path_loss_exponent = 2 put c_t = tx_power * "
+            "bs_antennas * kappa_b**2 out of double range")
 
 
 def _edge_params():
@@ -325,33 +314,36 @@ def _edge_params():
     return out + [SystemParams(**c) for c in changes]
 
 
+FAR_FIELD_EXTREMES = [{"element_spacing": 1e300}, {"wavelength": 1e-300},
+                      {"bs_antennas": 10**300}]
+BUDGET_EXTREMES = [{"amp_power": 1.7e308}, {"tx_power": 1.7e308},
+                   {"irs_user_distance": 1e-300}, {"bs_irs_distance": 1e300},
+                   {"ref_path_gain": 1e-300, "inter_irs_distance": 1e300},
+                   {"path_loss_exponent": 1e300}]
+
+
 def _far_field_crosses():
-    """Inputs that take the far-field threshold out of double range, each crossed
-    with inputs that take a budget constant or the hop gains out too."""
-    far = [{"element_spacing": 1e300}, {"wavelength": 1e-300}, {"bs_antennas": 10**300}]
-    rest = [{"amp_power": 1.7e308}, {"tx_power": 1.7e308}, {"irs_user_distance": 1e-300},
-            {"bs_irs_distance": 1e300}, {"ref_path_gain": 1e-300, "inter_irs_distance": 1e300},
-            {"path_loss_exponent": 1e300}]
-    return [SystemParams(**f, **r) for f in far for r in rest]
+    """Inputs that take the far-field threshold to inf or underflow it to 0, each
+    crossed with inputs that take a budget constant or the hop gains out of range."""
+    return [SystemParams(**f, **r) for f in FAR_FIELD_EXTREMES for r in BUDGET_EXTREMES]
 
 
 def _reference_out_of_range(p):
     """The derived quantities of ``p`` out of double range, each from its own float
-    formula, left to right: the far-field threshold, then each hop's path loss
-    d**(alpha/2) or, when all three are in range, c_a, c_t and np_kappa_i."""
-    def outside(formula, low=0.0):
+    formula, left to right: each hop's path loss d**(alpha/2) or, when all three
+    are in range, c_a, c_t and np_kappa_i."""
+    def outside(formula):
         try:
-            return not low < formula() < math.inf
+            return not 0.0 < formula() < math.inf
         except OverflowError:
             return True
 
-    failed = ["far_field"] if outside(lambda: _reference_fraunhofer_distance(p), -1.0) else []
     hops = {"kappa_b": p.bs_irs_distance, "kappa_i": p.inter_irs_distance,
             "kappa_u": p.irs_user_distance}
     gains = [name for name, d in hops.items()
              if outside(lambda: d ** (p.path_loss_exponent / 2.0))]
     if gains:
-        return failed + gains
+        return gains
     kappa = {name: math.sqrt(p.ref_path_gain) / d ** (p.path_loss_exponent / 2.0)
              for name, d in hops.items()}
     constants = {
@@ -359,13 +351,13 @@ def _reference_out_of_range(p):
         "c_t": lambda: p.tx_power * p.bs_antennas * kappa["kappa_b"] ** 2,
         "np_kappa_i": lambda: p.pirs_elements * kappa["kappa_i"],
     }
-    return failed + [name for name, formula in constants.items() if outside(formula)]
+    return [name for name, formula in constants.items() if outside(formula)]
 
 
 class TestValidateErrorsOnly:
-    """``validate(p)`` checks the fields only, each error named by its field, and
-    ``model_warnings(p, budget)`` reads the threshold ``budget.far_field`` rather
-    than taking its own, for every ``p`` whose budget ``derive_link_budget(p)`` derives."""
+    """``validate(p)`` checks the fields only, each error named by its field;
+    ``derive_link_budget(p)`` never takes the far-field threshold, and
+    ``model_warnings(p, budget)`` takes it once, for every ``p`` whose budget derives."""
 
     FIELDS = {f.name for f in fields(SystemParams)}
 
@@ -373,15 +365,19 @@ class TestValidateErrorsOnly:
     def _assert_apart(cls, p):
         errors = validate(p)
         assert {d.name for d in errors} <= cls.FIELDS
-        try:
-            budget = derive_link_budget(p)
-        except ValueError:
-            return None  # no budget, so no warnings: eval prints the error alone
-        assert errors == []
-        assert budget.far_field == fraunhofer_distance(p)
+        calls = []
+        threshold = params_module.fraunhofer_distance
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(params_module, "fraunhofer_distance", None)  # a call would raise
+            patch.setattr(params_module, "fraunhofer_distance",
+                          lambda q: calls.append(q) or threshold(q))
+            try:
+                budget = derive_link_budget(p)
+            except ValueError:
+                assert calls == []
+                return None  # no budget, so no warnings: eval prints the error alone
+            assert errors == [] and calls == []
             warnings = model_warnings(p, budget)
+        assert calls == [p]
         assert {d.name for d in warnings} <= {"far_field", "f_non_decreasing"}
         return warnings
 
@@ -438,19 +434,17 @@ class TestOneErrorNamesEveryQuantity:
                     "; ".join(d.message for d in errors) if errors
                     else out_of_range_message(p, *expected)), p
             else:
-                assert derive_link_budget(p).far_field == _reference_fraunhofer_distance(p)
+                assert isinstance(derive_link_budget(p), LinkBudget)
             named.update(expected)
-        assert set(named) == {"far_field", "kappa_b", "kappa_i", "kappa_u", "c_a", "c_t",
-                              "np_kappa_i"}
-        # a huge spacing or array names the threshold and one more quantity; a tiny
-        # wavelength does not, since the spacing follows it and 2 D**2 / wavelength
-        # underflows to 0
-        for p in _far_field_crosses():
-            names = _reference_out_of_range(p)
-            if p.wavelength == 1e-300:
-                assert "far_field" not in names and names, p
-            else:
-                assert names[0] == "far_field" and len(names) > 1, p
+        assert set(named) == {"kappa_b", "kappa_i", "kappa_u", "c_a", "c_t", "np_kappa_i"}
+        # each cross names what its budget half names alone: a far-field extreme
+        # adds no clause, though each takes the threshold to inf or underflows it to 0
+        for far in FAR_FIELD_EXTREMES:
+            for rest in BUDGET_EXTREMES:
+                p = SystemParams(**far, **rest)
+                assert fraunhofer_distance(p) in (0.0, math.inf), p
+                names = _reference_out_of_range(p)
+                assert names and names == _reference_out_of_range(SystemParams(**rest)), p
 
 
 class TestSystemParams:
@@ -529,12 +523,12 @@ class TestValidate:
         assert threshold == pytest.approx(2 * (math.hypot(9, 14) * p.element_spacing) ** 2
                                           / p.wavelength)
         # all three distances sit below the default threshold here: one warning names them
-        assert validate(p) == [] and derive_link_budget(p).far_field == threshold
+        assert validate(p) == []
         warnings = [d for d in model_warnings(p, derive_link_budget(p)) if d.name == "far_field"]
-        assert len(warnings) == 1
-        for part in ("bs_irs_distance=4 m", "irs_user_distance=4 m",
-                     "inter_irs_distance=10 m", f"{threshold:.3g} m"):
-            assert part in warnings[0].message
+        assert [d.message for d in warnings] == [
+            "below the far-field threshold 11.9 m: bs_irs_distance=4 m, irs_user_distance=4 m, "
+            "inter_irs_distance=10 m"]
+        assert f"{threshold:.3g}" == "11.9"
         # distances at the threshold itself are far-field
         at = replace(p, bs_irs_distance=threshold, irs_user_distance=threshold,
                      inter_irs_distance=threshold)
@@ -665,14 +659,28 @@ class TestFarFieldBitIdentity:
         assert fraunhofer_distance(array) == 2.0 * (63 * array.element_spacing) ** 2 \
             / array.wavelength
 
-    def test_out_of_range_text_is_unchanged(self):
+    def test_out_of_range_threshold_warns_of_every_hop(self):
         p = SystemParams(element_spacing=1e300)
         assert fraunhofer_distance(p) == math.inf
-        with pytest.raises(ValueError) as info:
-            derive_link_budget(p)
-        assert str(info.value) == (
-            "invalid system parameters: bs_antennas = 10, airs_elements = 150, "
-            "pirs_elements = 100, element_spacing = 1e+300 and wavelength = 0.085655 put the "
-            "far-field threshold 2 D**2 / wavelength out of double range")
+        # the budget reads no spacing, so it is the defaults' own
+        assert derive_link_budget(p) == derive_link_budget(SystemParams())
+        assert [d.message for d in model_warnings(p, derive_link_budget(p))] == [
+            "below the far-field threshold inf m: bs_irs_distance=4 m, irs_user_distance=4 m, "
+            "inter_irs_distance=10 m"]
         with pytest.raises(OverflowError):
             _reference_fraunhofer_distance(p)  # the same square leaves double range
+
+
+class TestFarFieldOnlyWarns:
+    """The closed forms read neither the spacing nor the wavelength, so no value of
+    either fails the budget or moves a row, however far it takes the far-field
+    threshold, which feeds only ``model_warnings``."""
+
+    LOG_UNIFORM = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+
+    @given(spacing=LOG_UNIFORM, wavelength=LOG_UNIFORM)
+    def test_budget_and_rows_ignore_spacing_and_wavelength(self, spacing, wavelength):
+        p = SystemParams(element_spacing=spacing, wavelength=wavelength)
+        assert derive_link_budget(p) == derive_link_budget(SystemParams())
+        for mode in ("wit", "wpt"):
+            assert evaluate_point(mode, p) == evaluate_point(mode, SystemParams())
