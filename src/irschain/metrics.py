@@ -8,8 +8,9 @@ position-independent logs come from the ``LinkBudget`` the caller
 passes.  A position is one ``objective`` call (``snr_closed`` and
 ``power_closed`` are its named forms), which calls only math functions:
 an inline index test, a multiply-add per position-dependent term, each
-sum shifted by its largest term, and three exps for the SNR's
-denominator fsum and one for the ratio, or three in all for the power.
+sum shifted by its largest term, and three exps for the SNR's denominator
+fsum and one for the ratio.  The power takes one exp for the ratio and two
+more only when a sum's partner term exceeds NEGLIGIBLE_LOG.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ WIT = "wit"  # information transfer: maximize receiver SNR
 WPT = "wpt"  # power transfer: maximize received signal-plus-noise power
 
 MODES = (WIT, WPT)
+
+NEGLIGIBLE_LOG = -38.0  # exp(-38) ~ 3.1e-17 < 2**-54: 1.0 + exp(x <= this) rounds to 1.0
 
 
 def check_mode(mode: str) -> None:
@@ -68,19 +71,22 @@ def objective(mode: str, p: SystemParams, airs_index: int, budget: LinkBudget) -
         signal = budget.log_signal
         incident = budget.log_c_t + 2.0 * (l - 1) * log_npk
         # Each sum is shifted by its larger term, whose exp is exp(0.0) == 1.0
-        # exactly, so only the other term needs an exp.  One IEEE addition is
-        # correctly rounded and commutes, so 1.0 + e equals fsum of both exps,
-        # and a tie still gives 2.0.
+        # exactly, so only its partner t (u) needs an exp.  One IEEE addition is
+        # correctly rounded and commutes, so 1.0 + exp(t) equals fsum of both exps,
+        # and a tie still gives 2.0.  With both partners <= NEGLIGIBLE_LOG the
+        # factor is exactly 1.0 / 1.0, so it is skipped: one exp, the same bits.
         if signal >= amp:
-            m_num, num = signal, 1.0 + math.exp(amp - signal)
+            m_num, t = signal, amp - signal
         else:
-            m_num, num = amp, 1.0 + math.exp(signal - amp)
+            m_num, t = amp, signal - amp
         if incident >= log_s2:
-            m_den, den = incident, 1.0 + math.exp(log_s2 - incident)
+            m_den, u = incident, log_s2 - incident
         else:
-            m_den, den = log_s2, 1.0 + math.exp(incident - log_s2)
-        watts = math.exp(m_num - m_den) * (num / den)
-        if watts < math.inf:  # num / den is up to 2: a finite exp can still round to inf
+            m_den, u = log_s2, incident - log_s2
+        watts = math.exp(m_num - m_den)
+        if t > NEGLIGIBLE_LOG or u > NEGLIGIBLE_LOG:
+            watts *= (1.0 + math.exp(t)) / (1.0 + math.exp(u))
+        if watts < math.inf:  # the factor is up to 2: a finite exp can still round to inf
             return watts
     except OverflowError:
         pass

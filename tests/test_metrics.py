@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from irschain import metrics as metrics_module
 from irschain.beamforming import optimal_configuration
@@ -387,6 +387,16 @@ def _reference_branch_counts(configs):
             counts["wpt signal >= amp" if signal >= amp else "wpt signal < amp"] += 1
             counts["wpt incident >= noise" if incident >= log_s2 else "wpt incident < noise"] += 1
             counts["wit max " + ("amp", "awgn", "floor")[wit_terms.index(max(wit_terms))]] += 1
+            # each power sum's partner: its smaller term, shifted by its larger
+            t = min(signal, amp) - max(signal, amp)
+            u = min(incident, log_s2) - max(incident, log_s2)
+            cut = metrics_module.NEGLIGIBLE_LOG
+            counts["wpt num partner " + ("live" if t > cut else "negligible")] += 1
+            counts["wpt den partner " + ("live" if u > cut else "negligible")] += 1
+            if t <= cut and u <= cut:
+                counts["wpt both partners negligible"] += 1
+            if abs(t - cut) <= 1.0 or abs(u - cut) <= 1.0:
+                counts["wpt a partner within 1 nat of the cut"] += 1
     return counts
 
 
@@ -398,6 +408,9 @@ class TestBitIdentityCoverage:
             "wpt signal >= amp": 15694, "wpt signal < amp": 35536,
             "wpt incident >= noise": 13628, "wpt incident < noise": 37602,
             "wit max amp": 5006, "wit max awgn": 10885, "wit max floor": 35339,
+            "wpt num partner live": 21054, "wpt num partner negligible": 30176,
+            "wpt den partner live": 20697, "wpt den partner negligible": 30533,
+            "wpt both partners negligible": 29845, "wpt a partner within 1 nat of the cut": 672,
         }
 
 
@@ -442,3 +455,60 @@ class TestSnrProperties:
         swapped = replace(p, tx_power=p.amp_power, amp_power=p.tx_power)
         mirrored = optimal_index("wit", swapped, derive_link_budget(swapped)).objectives[::-1]
         assert optimal_index("wit", p, derive_link_budget(p)).objectives == mirrored
+
+
+# the power's property is drawn wider: J <= 400, np 2..20000 and +-40 dB
+_DB40 = st.floats(min_value=-40.0, max_value=40.0)
+
+
+class TestNegligiblePartner:
+    """The power skips its two partner exps when both partners are at most
+    ``NEGLIGIBLE_LOG``: there 1.0 + exp(partner) rounds to exactly 1.0."""
+
+    def test_the_cut_is_negligible_beside_one_and_two_nats_above_it_is_not(self):
+        cut = metrics_module.NEGLIGIBLE_LOG
+        assert 1.0 + math.exp(cut) == 1.0
+        assert 1.0 + math.exp(cut + 2.0) > 1.0
+
+    class _CountingMath:
+        """``math``, with its exp calls counted."""
+
+        def __init__(self):
+            self.exps = 0
+
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def exp(self, x):
+            self.exps += 1
+            return math.exp(x)
+
+    # default scenario, J = 20: the partners fall by about 5.3 nats per position
+    # from position 4, so position 11 keeps one live (t = -37.6) and 12 has none
+    @pytest.mark.parametrize("l, exps", [(3, 3), (4, 3), (11, 3), (12, 1), (20, 1)])
+    def test_one_exp_when_both_partners_are_negligible_else_three(self, monkeypatch, l, exps):
+        p = SystemParams(num_irs=20)
+        budget = derive_link_budget(p)
+        want = _reference_objective("wpt", p, budget, l)
+        counting = self._CountingMath()
+        monkeypatch.setattr(metrics_module, "math", counting)
+        assert power_closed(p, l, budget).hex() == want.hex()
+        assert counting.exps == exps
+
+    @settings(deadline=None)
+    @given(st.integers(1, 400), st.integers(2, 20000), st.integers(1, 2000),
+           _DB40, _DB40, _DB40)
+    @example(300, 20000, 1, 0.0, 0.0, 0.0)  # positions 1..161 leave double range, the rest not
+    def test_power_matches_the_reference_bit_for_bit(self, j, n_p, airs, pt_db, pa_db, s2_db):
+        p = _drawn_params(j, n_p, pt_db, pa_db, s2_db, airs_elements=airs, airs_grid=None)
+        budget = derive_link_budget(p)
+        for l in [*range(1, j + 1), (j + 1) / 2.0]:
+            try:
+                want = _reference_objective("wpt", p, budget, l)
+            except OverflowError:  # out of double range: the library must refuse it too
+                want = math.inf
+            if want == math.inf:
+                with pytest.raises(ValueError, match="out of double range"):
+                    power_closed(p, l, budget)
+            else:
+                assert power_closed(p, l, budget).hex() == want.hex(), l

@@ -43,6 +43,9 @@ SYMBOLS = {**{a: s for a, _, s, _ in _PAIRS}, **{b: s for _, b, _, s in _PAIRS}}
 # (file name, enclosing function, comparison as ast.unparse writes it, flipped operator)
 _TIE = ("on a tie both branches take the same value as the shift, so every bit of "
         "the result is unchanged")
+_NEGLIGIBLE = ("at exactly NEGLIGIBLE_LOG the flip computes the factor the code skips, and "
+               "1.0 + exp(-38.0) rounds to 1.0, so that factor is 1.0 / 1.0 and the watts "
+               "keep every bit")
 EQUIVALENT = {
     ("metrics.py", "objective", "amp >= awgn", ">"):
         f"the SNR's first shift choice, max(amp, awgn); {_TIE}",
@@ -50,10 +53,14 @@ EQUIVALENT = {
         f"the SNR's second shift choice, max(m, floor); {_TIE}",
     ("metrics.py", "objective", "signal >= amp", ">"):
         "the power's numerator shift; on a tie either branch gives m_num = signal = amp "
-        "and num = 1.0 + exp(0.0) = 2.0",
+        "and the partner t = 0.0",
     ("metrics.py", "objective", "incident >= log_s2", ">"):
         "the power's denominator shift; on a tie either branch gives m_den = incident "
-        "= log_s2 and den = 1.0 + exp(0.0) = 2.0",
+        "= log_s2 and the partner u = 0.0",
+    ("metrics.py", "objective", "t > NEGLIGIBLE_LOG", ">="):
+        f"the power's numerator partner test; {_NEGLIGIBLE}",
+    ("metrics.py", "objective", "u > NEGLIGIBLE_LOG", ">="):
+        f"the power's denominator partner test; {_NEGLIGIBLE}",
     # the one panel-diagonal test in fraunhofer_distance, run once per grid
     ("params.py", "fraunhofer_distance", "aperture > d_max", ">="):
         "a running max(d_max, aperture); on a tie both are the same non-negative float, "
