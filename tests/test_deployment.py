@@ -119,7 +119,9 @@ class TestObjectiveVector:
             assert sol.brute_force_index == first_argmax
             assert sol.objective == sol.objectives[sol.airs_index - 1]
 
-    @pytest.mark.parametrize("mode", [WIT, WPT])
+    # a power solve makes no objective call: TestNegligiblePartner in test_metrics
+    # counts its exps instead
+    @pytest.mark.parametrize("mode", [WIT])
     @pytest.mark.parametrize("num_irs", [1, 2, 7, 40])
     def test_one_objective_call_per_position(self, monkeypatch, mode, num_irs):
         calls = []

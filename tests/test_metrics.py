@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from irschain import deployment as deployment_module
 from irschain import metrics as metrics_module
 from irschain.beamforming import optimal_configuration
 from irschain.channel import (
@@ -367,6 +368,15 @@ class TestBudgetBitIdentity:
             assert b.f_decreasing is (want["np_kappa_i"] < 1.0), p
 
 
+def _reference_partners(p, budget, index):
+    """Each power sum's partner: its smaller term's log minus its larger's."""
+    log_npk, log_ca, log_ct, log_s2, j, l = _reference_log_terms(p, budget, index)
+    signal = log_ca + log_ct + math.log(p.airs_elements) + 2.0 * (j - 1) * log_npk
+    amp = log_s2 + log_ca + 2.0 * (j - l) * log_npk
+    incident = log_ct + 2.0 * (l - 1) * log_npk
+    return min(signal, amp) - max(signal, amp), min(incident, log_s2) - max(incident, log_s2)
+
+
 def _reference_branch_counts(configs):
     """How often each comparison of the closed forms goes each way.
 
@@ -387,9 +397,7 @@ def _reference_branch_counts(configs):
             counts["wpt signal >= amp" if signal >= amp else "wpt signal < amp"] += 1
             counts["wpt incident >= noise" if incident >= log_s2 else "wpt incident < noise"] += 1
             counts["wit max " + ("amp", "awgn", "floor")[wit_terms.index(max(wit_terms))]] += 1
-            # each power sum's partner: its smaller term, shifted by its larger
-            t = min(signal, amp) - max(signal, amp)
-            u = min(incident, log_s2) - max(incident, log_s2)
+            t, u = _reference_partners(p, b, index)
             cut = metrics_module.NEGLIGIBLE_LOG
             counts["wpt num partner " + ("live" if t > cut else "negligible")] += 1
             counts["wpt den partner " + ("live" if u > cut else "negligible")] += 1
@@ -495,6 +503,25 @@ class TestNegligiblePartner:
         assert power_closed(p, l, budget).hex() == want.hex()
         assert counting.exps == exps
 
+    # default scenario: every position has a live partner up to J = 11; at J = 40
+    # positions 1..11 make 3 exps and 12..40 make 1
+    @pytest.mark.parametrize("num_irs, exps", [(1, 3), (2, 6), (7, 21), (40, 62)])
+    def test_a_power_solve_pays_each_position_once(self, monkeypatch, num_irs, exps):
+        p = SystemParams(num_irs=num_irs)
+        budget = derive_link_budget(p)
+        cut = metrics_module.NEGLIGIBLE_LOG
+        assert exps == sum(1 if max(_reference_partners(p, budget, l)) <= cut else 3
+                           for l in range(1, num_irs + 1))
+
+        def no_call(*args):
+            raise AssertionError("a power solve called objective")
+
+        counting = self._CountingMath()
+        monkeypatch.setattr(deployment_module, "objective", no_call)
+        monkeypatch.setattr(metrics_module, "math", counting)
+        optimal_index("wpt", p, budget)
+        assert counting.exps == exps
+
     @settings(deadline=None)
     @given(st.integers(1, 400), st.integers(2, 20000), st.integers(1, 2000),
            _DB40, _DB40, _DB40)
@@ -502,13 +529,25 @@ class TestNegligiblePartner:
     def test_power_matches_the_reference_bit_for_bit(self, j, n_p, airs, pt_db, pa_db, s2_db):
         p = _drawn_params(j, n_p, pt_db, pa_db, s2_db, airs_elements=airs, airs_grid=None)
         budget = derive_link_budget(p)
+        wants = []
         for l in [*range(1, j + 1), (j + 1) / 2.0]:
             try:
                 want = _reference_objective("wpt", p, budget, l)
             except OverflowError:  # out of double range: the library must refuse it too
                 want = math.inf
             if want == math.inf:
-                with pytest.raises(ValueError, match="out of double range"):
+                with pytest.raises(ValueError, match="out of double range") as refused:
                     power_closed(p, l, budget)
+                out_of_range = str(refused.value)
             else:
                 assert power_closed(p, l, budget).hex() == want.hex(), l
+            wants.append(want)
+        # the solve: the same bits at every position, or, when any position leaves
+        # double range, the same error
+        if math.inf in wants[:j]:
+            with pytest.raises(ValueError) as refused:
+                optimal_index("wpt", p, budget)
+            assert str(refused.value) == out_of_range
+        else:
+            got = optimal_index("wpt", p, budget).objectives
+            assert [v.hex() for v in got] == [v.hex() for v in wants[:j]]

@@ -51,15 +51,15 @@ EQUIVALENT = {
         f"the SNR's first shift choice, max(amp, awgn); {_TIE}",
     ("metrics.py", "objective", "m >= floor", ">"):
         f"the SNR's second shift choice, max(m, floor); {_TIE}",
-    ("metrics.py", "objective", "signal >= amp", ">"):
+    ("metrics.py", "power_values", "signal >= amp", ">"):
         "the power's numerator shift; on a tie either branch gives m_num = signal = amp "
         "and the partner t = 0.0",
-    ("metrics.py", "objective", "incident >= log_s2", ">"):
+    ("metrics.py", "power_values", "incident >= log_s2", ">"):
         "the power's denominator shift; on a tie either branch gives m_den = incident "
         "= log_s2 and the partner u = 0.0",
-    ("metrics.py", "objective", "t > NEGLIGIBLE_LOG", ">="):
+    ("metrics.py", "power_values", "t > NEGLIGIBLE_LOG", ">="):
         f"the power's numerator partner test; {_NEGLIGIBLE}",
-    ("metrics.py", "objective", "u > NEGLIGIBLE_LOG", ">="):
+    ("metrics.py", "power_values", "u > NEGLIGIBLE_LOG", ">="):
         f"the power's denominator partner test; {_NEGLIGIBLE}",
     # the one panel-diagonal test in fraunhofer_distance, run once per grid
     ("params.py", "fraunhofer_distance", "aperture > d_max", ">="):
