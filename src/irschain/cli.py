@@ -31,6 +31,7 @@ from .params import (
     derive_link_budget,
     linear_to_db,
     model_warnings,
+    out_of_range_message,
     watts_to_dbm,
 )
 
@@ -211,23 +212,30 @@ def parse_sweep(text: str) -> list[int]:
 _LOG_UNITS = {metrics.WIT: ("db", linear_to_db), metrics.WPT: ("dbm", watts_to_dbm)}
 
 
+def _in_db(mode: str, p: SystemParams, value: float, quantity: str = "objective") -> str:
+    """``value`` in dB (wit) or dBm (wpt); one that underflowed to 0.0 names its fields."""
+    if value == 0.0:
+        raise ValueError(out_of_range_message(p, quantity))
+    return _fmt(_LOG_UNITS[mode][1](value))
+
+
 def evaluate_point(mode: str, p: SystemParams) -> dict[str, object]:
     """All columns of one sweep row; eval prints the same mapping."""
     return _row(mode, p, derive_link_budget(p))
 
 
 def _row(mode: str, p: SystemParams, budget) -> dict[str, object]:
-    sol = deployment.optimal_index(mode, p, budget)
-    to_db = _LOG_UNITS[mode][1]  # after the solve, which rejects an unknown mode
+    sol = deployment.optimal_index(mode, p, budget)  # before _in_db: it rejects an unknown mode
     return {
         "np": p.pirs_elements,
         "mode": mode,
         "l_star": sol.airs_index,
         "case": sol.case,
         "objective_linear": _fmt(sol.objective),
-        "objective_db": _fmt(to_db(sol.objective)),
-        "mid_objective_db": _fmt(to_db(sol.middle_objective)),
-        "all_pirs_objective_db": _fmt(to_db(deployment.scheme_all_pirs(mode, p, budget))),
+        "objective_db": _in_db(mode, p, sol.objective),
+        "mid_objective_db": _in_db(mode, p, sol.middle_objective),
+        "all_pirs_objective_db": _in_db(mode, p, deployment.scheme_all_pirs(mode, p, budget),
+                                        "all_pirs"),
         "brute_force_l": sol.brute_force_index,
         "agrees": "true" if sol.brute_force_agrees else "false",
         "_relaxed_index": sol.relaxed_index,
@@ -344,16 +352,14 @@ def figure_rows(base: SystemParams) -> tuple[list[dict], list[dict], list[dict]]
         for mode in metrics.MODES:
             sol = deployment.optimal_index(mode, p, budget)
             index_row[f"{mode}_l_star"] = sol.airs_index
-            schemes = {
-                "optimal": sol.objective,
-                "final": sol.objectives[-1],
-                "middle": sol.middle_objective,
-                "all_pirs": deployment.scheme_all_pirs(mode, p, budget),
-            }
-            unit, to_db = _LOG_UNITS[mode]
-            objective_rows[mode].append({"np": n_p, **{
-                f"{name}_{unit}": _fmt(to_db(value))
-                for name, value in schemes.items()}})
+            unit = _LOG_UNITS[mode][0]
+            schemes = {"optimal": sol.objective, "final": sol.objectives[-1],
+                       "middle": sol.middle_objective}
+            row = {"np": n_p, **{f"{name}_{unit}": _in_db(mode, p, value)
+                                 for name, value in schemes.items()}}
+            row[f"all_pirs_{unit}"] = _in_db(mode, p, deployment.scheme_all_pirs(mode, p, budget),
+                                             "all_pirs")
+            objective_rows[mode].append(row)
         index_rows.append(index_row)
     return index_rows, objective_rows[metrics.WIT], objective_rows[metrics.WPT]
 

@@ -71,11 +71,13 @@ def _wit_closed_form(budget: LinkBudget, j: int,
     (J+1)/2 + log(c_a/c_t) / (4 log(np_kappa_i)); the integer answer is
     the better of its floor/ceil neighbours, each clamped to [1, J].  A
     stationary point at or beyond a boundary thus gives the boundary
-    index: J in case I, 1 in case III.
+    index: J in case I, 1 in case III.  It is clamped before rounding, since
+    the finite logs' difference can round to inf, and inf/inf to nan, which
+    floor and ceil reject; max(1.0, nan) puts nan at 1.
     """
-    if budget.c_a < budget.c_t:
+    if budget.log_c_a < budget.log_c_t:
         case = "I"
-    elif budget.c_a > budget.c_t:
+    elif budget.log_c_a > budget.log_c_t:
         case = "III"
     else:
         case = "II"
@@ -83,8 +85,8 @@ def _wit_closed_form(budget: LinkBudget, j: int,
         return 1, case, None
 
     relaxed = (j + 1) / 2.0 + (budget.log_c_a - budget.log_c_t) / (4.0 * budget.log_np_kappa_i)
-    lo = min(max(math.floor(relaxed), 1), j)
-    hi = min(max(math.ceil(relaxed), 1), j)
+    clamped = max(1.0, min(relaxed, float(j)))
+    lo, hi = math.floor(clamped), math.ceil(clamped)
     best = hi if objectives[hi - 1] > objectives[lo - 1] else lo  # ties keep lo
     return best, case, relaxed
 
@@ -141,15 +143,18 @@ def scheme_middle(mode: str, p: SystemParams, budget: LinkBudget) -> float:
 
 
 def _log_all_pirs_power(p: SystemParams, budget: LinkBudget) -> float:
-    """Log of the all-passive chain's received power (watts), boosted transmitter."""
-    boosted = p.tx_power + p.airs_elements * p.amp_power
-    if boosted == math.inf:  # a finite sum can round to inf, whose log and exp raise nothing
-        raise ValueError(out_of_range_message(p, "all_pirs"))
+    """Log of the all-passive chain's received power (watts), boosted transmitter.
+
+    log(tx_power + airs_elements * amp_power) is a logaddexp shifted by its larger term
+    (Blanchard, Higham & Higham, IMA J. Numer. Anal. 2021): the sum, which can round to
+    inf, never forms, so only ``scheme_all_pirs``'s exp can leave double range."""
+    log_tx, log_amp = math.log(p.tx_power), math.log(p.airs_elements) + math.log(p.amp_power)
+    hi, lo = (log_tx, log_amp) if log_tx >= log_amp else (log_amp, log_tx)
     return (
-        math.log(boosted)
+        hi + math.log1p(math.exp(lo - hi))
         + math.log(p.bs_antennas)
-        + 2.0 * math.log(budget.kappa_b)
-        + 2.0 * math.log(budget.kappa_u)
+        + 2.0 * budget.log_kappa_b
+        + 2.0 * budget.log_kappa_u
         + 2.0 * math.log(p.pirs_elements)
         + 2.0 * (p.num_irs - 1) * budget.log_np_kappa_i
     )

@@ -49,7 +49,7 @@ def power_closed(p: SystemParams, airs_index: int, budget: LinkBudget) -> float:
 def objective(mode: str, p: SystemParams, airs_index: int, budget: LinkBudget) -> float:
     """SNR ("wit") or received watts ("wpt") at one active-surface position.
 
-    ``airs_index`` may be real, as (J+1)/2.  An overflow (of the final exp, or the power's
+    ``airs_index`` may be real, as (J+1)/2.  An overflow (of an exp, a log term or the power's
     product to inf) raises ``ValueError`` naming every field that feeds the objective.
     """
     if mode != WIT and mode != WPT:
@@ -69,7 +69,9 @@ def objective(mode: str, p: SystemParams, airs_index: int, budget: LinkBudget) -
         m = m if m >= floor else floor
         # fsum, not sum: a plain 3-term sum rounds differently, and sub-ulp gaps decide ties
         den = math.fsum((math.exp(amp - m), math.exp(awgn - m), math.exp(floor - m)))
-        return math.exp(budget.log_signal - m) * (1.0 / den)
+        snr = math.exp(budget.log_signal - m) * (1.0 / den)
+        if not math.isnan(snr):  # nan when amp or awgn, a sum of finite logs, rounds to inf
+            return snr
     except OverflowError:
         pass
     raise ValueError(out_of_range_message(p, "objective"))

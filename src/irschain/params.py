@@ -1,8 +1,9 @@
 """System parameters and derived link-budget constants.
 
-Everything internal runs in linear SI units (watts, meters, dimensionless
-gains); dB and dBm appear only at I/O boundaries, which keeps products of
-many per-hop attenuations free of mixed-unit mistakes.
+The fields are linear SI units (watts, meters, dimensionless gains); dB and
+dBm appear only at I/O boundaries.  The link budget holds natural logs, each
+a sum of field logs, so no product of per-hop gains is formed that could
+leave double range before its log is taken.
 """
 
 from __future__ import annotations
@@ -109,37 +110,29 @@ class SystemParams:
 
 @dataclass(frozen=True, init=False)
 class LinkBudget:
-    """Per-hop amplitude gains and the composite constants they induce.
+    """Natural logs of the per-hop gains and the constants they induce.
 
-    kappa_b / kappa_i / kappa_u are the amplitude (not power) gains of the
-    transmitter->surface-1, inter-surface, and surface-J->receiver hops.
-    c_t = tx_power * bs_antennas * kappa_b**2 collects the transmit side,
-    c_a = amp_power * airs_elements * kappa_u**2 the active-surface side.
-    np_kappa_i = pirs_elements * kappa_i is the one-hop passive relay
-    factor; the closed-form placement results require np_kappa_i < 1
-    (``f_decreasing``), where per-hop attenuation beats the passive
-    beamforming gain.  The ``log_*`` fields are log(c_a), log(c_t),
-    log(np_kappa_i), ``log_noise_power`` = log(noise_power) and
-    ``log_signal`` = log c_a + log c_t + log(airs_elements)
-    + 2(J-1) log(np_kappa_i), added in that order: the log received signal
-    power, the same at every position.  The closed forms' other
-    position-independent sums are ``log_noise_c_a`` = log(noise_power)
-    + log c_a, ``log_noise_c_t`` = log(noise_power) + log c_t and
-    ``log_noise_floor`` = 2 log(noise_power); each is the first addition
-    of a left-to-right sum in the objectives, so taking it here changes no
-    bit.  The written-out ``__init__`` takes the six linear fields and ``p``
-    (a constructor argument only, supplying noise_power, airs_elements and
-    J), derives the other nine and stores all fifteen in one step; the
-    record is still frozen and compares, hashes and prints all fifteen.
+    log_kappa_b / log_kappa_u: the transmitter->surface-1 and surface-J->receiver hops'
+    amplitude (not power) gains, log kappa = log(ref_path_gain) / 2 - (path_loss_exponent / 2)
+    log d.  log_c_t = log tx_power + log bs_antennas + 2 log_kappa_b; log_c_a = log amp_power
+    + log airs_elements + 2 log_kappa_u; log_np_kappa_i = log(pirs_elements
+    * sqrt(ref_path_gain)) - (path_loss_exponent / 2) log d, the log of the one-hop passive
+    relay factor x, which the closed-form placement needs below 1 (``f_decreasing``).
+    ``kappa_i`` is exp(log_np_kappa_i - log pirs_elements), inf past double range.
+    ``log_signal`` = log_c_a + log_c_t + log(airs_elements) + 2(J-1) log_np_kappa_i, in that
+    order, is the log received signal power at every position; it is finite only when those
+    three logs are, and then so is every other.  ``log_noise_c_a`` / ``log_noise_c_t`` add
+    log(noise_power) to log_c_a / log_c_t and ``log_noise_floor`` is 2 log(noise_power): each
+    is the first addition of a left-to-right sum in the objectives, so taking it here changes
+    no bit.  The written-out ``__init__`` takes log_kappa_b, log_np_kappa_i, log_kappa_u and
+    ``p`` (an argument only) and stores all twelve fields in one step; the record is still
+    frozen and compares, hashes and prints all twelve.
     """
 
-    kappa_b: float
     kappa_i: float
-    kappa_u: float
-    c_a: float
-    c_t: float
-    np_kappa_i: float
     f_decreasing: bool
+    log_kappa_b: float
+    log_kappa_u: float
     log_c_a: float
     log_c_t: float
     log_np_kappa_i: float
@@ -149,20 +142,23 @@ class LinkBudget:
     log_noise_c_t: float
     log_noise_floor: float
 
-    def __init__(self, kappa_b: float, kappa_i: float, kappa_u: float, c_a: float,
-                 c_t: float, np_kappa_i: float, p: SystemParams):
-        log_c_a = math.log(c_a)
-        log_c_t = math.log(c_t)
-        log_np_kappa_i = math.log(np_kappa_i)
+    def __init__(self, log_kappa_b: float, log_np_kappa_i: float, log_kappa_u: float,
+                 p: SystemParams):
+        log_airs = math.log(p.airs_elements)
+        log_c_a = math.log(p.amp_power) + log_airs + 2.0 * log_kappa_u
+        log_c_t = math.log(p.tx_power) + math.log(p.bs_antennas) + 2.0 * log_kappa_b
         log_noise_power = math.log(p.noise_power)
+        try:  # the one linear field
+            kappa_i = math.exp(log_np_kappa_i - math.log(p.pirs_elements))
+        except OverflowError:
+            kappa_i = math.inf
         # one dict update instead of a frozen object.__setattr__ per field
         vars(self).update(
-            kappa_b=kappa_b, kappa_i=kappa_i, kappa_u=kappa_u, c_a=c_a, c_t=c_t,
-            np_kappa_i=np_kappa_i, f_decreasing=np_kappa_i < 1.0,
+            kappa_i=kappa_i, f_decreasing=log_np_kappa_i < 0.0,
+            log_kappa_b=log_kappa_b, log_kappa_u=log_kappa_u,
             log_c_a=log_c_a, log_c_t=log_c_t, log_np_kappa_i=log_np_kappa_i,
             log_noise_power=log_noise_power,
-            log_signal=(log_c_a + log_c_t + math.log(p.airs_elements)
-                        + 2.0 * (p.num_irs - 1) * log_np_kappa_i),
+            log_signal=log_c_a + log_c_t + log_airs + 2.0 * (p.num_irs - 1) * log_np_kappa_i,
             log_noise_c_a=log_noise_power + log_c_a, log_noise_c_t=log_noise_power + log_c_t,
             log_noise_floor=2.0 * log_noise_power)
 
@@ -182,9 +178,9 @@ def _g(value: float) -> str:
         return f"{Context(prec=6).create_decimal(value).normalize():g}"
 
 
-# Each derived quantity that can leave double range: its name in the error and the
-# fields that feed it.  Read only once a range test has failed.  A hop gain raises
-# only through d**(alpha/2); the constants built on it also scale with sqrt(beta_0).
+# Each derived quantity whose log can leave double range: its name in the error and the
+# fields that feed it, read once the range test has failed.  A hop gain's log leaves it
+# only through (alpha/2) log d.  log np_kappa_i is within 21 of log kappa_i, so cannot.
 _GAIN = ("ref_path_gain", "path_loss_exponent")
 _OUT_OF_RANGE = {
     "kappa_b": ("the hop gain", ("path_loss_exponent", "bs_irs_distance")),
@@ -194,11 +190,9 @@ _OUT_OF_RANGE = {
             ("amp_power", "airs_elements", "irs_user_distance") + _GAIN),
     "c_t": ("c_t = tx_power * bs_antennas * kappa_b**2",
             ("tx_power", "bs_antennas", "bs_irs_distance") + _GAIN),
-    "np_kappa_i": ("np_kappa_i = pirs_elements * kappa_i",
-                   ("pirs_elements", "inter_irs_distance") + _GAIN),
 }
 # the objectives and the all-passive baseline take every budget constant, J, N_a and the noise
-_CHAIN = tuple(dict.fromkeys(("num_irs",) + _OUT_OF_RANGE["np_kappa_i"][1]
+_CHAIN = tuple(dict.fromkeys(("num_irs", "pirs_elements", "inter_irs_distance") + _GAIN
                              + _OUT_OF_RANGE["c_a"][1] + _OUT_OF_RANGE["c_t"][1]
                              + ("noise_power",)))
 _OUT_OF_RANGE["objective"] = ("the objective", _CHAIN)
@@ -208,8 +202,8 @@ _OUT_OF_RANGE["all_pirs"] = ("the all-passive baseline", _CHAIN)
 def out_of_range_message(p: SystemParams, *quantities: str) -> str:
     """'f1 = v1, ... and fn = vn put <quantity> out of double range', "; "-joined.
 
-    A quantity is "kappa_b", "kappa_i", "kappa_u", "c_a", "c_t", "np_kappa_i",
-    "objective" or "all_pirs"; f1..fn are the fields that feed it.
+    A quantity is "kappa_b", "kappa_i", "kappa_u", "c_a", "c_t", "objective" or
+    "all_pirs"; f1..fn are the fields that feed it.
     """
     messages = []
     for quantity in quantities:
@@ -220,39 +214,29 @@ def out_of_range_message(p: SystemParams, *quantities: str) -> str:
 
 
 def derive_link_budget(p: SystemParams) -> LinkBudget:
-    """Derive the link-budget constants of ``p``.
+    """Derive the link budget of ``p``: every log a sum of field logs.
 
-    Raises ``ValueError`` with ``validate``'s errors, else with one clause per
-    derived quantity out of double range: the hop gains or, when every gain is
-    in range, c_a, c_t and np_kappa_i.
+    Raises ``ValueError`` with ``validate``'s errors, else when a log is not
+    finite, with one clause per quantity that the first failing step takes
+    out of double range: the hop gains' logs or, when those are finite, those
+    of c_a and c_t or, when those are too, the objective's log signal power.
     """
     if errors := validate(p):
         raise ValueError("invalid system parameters: " + "; ".join(d.message for d in errors))
-    gains, failed = [], []
-    for quantity, distance in (("kappa_b", p.bs_irs_distance), ("kappa_i", p.inter_irs_distance),
-                               ("kappa_u", p.irs_user_distance)):
-        try:
-            gains.append(amplitude_gain(distance, p.ref_path_gain, p.path_loss_exponent))
-        except (OverflowError, ZeroDivisionError):
-            failed.append(quantity)
-    if not failed:
-        kappa_b, kappa_i, kappa_u = gains
-        try:  # a product can round to 0 or inf
-            c_a = p.amp_power * p.airs_elements * kappa_u**2
-        except OverflowError:  # a gain squared past the largest double
-            c_a = math.inf
-        try:
-            c_t = p.tx_power * p.bs_antennas * kappa_b**2
-        except OverflowError:
-            c_t = math.inf
-        np_kappa_i = p.pirs_elements * kappa_i
-        failed = [quantity for quantity, value in
-                  (("c_a", c_a), ("c_t", c_t), ("np_kappa_i", np_kappa_i))
-                  if not 0.0 < value < math.inf]
-    if failed:
-        raise ValueError("invalid system parameters: " + out_of_range_message(p, *failed))
-    # by position: cheaper than by keyword
-    return LinkBudget(kappa_b, kappa_i, kappa_u, c_a, c_t, np_kappa_i, p)
+    half_log_gain, half_exponent = 0.5 * math.log(p.ref_path_gain), p.path_loss_exponent / 2.0
+    # log(pirs_elements * sqrt(ref_path_gain)), a product in range, rounds once, not twice
+    hops = [half_log_gain - half_exponent * math.log(p.bs_irs_distance),
+            math.log(p.pirs_elements * math.sqrt(p.ref_path_gain))
+            - half_exponent * math.log(p.inter_irs_distance),
+            half_log_gain - half_exponent * math.log(p.irs_user_distance)]
+    budget = LinkBudget(*hops, p)  # by position: cheaper than by keyword
+    if math.isfinite(budget.log_signal):  # the one test: the logs it sums carry the rest
+        return budget
+    failed = ([q for q, v in zip(("kappa_b", "kappa_i", "kappa_u"), hops) if not math.isfinite(v)]
+              or [q for q, v in (("c_a", budget.log_c_a), ("c_t", budget.log_c_t))
+                  if not math.isfinite(v)]
+              or ["objective"])
+    raise ValueError("invalid system parameters: " + out_of_range_message(p, *failed))
 
 
 @dataclass(frozen=True)
@@ -323,6 +307,6 @@ def model_warnings(p: SystemParams, budget: LinkBudget) -> list[Diagnostic]:
                               f"{far_field:.3g} m: {', '.join(near)}"))
     if not budget.f_decreasing:
         out.append(Diagnostic("f_non_decreasing", "f(l) non-decreasing regime: "
-                              f"pirs_elements * kappa_i = {budget.np_kappa_i:.4g} >= 1; "
-                              "closed-form placement falls back to brute force"))
+                              f"pirs_elements * kappa_i = {p.pirs_elements * budget.kappa_i:.4g}"
+                              " >= 1; closed-form placement falls back to brute force"))
     return out

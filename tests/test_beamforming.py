@@ -178,7 +178,7 @@ class TestAmplificationFactor:
     def test_first_position_formula(self):
         eta = amplification_factor(1, self.budget, self.p)
         expected = math.sqrt(self.p.amp_power
-                             / (self.budget.c_t + self.p.noise_power))
+                             / (math.exp(self.budget.log_c_t) + self.p.noise_power))
         assert eta == pytest.approx(expected, rel=1e-12)
 
     def test_vanishing_incident_power_limit(self):

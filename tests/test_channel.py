@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irschain import channel
 from irschain.beamforming import optimal_configuration, optimal_transmit_beam
@@ -151,7 +152,8 @@ class TestLosChannel:
         geom = chain_geometry(p)
         mats = hop_matrices(geom, p, airs_index=3)
         assert mats[0].shape == (p.pirs_elements, 1)
-        np.testing.assert_allclose(np.abs(mats[0]), derive_link_budget(p).kappa_b, rtol=1e-12)
+        np.testing.assert_allclose(np.abs(mats[0]), math.exp(derive_link_budget(p).log_kappa_b),
+                                   rtol=1e-12)
 
     def test_every_hop_matrix_is_rank_one(self):
         p = SystemParams(num_irs=4, pirs_elements=36, airs_elements=25)
@@ -192,7 +194,7 @@ class TestEffectiveChannels:
         forward_norm = self.p.airs_elements * incident_element_power(
             l, self.geom, phases, beam, self.p)
         b = self.budget
-        expected = (self.p.airs_elements * b.kappa_b**2 * b.kappa_i ** (2 * (l - 1))
+        expected = (self.p.airs_elements * math.exp(2 * b.log_kappa_b) * b.kappa_i ** (2 * (l - 1))
                     * self.p.tx_power * self.p.bs_antennas
                     * self.p.pirs_elements ** (2 * (l - 1)))
         assert forward_norm == pytest.approx(expected, rel=1e-10)
@@ -768,6 +770,39 @@ class TestRankOneMatchesDense:
                                for r in optimal.reflection)
             phases = PhaseConfig(reflection=reflection, eta=optimal.eta * rng.uniform(0.1, 3.0))
             _assert_matches_dense(l, geom, phases, beam, p)
+
+
+def _log_uniform(lo, hi):
+    """Floats 10**e with e uniform in [lo, hi]."""
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0**e)
+
+
+class TestOracleAgreesOverWideFields:
+    """The oracle takes its hop gains linearly, from ``amplitude_gain``, so it checks
+    the budget's sums of field logs from outside: with every field drawn log-uniform
+    over wide ranges, the closed forms read from the budget agree with it to 1e-8."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 8), st.integers(1, 400), st.integers(1, 400), st.integers(1, 64),
+           st.tuples(*[_log_uniform(-1.0, 3.0)] * 3), _log_uniform(-6.0, 6.0),
+           _log_uniform(-10.0, 2.0), _log_uniform(-18.0, -3.0), _log_uniform(-8.0, 0.0),
+           st.floats(1.5, 4.0), st.data())
+    def test_closed_forms_match_the_oracle(self, j, n_p, n_a, m, distances, tx, amp, noise,
+                                           beta0, alpha, data):
+        d_b, d_i, d_u = distances
+        p = SystemParams(num_irs=j, pirs_elements=n_p, airs_elements=n_a, bs_antennas=m,
+                         bs_irs_distance=d_b, inter_irs_distance=d_i, irs_user_distance=d_u,
+                         tx_power=tx, amp_power=amp, noise_power=noise, ref_path_gain=beta0,
+                         path_loss_exponent=alpha)
+        budget = derive_link_budget(p)
+        l = data.draw(st.integers(1, j), label="airs_index")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        geom = random_geometry(p, rng)
+        phases, beam = optimal_configuration(l, geom, p, budget)
+        assert full_snr(l, geom, phases, beam, p) == pytest.approx(
+            snr_closed(p, l, budget), rel=1e-8)
+        assert full_power(l, geom, phases, beam, p) == pytest.approx(
+            power_closed(p, l, budget), rel=1e-8)
 
 
 class TestOracleAtLargeSizes:

@@ -176,9 +176,10 @@ class TestEvalCommand:
         assert "case = final" in out
 
     @pytest.mark.parametrize("mode", ["wit", "wpt"])
-    def test_validates_once_and_takes_three_hop_gains(self, monkeypatch, capsys, mode):
+    def test_validates_once_and_takes_no_linear_hop_gain(self, monkeypatch, capsys, mode):
         # the warnings come from the budget eval solves with, not from a second validate,
-        # and model_warnings alone takes the far-field threshold
+        # and model_warnings alone takes the far-field threshold; the budget sums field
+        # logs, so amplitude_gain, the matrix oracle's linear hop gain, is never called
         calls = []
         for name in ("validate", "amplitude_gain", "fraunhofer_distance"):
             def counting(*args, _name=name, _original=getattr(params, name)):
@@ -189,7 +190,7 @@ class TestEvalCommand:
                 if name in vars(module):
                     monkeypatch.setattr(module, name, counting)
         assert run(["eval", "--mode", mode]) == 0
-        assert Counter(calls) == {"validate": 1, "amplitude_gain": 3, "fraunhofer_distance": 1}
+        assert Counter(calls) == {"validate": 1, "fraunhofer_distance": 1}
         assert capsys.readouterr().err.startswith("warning: below the far-field threshold")
 
     @pytest.mark.parametrize("config, same_report", [
@@ -357,16 +358,16 @@ class TestFarFieldThresholdCalls:
 
 
 class TestHopGainOutOfRange:
-    """d**(alpha/2) overflows for a huge exponent and underflows to 0 for a tiny
-    distance; eval used to end in an OverflowError or ZeroDivisionError traceback."""
+    """A hop gain's log, log(beta_0) / 2 - (alpha/2) log d, leaves double range only
+    when alpha is near the largest double; eval used to end in an OverflowError or
+    ZeroDivisionError traceback, and while the budget was linear, a gain d**(alpha/2)
+    past double range failed it."""
 
     @pytest.mark.parametrize("config, key", [
-        ("alpha = 1e300\n", "inter_irs_distance"),
-        ("alpha = 3\nd_i = 1e-300\n", "inter_irs_distance"),
-        ("alpha = 3\nd_b = 1e-300\n", "bs_irs_distance"),
-        ("alpha = 3\nd_u = 1e-300\n", "irs_user_distance"),
-        ("alpha = 1e300\nd_i = 1\n", "bs_irs_distance"),  # 1**alpha stays in range
-    ], ids=["overflow-d_i", "underflow-d_i", "underflow-d_b", "underflow-d_u", "overflow-d_b"])
+        ("alpha = 1.7e308\n", "inter_irs_distance"),                      # log 10: -inf
+        ("alpha = 1.7e308\nd_i = 1\nd_u = 1e-10\n", "irs_user_distance"),  # log 1e-10: +inf
+        ("alpha = 1.7e308\nd_i = 1\nd_b = 100\n", "bs_irs_distance"),      # 1**alpha stays 1
+    ], ids=["overflow-d_i", "overflow-d_u", "overflow-d_b"])
     @pytest.mark.parametrize("mode", ["wit", "wpt"])
     def test_eval_exits_2_naming_the_exponent_and_the_distance(self, tmp_path, capsys,
                                                                config, key, mode):
@@ -377,32 +378,56 @@ class TestHopGainOutOfRange:
         errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
         # no warning before it: with no budget derived, eval has none to print
         assert len(errors) == 1 and captured.err.splitlines() == errors
-        assert "path_loss_exponent = " in errors[0] and f"{key} = " in errors[0]
-        assert "out of double range" in errors[0]
+        value = getattr(params_from_config(parse_config_text(config)), key)
+        assert errors[0] == ("error: invalid system parameters: path_loss_exponent = 1.7e+308 "
+                             f"and {key} = {value:g} put the hop gain out of double range")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("config, quantity", [
+        ("alpha = 1e300\n", {"wit": "objective", "wpt": "objective"}),
+        ("alpha = 3\nd_i = 1e-300\n", {"wit": "objective", "wpt": "objective"}),
+        ("alpha = 3\nd_b = 1e-300\n", {"wit": "all-passive baseline",
+                                       "wpt": "all-passive baseline"}),
+        ("alpha = 3\nd_u = 1e-300\n", {"wit": "all-passive baseline", "wpt": "objective"}),
+        ("alpha = 1e300\nd_i = 1\n", {"wit": "objective", "wpt": "objective"}),
+    ], ids=["overflow-d_i", "underflow-d_i", "underflow-d_b", "underflow-d_u", "overflow-d_b"])
+    @pytest.mark.parametrize("mode", ["wit", "wpt"])
+    def test_a_linear_gain_past_double_range_derives_a_budget(self, tmp_path, capsys,
+                                                             config, quantity, mode):
+        # these gains failed the linear budget; their logs are finite, so eval prints its
+        # warnings, solves, and names every field that feeds the value that then leaves
+        # double range: an objective or baseline underflowing to 0.0, or overflowing
+        cfg = tmp_path / "hop.cfg"
+        cfg.write_text(config)
+        assert run(["eval", "--mode", mode, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("warning: below the far-field threshold")
+        p = params_from_config(parse_config_text(config))
+        assert lines[-1] == "error: " + params.out_of_range_message(
+            p, "objective" if quantity[mode] == "objective" else "all_pirs")
+        assert "path_loss_exponent = " in lines[-1] and captured.out == ""
 
     @pytest.mark.parametrize("mode", ["wit", "wpt"])
     def test_huge_spacing_adds_nothing_to_the_hop_gain_error(self, tmp_path, capsys, mode):
         # the far-field threshold only warns, and with no budget eval prints no warning
         cfg = tmp_path / "hop.cfg"
-        cfg.write_text("alpha = 1e300\nspacing = 1e300\n")
+        cfg.write_text("alpha = 1.7e308\nspacing = 1e300\n")
         assert run(["eval", "--mode", mode, "--config", str(cfg)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == [
-            "error: invalid system parameters: path_loss_exponent = 1e+300 and bs_irs_distance "
-            "= 4 put the hop gain out of double range; path_loss_exponent = 1e+300 and "
-            "inter_irs_distance = 10 put the hop gain out of double range; path_loss_exponent "
-            "= 1e+300 and irs_user_distance = 4 put the hop gain out of double range"]
+            "error: invalid system parameters: path_loss_exponent = 1.7e+308 and "
+            "inter_irs_distance = 10 put the hop gain out of double range"]
 
     def test_sweep_exits_2_naming_the_exponent_and_the_distance(self, tmp_path, capsys):
         cfg = tmp_path / "hop.cfg"
-        cfg.write_text("alpha = 3\nd_u = 1e-300\n")
+        cfg.write_text("alpha = 1.7e308\nd_i = 1\nd_u = 1e-10\n")
         assert run(["sweep", "--mode", "wpt", "--np", "10:100:log:3", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
-            "error: invalid system parameters: path_loss_exponent = 3 and irs_user_distance "
-            "= 1e-300 put the hop gain out of double range"]
+            "error: invalid system parameters: path_loss_exponent = 1.7e+308 and "
+            "irs_user_distance = 1e-10 put the hop gain out of double range"]
         assert captured.out == ""
 
 
@@ -432,14 +457,15 @@ class TestInputsAtTheEdgeOfDoubleRange:
                     if line.startswith("error: ")] == [captured.err.splitlines()[-1]]
 
     @pytest.mark.parametrize("config, keys", [
-        ("pa = 1.7e308\n", ["amp_power", "airs_elements", "irs_user_distance"]),
-        ("pt = 1.7e308\n", ["tx_power", "bs_antennas", "bs_irs_distance"]),
+        ("alpha = 1e308\nd_u = 10\n", ["amp_power", "airs_elements", "irs_user_distance"]),
+        ("alpha = 1e308\nd_b = 10\n", ["tx_power", "bs_antennas", "bs_irs_distance"]),
         ("d_b = 1e300\n", ["tx_power", "bs_antennas", "bs_irs_distance"]),
         ("d_u = 1e-300\n", ["amp_power", "airs_elements", "irs_user_distance"]),
-        ("m = 1e300\npt = 1e20\n", ["tx_power", "bs_antennas", "bs_irs_distance",
-                                    "ref_path_gain", "path_loss_exponent"]),
+        ("alpha = 1e308\n", ["num_irs", "tx_power", "amp_power", "noise_power",
+                             "ref_path_gain", "path_loss_exponent"]),
         # the far-field threshold is out of range too, yet only warns: c_a alone is named
-        ("spacing = 1e300\npa = 1.7e308\n", ["amp_power", "airs_elements", "irs_user_distance"]),
+        ("spacing = 1e300\nalpha = 1e308\nd_u = 10\n",
+         ["amp_power", "airs_elements", "irs_user_distance"]),
         # the objective overflows; the error names the field set, not only J and N_p
         ("beta0 = 9.25e213\n", ["ref_path_gain"]),
         ("d_i = 7.7235e-179\n", ["inter_irs_distance"]),
@@ -460,8 +486,8 @@ class TestInputsAtTheEdgeOfDoubleRange:
         assert "element_spacing" not in error and "wavelength" not in error
 
     @pytest.mark.parametrize("mode", ["wit", "wpt"])
-    @pytest.mark.parametrize("config", ["alpha = 1e300\n", "m = 1e300\npt = 1e20\n",
-                                        "pa = 1.7e308\n", "d_i = 7.7235e-179\n"])
+    @pytest.mark.parametrize("config", ["alpha = 1e300\n", "alpha = 1.7e308\n",
+                                        "alpha = 1e308\nd_u = 10\n", "d_i = 7.7235e-179\n"])
     def test_eval_and_sweep_print_the_same_error(self, tmp_path, capsys, config, mode):
         cfg = tmp_path / "edge.cfg"
         cfg.write_text(config)
@@ -486,6 +512,27 @@ class TestInputsAtTheEdgeOfDoubleRange:
             "airs_elements = 150, irs_user_distance = 4, tx_power = 1, bs_antennas = 10, "
             "bs_irs_distance = 4 and noise_power = 1e-09 put the objective out of double range")
 
+    @pytest.mark.parametrize("command", [["eval", "--mode", "wit"], ["eval", "--mode", "wpt"],
+                                         ["sweep", "--mode", "wit", "--np", "100"],
+                                         ["sweep", "--mode", "wpt", "--np", "100"],
+                                         ["figures", "--outdir", "."]])
+    def test_relaxed_index_past_double_range_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        # every budget log is finite, but log c_a - log c_t rounds to inf: the relaxed
+        # index is -inf, whose floor raised OverflowError; every objective is 0.0
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("alpha = 4e307\nd_u = 0.1\nd_b = 10\nd_i = 1\n")
+        assert run([*command, "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        n_p = 10 if command[0] == "figures" else 100
+        assert err.splitlines()[-1] == (
+            f"error: num_irs = 7, pirs_elements = {n_p}, inter_irs_distance = 1, "
+            "ref_path_gain = 5.01187e-05, path_loss_exponent = 4e+307, amp_power = 0.0001, "
+            "airs_elements = 150, irs_user_distance = 0.1, tx_power = 1, bs_antennas = 10, "
+            "bs_irs_distance = 10 and noise_power = 1e-09 put the objective out of double range")
+
     def test_power_that_rounds_to_inf_exits_2(self, tmp_path, capsys):
         # c_a ~ 1.5e308 is finite; at l = J the power's last product rounds it to inf
         cfg = tmp_path / "edge.cfg"
@@ -498,18 +545,70 @@ class TestInputsAtTheEdgeOfDoubleRange:
             "airs_elements = 150, irs_user_distance = 0.001, tx_power = 1, bs_antennas = 10, "
             "bs_irs_distance = 4 and noise_power = 1e-16 put the objective out of double range")
 
-    @pytest.mark.parametrize("mode", ["wit", "wpt"])
-    def test_boosted_power_that_rounds_to_inf_exits_2(self, tmp_path, capsys, mode):
-        # tx_power + airs_elements * amp_power rounds to inf, whose log and exp raise
-        # nothing; the objectives stay finite (3.5e306 for wit)
+    # (mode, config): l_star, objective_linear, objective_db and all_pirs_objective_db
+    FINITE_PAST_LINEAR_RANGE = {
+        # a linear c_a = 1.7e308 * 150 * kappa_u**2 rounded to inf; its log does not
+        ("wit", "pa = 1.7e308\n"): ("1", "4698630.315", "66.71971276", "2995.983002"),
+        ("wpt", "pa = 1.7e308\n"): ("7", "7.987672127e+304", "3079.024202", "2935.983002"),
+        # the boosted power 1e308 + 150 * 1e306 rounded to inf; its logaddexp does not
+        ("wit", "pt = 1e308\npa = 1e306\nm = 1\n"): ("4", "3.549135063e+306", "3065.501225",
+                                                     "2965.897"),
+        ("wpt", "pt = 1e308\npa = 1e306\nm = 1\n"): ("7", "7.047945473e+304", "3078.480625",
+                                                     "2905.897"),
+        # c_t = 1e20 * 1e300 * kappa_b**2 rounded to inf
+        ("wit", "m = 1e300\npt = 1e20\n"): ("7", "7047.945473", "38.48062535", "3081.9176"),
+        ("wpt", "m = 1e300\npt = 1e20\n"): ("7", "7.047945473e-06", "-21.51937465",
+                                            "3021.9176"),
+    }
+
+    @pytest.mark.parametrize("mode, config", list(FINITE_PAST_LINEAR_RANGE))
+    def test_a_product_past_double_range_with_a_finite_log_prints_a_row(self, tmp_path, capsys,
+                                                                        mode, config):
+        # each exited 2 while the budget and the baseline multiplied out linear products
         cfg = tmp_path / "edge.cfg"
-        cfg.write_text("pt = 1e308\npa = 1e306\nm = 1\n")
+        cfg.write_text(config)
+        assert run(["eval", "--mode", mode, "--config", str(cfg)]) == 0
+        report = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+        assert (report["l_star"], report["objective_linear"], report["objective_db"],
+                report["all_pirs_objective_db"]) == self.FINITE_PAST_LINEAR_RANGE[mode, config]
+
+
+class TestUnderflowIsNamed:
+    """An objective or baseline that underflows to 0.0 has no dB value; the dB boundary
+    names the fields that feed it, where linear_to_db / watts_to_dbm used to exit with
+    an unnamed 'requires a positive ratio / power'."""
+
+    @staticmethod
+    def message(j, quantity):
+        return (f"num_irs = {j}, pirs_elements = 100, inter_irs_distance = 10, ref_path_gain = "
+                "5.01187e-05, path_loss_exponent = 2, amp_power = 0.0001, airs_elements = 150, "
+                "irs_user_distance = 4, tx_power = 1, bs_antennas = 10, bs_irs_distance = 4 and "
+                f"noise_power = 1e-09 put {quantity} out of double range")
+
+    # at J = 200 the SNR (from J = 146) and the baseline have underflowed, the power not
+    @pytest.mark.parametrize("mode, j, quantity", [
+        ("wit", 400, "the objective"), ("wpt", 400, "the objective"),
+        ("wit", 200, "the objective"), ("wpt", 200, "the all-passive baseline"),
+    ])
+    def test_eval_names_the_fields(self, tmp_path, capsys, mode, j, quantity):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(f"j = {j}\n")
         assert run(["eval", "--mode", mode, "--config", str(cfg)]) == 2
-        out, err = capsys.readouterr()
-        (error,) = [line for line in err.splitlines() if line.startswith("error: ")]
-        assert out == "" and error == err.splitlines()[-1]
-        assert "tx_power = 1e+308" in error
-        assert error.endswith("put the all-passive baseline out of double range")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "error: " + self.message(j, quantity)
+
+    @pytest.mark.parametrize("j, quantity", [(80, "the objective"),
+                                             (75, "the all-passive baseline")])
+    def test_figures_name_the_fields(self, tmp_path, capsys, j, quantity):
+        # the figures' first panel, np = 10, decays fastest: at J = 75 its baseline has
+        # underflowed and its objectives not yet
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(f"j = {j}\n")
+        assert run(["figures", "--outdir", str(tmp_path), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: " + self.message(j, quantity).replace("pirs_elements = 100",
+                                                                     "pirs_elements = 10")]
 
 
 # every key and alias a config file accepts, and the field each one sets; a frequency
@@ -596,11 +695,6 @@ _VALUE_TEXT = st.one_of(
 _UNIT_TEXT = st.sampled_from(["", "", " dB", " dBm", " DBM", " dBW", "dBm"])
 _CONFIG_LINE = st.tuples(_KEY_TEXT, _VALUE_TEXT, _UNIT_TEXT)
 
-# ROADMAP item 1: a long decaying chain underflows out of log domain and exits 2 with
-# one of these, which name nothing; exempt until the log-domain placement removes them
-_UNDERFLOW_ERRORS = {"error: linear_to_db requires a positive ratio",
-                     "error: watts_to_dbm requires a positive power"}
-
 
 class TestConfigFuzz:
     """Any config text gives a report or one error line that names what was set."""
@@ -627,8 +721,6 @@ class TestConfigFuzz:
             return
         err_lines = err.getvalue().splitlines()
         assert [line for line in err_lines if line.startswith("error: ")] == err_lines[-1:]
-        if err_lines[-1] in _UNDERFLOW_ERRORS:
-            return
         assert any(re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", err_lines[-1])
                    for name in names), (err_lines[-1], names)
 

@@ -32,9 +32,9 @@ def with_np(p, n_p):
 
 def _boundary_branch_rule(budget, j, objectives):
     """The closed-form WIT rule with its former explicit boundary branches."""
-    if budget.c_a < budget.c_t:
+    if budget.log_c_a < budget.log_c_t:
         case = "I"
-    elif budget.c_a > budget.c_t:
+    elif budget.log_c_a > budget.log_c_t:
         case = "III"
     else:
         case = "II"
@@ -214,15 +214,16 @@ class TestInformationPlacement:
 
     def test_boundary_panel_size_frozen_value(self):
         budget = derive_link_budget(self.p)
-        boundary = (budget.c_a / budget.c_t) ** (1 / 12) / budget.kappa_i
+        boundary = math.exp((budget.log_c_a - budget.log_c_t) / 12) / budget.kappa_i
         assert boundary == pytest.approx(CASE_I_BOUNDARY, rel=1e-12)
 
     def test_balanced_drive_picks_the_midpoint(self):
-        # c_a == c_t exactly: equal hop gains and 0.25 W * 40 == 1 W * 10
+        # log c_a == log c_t exactly: equal hop gains, and log 0.25 + log 40 rounds to
+        # log 1 + log 10
         p = replace(self.p, amp_power=0.25, airs_elements=40, airs_grid=None,
                     tx_power=1.0, bs_antennas=10, irs_user_distance=4.0)
         budget = derive_link_budget(p)
-        assert budget.c_a == budget.c_t
+        assert budget.log_c_a == budget.log_c_t
         sol = optimal_index(WIT, p, budget)
         assert sol.case == "II"
         assert sol.airs_index == 4
@@ -275,11 +276,27 @@ class TestInformationPlacement:
             got = deployment._wit_closed_form(budget, p.num_irs, objectives)
             assert got == _boundary_branch_rule(budget, p.num_irs, objectives), p
 
+    @pytest.mark.parametrize("fields, relaxed", [
+        # log c_a ~ +9.2e307 and log c_t ~ -9.2e307 are finite; their difference is inf
+        (dict(path_loss_exponent=4e307, irs_user_distance=0.1, bs_irs_distance=10.0,
+              inter_irs_distance=1.0), -math.inf),
+        # ... and 4 log(np_kappa_i) ~ -1.8e308 rounds to -inf as well: inf / -inf is nan
+        (dict(num_irs=2, path_loss_exponent=9e307, inter_irs_distance=math.e,
+              irs_user_distance=math.exp(-1.5), bs_irs_distance=math.exp(0.5)), math.nan),
+    ])
+    def test_relaxed_index_past_double_range_clamps_to_a_boundary(self, fields, relaxed):
+        p = SystemParams(**fields)
+        budget = derive_link_budget(p)
+        assert budget.f_decreasing and math.isfinite(budget.log_signal)
+        index, case, got = deployment._wit_closed_form(budget, p.num_irs, (0.0,) * p.num_irs)
+        assert (index, case) == (1, "III")
+        assert got == relaxed or math.isnan(got) and math.isnan(relaxed)
+
     def test_transmit_heavy_drive_stays_in_the_second_half(self):
         # c_a < c_t puts the relaxed optimizer at or beyond the midpoint
         for p in agreement_grid():
             budget = derive_link_budget(p)
-            if budget.c_a < budget.c_t:
+            if budget.log_c_a < budget.log_c_t:
                 sol = optimal_index(WIT, p, budget)
                 assert sol.airs_index >= math.ceil((p.num_irs + 1) / 2)
 
@@ -318,7 +335,7 @@ class TestRegimeEdge:
 
     def test_budget_is_not_decreasing(self):
         budget = derive_link_budget(self.P)
-        assert budget.np_kappa_i == 1.0
+        assert budget.log_np_kappa_i == 0.0
         assert budget.f_decreasing is False
         assert validate(self.P) == []
         assert "f_non_decreasing" in [d.name for d in model_warnings(self.P, budget)]
@@ -377,7 +394,7 @@ class TestBaselineSchemes:
                          pirs_elements=100)
         b = derive_link_budget(p)
         boosted = p.tx_power + p.airs_elements * p.amp_power
-        expected = (boosted * p.bs_antennas * b.kappa_b**2 * b.kappa_u**2
+        expected = (boosted * p.bs_antennas * math.exp(2 * b.log_kappa_b + 2 * b.log_kappa_u)
                     * p.pirs_elements**2 / p.noise_power)
         assert scheme_all_pirs(WIT, p, b) == pytest.approx(expected, rel=1e-12)
 
@@ -479,19 +496,28 @@ class TestOverflow:
 
 
     @pytest.mark.parametrize("mode", [WIT, WPT])
-    def test_boosted_power_rounding_to_inf_names_the_fields(self, mode):
-        # 1e308 + 150 * 1e306 is inf, and exp(log(inf)) returns inf without raising
+    def test_boosted_power_past_double_range_leaves_the_baseline_finite(self, mode):
+        # 1e308 + 150 * 1e306 is past the largest double, but its log is a logaddexp of
+        # log tx_power and log(airs_elements * amp_power), which never forms the sum
         p = SystemParams(tx_power=1e308, amp_power=1e306, bs_antennas=1)
         budget = derive_link_budget(p)
         assert all(math.isfinite(v) for v in optimal_index(mode, p, budget).objectives)
-        with pytest.raises(ValueError) as info:
-            scheme_all_pirs(mode, p, budget)
-        assert str(info.value) == (
-            "num_irs = 7, pirs_elements = 100, inter_irs_distance = 10, "
-            "ref_path_gain = 5.01187e-05, path_loss_exponent = 2, amp_power = 1e+306, "
-            "airs_elements = 150, irs_user_distance = 4, tx_power = 1e+308, bs_antennas = 1, "
-            "bs_irs_distance = 4 and noise_power = 1e-09 put the all-passive baseline out of "
-            "double range")
+        log_boosted = math.log(1e308) + math.log1p(150 * 1e306 / 1e308)
+        log_passive = (log_boosted + 2 * budget.log_kappa_b + 2 * budget.log_kappa_u
+                       + 2 * math.log(100) + 12 * budget.log_np_kappa_i
+                       - (budget.log_noise_power if mode == WIT else 0.0))
+        assert scheme_all_pirs(mode, p, budget) == pytest.approx(math.exp(log_passive),
+                                                                 rel=1e-12)
+
+    def test_boosted_power_logaddexp_takes_the_larger_term_as_its_shift(self):
+        # equal terms (150 * 0.01 W) and each side leading, against the linear sum
+        for tx, amp in ((1.5, 0.01), (1e-9, 0.01), (1e3, 0.01)):
+            p = SystemParams(tx_power=tx, amp_power=amp, num_irs=1)
+            budget = derive_link_budget(p)
+            boosted = tx + p.airs_elements * amp
+            want = (boosted * p.bs_antennas * p.pirs_elements**2
+                    * math.exp(2 * budget.log_kappa_b + 2 * budget.log_kappa_u))
+            assert scheme_all_pirs(WPT, p, budget) == pytest.approx(want, rel=1e-13)
 
 
 class TestCrossover:
@@ -500,19 +526,15 @@ class TestCrossover:
         p = replace(SystemParams(), amp_power=1e300, irs_user_distance=0.05,
                     airs_elements=10**6, airs_grid=None)
         budget = derive_link_budget(p)
-        assert math.isfinite(budget.c_a) and math.isinf(budget.c_a * p.airs_elements)
+        c_a = math.exp(budget.log_c_a)
+        assert math.isfinite(c_a) and math.isinf(c_a * p.airs_elements)
         assert wpt_crossover_np(p, budget) == pytest.approx(2820.2933571382387, rel=1e-12)
 
-    def test_boosted_power_rounding_to_inf_names_the_fields(self):
-        # 1e308 + 150 * 1e306 is inf; the crossover used to return 0.0 from a -inf log gap
+    def test_boosted_power_past_double_range_gives_a_finite_crossover(self):
+        # 1e308 + 150 * 1e306 is past the largest double; the crossover used to raise
+        # here, and before that to return 0.0 from a -inf log gap
         p = SystemParams(tx_power=1e308, amp_power=1e306, bs_antennas=1)
-        budget = derive_link_budget(p)
-        with pytest.raises(ValueError) as crossover:
-            wpt_crossover_np(p, budget)
-        with pytest.raises(ValueError) as baseline:
-            scheme_all_pirs(WPT, p, budget)
-        assert str(crossover.value) == str(baseline.value)
-        assert str(crossover.value).endswith("put the all-passive baseline out of double range")
+        assert wpt_crossover_np(p, derive_link_budget(p)) == pytest.approx(1709.0, rel=1e-3)
 
     def test_frozen_default_threshold(self):
         p = SystemParams()
@@ -567,9 +589,9 @@ class TestRatioDiagnostics:
         b = derive_link_budget(quiet)
         rep = ratio_diagnostics(WPT, quiet, b)
         assert rep.vs_middle_exact == pytest.approx(
-            b.np_kappa_i ** (1 - quiet.num_irs), rel=1e-9)
+            math.exp(b.log_np_kappa_i * (1 - quiet.num_irs)), rel=1e-9)
         assert rep.vs_middle_limit == pytest.approx(
-            b.np_kappa_i ** (1 - quiet.num_irs), rel=1e-12)
+            math.exp(b.log_np_kappa_i * (1 - quiet.num_irs)), rel=1e-12)
 
     def test_single_surface_middle_ratio_is_one(self):
         p = SystemParams(num_irs=1)

@@ -1,7 +1,7 @@
 import math
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -17,8 +17,8 @@ from irschain.channel import (
     random_geometry,
 )
 from irschain.deployment import agreement_grid, optimal_index
-from irschain.metrics import objective, power_closed, snr_closed
-from irschain.params import SystemParams, derive_link_budget
+from irschain.metrics import WIT, objective, power_closed, snr_closed
+from irschain.params import SystemParams, derive_link_budget, out_of_range_message
 from reference import (
     chain_geometry,
     incident_element_power,
@@ -51,13 +51,13 @@ class TestEffectiveGain:
 
     def test_first_index_is_first_hop_gain(self):
         assert effective_gain(1, self.p, self.budget) == pytest.approx(
-            self.budget.kappa_b**2, rel=1e-12)
+            math.exp(2 * self.budget.log_kappa_b), rel=1e-12)
 
     def test_unit_relay_factor_makes_gain_flat(self):
         # kappa_i = 1/100 exactly, so 100-element panels sit on the boundary
         p = SystemParams(ref_path_gain=1.0, inter_irs_distance=100.0, pirs_elements=100)
         budget = derive_link_budget(p)
-        assert budget.np_kappa_i == pytest.approx(1.0, rel=1e-15)
+        assert budget.log_np_kappa_i == pytest.approx(0.0, abs=1e-15)
         gains = [effective_gain(l, p, budget) for l in range(1, 8)]
         np.testing.assert_allclose(gains, gains[0], rtol=1e-12)
 
@@ -77,8 +77,9 @@ class TestSnrClosed:
     def test_single_surface_reduction(self):
         p = replace(self.p, num_irs=1)
         b = derive_link_budget(p)
-        expected = (b.c_a * b.c_t * p.airs_elements
-                    / (p.noise_power * (b.c_a + b.c_t + p.noise_power)))
+        c_a, c_t = math.exp(b.log_c_a), math.exp(b.log_c_t)
+        expected = (c_a * c_t * p.airs_elements
+                    / (p.noise_power * (c_a + c_t + p.noise_power)))
         assert snr_closed(p, 1, b) == pytest.approx(expected, rel=1e-12)
 
     def test_interior_maximum_at_default_scenario(self):
@@ -117,8 +118,8 @@ class TestPowerClosed:
         quiet = replace(self.p, noise_power=1e-30)
         b = derive_link_budget(quiet)
         for l in (1, 4, 7):
-            limit = (b.c_a * quiet.airs_elements
-                     * b.np_kappa_i ** (2 * (quiet.num_irs - l)))
+            limit = (math.exp(b.log_c_a) * quiet.airs_elements
+                     * math.exp(b.log_np_kappa_i) ** (2 * (quiet.num_irs - l)))
             assert power_closed(quiet, l, b) == pytest.approx(limit, rel=1e-9)
 
     def test_final_position_dominates(self):
@@ -177,6 +178,21 @@ class TestObjective:
         p = SystemParams()  # J = 7
         with pytest.raises(ValueError, match="^mode must be one of"):
             objective("both", p, l, derive_link_budget(p))
+
+
+    @pytest.mark.parametrize("mode", ["wit", "wpt"])
+    def test_a_log_term_past_double_range_names_the_fields(self, mode):
+        # every budget log is finite at alpha = 1e306 (log c_a = 1e308, log c_t = -1.5e308,
+        # log x = 5e307), but at l = 1 the amplified noise's log, log sigma^2 + log c_a
+        # + 2 log x, rounds to inf: the SNR's shift is then inf and its sum inf - inf
+        p = SystemParams(num_irs=2, path_loss_exponent=1e306, bs_irs_distance=math.exp(150),
+                         inter_irs_distance=math.exp(-100), irs_user_distance=math.exp(-100))
+        budget = derive_link_budget(p)
+        assert budget.log_noise_c_a + 2.0 * budget.log_np_kappa_i == math.inf
+        with pytest.raises(ValueError) as info:
+            objective(mode, p, 1, budget)
+        assert str(info.value) == out_of_range_message(p, "objective")
+        assert objective(WIT, p, 2, budget) == 0.0  # an underflow, named at the dB boundary
 
 
 _CLOSED_FORMS = {
@@ -244,11 +260,11 @@ class TestIndexTestedInline:
         assert calls == [l]
 
 
-# Reference formulation of the closed forms: five logs per call, then each
-# side's terms summed with fsum after factoring out the largest.  The library
-# reads the logs from the budget and unrolls the sums; it must reproduce these
-# values bit for bit, since sub-ulp differences decide argmax ties between
-# adjacent positions.
+# Reference formulation of the closed forms: every log a sum of field logs, taken
+# afresh per call, then each side's terms summed with fsum after factoring out the
+# largest.  The library reads the logs from the budget and unrolls the sums; it must
+# reproduce these values bit for bit, since sub-ulp differences decide argmax ties
+# between adjacent positions.
 def _reference_ratio_of_term_sums(log_num_terms, log_den_terms):
     m_num = max(log_num_terms)
     m_den = max(log_den_terms)
@@ -257,8 +273,26 @@ def _reference_ratio_of_term_sums(log_num_terms, log_den_terms):
     return math.exp(m_num - m_den) * (s_num / s_den)
 
 
+def _reference_field_logs(p):
+    """log kappa_b, kappa_u, c_a, c_t and np_kappa_i, each a sum of field logs; the
+    passive relay factor takes log(pirs_elements * sqrt(ref_path_gain)) as one log."""
+    def log_kappa(distance):
+        return 0.5 * math.log(p.ref_path_gain) - p.path_loss_exponent / 2.0 * math.log(distance)
+
+    log_kappa_b = log_kappa(p.bs_irs_distance)
+    log_kappa_u = log_kappa(p.irs_user_distance)
+    return {
+        "log_kappa_b": log_kappa_b, "log_kappa_u": log_kappa_u,
+        "log_c_a": math.log(p.amp_power) + math.log(p.airs_elements) + 2.0 * log_kappa_u,
+        "log_c_t": math.log(p.tx_power) + math.log(p.bs_antennas) + 2.0 * log_kappa_b,
+        "log_np_kappa_i": (math.log(p.pirs_elements * math.sqrt(p.ref_path_gain))
+                           - p.path_loss_exponent / 2.0 * math.log(p.inter_irs_distance)),
+    }
+
+
 def _reference_log_terms(p, budget, airs_index):
-    return (math.log(budget.np_kappa_i), math.log(budget.c_a), math.log(budget.c_t),
+    logs = _reference_field_logs(p)  # the budget is not read: the reference derives its own
+    return (logs["log_np_kappa_i"], logs["log_c_a"], logs["log_c_t"],
             math.log(p.noise_power), p.num_irs, airs_index)
 
 
@@ -307,12 +341,13 @@ def _bit_identity_configs():
 
 
 class TestBitIdentity:
-    def test_budget_logs_are_the_logs_of_the_linear_fields(self):
+    def test_budget_logs_are_sums_of_field_logs(self):
         for p in _bit_identity_configs():
             b = derive_link_budget(p)
-            assert b.log_c_a == math.log(b.c_a)
-            assert b.log_c_t == math.log(b.c_t)
-            assert b.log_np_kappa_i == math.log(b.np_kappa_i)
+            want = _reference_field_logs(p)
+            assert b.log_c_a.hex() == want["log_c_a"].hex(), p
+            assert b.log_c_t.hex() == want["log_c_t"].hex(), p
+            assert b.log_np_kappa_i.hex() == want["log_np_kappa_i"].hex(), p
             assert b.log_noise_power == math.log(p.noise_power)
             log_npk, log_ca, log_ct, _, j, _ = _reference_log_terms(p, b, 1)
             want = log_ca + log_ct + math.log(p.airs_elements) + 2.0 * (j - 1) * log_npk
@@ -338,22 +373,18 @@ class TestBitIdentity:
 
 
 def _reference_budget(p):
-    """Every LinkBudget field, from the formulas the generated constructor used."""
-    def amplitude(distance):
-        return math.sqrt(p.ref_path_gain) / distance ** (p.path_loss_exponent / 2.0)
-
-    kappa_b = amplitude(p.bs_irs_distance)
-    kappa_i = amplitude(p.inter_irs_distance)
-    kappa_u = amplitude(p.irs_user_distance)
-    c_a = p.amp_power * p.airs_elements * kappa_u**2
-    c_t = p.tx_power * p.bs_antennas * kappa_b**2
-    np_kappa_i = p.pirs_elements * kappa_i
+    """Every LinkBudget field, each log a sum of field logs."""
+    logs = _reference_field_logs(p)
     log_noise_power = math.log(p.noise_power)
     return {
-        "kappa_b": kappa_b, "kappa_i": kappa_i, "kappa_u": kappa_u,
-        "c_a": c_a, "c_t": c_t, "np_kappa_i": np_kappa_i,
-        "log_noise_c_a": log_noise_power + math.log(c_a),
-        "log_noise_c_t": log_noise_power + math.log(c_t),
+        "kappa_i": math.exp(logs["log_np_kappa_i"] - math.log(p.pirs_elements)),
+        **{name: logs[name] for name in ("log_kappa_b", "log_kappa_u", "log_c_a", "log_c_t",
+                                         "log_np_kappa_i")},
+        "log_noise_power": log_noise_power,
+        "log_signal": (logs["log_c_a"] + logs["log_c_t"] + math.log(p.airs_elements)
+                       + 2.0 * (p.num_irs - 1) * logs["log_np_kappa_i"]),
+        "log_noise_c_a": log_noise_power + logs["log_c_a"],
+        "log_noise_c_t": log_noise_power + logs["log_c_t"],
         "log_noise_floor": 2.0 * log_noise_power,
     }
 
@@ -363,9 +394,10 @@ class TestBudgetBitIdentity:
         for p in _bit_identity_configs():
             b = derive_link_budget(p)
             want = _reference_budget(p)
+            assert [f.name for f in fields(b)] == ["kappa_i", "f_decreasing", *list(want)[1:]]
             for name, value in want.items():
                 assert getattr(b, name).hex() == value.hex(), (name, p)
-            assert b.f_decreasing is (want["np_kappa_i"] < 1.0), p
+            assert b.f_decreasing is (want["log_np_kappa_i"] < 0.0), p
 
 
 def _reference_partners(p, budget, index):

@@ -27,9 +27,9 @@ from irschain.params import (
 )
 from reference import elements_at
 
-# Default-scenario constants, frozen from direct arithmetic:
+# Default-scenario constants, frozen from direct linear arithmetic:
 # kappa_x = sqrt(10**-4.3) / d_x, c_t = 1 W * 10 * kappa_b**2,
-# c_a = 1e-4 W * 150 * kappa_u**2.
+# c_a = 1e-4 W * 150 * kappa_u**2; the budget holds their logs.
 KAPPA_B = 1.769864460960345e-03
 KAPPA_I = 7.07945784384138e-04
 C_T = 3.1324202101704526e-05
@@ -57,21 +57,24 @@ class TestUnitConversions:
     def test_watts_round_trip(self, power):
         assert dbm_to_watts(watts_to_dbm(power)) == pytest.approx(power, rel=1e-12)
 
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            watts_to_dbm(0.0)
-        with pytest.raises(ValueError):
-            linear_to_db(-1.0)
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_nonpositive_rejected(self, value):
+        # at 0.0 the named error, not log10's 'math domain error'
+        with pytest.raises(ValueError, match="^watts_to_dbm requires a positive power$"):
+            watts_to_dbm(value)
+        with pytest.raises(ValueError, match="^linear_to_db requires a positive ratio$"):
+            linear_to_db(value)
 
 
 class TestLinkBudget:
     def test_default_scenario_constants(self):
         budget = derive_link_budget(SystemParams())
-        assert budget.kappa_b == pytest.approx(KAPPA_B, rel=1e-12)
+        assert math.exp(budget.log_kappa_b) == pytest.approx(KAPPA_B, rel=1e-12)
         assert budget.kappa_i == pytest.approx(KAPPA_I, rel=1e-12)
-        assert budget.kappa_u == pytest.approx(KAPPA_B, rel=1e-12)
-        assert budget.c_t == pytest.approx(C_T, rel=1e-12)
-        assert budget.c_a == pytest.approx(C_A, rel=1e-12)
+        assert math.exp(budget.log_kappa_u) == pytest.approx(KAPPA_B, rel=1e-12)
+        assert math.exp(budget.log_c_t) == pytest.approx(C_T, rel=1e-12)
+        assert math.exp(budget.log_c_a) == pytest.approx(C_A, rel=1e-12)
+        assert math.exp(budget.log_np_kappa_i) == pytest.approx(100 * KAPPA_I, rel=1e-12)
 
     def test_decreasing_regime_boundary(self):
         # 1/kappa_i = 1412.54, so 1412 passive elements per surface still decay
@@ -80,15 +83,16 @@ class TestLinkBudget:
 
     def test_unit_reference_distance(self):
         p = SystemParams(ref_path_gain=1.0, bs_irs_distance=1.0, path_loss_exponent=2.0)
-        assert derive_link_budget(p).kappa_b == 1.0
+        assert derive_link_budget(p).log_kappa_b == 0.0
 
     def test_scale_consistency_in_ref_gain(self):
         base = derive_link_budget(SystemParams())
         doubled = derive_link_budget(SystemParams(ref_path_gain=2 * 10.0**-4.3))
-        assert doubled.kappa_b**2 == pytest.approx(2 * base.kappa_b**2, rel=1e-12)
+        log_2 = math.log(2.0)
+        assert 2 * doubled.log_kappa_b == pytest.approx(log_2 + 2 * base.log_kappa_b, rel=1e-12)
         assert doubled.kappa_i**2 == pytest.approx(2 * base.kappa_i**2, rel=1e-12)
-        assert doubled.c_a == pytest.approx(2 * base.c_a, rel=1e-12)
-        assert doubled.c_t == pytest.approx(2 * base.c_t, rel=1e-12)
+        assert doubled.log_c_a == pytest.approx(log_2 + base.log_c_a, rel=1e-12)
+        assert doubled.log_c_t == pytest.approx(log_2 + base.log_c_t, rel=1e-12)
 
     def test_rejects_invalid_params(self):
         with pytest.raises(ValueError):
@@ -97,24 +101,32 @@ class TestLinkBudget:
             derive_link_budget(SystemParams(tx_power=0.0))
 
 
-# repr(derive_link_budget(SystemParams())), frozen from the dataclass-generated
-# constructor; the written-out one must print the same fields in the same order
+# repr(derive_link_budget(SystemParams())): the written-out constructor prints every
+# field in declaration order, as the dataclass-generated one would
 DEFAULT_BUDGET_REPR = (
-    "LinkBudget(kappa_b=0.001769864460960345, kappa_i=0.000707945784384138, "
-    "kappa_u=0.001769864460960345, c_a=4.6986303152556797e-08, "
-    "c_t=3.1324202101704526e-05, np_kappa_i=0.0707945784384138, f_decreasing=True, "
-    "log_c_a=-16.873409699994106, log_c_t=-10.371119529120131, "
-    "log_np_kappa_i=-2.647972856943152, log_noise_power=-20.72326583694641, "
-    "log_signal=-54.00956821833581, log_noise_c_a=-37.596675536940516, "
-    "log_noise_c_t=-31.09438536606654, log_noise_floor=-41.44653167389282)"
+    "LinkBudget(kappa_i=0.0007079457843841378, f_decreasing=True, "
+    "log_kappa_b=-6.336852311057089, log_kappa_u=-6.336852311057089, "
+    "log_c_a=-16.873409699994106, log_c_t=-10.371119529120133, "
+    "log_np_kappa_i=-2.6479728569431527, log_noise_power=-20.72326583694641, "
+    "log_signal=-54.009568218335815, log_noise_c_a=-37.596675536940516, "
+    "log_noise_c_t=-31.094385366066543, log_noise_floor=-41.44653167389282)"
 )
+
+
+def _hop_logs(p):
+    """log kappa_b, log(np_kappa_i) and log kappa_u, each from the fields' logs."""
+    half_log_gain, half_exponent = 0.5 * math.log(p.ref_path_gain), p.path_loss_exponent / 2.0
+    return [half_log_gain - half_exponent * math.log(p.bs_irs_distance),
+            (math.log(p.pirs_elements * math.sqrt(p.ref_path_gain))
+             - half_exponent * math.log(p.inter_irs_distance)),
+            half_log_gain - half_exponent * math.log(p.irs_user_distance)]
 
 
 class TestLinkBudgetRecord:
     """The written-out constructor keeps the frozen dataclass behaviour."""
 
-    @pytest.mark.parametrize("name", ["kappa_b", "np_kappa_i", "f_decreasing",
-                                      "log_signal", "log_noise_floor"])
+    @pytest.mark.parametrize("name", ["kappa_i", "log_kappa_b", "log_np_kappa_i",
+                                      "f_decreasing", "log_signal", "log_noise_floor"])
     def test_fields_cannot_be_assigned_or_deleted(self, name):
         budget = derive_link_budget(SystemParams())
         with pytest.raises(FrozenInstanceError):
@@ -133,31 +145,46 @@ class TestLinkBudgetRecord:
     def test_repr_is_unchanged(self):
         assert repr(derive_link_budget(SystemParams())) == DEFAULT_BUDGET_REPR
 
-    def test_constructor_takes_the_linear_fields_and_params(self):
+    def test_constructor_takes_the_hop_gain_logs_and_params(self):
         p = SystemParams()
         budget = derive_link_budget(p)
-        linear = {name: getattr(budget, name) for name in
-                  ("kappa_b", "kappa_i", "kappa_u", "c_a", "c_t", "np_kappa_i")}
-        assert LinkBudget(**linear, p=p) == budget
-        assert LinkBudget(*linear.values(), p) == budget  # p is the seventh
+        hops = dict(zip(("log_kappa_b", "log_np_kappa_i", "log_kappa_u"), _hop_logs(p)))
+        assert LinkBudget(**hops, p=p) == budget
+        assert LinkBudget(*hops.values(), p) == budget  # p is the fourth
         with pytest.raises(TypeError):
-            LinkBudget(*linear.values(), fraunhofer_distance(p), p)  # no threshold argument
+            LinkBudget(*hops.values(), fraunhofer_distance(p), p)  # no threshold argument
         with pytest.raises(TypeError):
-            LinkBudget(**linear)  # p is required
+            LinkBudget(**hops)  # p is required
         with pytest.raises(TypeError):
-            LinkBudget(**linear, p=p, log_c_a=0.0)  # derived fields are not arguments
+            LinkBudget(**hops, p=p, log_c_a=0.0)  # derived fields are not arguments
         assert not hasattr(budget, "p") and not hasattr(budget, "far_field")
+
+    def test_fewer_fields_than_the_linear_record(self):
+        # the linear record held fifteen: six linear quantities, the regime flag and
+        # eight logs; the log record keeps kappa_i, the flag and ten logs
+        assert [f.name for f in fields(LinkBudget)] == [
+            "kappa_i", "f_decreasing", "log_kappa_b", "log_kappa_u", "log_c_a", "log_c_t",
+            "log_np_kappa_i", "log_noise_power", "log_signal", "log_noise_c_a",
+            "log_noise_c_t", "log_noise_floor"]
+
+    def test_kappa_i_past_double_range_is_inf_not_an_error(self):
+        # log kappa_i = 1031 at alpha = 3 and d_i = 1e-300: its exp overflows, its log does not
+        p = SystemParams(path_loss_exponent=3.0, inter_irs_distance=1e-300)
+        budget = derive_link_budget(p)
+        assert budget.kappa_i == math.inf and math.isfinite(budget.log_np_kappa_i)
 
 
 class TestHopGainOutOfRange:
-    """A hop gain sqrt(beta_0) / d**(alpha/2) outside double range is an input
-    error naming the exponent and the hop's distance, never an ArithmeticError."""
+    """A hop gain's log, log(beta_0) / 2 - (alpha/2) log d, outside double range is an
+    input error naming the exponent and the hop's distance, never an ArithmeticError.
+    Only the product (alpha/2) log d can leave it, so only an exponent near the largest
+    double does: beta_0 and d alone keep every log finite."""
 
     @pytest.mark.parametrize("changes, keys", [
-        ({"path_loss_exponent": 1e300},                               # OverflowError, every hop
+        ({"path_loss_exponent": 1.7e308}, ["inter_irs_distance"]),   # log 10 takes it to -inf
+        ({"path_loss_exponent": 1.7e308, "bs_irs_distance": 10.0,    # log 1e-10 to +inf
+          "irs_user_distance": 1e-10},
          ["bs_irs_distance", "inter_irs_distance", "irs_user_distance"]),
-        ({"path_loss_exponent": 3.0, "inter_irs_distance": 1e-300},   # ZeroDivisionError
-         ["inter_irs_distance"]),
     ])
     def test_validate_reports_nothing_and_never_raises(self, changes, keys):
         # derive_link_budget alone takes the hop gains; with no budget there is no
@@ -171,10 +198,12 @@ class TestHopGainOutOfRange:
             "put the hop gain out of double range" for key in keys)
 
     @pytest.mark.parametrize("changes, keys", [
-        ({"path_loss_exponent": 3.0, "bs_irs_distance": 1e-300}, ["bs_irs_distance"]),
-        ({"path_loss_exponent": 3.0, "irs_user_distance": 1e-300}, ["irs_user_distance"]),
-        ({"path_loss_exponent": 1e300, "inter_irs_distance": 1.0},
-         ["bs_irs_distance", "irs_user_distance"]),
+        ({"path_loss_exponent": 1.7e308, "inter_irs_distance": 1.0, "bs_irs_distance": 100.0},
+         ["bs_irs_distance"]),
+        ({"path_loss_exponent": 1.7e308, "inter_irs_distance": 1.0, "irs_user_distance": 0.01},
+         ["irs_user_distance"]),
+        ({"path_loss_exponent": 1.7e308, "inter_irs_distance": 1.0, "bs_irs_distance": 100.0,
+          "irs_user_distance": 100.0}, ["bs_irs_distance", "irs_user_distance"]),
     ])
     def test_derive_link_budget_names_kappa_b_and_kappa_u_keys(self, changes, keys):
         p = SystemParams(**changes)
@@ -189,25 +218,25 @@ class TestHopGainOutOfRange:
 
     def test_infinite_far_field_threshold_adds_nothing_to_the_hop_gain_error(self):
         # the threshold only warns, so a spacing past double range is named nowhere
-        p = SystemParams(path_loss_exponent=1e300, element_spacing=1e300)
+        p = SystemParams(path_loss_exponent=1.7e308, element_spacing=1e300)
         assert validate(p) == [] and fraunhofer_distance(p) == math.inf
         with pytest.raises(ValueError) as info:
             derive_link_budget(p)
-        assert str(info.value) == "invalid system parameters: " + "; ".join(
-            f"path_loss_exponent = 1e+300 and {key} = {value} put the hop gain out of "
-            "double range" for key, value in (("bs_irs_distance", 4), ("inter_irs_distance", 10),
-                                              ("irs_user_distance", 4)))
+        assert str(info.value) == (
+            "invalid system parameters: path_loss_exponent = 1.7e+308 and inter_irs_distance "
+            "= 10 put the hop gain out of double range")
 
     def test_other_errors_name_no_hop_gain(self):
         # with a count wrong, the budget stops before the gains, whatever their range
-        p = SystemParams(num_irs=0, path_loss_exponent=1e300)
+        p = SystemParams(num_irs=0, path_loss_exponent=1.7e308)
         with pytest.raises(ValueError) as info:
             derive_link_budget(p)
         assert str(info.value) == ("invalid system parameters: need at least one surface, "
                                    "got num_irs=0")
 
-    def test_valid_budget_takes_three_amplitude_gains(self, monkeypatch):
-        # the guard costs nothing on valid input: no extra amplitude_gain call
+    def test_valid_budget_takes_no_linear_hop_gain(self, monkeypatch):
+        # the hop gains' logs are sums of field logs: amplitude_gain, the linear gain the
+        # matrix oracle takes, is never called
         calls = []
         gain = params_module.amplitude_gain
 
@@ -216,24 +245,35 @@ class TestHopGainOutOfRange:
             return gain(*args)
 
         monkeypatch.setattr(params_module, "amplitude_gain", counting_gain)
-        p = SystemParams()
-        derive_link_budget(p)
-        assert calls == [p.bs_irs_distance, p.inter_irs_distance, p.irs_user_distance]
+        assert derive_link_budget(SystemParams()).log_kappa_b == _hop_logs(SystemParams())[0]
+        assert calls == []
+
+    @pytest.mark.parametrize("changes", [
+        {"path_loss_exponent": 1e300},                              # d**(alpha/2) overflowed
+        {"path_loss_exponent": 3.0, "inter_irs_distance": 1e-300},  # ... or underflowed to 0
+        {"path_loss_exponent": 3.0, "bs_irs_distance": 1e-300},
+        {"path_loss_exponent": 3.0, "irs_user_distance": 1e-300},
+        {"path_loss_exponent": 1e300, "inter_irs_distance": 1.0},
+    ])
+    def test_a_linear_gain_past_double_range_has_a_finite_log(self, changes):
+        # these failed as hop gains while the budget was linear; their logs are finite
+        p = SystemParams(**changes)
+        budget = derive_link_budget(p)
+        assert [budget.log_kappa_b, budget.log_kappa_u] == [_hop_logs(p)[0], _hop_logs(p)[2]]
 
 
 class TestBudgetOutOfRange:
-    """c_a, c_t and np_kappa_i out of double range are input errors naming the keys
-    that feed them, never an ArithmeticError, a 'math domain error' or an infinite
-    constant.  The far-field threshold feeds only a warning, so it is never one."""
+    """log c_a, log c_t or the log signal power out of double range are input errors
+    naming the keys that feed them, never an ArithmeticError, a 'math domain error' or
+    an infinite constant.  The far-field threshold feeds only a warning, so it is never
+    one.  A constant's log leaves double range only through 2 log kappa, with the hop
+    gain's log itself finite: an exponent of about 1e308."""
 
     @pytest.mark.parametrize("changes, quantity", [
-        ({"amp_power": 1.7e308}, "c_a"),                   # the product rounds to inf
-        ({"irs_user_distance": 1e-300}, "c_a"),            # kappa_u**2 raises
-        ({"irs_user_distance": 1e300}, "c_a"),             # kappa_u**2 underflows to 0
-        ({"tx_power": 1.7e308}, "c_t"),
-        ({"bs_irs_distance": 1e-300}, "c_t"),
-        ({"bs_irs_distance": 1e300}, "c_t"),
-        ({"ref_path_gain": 1e-300, "inter_irs_distance": 1e300}, "np_kappa_i"),
+        ({"path_loss_exponent": 1e308, "irs_user_distance": 10.0}, "c_a"),  # 2 log kappa_u: -inf
+        ({"path_loss_exponent": 1e308, "irs_user_distance": 0.1}, "c_a"),   # ... or +inf
+        ({"path_loss_exponent": 1e308, "bs_irs_distance": 10.0}, "c_t"),
+        ({"path_loss_exponent": 1e308, "bs_irs_distance": 0.1}, "c_t"),
     ])
     def test_derive_link_budget_names_the_constant_and_its_keys(self, changes, quantity):
         p = SystemParams(**changes)
@@ -247,9 +287,36 @@ class TestBudgetOutOfRange:
             assert f"{key} = {value:g}" in message
 
     def test_both_constants_out_of_range_are_both_named(self):
-        p = SystemParams(tx_power=1.7e308, amp_power=1.7e308)
+        p = SystemParams(path_loss_exponent=1e308, bs_irs_distance=10.0, irs_user_distance=10.0)
         with pytest.raises(ValueError, match="put c_a = .*; .*put c_t = "):
             derive_link_budget(p)
+
+    def test_log_signal_out_of_range_names_the_objective(self):
+        # every hop gain and constant has a finite log (log c_a = log c_t ~ -1.4e308), but
+        # their sum, the log signal power, is -inf
+        p = SystemParams(path_loss_exponent=1e308)
+        budget = LinkBudget(*_hop_logs(p), p)
+        assert math.isfinite(budget.log_c_a) and math.isfinite(budget.log_c_t)
+        assert budget.log_signal == -math.inf
+        with pytest.raises(ValueError) as info:
+            derive_link_budget(p)
+        assert str(info.value) == ("invalid system parameters: "
+                                   + out_of_range_message(p, "objective"))
+
+    @pytest.mark.parametrize("changes", [
+        {"amp_power": 1.7e308}, {"tx_power": 1.7e308},           # the product rounded to inf
+        {"irs_user_distance": 1e-300}, {"bs_irs_distance": 1e-300},  # kappa**2 raised
+        {"irs_user_distance": 1e300}, {"bs_irs_distance": 1e300},    # kappa**2 underflowed
+        {"ref_path_gain": 1e-300, "inter_irs_distance": 1e300},      # np_kappa_i was 0
+        {"tx_power": 1.7e308, "amp_power": 1.7e308},
+    ])
+    def test_a_linear_constant_past_double_range_has_a_finite_log(self, changes):
+        # these failed as c_a, c_t or np_kappa_i while the budget was linear
+        p = SystemParams(**changes)
+        assert validate(p) == []
+        budget = derive_link_budget(p)
+        assert all(math.isfinite(v) for v in (budget.log_c_a, budget.log_c_t,
+                                              budget.log_np_kappa_i, budget.log_signal))
 
     @pytest.mark.parametrize("changes", [
         {"bs_antennas": 10**300},                         # d_max**2 raises
@@ -269,16 +336,20 @@ class TestBudgetOutOfRange:
                                                    (17 * 10**400, "1.7e+401")],
                              ids=["1e400", "1.7e401"])
     def test_antenna_count_beyond_double_range_is_named_not_raised(self, bs_antennas, text):
-        # :g converts an int to float, which used to raise OverflowError here; the
-        # same conversion puts c_t = tx_power * bs_antennas * kappa_b**2 out of range
+        # :g converts an int to float, which used to raise OverflowError here.  log takes
+        # the int as it is, so log c_t is finite; the all-passive baseline, which grows
+        # with the array, leaves double range and names it
         p = SystemParams(bs_antennas=bs_antennas)
         assert validate(p) == [] and fraunhofer_distance(p) == math.inf
+        budget = derive_link_budget(p)
+        assert budget.log_c_t == pytest.approx(math.log(bs_antennas) + 2 * budget.log_kappa_b)
         with pytest.raises(ValueError) as info:
-            derive_link_budget(p)
+            evaluate_point("wit", p)
         assert str(info.value) == (
-            f"invalid system parameters: tx_power = 1, bs_antennas = {text}, bs_irs_distance = "
-            "4, ref_path_gain = 5.01187e-05 and path_loss_exponent = 2 put c_t = tx_power * "
-            "bs_antennas * kappa_b**2 out of double range")
+            "num_irs = 7, pirs_elements = 100, inter_irs_distance = 10, ref_path_gain = "
+            "5.01187e-05, path_loss_exponent = 2, amp_power = 0.0001, airs_elements = 150, "
+            f"irs_user_distance = 4, tx_power = 1, bs_antennas = {text}, bs_irs_distance = 4 "
+            "and noise_power = 1e-09 put the all-passive baseline out of double range")
 
 
 def _edge_params():
@@ -286,14 +357,17 @@ def _edge_params():
 
     The one-key configs of tests/test_cli.py's TestInputsAtTheEdgeOfDoubleRange
     and TestHopGainOutOfRange (those a config file accepts), and the inputs of
-    this module's TestHopGainOutOfRange and TestBudgetOutOfRange.
+    this module's TestHopGainOutOfRange and TestBudgetOutOfRange, including those
+    that failed as linear products and now derive a budget.
     """
     texts = [f"{key} = {value}\n"
              for key in ("j", "m", "na", "np", "d_b", "d_u", "d_i", "pt", "pa", "sigma2",
                          "alpha", "beta0", "wavelength", "spacing")
              for value in ("1e-300", "1e-30", "1e30", "1e300", "1.7e308")]
     texts += ["alpha = 1e300\n", "alpha = 3\nd_i = 1e-300\n", "alpha = 3\nd_b = 1e-300\n",
-              "alpha = 3\nd_u = 1e-300\n", "alpha = 1e300\nd_i = 1\n"]
+              "alpha = 3\nd_u = 1e-300\n", "alpha = 1e300\nd_i = 1\n",
+              "alpha = 1.7e308\nd_i = 1\nd_b = 100\n", "alpha = 1.7e308\nd_i = 1\nd_u = 1e-10\n",
+              "alpha = 1e308\nd_u = 10\n", "alpha = 1e308\nd_b = 10\n", "alpha = 1e308\n"]
     out = []
     for text in texts:
         try:
@@ -310,48 +384,56 @@ def _edge_params():
         {"ref_path_gain": 1e-300, "inter_irs_distance": 1e300},
         {"tx_power": 1.7e308, "amp_power": 1.7e308}, {"bs_antennas": 10**300},
         {"element_spacing": 1e300}, {"wavelength": 1.7e308}, {"bs_antennas": 10**400},
+        {"path_loss_exponent": 1.7e308, "bs_irs_distance": 10.0, "irs_user_distance": 1e-10},
+        {"path_loss_exponent": 1.7e308, "inter_irs_distance": 1.0, "bs_irs_distance": 100.0,
+         "irs_user_distance": 100.0},
+        {"path_loss_exponent": 1e308, "irs_user_distance": 0.1},
+        {"path_loss_exponent": 1e308, "bs_irs_distance": 0.1},
+        {"path_loss_exponent": 1e308, "bs_irs_distance": 10.0, "irs_user_distance": 10.0},
     ]
     return out + [SystemParams(**c) for c in changes]
 
 
 FAR_FIELD_EXTREMES = [{"element_spacing": 1e300}, {"wavelength": 1e-300},
                       {"bs_antennas": 10**300}]
-BUDGET_EXTREMES = [{"amp_power": 1.7e308}, {"tx_power": 1.7e308},
-                   {"irs_user_distance": 1e-300}, {"bs_irs_distance": 1e300},
-                   {"ref_path_gain": 1e-300, "inter_irs_distance": 1e300},
-                   {"path_loss_exponent": 1e300}]
+# each takes one derived log out of double range: c_a, c_t, each hop gain, the objective
+BUDGET_EXTREMES = [{"path_loss_exponent": 1e308, "irs_user_distance": 10.0},
+                   {"path_loss_exponent": 1e308, "bs_irs_distance": 10.0},
+                   {"path_loss_exponent": 1.7e308},
+                   {"path_loss_exponent": 1.7e308, "inter_irs_distance": 1.0,
+                    "bs_irs_distance": 100.0},
+                   {"path_loss_exponent": 1.7e308, "inter_irs_distance": 1.0,
+                    "irs_user_distance": 100.0},
+                   {"path_loss_exponent": 1e308}]
 
 
 def _far_field_crosses():
     """Inputs that take the far-field threshold to inf or underflow it to 0, each
-    crossed with inputs that take a budget constant or the hop gains out of range."""
+    crossed with inputs that take a budget log out of double range."""
     return [SystemParams(**f, **r) for f in FAR_FIELD_EXTREMES for r in BUDGET_EXTREMES]
 
 
 def _reference_out_of_range(p):
-    """The derived quantities of ``p`` out of double range, each from its own float
-    formula, left to right: each hop's path loss d**(alpha/2) or, when all three
-    are in range, c_a, c_t and np_kappa_i."""
-    def outside(formula):
-        try:
-            return not 0.0 < formula() < math.inf
-        except OverflowError:
-            return True
+    """The derived quantities of ``p`` whose logs leave double range, each log a sum
+    of field logs written out here, left to right: each hop gain's or, when all three
+    are finite, those of c_a and c_t or, when those are too, the log signal power."""
+    def outside(values):
+        return [name for name, value in values.items() if not -math.inf < value < math.inf]
 
-    hops = {"kappa_b": p.bs_irs_distance, "kappa_i": p.inter_irs_distance,
-            "kappa_u": p.irs_user_distance}
-    gains = [name for name, d in hops.items()
-             if outside(lambda: d ** (p.path_loss_exponent / 2.0))]
-    if gains:
+    # kappa_i's entry is log(np_kappa_i): log(pirs_elements * sqrt(beta_0)) is finite, so
+    # it leaves double range exactly when log kappa_i does
+    log_kappa = dict(zip(("kappa_b", "kappa_i", "kappa_u"), _hop_logs(p)))
+    if gains := outside(log_kappa):
         return gains
-    kappa = {name: math.sqrt(p.ref_path_gain) / d ** (p.path_loss_exponent / 2.0)
-             for name, d in hops.items()}
-    constants = {
-        "c_a": lambda: p.amp_power * p.airs_elements * kappa["kappa_u"] ** 2,
-        "c_t": lambda: p.tx_power * p.bs_antennas * kappa["kappa_b"] ** 2,
-        "np_kappa_i": lambda: p.pirs_elements * kappa["kappa_i"],
+    log_c = {
+        "c_a": math.log(p.amp_power) + math.log(p.airs_elements) + 2.0 * log_kappa["kappa_u"],
+        "c_t": math.log(p.tx_power) + math.log(p.bs_antennas) + 2.0 * log_kappa["kappa_b"],
     }
-    return [name for name, formula in constants.items() if outside(formula)]
+    if constants := outside(log_c):
+        return constants
+    log_signal = (log_c["c_a"] + log_c["c_t"] + math.log(p.airs_elements)
+                  + 2.0 * (p.num_irs - 1) * log_kappa["kappa_i"])
+    return outside({"objective": log_signal})
 
 
 class TestValidateErrorsOnly:
@@ -396,9 +478,12 @@ class TestValidateErrorsOnly:
 
     def test_inputs_at_the_edge_of_double_range(self):
         edges = _edge_params()
-        assert len(edges) > 60
+        assert len(edges) == 85 and not any(validate(p) for p in edges)
         derived = [p for p in edges if self._assert_apart(p) is not None]
-        assert 0 < len(derived) < len(edges)
+        # 11 take a log out of double range: alpha = 1.7e308, and the ten inputs added
+        # for the log budget's own range test.  The 74 others derive, among them 29 of
+        # the 30 inputs that failed while the budget multiplied out linear products
+        assert len(derived) == 74
 
     def test_budget_builds_no_diagnostic(self, monkeypatch):
         built = []
@@ -423,7 +508,7 @@ class TestOneErrorNamesEveryQuantity:
     def test_edge_and_crossed_inputs(self):
         named = Counter()
         inputs = _edge_params() + _far_field_crosses()
-        assert len(inputs) == 93
+        assert len(inputs) == 103
         for p in inputs:
             errors = validate(p)
             expected = [] if errors else _reference_out_of_range(p)
@@ -436,7 +521,7 @@ class TestOneErrorNamesEveryQuantity:
             else:
                 assert isinstance(derive_link_budget(p), LinkBudget)
             named.update(expected)
-        assert set(named) == {"kappa_b", "kappa_i", "kappa_u", "c_a", "c_t", "np_kappa_i"}
+        assert set(named) == {"kappa_b", "kappa_i", "kappa_u", "c_a", "c_t", "objective"}
         # each cross names what its budget half names alone: a far-field extreme
         # adds no clause, though each takes the threshold to inf or underflows it to 0
         for far in FAR_FIELD_EXTREMES:
@@ -576,19 +661,23 @@ class TestGuards:
                                           / p.wavelength)
         assert fraunhofer_distance(p) > fraunhofer_distance(SystemParams())
 
-    def test_infinite_np_kappa_i_is_an_error(self):
-        # kappa_i = 1e150 / 1e-150 = 1e300 is finite; 10**9 of it is not
+    def test_np_kappa_i_past_double_range_derives_a_budget(self):
+        # kappa_i = 1e150 / 1e-150 = 1e300 is finite; 10**9 of it is not, but its log,
+        # 711.4, is.  The budget derives, the regime warning prints the product as inf,
+        # and x**(2(J-1)) takes the objective out of double range
         p = SystemParams(ref_path_gain=1e300, inter_irs_distance=1e-150,
                          pirs_elements=10**9)
-        # validate reports nothing, not even a kappa_i = inf regime warning: the error
-        # below names np_kappa_i, and with no budget there is no model_warnings call
         assert validate(p) == []
-        with pytest.raises(ValueError) as info:
-            derive_link_budget(p)
-        assert str(info.value) == (
-            "invalid system parameters: pirs_elements = 1e+09, inter_irs_distance = 1e-150, "
-            "ref_path_gain = 1e+300 and path_loss_exponent = 2 put np_kappa_i = "
-            "pirs_elements * kappa_i out of double range")
+        budget = derive_link_budget(p)
+        assert budget.kappa_i == pytest.approx(1e300, rel=1e-12)
+        assert budget.log_np_kappa_i == pytest.approx(309 * math.log(10.0), rel=1e-15)
+        assert model_warnings(p, budget)[-1].message == (
+            "f(l) non-decreasing regime: pirs_elements * kappa_i = inf >= 1; closed-form "
+            "placement falls back to brute force")
+        for mode in ("wit", "wpt"):
+            with pytest.raises(ValueError) as info:
+                evaluate_point(mode, p)
+            assert str(info.value) == out_of_range_message(p, "objective")
 
     def test_zero_hop_distance_is_rejected(self):
         with pytest.raises(ValueError, match="^hop distance must be positive$"):
