@@ -29,10 +29,8 @@ from .params import (
     db_to_linear,
     dbm_to_watts,
     derive_link_budget,
-    linear_to_db,
     model_warnings,
     out_of_range_message,
-    watts_to_dbm,
 )
 
 EXIT_OK = 0
@@ -208,15 +206,21 @@ def parse_sweep(text: str) -> list[int]:
     return _sweep_values(minimum, maximum, scale, count_or_step)
 
 
-# SNRs are reported in dB, received powers in dBm: (column suffix, converter)
-_LOG_UNITS = {metrics.WIT: ("db", linear_to_db), metrics.WPT: ("dbm", watts_to_dbm)}
+# SNRs are reported in dB, received powers in dBm: (column suffix, dB offset)
+_LOG_UNITS = {metrics.WIT: ("db", 0.0), metrics.WPT: ("dbm", 30.0)}
+_LN10 = math.log(10.0)  # the baseline comes as a natural log
 
 
-def _in_db(mode: str, p: SystemParams, value: float, quantity: str = "objective") -> str:
-    """``value`` in dB (wit) or dBm (wpt); one that underflowed to 0.0 names its fields."""
+def _db(mode: str, log10_value: float) -> str:
+    """A value given by its log10, in dB (wit) or dBm (wpt)."""
+    return _fmt(10.0 * log10_value + _LOG_UNITS[mode][1])
+
+
+def _in_db(mode: str, p: SystemParams, value: float) -> str:
+    """An objective in dB (wit) or dBm (wpt); one that underflowed to 0.0 names its fields."""
     if value == 0.0:
-        raise ValueError(out_of_range_message(p, quantity))
-    return _fmt(_LOG_UNITS[mode][1](value))
+        raise ValueError(out_of_range_message(p, "objective"))
+    return _db(mode, math.log10(value))
 
 
 def evaluate_point(mode: str, p: SystemParams) -> dict[str, object]:
@@ -234,8 +238,7 @@ def _row(mode: str, p: SystemParams, budget) -> dict[str, object]:
         "objective_linear": _fmt(sol.objective),
         "objective_db": _in_db(mode, p, sol.objective),
         "mid_objective_db": _in_db(mode, p, sol.middle_objective),
-        "all_pirs_objective_db": _in_db(mode, p, deployment.scheme_all_pirs(mode, p, budget),
-                                        "all_pirs"),
+        "all_pirs_objective_db": _db(mode, deployment.scheme_all_pirs(mode, p, budget) / _LN10),
         "brute_force_l": sol.brute_force_index,
         "agrees": "true" if sol.brute_force_agrees else "false",
         "_relaxed_index": sol.relaxed_index,
@@ -357,8 +360,8 @@ def figure_rows(base: SystemParams) -> tuple[list[dict], list[dict], list[dict]]
                        "middle": sol.middle_objective}
             row = {"np": n_p, **{f"{name}_{unit}": _in_db(mode, p, value)
                                  for name, value in schemes.items()}}
-            row[f"all_pirs_{unit}"] = _in_db(mode, p, deployment.scheme_all_pirs(mode, p, budget),
-                                             "all_pirs")
+            log10_passive = deployment.scheme_all_pirs(mode, p, budget) / _LN10
+            row[f"all_pirs_{unit}"] = _db(mode, log10_passive)
             objective_rows[mode].append(row)
         index_rows.append(index_row)
     return index_rows, objective_rows[metrics.WIT], objective_rows[metrics.WPT]

@@ -10,7 +10,9 @@ picks the better neighbour of a relaxed stationary point from the same
 vector; for power transfer the final position always wins.  Every solve
 thus carries its own brute-force cross-check at no extra evaluation.
 Each solve also carries the middle-placement baseline; ``scheme_all_pirs``
-gives the all-passive one, the other baseline the closed forms face.
+gives the log of the all-passive one, the other baseline the closed forms
+face.  It stays a log up to the report: a sum of finite budget logs, it is
+finite wherever the budget derives, even where its linear value is not.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .metrics import WIT, WPT, check_mode, objective, power_values
-from .params import LinkBudget, SystemParams, out_of_range_message
+from .params import LinkBudget, SystemParams
 
 CASE_FALLBACK = "brute-force-fallback"
 CASE_FINAL = "final"
@@ -142,41 +144,32 @@ def scheme_middle(mode: str, p: SystemParams, budget: LinkBudget) -> float:
     return objective(mode, p, middle_index(p.num_irs), budget)
 
 
-def _log_all_pirs_power(p: SystemParams, budget: LinkBudget) -> float:
-    """Log of the all-passive chain's received power (watts), boosted transmitter.
+def _logaddexp(a: float, b: float) -> float:
+    """log(exp(a) + exp(b)), shifted by the larger term (Blanchard, Higham & Higham,
+    IMA J. Numer. Anal. 2021): the sum, which can leave double range, never forms."""
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + math.log1p(math.exp(lo - hi))
 
-    log(tx_power + airs_elements * amp_power) is a logaddexp shifted by its larger term
-    (Blanchard, Higham & Higham, IMA J. Numer. Anal. 2021): the sum, which can round to
-    inf, never forms, so only ``scheme_all_pirs``'s exp can leave double range."""
-    log_tx, log_amp = math.log(p.tx_power), math.log(p.airs_elements) + math.log(p.amp_power)
-    hi, lo = (log_tx, log_amp) if log_tx >= log_amp else (log_amp, log_tx)
-    return (
-        hi + math.log1p(math.exp(lo - hi))
+
+def scheme_all_pirs(mode: str, p: SystemParams, budget: LinkBudget) -> float:
+    """Natural log of the all-passive baseline, with the transmit power raised by
+    the saved budget.
+
+    The active surface is swapped for a passive one and the transmitter
+    spends tx_power + airs_elements * amp_power, so both schemes draw the
+    same total power.  Returns the log SNR for "wit" and the log watts for
+    "wpt": a sum of finite budget logs, so finite wherever the budget derives.
+    """
+    check_mode(mode)
+    log_power = (
+        _logaddexp(math.log(p.tx_power), math.log(p.airs_elements) + math.log(p.amp_power))
         + math.log(p.bs_antennas)
         + 2.0 * budget.log_kappa_b
         + 2.0 * budget.log_kappa_u
         + 2.0 * math.log(p.pirs_elements)
         + 2.0 * (p.num_irs - 1) * budget.log_np_kappa_i
     )
-
-
-def scheme_all_pirs(mode: str, p: SystemParams, budget: LinkBudget) -> float:
-    """All-passive baseline with the transmit power raised by the saved budget.
-
-    The active surface is swapped for a passive one and the transmitter
-    spends tx_power + airs_elements * amp_power, so both schemes draw the
-    same total power.  Returns an SNR for "wit" and watts for "wpt".  It can
-    leave double range at shorter chains than the objectives; that raises
-    its own ``ValueError`` naming the same fields as the objectives' one.
-    """
-    check_mode(mode)
-    log_signal = _log_all_pirs_power(p, budget)
-    if mode == WIT:
-        log_signal -= budget.log_noise_power
-    try:
-        return math.exp(log_signal)
-    except OverflowError:
-        raise ValueError(out_of_range_message(p, "all_pirs")) from None
+    return log_power - budget.log_noise_power if mode == WIT else log_power
 
 
 def wpt_crossover_np(p: SystemParams, budget: LinkBudget) -> float:
@@ -186,7 +179,7 @@ def wpt_crossover_np(p: SystemParams, budget: LinkBudget) -> float:
     size at which it reaches c_a * airs_elements, the active chain's
     vanishing-noise power.  Valid as a strict crossover only in that regime.
     """
-    log_gap = budget.log_c_a + math.log(p.airs_elements) - _log_all_pirs_power(p, budget)
+    log_gap = budget.log_c_a + math.log(p.airs_elements) - scheme_all_pirs(WPT, p, budget)
     return math.exp(math.log(p.pirs_elements) + log_gap / (2.0 * p.num_irs))
 
 
@@ -199,7 +192,8 @@ class RatioReport:
     (J+1)/2 and by the all-passive baseline: an identity for power transfer
     (exact when the chain length is odd, so the middle index is integral),
     a lower bound for information transfer.  ``*_limit`` is the closed
-    form's vanishing-noise value.
+    form's vanishing-noise value.  The baseline is a log, so each all-passive
+    ratio is the exp of a log difference.
     """
 
     mode: str
@@ -212,36 +206,27 @@ class RatioReport:
     vs_all_pirs_limit: float
 
 
-def _ratio_of_term_sums(log_num_terms: list[float], log_den_terms: list[float]) -> float:
-    """exp-sum ratio that keeps both range safety and relative precision.
-
-    Factoring out each side's largest term caps every exponential at 1,
-    so extreme exponents cannot overflow, while the residual sums stay in
-    linear domain where sub-ulp-of-log differences (which decide argmax
-    ties between adjacent indices) remain representable.
-    """
-    m_num = max(log_num_terms)
-    m_den = max(log_den_terms)
-    s_num = math.fsum(math.exp(t - m_num) for t in log_num_terms)
-    s_den = math.fsum(math.exp(t - m_den) for t in log_den_terms)
-    return math.exp(m_num - m_den) * (s_num / s_den)
+def _over_exp(value: float, log_den: float) -> float:
+    """value / exp(log_den), which never forms exp(log_den); an objective that
+    underflowed to 0.0 gives 0.0, as its quotient did."""
+    return math.exp(math.log(value) - log_den) if value else 0.0
 
 
 def ratio_diagnostics(mode: str, p: SystemParams, budget: LinkBudget) -> RatioReport:
     sol = optimal_index(mode, p, budget)
-    passive = scheme_all_pirs(mode, p, budget)
+    log_passive = scheme_all_pirs(mode, p, budget)
     final = sol.objectives[-1]
     # vanishing-noise limits in log domain; x = np_kappa_i**(J-1)
     log_x = (p.num_irs - 1) * budget.log_np_kappa_i
     log_ca, log_ct = budget.log_c_a, budget.log_c_t
-    log_all = _log_all_pirs_power(p, budget)
     if mode == WPT:
         vs_mid_limit = math.exp(-log_x)
-        vs_all_limit = math.exp(log_ca + math.log(p.airs_elements) - log_all)
+        vs_all_limit = math.exp(log_ca + math.log(p.airs_elements) - log_passive)
     else:  # WIT; optimal_index has already rejected any other mode
-        den = [log_ca, log_ct + 2.0 * log_x]  # c_a + c_t * x**2
-        vs_mid_limit = _ratio_of_term_sums([log_x + log_ca, log_x + log_ct], den)
-        vs_all_limit = _ratio_of_term_sums([budget.log_signal], [t + log_all for t in den])
+        log_den = _logaddexp(log_ca, log_ct + 2.0 * log_x)  # c_a + c_t * x**2
+        vs_mid_limit = math.exp(log_x + _logaddexp(log_ca, log_ct) - log_den)
+        vs_all_limit = math.exp(budget.log_signal - budget.log_noise_power - log_passive
+                                - log_den)
 
     return RatioReport(
         mode=mode,
@@ -249,8 +234,8 @@ def ratio_diagnostics(mode: str, p: SystemParams, budget: LinkBudget) -> RatioRe
         vs_middle_exact=sol.objective / sol.middle_objective,
         vs_middle_closed=final / objective(mode, p, (p.num_irs + 1) / 2.0, budget),
         vs_middle_limit=vs_mid_limit,
-        vs_all_pirs_exact=sol.objective / passive,
-        vs_all_pirs_closed=final / passive,
+        vs_all_pirs_exact=_over_exp(sol.objective, log_passive),
+        vs_all_pirs_closed=_over_exp(final, log_passive),
         vs_all_pirs_limit=vs_all_limit,
     )
 

@@ -23,23 +23,9 @@ def dbm_to_watts(x: float) -> float:
     return 10.0 ** ((x - 30.0) / 10.0)
 
 
-def watts_to_dbm(x: float) -> float:
-    """Convert a power in watts (> 0) to dBm."""
-    if x <= 0.0:
-        raise ValueError("watts_to_dbm requires a positive power")
-    return 10.0 * math.log10(x) + 30.0
-
-
 def db_to_linear(x: float) -> float:
     """Convert a gain in dB to a linear power ratio."""
     return 10.0 ** (x / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    """Convert a linear power ratio (> 0) to dB."""
-    if x <= 0.0:
-        raise ValueError("linear_to_db requires a positive ratio")
-    return 10.0 * math.log10(x)
 
 
 def check_airs_index(airs_index: int, num_irs: int) -> None:
@@ -191,19 +177,19 @@ _OUT_OF_RANGE = {
     "c_t": ("c_t = tx_power * bs_antennas * kappa_b**2",
             ("tx_power", "bs_antennas", "bs_irs_distance") + _GAIN),
 }
-# the objectives and the all-passive baseline take every budget constant, J, N_a and the noise
+# the objectives take every budget constant, J, N_a and the noise
 _CHAIN = tuple(dict.fromkeys(("num_irs", "pirs_elements", "inter_irs_distance") + _GAIN
                              + _OUT_OF_RANGE["c_a"][1] + _OUT_OF_RANGE["c_t"][1]
                              + ("noise_power",)))
 _OUT_OF_RANGE["objective"] = ("the objective", _CHAIN)
-_OUT_OF_RANGE["all_pirs"] = ("the all-passive baseline", _CHAIN)
 
 
 def out_of_range_message(p: SystemParams, *quantities: str) -> str:
     """'f1 = v1, ... and fn = vn put <quantity> out of double range', "; "-joined.
 
-    A quantity is "kappa_b", "kappa_i", "kappa_u", "c_a", "c_t", "objective" or
-    "all_pirs"; f1..fn are the fields that feed it.
+    A quantity is "kappa_b", "kappa_i", "kappa_u", "c_a", "c_t" or "objective";
+    f1..fn are the fields that feed it.  The all-passive baseline is a sum of
+    finite budget logs, so it never leaves double range and has no entry.
     """
     messages = []
     for quantity in quantities:

@@ -1,11 +1,12 @@
 """Helpers that only the tests need: per-surface element counts, a fixed
 zig-zag chain, every hop's array responses, the co-phasing rule, one
 surface's reflection coefficient sum, the per-element power incident on
-the active surface, the amplifier power-budget check and the paper's
-panel-size scaling orders."""
+the active surface, the amplifier power-budget check, the paper's
+panel-size scaling orders and the exact all-passive baseline."""
 
 import math
 
+import mpmath
 import numpy as np
 
 from irschain import channel
@@ -100,3 +101,28 @@ def power_scaling_order(airs_index: int, num_irs: int) -> int:
     """Predicted exponent of the received power in the panel size."""
     check_airs_index(airs_index, num_irs)
     return 2 * (num_irs - airs_index)
+
+
+def exact_all_pirs_log(mode: str, p: SystemParams) -> mpmath.mpf:
+    """Natural log of the all-passive baseline, log SNR for "wit" and log watts for
+    "wpt", in mpmath at 50 digits from the same float fields.
+
+    The transmitter spends tx_power + airs_elements * amp_power into a chain of
+    num_irs passive surfaces: log of that power, the array gain bs_antennas, the
+    outer hops' power gains kappa_b**2 and kappa_u**2, pirs_elements**2 per surface
+    and kappa_i**2 per inter-surface hop, with log kappa = log(ref_path_gain) / 2
+    - (path_loss_exponent / 2) log d.
+    """
+    with mpmath.workdps(50):
+        f = mpmath.mpf
+
+        def log_kappa(distance):
+            return (mpmath.log(f(p.ref_path_gain)) / 2
+                    - f(p.path_loss_exponent) / 2 * mpmath.log(f(distance)))
+
+        log_power = (mpmath.log(f(p.tx_power) + f(p.airs_elements) * f(p.amp_power))
+                     + mpmath.log(f(p.bs_antennas))
+                     + 2 * log_kappa(p.bs_irs_distance) + 2 * log_kappa(p.irs_user_distance)
+                     + 2 * p.num_irs * mpmath.log(f(p.pirs_elements))
+                     + 2 * (p.num_irs - 1) * log_kappa(p.inter_irs_distance))
+        return +(log_power - mpmath.log(f(p.noise_power)) if mode == "wit" else log_power)

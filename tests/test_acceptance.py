@@ -138,7 +138,8 @@ def test_criterion_5_scheme_comparisons():
             best = optimal_index(mode, p, budget).objective
             if best < scheme_middle(mode, p, budget):
                 dominated = False
-            active_vs_passive[mode].append(best > scheme_all_pirs(mode, p, budget))
+            # the baseline is a log, so the active chain's objective is compared as one
+            active_vs_passive[mode].append(math.log(best) > scheme_all_pirs(mode, p, budget))
     crossover_exists = all(
         flags[0] and not flags[-1] for flags in active_vs_passive.values())
 
@@ -148,7 +149,7 @@ def test_criterion_5_scheme_comparisons():
     for n_p in range(int(threshold) - 50, int(threshold) + 50):
         q = _with_np(quiet, n_p)
         budget = derive_link_budget(q)
-        if optimal_index(WPT, q, budget).objective <= scheme_all_pirs(WPT, q, budget):
+        if math.log(optimal_index(WPT, q, budget).objective) <= scheme_all_pirs(WPT, q, budget):
             crossing = n_p
             break
     threshold_ok = crossing is not None and abs(crossing - threshold) <= 1.0

@@ -11,6 +11,7 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -24,6 +25,7 @@ from irschain.cli import (
     run,
 )
 from irschain.params import MAX_ELEMENTS, MAX_SURFACES, SPEED_OF_LIGHT, SystemParams
+from reference import exact_all_pirs_log
 
 
 class TestConfigParsing:
@@ -383,20 +385,18 @@ class TestHopGainOutOfRange:
                              f"and {key} = {value:g} put the hop gain out of double range")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("config, quantity", [
-        ("alpha = 1e300\n", {"wit": "objective", "wpt": "objective"}),
-        ("alpha = 3\nd_i = 1e-300\n", {"wit": "objective", "wpt": "objective"}),
-        ("alpha = 3\nd_b = 1e-300\n", {"wit": "all-passive baseline",
-                                       "wpt": "all-passive baseline"}),
-        ("alpha = 3\nd_u = 1e-300\n", {"wit": "all-passive baseline", "wpt": "objective"}),
-        ("alpha = 1e300\nd_i = 1\n", {"wit": "objective", "wpt": "objective"}),
-    ], ids=["overflow-d_i", "underflow-d_i", "underflow-d_b", "underflow-d_u", "overflow-d_b"])
-    @pytest.mark.parametrize("mode", ["wit", "wpt"])
+    @pytest.mark.parametrize("mode, config", [
+        *((mode, config) for mode in ("wit", "wpt") for config in (
+            "alpha = 1e300\n", "alpha = 3\nd_i = 1e-300\n", "alpha = 1e300\nd_i = 1\n")),
+        ("wpt", "alpha = 3\nd_u = 1e-300\n"),
+    ], ids=["wit-overflow-d_i", "wit-underflow-d_i", "wit-overflow-d_b",
+            "wpt-overflow-d_i", "wpt-underflow-d_i", "wpt-overflow-d_b", "wpt-underflow-d_u"])
     def test_a_linear_gain_past_double_range_derives_a_budget(self, tmp_path, capsys,
-                                                             config, quantity, mode):
+                                                             config, mode):
         # these gains failed the linear budget; their logs are finite, so eval prints its
-        # warnings, solves, and names every field that feeds the value that then leaves
-        # double range: an objective or baseline underflowing to 0.0, or overflowing
+        # warnings, solves, and names every field that feeds the objective that then
+        # leaves double range, underflowing to 0.0 or overflowing.  The other modes of
+        # underflow-d_b and underflow-d_u print a row (TestBaselineIsALog)
         cfg = tmp_path / "hop.cfg"
         cfg.write_text(config)
         assert run(["eval", "--mode", mode, "--config", str(cfg)]) == 2
@@ -404,8 +404,7 @@ class TestHopGainOutOfRange:
         lines = captured.err.splitlines()
         assert lines[0].startswith("warning: below the far-field threshold")
         p = params_from_config(parse_config_text(config))
-        assert lines[-1] == "error: " + params.out_of_range_message(
-            p, "objective" if quantity[mode] == "objective" else "all_pirs")
+        assert lines[-1] == "error: " + params.out_of_range_message(p, "objective")
         assert "path_loss_exponent = " in lines[-1] and captured.out == ""
 
     @pytest.mark.parametrize("mode", ["wit", "wpt"])
@@ -456,7 +455,7 @@ class TestInputsAtTheEdgeOfDoubleRange:
             assert [line for line in captured.err.splitlines()
                     if line.startswith("error: ")] == [captured.err.splitlines()[-1]]
 
-    @pytest.mark.parametrize("config, keys", [
+    @pytest.mark.parametrize("mode, config, keys", [(mode, config, keys) for config, keys in [
         ("alpha = 1e308\nd_u = 10\n", ["amp_power", "airs_elements", "irs_user_distance"]),
         ("alpha = 1e308\nd_b = 10\n", ["tx_power", "bs_antennas", "bs_irs_distance"]),
         ("d_b = 1e300\n", ["tx_power", "bs_antennas", "bs_irs_distance"]),
@@ -469,9 +468,10 @@ class TestInputsAtTheEdgeOfDoubleRange:
         # the objective overflows; the error names the field set, not only J and N_p
         ("beta0 = 9.25e213\n", ["ref_path_gain"]),
         ("d_i = 7.7235e-179\n", ["inter_irs_distance"]),
-    ])
-    @pytest.mark.parametrize("mode", ["wit", "wpt"])
-    def test_error_names_the_keys_of_the_quantity(self, tmp_path, capsys, config, keys, mode):
+    ] for mode in ("wit", "wpt")
+        # these two named the all-passive baseline; as a log it prints (TestBaselineIsALog)
+        if (mode, config) not in {("wpt", "d_b = 1e300\n"), ("wit", "d_u = 1e-300\n")}])
+    def test_error_names_the_keys_of_the_quantity(self, tmp_path, capsys, mode, config, keys):
         cfg = tmp_path / "edge.cfg"
         cfg.write_text(config)
         assert run(["eval", "--mode", mode, "--config", str(cfg)]) == 2
@@ -574,9 +574,10 @@ class TestInputsAtTheEdgeOfDoubleRange:
 
 
 class TestUnderflowIsNamed:
-    """An objective or baseline that underflows to 0.0 has no dB value; the dB boundary
-    names the fields that feed it, where linear_to_db / watts_to_dbm used to exit with
-    an unnamed 'requires a positive ratio / power'."""
+    """An objective that underflows to 0.0 has no dB value; the dB boundary names the
+    fields that feed it, where linear_to_db / watts_to_dbm used to exit with an unnamed
+    'requires a positive ratio / power'.  The all-passive baseline, a log, never
+    underflows (TestBaselineIsALog)."""
 
     @staticmethod
     def message(j, quantity):
@@ -585,10 +586,10 @@ class TestUnderflowIsNamed:
                 "irs_user_distance = 4, tx_power = 1, bs_antennas = 10, bs_irs_distance = 4 and "
                 f"noise_power = 1e-09 put {quantity} out of double range")
 
-    # at J = 200 the SNR (from J = 146) and the baseline have underflowed, the power not
+    # at J = 200 the SNR (from J = 146) has underflowed, the power not
     @pytest.mark.parametrize("mode, j, quantity", [
         ("wit", 400, "the objective"), ("wpt", 400, "the objective"),
-        ("wit", 200, "the objective"), ("wpt", 200, "the all-passive baseline"),
+        ("wit", 200, "the objective"),
     ])
     def test_eval_names_the_fields(self, tmp_path, capsys, mode, j, quantity):
         cfg = tmp_path / "long.cfg"
@@ -598,17 +599,96 @@ class TestUnderflowIsNamed:
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == "error: " + self.message(j, quantity)
 
-    @pytest.mark.parametrize("j, quantity", [(80, "the objective"),
-                                             (75, "the all-passive baseline")])
+    @pytest.mark.parametrize("j, quantity", [(80, "the objective")])
     def test_figures_name_the_fields(self, tmp_path, capsys, j, quantity):
-        # the figures' first panel, np = 10, decays fastest: at J = 75 its baseline has
-        # underflowed and its objectives not yet
+        # the figures' first panel, np = 10, decays fastest: at J = 80 its objectives
+        # have underflowed (at J = 75 they have not: TestBaselineIsALog)
         cfg = tmp_path / "long.cfg"
         cfg.write_text(f"j = {j}\n")
         assert run(["figures", "--outdir", str(tmp_path), "--config", str(cfg)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: " + self.message(j, quantity).replace("pirs_elements = 100",
                                                                      "pirs_elements = 10")]
+
+
+def _write(tmp_path, config):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(config)
+    return cfg
+
+
+def _exact_db(mode, p):
+    """The all-passive baseline in dB (wit) or dBm (wpt) at 10 digits, from the exact log."""
+    with mpmath.workdps(50):
+        value = exact_all_pirs_log(mode, p) * 10 / mpmath.log(10) + (30 if mode == "wpt" else 0)
+        return format(float(value), ".10g")
+
+
+class TestBaselineIsALog:
+    """The all-passive baseline is printed from its log, a sum of finite budget logs, so
+    it is finite wherever the budget derives.  Each input here exited 2 naming the
+    all-passive baseline while the baseline was exponentiated first and its linear
+    value underflowed to 0.0 or overflowed."""
+
+    # (mode, config, --np): l_star, objective_linear, objective_db, all_pirs_objective_db
+    ROWS = {
+        # a hop gain past linear range (TestHopGainOutOfRange); the baseline overflowed
+        ("wit", "alpha = 3\nd_b = 1e-300\n", None): ("7", "1761.986368", "32.46002544",
+                                                     "8838.002861"),
+        ("wpt", "alpha = 3\nd_b = 1e-300\n", None): ("7", "1.761986368e-06", "-27.53997456",
+                                                     "8778.002861"),
+        ("wit", "alpha = 3\nd_u = 1e-300\n", None): ("1", "1174657.579", "60.69911285",
+                                                     "8838.002861"),
+        # one key at the edge of double range (TestInputsAtTheEdgeOfDoubleRange)
+        ("wit", "d_u = 1e-300\n", None): ("1", "4698630.315", "66.71971276", "5904.023461"),
+        ("wpt", "d_b = 1e300\n", None): ("7", "4.698630315e-08", "-43.28028724",
+                                         "-6155.976539"),
+        # the default chain: every wpt chain from J = 140 to 275 underflowed
+        ("wpt", "j = 200\n", None): ("200", "4.698630315e-08", "-43.28028724", "-4607.017739"),
+        # np * kappa_i ~ 14 (TestOverflow): the baseline overflowed from J = 132 (wit)
+        # and J = 136 (wpt), the objectives only from J = 266 (wit) and J = 138 (wpt)
+        ("wit", "j = 132\n", "20000"): ("66", "4.675636094e+155", "1556.698407",
+                                        "3091.701449"),
+        ("wit", "j = 200\n", "20000"): ("100", "8.707237845e+233", "2339.398804",
+                                        "4657.102243"),
+        ("wpt", "j = 137\n", "20000"): ("1", "8.47632469e+307", "3109.282076", "3146.804449"),
+    }
+
+    @staticmethod
+    def eval_report(tmp_path, capsys, mode, config, n_p):
+        argv = ["eval", "--mode", mode, "--config", str(_write(tmp_path, config))]
+        assert run(argv + (["--np", n_p] if n_p else [])) == 0
+        captured = capsys.readouterr()
+        assert all(line.startswith("warning: ") for line in captured.err.splitlines())
+        p = params_from_config(parse_config_text(config))
+        if n_p:
+            p = cli._with_np(p, int(n_p))
+        return dict(line.split(" = ", 1) for line in captured.out.splitlines()), p
+
+    @pytest.mark.parametrize("mode, config, n_p", list(ROWS))
+    def test_eval_prints_the_row(self, tmp_path, capsys, mode, config, n_p):
+        report, p = self.eval_report(tmp_path, capsys, mode, config, n_p)
+        assert (report["l_star"], report["objective_linear"], report["objective_db"],
+                report["all_pirs_objective_db"]) == self.ROWS[mode, config, n_p]
+        assert report["all_pirs_objective_db"] == _exact_db(mode, p)
+
+    def test_a_subnormal_linear_baseline_no_longer_costs_digits(self, tmp_path, capsys):
+        # at J = 138 the linear power is about 8e-322 W, a subnormal with 11 bits of
+        # precision, and the column read -3181.020954; its log gives the exact digits
+        report, p = self.eval_report(tmp_path, capsys, "wpt", "j = 138\n", None)
+        assert report["all_pirs_objective_db"] == "-3181.017739" == _exact_db("wpt", p)
+
+    def test_figures_print_the_baseline(self, tmp_path, capsys):
+        # at J = 75 the first panel's (np = 10) baseline underflowed, its objectives not
+        assert run(["figures", "--outdir", str(tmp_path),
+                    "--config", str(_write(tmp_path, "j = 75\n"))]) == 0
+        p = SystemParams(num_irs=75, pirs_elements=10, pirs_grid=None)
+        for name, mode, column, value in (("fig3.csv", "wit", "all_pirs_db", "-3172.017739"),
+                                          ("fig4.csv", "wpt", "all_pirs_dbm", "-3232.017739")):
+            with open(tmp_path / name, newline="") as f:
+                first = next(csv.DictReader(f))
+            assert (first["np"], first[column]) == ("10", value)
+            assert value == _exact_db(mode, p)
 
 
 # every key and alias a config file accepts, and the field each one sets; a frequency
@@ -890,7 +970,7 @@ class TestOverflow:
 
     @staticmethod
     def message(j, n_p, quantity, d_i=10):
-        # every field that feeds the objectives and the baseline, at its value
+        # every field that feeds the objectives, at its value
         return (f"num_irs = {j}, pirs_elements = {n_p}, inter_irs_distance = {d_i}, "
                 "ref_path_gain = 5.01187e-05, path_loss_exponent = 2, amp_power = 0.0001, "
                 "airs_elements = 150, irs_user_distance = 4, tx_power = 1, bs_antennas = 10, "
@@ -919,8 +999,9 @@ class TestOverflow:
 
     @pytest.mark.parametrize("command, d_i, panel, quantity", [
         (["sweep", "--mode", "wpt", "--np", "1000"], 2, 1000, "the objective"),
-        # np = 10 fits
-        (["figures", "--outdir", "{tmp}"], 0.05, 25, "the all-passive baseline"),
+        # np = 10 fits; at np = 25 the baseline's linear value, which was named here,
+        # overflows first, and the objective too
+        (["figures", "--outdir", "{tmp}"], 0.05, 25, "the objective"),
     ])
     def test_sweep_and_figures_exit_2_naming_the_point(self, tmp_path, capsys,
                                                        command, d_i, panel, quantity):
@@ -933,10 +1014,10 @@ class TestOverflow:
             "error: " + self.message(300, panel, quantity, d_i)]
         assert captured.out == ""
 
+    # at J = 200 the SNRs are finite, and so is the baseline's log (TestBaselineIsALog)
     @pytest.mark.parametrize("mode, j, what", [
         ("wit", 300, "objective"),
         ("wpt", 300, "objective"),
-        ("wit", 200, "all-passive baseline"),  # the SNRs are finite here
     ])
     def test_evaluate_point_raises_value_error_naming_both_keys(self, mode, j, what):
         p = SystemParams(num_irs=j, pirs_elements=20000, pirs_grid=None)

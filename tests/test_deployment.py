@@ -1,8 +1,10 @@
 import math
+import random
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from irschain import deployment
 from irschain.deployment import (
@@ -16,7 +18,15 @@ from irschain.deployment import (
     wpt_crossover_np,
 )
 from irschain.metrics import WIT, WPT, objective, power_closed, snr_closed
-from irschain.params import SystemParams, derive_link_budget, model_warnings, validate
+from irschain.params import (
+    MAX_ELEMENTS,
+    MAX_SURFACES,
+    SystemParams,
+    derive_link_budget,
+    model_warnings,
+    validate,
+)
+from reference import exact_all_pirs_log
 
 # Frozen from direct arithmetic at the default scenario (100-element panels):
 # relaxed optimizer (J+1)/2 + log(c_a/c_t) / (4 log(np_kappa_i)) and the
@@ -396,19 +406,20 @@ class TestBaselineSchemes:
         boosted = p.tx_power + p.airs_elements * p.amp_power
         expected = (boosted * p.bs_antennas * math.exp(2 * b.log_kappa_b + 2 * b.log_kappa_u)
                     * p.pirs_elements**2 / p.noise_power)
-        assert scheme_all_pirs(WIT, p, b) == pytest.approx(expected, rel=1e-12)
+        # the baseline is a log: 1e-12 relative on the SNR is 1e-12 absolute on its log
+        assert scheme_all_pirs(WIT, p, b) == pytest.approx(math.log(expected), abs=1e-12)
 
     def test_small_panels_favor_the_active_chain(self):
         p = with_np(self.p, 16)
         b = derive_link_budget(p)
-        assert optimal_index(WIT, p, b).objective > scheme_all_pirs(WIT, p, b)
-        assert optimal_index(WPT, p, b).objective > scheme_all_pirs(WPT, p, b)
+        assert math.log(optimal_index(WIT, p, b).objective) > scheme_all_pirs(WIT, p, b)
+        assert math.log(optimal_index(WPT, p, b).objective) > scheme_all_pirs(WPT, p, b)
 
     def test_large_panels_favor_the_passive_chain(self):
         p = with_np(self.p, 1400)
         b = derive_link_budget(p)
-        assert optimal_index(WIT, p, b).objective < scheme_all_pirs(WIT, p, b)
-        assert optimal_index(WPT, p, b).objective < scheme_all_pirs(WPT, p, b)
+        assert math.log(optimal_index(WIT, p, b).objective) < scheme_all_pirs(WIT, p, b)
+        assert math.log(optimal_index(WPT, p, b).objective) < scheme_all_pirs(WPT, p, b)
 
     @pytest.mark.parametrize("mode", [WIT, WPT])
     def test_every_solve_carries_the_middle_baseline(self, mode):
@@ -423,8 +434,8 @@ class TestOverflow:
     """np = 20000 gives np * kappa_i ~ 14 at the default geometry.
 
     Each surface then multiplies the all-passive baseline by (np * kappa_i)**2
-    but the best SNR only by about np * kappa_i, so the baseline leaves double
-    range at a shorter chain than the objectives do.
+    but the best SNR only by about np * kappa_i, so the baseline's linear value
+    leaves double range at a shorter chain than the objectives do; its log does not.
     """
 
     @staticmethod
@@ -433,7 +444,7 @@ class TestOverflow:
 
     @staticmethod
     def message(j, quantity):
-        # every field that feeds the objectives and the baseline, at its value
+        # every field that feeds the objectives, at its value
         return (f"num_irs = {j}, pirs_elements = 20000, inter_irs_distance = 10, "
                 "ref_path_gain = 5.01187e-05, path_loss_exponent = 2, amp_power = 0.0001, "
                 "airs_elements = 150, irs_user_distance = 4, tx_power = 1, bs_antennas = 10, "
@@ -482,17 +493,19 @@ class TestOverflow:
                 call()
             assert str(info.value) == text
 
-    # first chain lengths whose baseline overflows: 132 (wit) and 136 (wpt);
-    # the objectives stay finite up to 265 (wit) and 137 (wpt)
-    @pytest.mark.parametrize("mode, j", [(WIT, 200), (WPT, 137)])
-    def test_baseline_overflow_leaves_the_solve_finite(self, mode, j):
+    # first chain lengths whose linear baseline overflows: 132 (wit) and 136 (wpt);
+    # the objectives stay finite up to 265 (wit) and 137 (wpt).  The baseline was
+    # exponentiated and raised its own error there; as a log it stays finite
+    @pytest.mark.parametrize("mode, j", [(WIT, 132), (WIT, 200), (WPT, 136), (WPT, 137)])
+    def test_baseline_past_linear_range_is_a_finite_log(self, mode, j):
         p = self.chain(j)
         budget = derive_link_budget(p)
         sol = optimal_index(mode, p, budget)
         assert all(math.isfinite(v) for v in sol.objectives)
-        with pytest.raises(ValueError) as info:
-            scheme_all_pirs(mode, p, budget)
-        assert str(info.value) == self.message(j, "the all-passive baseline")
+        log_passive = scheme_all_pirs(mode, p, budget)
+        with pytest.raises(OverflowError):
+            math.exp(log_passive)
+        assert abs(log_passive - float(exact_all_pirs_log(mode, p))) <= 1e-11
 
 
     @pytest.mark.parametrize("mode", [WIT, WPT])
@@ -506,8 +519,8 @@ class TestOverflow:
         log_passive = (log_boosted + 2 * budget.log_kappa_b + 2 * budget.log_kappa_u
                        + 2 * math.log(100) + 12 * budget.log_np_kappa_i
                        - (budget.log_noise_power if mode == WIT else 0.0))
-        assert scheme_all_pirs(mode, p, budget) == pytest.approx(math.exp(log_passive),
-                                                                 rel=1e-12)
+        # 1e-12 relative on the linear baseline is 1e-12 absolute on its log
+        assert scheme_all_pirs(mode, p, budget) == pytest.approx(log_passive, abs=1e-12)
 
     def test_boosted_power_logaddexp_takes_the_larger_term_as_its_shift(self):
         # equal terms (150 * 0.01 W) and each side leading, against the linear sum
@@ -517,7 +530,59 @@ class TestOverflow:
             boosted = tx + p.airs_elements * amp
             want = (boosted * p.bs_antennas * p.pirs_elements**2
                     * math.exp(2 * budget.log_kappa_b + 2 * budget.log_kappa_u))
-            assert scheme_all_pirs(WPT, p, budget) == pytest.approx(want, rel=1e-13)
+            assert scheme_all_pirs(WPT, p, budget) == pytest.approx(math.log(want), abs=1e-13)
+
+
+# a positive double drawn log-uniform over the whole range, subnormals included
+_ANY_POSITIVE = st.floats(min_value=math.log(5e-324), max_value=math.log(1.7976931348623157e308)
+                          ).map(math.exp).filter(lambda v: 0.0 < v < math.inf)
+
+
+class TestAllPassiveLog:
+    """``scheme_all_pirs`` is the natural log of the baseline, held to a 50-digit
+    mpmath evaluation from the same float fields, and finite wherever the budget is."""
+
+    @staticmethod
+    def gap(mode, p):
+        return abs(scheme_all_pirs(mode, p, derive_link_budget(p))
+                   - float(exact_all_pirs_log(mode, p)))
+
+    @pytest.mark.parametrize("mode", [WIT, WPT])
+    def test_agreement_grid_within_1e_11_nats_of_exact(self, mode):
+        assert max(self.gap(mode, p) for p in agreement_grid()) <= 1e-11
+
+    def test_random_chains_within_1e_11_nats_of_exact(self):
+        # J <= 400, np <= 20000 (np * kappa_i up to 14), each power within 40 dB of its
+        # default; the baseline's linear value leaves double range on many of them
+        rng = random.Random(3)
+        base = SystemParams()
+        gaps = []
+        for _ in range(3000):
+            p = replace(base, num_irs=rng.randint(1, 400),
+                        pirs_elements=rng.randint(1, 20000), pirs_grid=None,
+                        tx_power=base.tx_power * 10 ** rng.uniform(-4, 4),
+                        amp_power=base.amp_power * 10 ** rng.uniform(-4, 4),
+                        noise_power=base.noise_power * 10 ** rng.uniform(-4, 4))
+            gaps += [self.gap(mode, p) for mode in (WIT, WPT)]
+        assert len(gaps) == 6000 and max(gaps) <= 1e-11
+
+    @given(st.fixed_dictionaries({
+        "num_irs": st.integers(1, MAX_SURFACES),
+        "bs_antennas": st.integers(1, 10**400),
+        "airs_elements": st.integers(1, MAX_ELEMENTS),
+        "pirs_elements": st.integers(1, MAX_ELEMENTS),
+        **{name: _ANY_POSITIVE for name in (
+            "bs_irs_distance", "irs_user_distance", "inter_irs_distance", "tx_power",
+            "amp_power", "noise_power", "path_loss_exponent", "ref_path_gain")},
+    }))
+    def test_finite_wherever_the_budget_derives(self, fields):
+        # why the report has no range error for the baseline
+        p = SystemParams(**fields)
+        try:
+            budget = derive_link_budget(p)
+        except ValueError:
+            return
+        assert all(math.isfinite(scheme_all_pirs(mode, p, budget)) for mode in (WIT, WPT))
 
 
 class TestCrossover:
@@ -549,7 +614,7 @@ class TestCrossover:
         for n_p in range(1000, 1300):
             q = with_np(p, n_p)
             b = derive_link_budget(q)
-            if optimal_index(WPT, q, b).objective <= scheme_all_pirs(WPT, q, b):
+            if math.log(optimal_index(WPT, q, b).objective) <= scheme_all_pirs(WPT, q, b):
                 crossing = n_p
                 break
         assert crossing is not None
@@ -613,7 +678,21 @@ class TestRatioDiagnostics:
         assert rep.vs_middle_exact == pytest.approx(
             gamma_opt / snr_closed(p, 4, b), rel=1e-12)
         assert rep.vs_all_pirs_exact == pytest.approx(
-            gamma_opt / scheme_all_pirs(WIT, p, b), rel=1e-12)
+            gamma_opt / math.exp(scheme_all_pirs(WIT, p, b)), rel=1e-12)
+
+    def test_an_underflowed_final_snr_gives_a_zero_closed_ratio(self):
+        # d_u = 1e-20 puts the chain in case III, and at J = 145 the final SNR has
+        # underflowed to 0.0 while the optimum and the baseline are normal floats: the
+        # ratio is 0.0, as the quotient 0.0 / baseline gave, not a log of 0.0
+        p = replace(self.p, num_irs=145, irs_user_distance=1e-20)
+        b = derive_link_budget(p)
+        sol = optimal_index(WIT, p, b)
+        log_passive = scheme_all_pirs(WIT, p, b)
+        assert sol.objectives[-1] == 0.0 and sol.objective > 1e-300 and log_passive > -700.0
+        rep = ratio_diagnostics(WIT, p, b)
+        assert rep.vs_all_pirs_closed == 0.0 and rep.vs_middle_closed == 0.0
+        assert rep.vs_all_pirs_exact == pytest.approx(sol.objective / math.exp(log_passive),
+                                                      rel=1e-12)
 
     @pytest.mark.parametrize("mode", [WIT, WPT])
     def test_limits_are_the_closed_forms_without_noise(self, mode):

@@ -2,11 +2,13 @@ import math
 import random
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
+from unittest import mock
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from irschain import params as params_module
+from irschain import cli, params as params_module
 from irschain.cli import ConfigError, evaluate_point, params_from_config, parse_config_text
 from irschain.deployment import agreement_grid
 from irschain.params import (
@@ -19,13 +21,11 @@ from irschain.params import (
     dbm_to_watts,
     derive_link_budget,
     fraunhofer_distance,
-    linear_to_db,
     model_warnings,
     out_of_range_message,
     validate,
-    watts_to_dbm,
 )
-from reference import elements_at
+from reference import elements_at, exact_all_pirs_log
 
 # Default-scenario constants, frozen from direct linear arithmetic:
 # kappa_x = sqrt(10**-4.3) / d_x, c_t = 1 W * 10 * kappa_b**2,
@@ -49,21 +49,40 @@ class TestUnitConversions:
         # 10**(-43/10), computed independently
         assert db_to_linear(-43.0) == pytest.approx(5.011872336272725e-05, rel=1e-9)
 
+    # the report's one formatter, cli._db, takes a log10 and adds the unit's offset; with
+    # its 10-digit format taken out, it is the unrounded dB/dBm value
+    @staticmethod
+    def to_db(mode, value):
+        with mock.patch.object(cli, "_fmt", lambda x: x):
+            return cli._db(mode, math.log10(value))
+
     @given(st.floats(min_value=-120.0, max_value=80.0))
     def test_dbm_round_trip(self, level):
-        assert watts_to_dbm(dbm_to_watts(level)) == pytest.approx(level, abs=1e-10)
+        assert self.to_db("wpt", dbm_to_watts(level)) == pytest.approx(level, abs=1e-10)
 
     @given(st.floats(min_value=1e-20, max_value=1e6))
     def test_watts_round_trip(self, power):
-        assert dbm_to_watts(watts_to_dbm(power)) == pytest.approx(power, rel=1e-12)
+        assert dbm_to_watts(self.to_db("wpt", power)) == pytest.approx(power, rel=1e-12)
 
-    @pytest.mark.parametrize("value", [0.0, -1.0])
-    def test_nonpositive_rejected(self, value):
-        # at 0.0 the named error, not log10's 'math domain error'
-        with pytest.raises(ValueError, match="^watts_to_dbm requires a positive power$"):
-            watts_to_dbm(value)
-        with pytest.raises(ValueError, match="^linear_to_db requires a positive ratio$"):
-            linear_to_db(value)
+    @given(st.floats(min_value=1e-20, max_value=1e6))
+    def test_db_round_trip(self, ratio):
+        assert db_to_linear(self.to_db("wit", ratio)) == pytest.approx(ratio, rel=1e-12)
+
+    @given(st.floats(min_value=1e-300, max_value=1e300))
+    def test_formatter_prints_the_retired_converters_bytes(self, value):
+        # linear_to_db was 10 log10(x), watts_to_dbm 10 log10(x) + 30
+        assert cli._db("wit", math.log10(value)) == format(10.0 * math.log10(value), ".10g")
+        assert cli._db("wpt", math.log10(value)) == format(10.0 * math.log10(value) + 30.0,
+                                                           ".10g")
+
+    @pytest.mark.parametrize("mode", ["wit", "wpt"])
+    def test_zero_rejected(self, mode):
+        # at 0.0 the named error, not log10's 'math domain error'; an objective is a
+        # ratio of positive terms, so 0.0 from underflow is the one non-positive value
+        p = SystemParams()
+        with pytest.raises(ValueError) as info:
+            cli._in_db(mode, p, 0.0)
+        assert str(info.value) == out_of_range_message(p, "objective")
 
 
 class TestLinkBudget:
@@ -332,24 +351,26 @@ class TestBudgetOutOfRange:
             "far_field", "below the far-field threshold inf m: bs_irs_distance=4 m, "
             "irs_user_distance=4 m, inter_irs_distance=10 m")]
 
-    @pytest.mark.parametrize("bs_antennas, text", [(10**400, "1e+400"),
-                                                   (17 * 10**400, "1.7e+401")],
-                             ids=["1e400", "1.7e401"])
-    def test_antenna_count_beyond_double_range_is_named_not_raised(self, bs_antennas, text):
+    @pytest.mark.parametrize("bs_antennas, text, all_pirs_db", [
+        (10**400, "1e+400", "3881.982261"), (17 * 10**400, "1.7e+401", "3894.28675")],
+        ids=["1e400", "1.7e401"])
+    def test_antenna_count_beyond_double_range_is_named_not_raised(self, bs_antennas, text,
+                                                                   all_pirs_db):
         # :g converts an int to float, which used to raise OverflowError here.  log takes
         # the int as it is, so log c_t is finite; the all-passive baseline, which grows
-        # with the array, leaves double range and names it
+        # with the array, is past double range as a linear SNR but not as a log, so the
+        # row prints (it exited 2 naming the baseline while the baseline was linear)
         p = SystemParams(bs_antennas=bs_antennas)
         assert validate(p) == [] and fraunhofer_distance(p) == math.inf
+        assert out_of_range_message(p, "c_t").startswith(f"tx_power = 1, bs_antennas = {text}, ")
         budget = derive_link_budget(p)
         assert budget.log_c_t == pytest.approx(math.log(bs_antennas) + 2 * budget.log_kappa_b)
-        with pytest.raises(ValueError) as info:
-            evaluate_point("wit", p)
-        assert str(info.value) == (
-            "num_irs = 7, pirs_elements = 100, inter_irs_distance = 10, ref_path_gain = "
-            "5.01187e-05, path_loss_exponent = 2, amp_power = 0.0001, airs_elements = 150, "
-            f"irs_user_distance = 4, tx_power = 1, bs_antennas = {text}, bs_irs_distance = 4 "
-            "and noise_power = 1e-09 put the all-passive baseline out of double range")
+        row = evaluate_point("wit", p)
+        assert (row["l_star"], row["objective_db"], row["all_pirs_objective_db"]) == (
+            7, "38.48062535", all_pirs_db)
+        with mpmath.workdps(50):
+            assert format(float(exact_all_pirs_log("wit", p) * 10 / mpmath.log(10)),
+                          ".10g") == all_pirs_db
 
 
 def _edge_params():

@@ -61,9 +61,9 @@ EQUIVALENT = {
         f"the power's numerator partner test; {_NEGLIGIBLE}",
     ("metrics.py", "power_values", "u > NEGLIGIBLE_LOG", ">="):
         f"the power's denominator partner test; {_NEGLIGIBLE}",
-    ("deployment.py", "_log_all_pirs_power", "log_tx >= log_amp", ">"):
-        "the boosted power's logaddexp shift; on a tie either branch gives hi = lo = log_tx, "
-        "so the sum hi + log1p(exp(0.0)) keeps every bit",
+    ("deployment.py", "_logaddexp", "a >= b", ">"):
+        "the logaddexp's shift; on a tie either branch gives hi = lo = a, so "
+        "hi + log1p(exp(0.0)) keeps every bit",
     # the one panel-diagonal test in fraunhofer_distance, run once per grid
     ("params.py", "fraunhofer_distance", "aperture > d_max", ">="):
         "a running max(d_max, aperture); on a tie both are the same non-negative float, "
