@@ -10,9 +10,9 @@ picks the better neighbour of a relaxed stationary point from the same
 vector; for power transfer the final position always wins.  Every solve
 thus carries its own brute-force cross-check at no extra evaluation.
 Each solve also carries the middle-placement baseline; ``scheme_all_pirs``
-gives the log of the all-passive one, the other baseline the closed forms
-face.  It stays a log up to the report: a sum of finite budget logs, it is
-finite wherever the budget derives, even where its linear value is not.
+gives the log of the all-passive one, a sum of budget logs that is finite
+wherever the budget derives, even where its linear value is not.  The
+commands print all three in dB: a gain over a baseline is a column difference.
 """
 
 from __future__ import annotations
@@ -178,66 +178,13 @@ def wpt_crossover_np(p: SystemParams, budget: LinkBudget) -> float:
     The all-passive power grows as pirs_elements**(2J); this is the panel
     size at which it reaches c_a * airs_elements, the active chain's
     vanishing-noise power.  Valid as a strict crossover only in that regime.
+    Returns ``math.inf`` when the panel size leaves double range.
     """
     log_gap = budget.log_c_a + math.log(p.airs_elements) - scheme_all_pirs(WPT, p, budget)
-    return math.exp(math.log(p.pirs_elements) + log_gap / (2.0 * p.num_irs))
-
-
-@dataclass(frozen=True)
-class RatioReport:
-    """Optimal-scheme gain over both baselines, three ways each.
-
-    ``*_exact`` divides the actual objectives.  ``*_closed`` divides the
-    closed form at the final position by the middle one at the real index
-    (J+1)/2 and by the all-passive baseline: an identity for power transfer
-    (exact when the chain length is odd, so the middle index is integral),
-    a lower bound for information transfer.  ``*_limit`` is the closed
-    form's vanishing-noise value.  The baseline is a log, so each all-passive
-    ratio is the exp of a log difference.
-    """
-
-    mode: str
-    optimal_index: int
-    vs_middle_exact: float
-    vs_middle_closed: float
-    vs_middle_limit: float
-    vs_all_pirs_exact: float
-    vs_all_pirs_closed: float
-    vs_all_pirs_limit: float
-
-
-def _over_exp(value: float, log_den: float) -> float:
-    """value / exp(log_den), which never forms exp(log_den); an objective that
-    underflowed to 0.0 gives 0.0, as its quotient did."""
-    return math.exp(math.log(value) - log_den) if value else 0.0
-
-
-def ratio_diagnostics(mode: str, p: SystemParams, budget: LinkBudget) -> RatioReport:
-    sol = optimal_index(mode, p, budget)
-    log_passive = scheme_all_pirs(mode, p, budget)
-    final = sol.objectives[-1]
-    # vanishing-noise limits in log domain; x = np_kappa_i**(J-1)
-    log_x = (p.num_irs - 1) * budget.log_np_kappa_i
-    log_ca, log_ct = budget.log_c_a, budget.log_c_t
-    if mode == WPT:
-        vs_mid_limit = math.exp(-log_x)
-        vs_all_limit = math.exp(log_ca + math.log(p.airs_elements) - log_passive)
-    else:  # WIT; optimal_index has already rejected any other mode
-        log_den = _logaddexp(log_ca, log_ct + 2.0 * log_x)  # c_a + c_t * x**2
-        vs_mid_limit = math.exp(log_x + _logaddexp(log_ca, log_ct) - log_den)
-        vs_all_limit = math.exp(budget.log_signal - budget.log_noise_power - log_passive
-                                - log_den)
-
-    return RatioReport(
-        mode=mode,
-        optimal_index=sol.airs_index,
-        vs_middle_exact=sol.objective / sol.middle_objective,
-        vs_middle_closed=final / objective(mode, p, (p.num_irs + 1) / 2.0, budget),
-        vs_middle_limit=vs_mid_limit,
-        vs_all_pirs_exact=_over_exp(sol.objective, log_passive),
-        vs_all_pirs_closed=_over_exp(final, log_passive),
-        vs_all_pirs_limit=vs_all_limit,
-    )
+    try:
+        return math.exp(math.log(p.pirs_elements) + log_gap / (2.0 * p.num_irs))
+    except OverflowError:
+        return math.inf
 
 
 def agreement_grid() -> list[SystemParams]:

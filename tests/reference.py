@@ -2,7 +2,8 @@
 zig-zag chain, every hop's array responses, the co-phasing rule, one
 surface's reflection coefficient sum, the per-element power incident on
 the active surface, the amplifier power-budget check, the paper's
-panel-size scaling orders and the exact all-passive baseline."""
+panel-size scaling orders, the exact all-passive baseline and the
+vanishing-noise limits of the final position's objective."""
 
 import math
 
@@ -126,3 +127,21 @@ def exact_all_pirs_log(mode: str, p: SystemParams) -> mpmath.mpf:
                      + 2 * p.num_irs * mpmath.log(f(p.pirs_elements))
                      + 2 * (p.num_irs - 1) * log_kappa(p.inter_irs_distance))
         return +(log_power - mpmath.log(f(p.noise_power)) if mode == "wit" else log_power)
+
+
+def vanishing_noise_limits(mode: str, p: SystemParams, budget) -> tuple[float, float]:
+    """As the noise power vanishes, from the budget's logs: (log gain of the final
+    position over the real middle index (J+1)/2, log of the final position's
+    objective).
+
+    With x = (pirs_elements * kappa_i)**(J-1), "wpt" tends to a middle gain of 1/x
+    and to c_a * airs_elements watts; "wit" tends to a middle gain of
+    x (c_a + c_t) / (c_a + c_t x**2) and to an SNR of
+    signal / (noise_power (c_a + c_t x**2)).
+    """
+    log_x = (p.num_irs - 1) * budget.log_np_kappa_i
+    if mode == "wpt":
+        return -log_x, budget.log_c_a + math.log(p.airs_elements)
+    log_den = float(np.logaddexp(budget.log_c_a, budget.log_c_t + 2.0 * log_x))
+    return (log_x + float(np.logaddexp(budget.log_c_a, budget.log_c_t)) - log_den,
+            budget.log_signal - budget.log_noise_power - log_den)

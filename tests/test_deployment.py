@@ -12,7 +12,6 @@ from irschain.deployment import (
     agreement_grid,
     middle_index,
     optimal_index,
-    ratio_diagnostics,
     scheme_all_pirs,
     scheme_middle,
     wpt_crossover_np,
@@ -26,7 +25,7 @@ from irschain.params import (
     model_warnings,
     validate,
 )
-from reference import exact_all_pirs_log
+from reference import exact_all_pirs_log, vanishing_noise_limits
 
 # Frozen from direct arithmetic at the default scenario (100-element panels):
 # relaxed optimizer (J+1)/2 + log(c_a/c_t) / (4 log(np_kappa_i)) and the
@@ -601,6 +600,12 @@ class TestCrossover:
         p = SystemParams(tx_power=1e308, amp_power=1e306, bs_antennas=1)
         assert wpt_crossover_np(p, derive_link_budget(p)) == pytest.approx(1709.0, rel=1e-3)
 
+    def test_past_double_range_is_inf(self):
+        # a 1e300 m first hop at exponent 4 puts the all-passive log near -2777 nats;
+        # at J = 1 the threshold is exp of half its log gap, about 1381, past double range
+        p = SystemParams(num_irs=1, bs_irs_distance=1e300, path_loss_exponent=4.0)
+        assert wpt_crossover_np(p, derive_link_budget(p)) == math.inf
+
     def test_frozen_default_threshold(self):
         p = SystemParams()
         assert wpt_crossover_np(p, derive_link_budget(p)) == pytest.approx(
@@ -640,84 +645,79 @@ class TestCrossover:
         assert halved / full == pytest.approx(2 ** ((j - 1) / j), rel=1e-12)
 
 
-class TestRatioDiagnostics:
-    def setup_method(self):
-        self.p = SystemParams()
+class TestPlacementGains:
+    """The optimal placement's gains over the middle one and over the all-passive
+    chain, as log differences of what the solver returns.  "exact" divides the
+    optimum by the baseline.  "closed" divides the final position's objective by
+    the one at the real middle index (J+1)/2, or by the all-passive baseline: an
+    identity for power transfer (for odd J, where (J+1)/2 is the middle index), a
+    lower bound for information transfer."""
 
-    def test_power_ratios_are_algebraic_identities(self):
-        rep = ratio_diagnostics(WPT, self.p, derive_link_budget(self.p))
-        assert rep.vs_middle_exact == pytest.approx(rep.vs_middle_closed, rel=1e-10)
-        assert rep.vs_all_pirs_exact == pytest.approx(rep.vs_all_pirs_closed, rel=1e-10)
+    @staticmethod
+    def log_gains(mode, p):
+        """(exact, closed) over the middle, then (exact, closed) over the all-passive."""
+        b = derive_link_budget(p)
+        sol = optimal_index(mode, p, b)
+        log_optimum, log_final = math.log(sol.objective), math.log(sol.objectives[-1])
+        log_passive = scheme_all_pirs(mode, p, b)
+        return (log_optimum - math.log(sol.middle_objective),
+                log_final - math.log(objective(mode, p, (p.num_irs + 1) / 2.0, b)),
+                log_optimum - log_passive, log_final - log_passive)
 
-    def test_power_middle_ratio_low_noise_limit(self):
-        quiet = replace(self.p, noise_power=1e-30)
-        b = derive_link_budget(quiet)
-        rep = ratio_diagnostics(WPT, quiet, b)
-        assert rep.vs_middle_exact == pytest.approx(
-            math.exp(b.log_np_kappa_i * (1 - quiet.num_irs)), rel=1e-9)
-        assert rep.vs_middle_limit == pytest.approx(
-            math.exp(b.log_np_kappa_i * (1 - quiet.num_irs)), rel=1e-12)
+    @staticmethod
+    def limit_gains(mode, p):
+        """Vanishing-noise gains of the final position: over the middle, over the all-passive."""
+        b = derive_link_budget(p)
+        log_middle_gain, log_final = vanishing_noise_limits(mode, p, b)
+        return log_middle_gain, log_final - scheme_all_pirs(mode, p, b)
 
-    def test_single_surface_middle_ratio_is_one(self):
-        p = SystemParams(num_irs=1)
-        rep = ratio_diagnostics(WPT, p, derive_link_budget(p))
-        assert rep.vs_middle_exact == pytest.approx(1.0, rel=1e-12)
+    def test_power_gains_are_algebraic_identities(self):
+        mid_exact, mid_closed, all_exact, all_closed = self.log_gains(WPT, SystemParams())
+        assert mid_exact == pytest.approx(mid_closed, abs=1e-10)
+        assert all_exact == pytest.approx(all_closed, abs=1e-10)
+
+    def test_power_middle_gain_low_noise_limit(self):
+        # x**-(J-1) with x = np_kappa_i: the final position beats the middle one by
+        # J - 1 passive hops
+        quiet = replace(SystemParams(), noise_power=1e-30)
+        log_gain = -(quiet.num_irs - 1) * derive_link_budget(quiet).log_np_kappa_i
+        assert self.log_gains(WPT, quiet)[0] == pytest.approx(log_gain, abs=1e-9)
+        assert self.limit_gains(WPT, quiet)[0] == pytest.approx(log_gain, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", [WIT, WPT])
+    def test_single_surface_middle_gain_is_zero(self, mode):
+        assert self.log_gains(mode, SystemParams(num_irs=1))[0] == 0.0
 
     def test_information_closed_forms_are_lower_bounds(self):
         for n_p in (30, 100, 400):
-            p = with_np(self.p, n_p)
-            rep = ratio_diagnostics(WIT, p, derive_link_budget(p))
-            assert rep.vs_middle_exact >= rep.vs_middle_closed * (1 - 1e-12)
-            assert rep.vs_all_pirs_exact >= rep.vs_all_pirs_closed * (1 - 1e-12)
-
-    def test_exact_ratios_divide_the_objectives(self):
-        p = self.p
-        b = derive_link_budget(p)
-        rep = ratio_diagnostics(WIT, p, b)
-        gamma_opt = optimal_index(WIT, p, b).objective
-        assert rep.vs_middle_exact == pytest.approx(
-            gamma_opt / snr_closed(p, 4, b), rel=1e-12)
-        assert rep.vs_all_pirs_exact == pytest.approx(
-            gamma_opt / math.exp(scheme_all_pirs(WIT, p, b)), rel=1e-12)
-
-    def test_an_underflowed_final_snr_gives_a_zero_closed_ratio(self):
-        # d_u = 1e-20 puts the chain in case III, and at J = 145 the final SNR has
-        # underflowed to 0.0 while the optimum and the baseline are normal floats: the
-        # ratio is 0.0, as the quotient 0.0 / baseline gave, not a log of 0.0
-        p = replace(self.p, num_irs=145, irs_user_distance=1e-20)
-        b = derive_link_budget(p)
-        sol = optimal_index(WIT, p, b)
-        log_passive = scheme_all_pirs(WIT, p, b)
-        assert sol.objectives[-1] == 0.0 and sol.objective > 1e-300 and log_passive > -700.0
-        rep = ratio_diagnostics(WIT, p, b)
-        assert rep.vs_all_pirs_closed == 0.0 and rep.vs_middle_closed == 0.0
-        assert rep.vs_all_pirs_exact == pytest.approx(sol.objective / math.exp(log_passive),
-                                                      rel=1e-12)
+            mid_exact, mid_closed, all_exact, all_closed = self.log_gains(
+                WIT, with_np(SystemParams(), n_p))
+            assert mid_exact >= mid_closed - 1e-12
+            assert all_exact >= all_closed - 1e-12
 
     @pytest.mark.parametrize("mode", [WIT, WPT])
     def test_limits_are_the_closed_forms_without_noise(self, mode):
         # noise far below the weakest signal term c_t * x**2 (~5e-19 W here)
-        quiet = replace(self.p, noise_power=1e-40)
-        rep = ratio_diagnostics(mode, quiet, derive_link_budget(quiet))
-        assert rep.vs_middle_limit == pytest.approx(rep.vs_middle_closed, rel=1e-12)
-        assert rep.vs_all_pirs_limit == pytest.approx(rep.vs_all_pirs_closed, rel=1e-12)
+        quiet = replace(SystemParams(), noise_power=1e-40)
+        _, mid_closed, _, all_closed = self.log_gains(mode, quiet)
+        mid_limit, all_limit = self.limit_gains(mode, quiet)
+        assert mid_closed == pytest.approx(mid_limit, abs=1e-12)
+        assert all_closed == pytest.approx(all_limit, abs=1e-12)
 
     @pytest.mark.parametrize("mode", [WIT, WPT])
     @pytest.mark.parametrize("j", [60, 100, 130])
-    def test_long_chains_give_finite_ratios(self, mode, j):
-        # x**2 and pirs_elements**(2J) leave double range here; only log-domain terms do not
-        p = replace(self.p, num_irs=j)
-        rep = ratio_diagnostics(mode, p, derive_link_budget(p))
-        fields = (rep.vs_middle_exact, rep.vs_middle_closed, rep.vs_middle_limit,
-                  rep.vs_all_pirs_exact, rep.vs_all_pirs_closed, rep.vs_all_pirs_limit)
-        assert all(0.0 < v < math.inf for v in fields)
+    def test_long_chains_give_finite_log_gains(self, mode, j):
+        # x**2 and pirs_elements**(2J) leave double range here; their logs do not
+        p = replace(SystemParams(), num_irs=j)
+        gains = (*self.log_gains(mode, p), *self.limit_gains(mode, p))
+        assert all(math.isfinite(g) for g in gains)
 
     @pytest.mark.parametrize("j", [61, 101, 129])
     def test_long_odd_power_chains_closed_equals_exact(self, j):
-        p = replace(self.p, num_irs=j)
-        rep = ratio_diagnostics(WPT, p, derive_link_budget(p))
-        assert rep.vs_middle_closed == pytest.approx(rep.vs_middle_exact, rel=1e-10)
-        assert rep.vs_all_pirs_closed == pytest.approx(rep.vs_all_pirs_exact, rel=1e-10)
+        mid_exact, mid_closed, all_exact, all_closed = self.log_gains(
+            WPT, replace(SystemParams(), num_irs=j))
+        assert mid_closed == pytest.approx(mid_exact, abs=1e-10)
+        assert all_closed == pytest.approx(all_exact, abs=1e-10)
 
 
 class TestAgreementGrid:

@@ -214,7 +214,7 @@ class TestIndexCheck:
 
     @pytest.mark.parametrize("name", _CLOSED_FORMS)
     def test_real_middle_index_of_an_even_chain_is_accepted(self, name):
-        # ratio_diagnostics evaluates the objectives at (J+1)/2
+        # the placement-gain tests evaluate the objectives at the real middle (J+1)/2
         p = SystemParams(num_irs=8)
         assert math.isfinite(_CLOSED_FORMS[name](p, 4.5, derive_link_budget(p)))
 
@@ -364,7 +364,7 @@ class TestBitIdentity:
     def test_closed_forms_match_the_reference_bit_for_bit(self):
         for p in _bit_identity_configs():
             b = derive_link_budget(p)
-            # every position, and the real middle index ratio_diagnostics uses
+            # every position, and the real middle index (J+1)/2 the gain tests use
             for l in [*range(1, p.num_irs + 1), (p.num_irs + 1) / 2.0]:
                 for mode, closed_form in (("wit", snr_closed), ("wpt", power_closed)):
                     got = closed_form(p, l, b)

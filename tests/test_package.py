@@ -1,15 +1,18 @@
 import ast
 import importlib
 import inspect
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import irschain
+from irschain import cli
 from irschain.params import LinkBudget
 
 MODULES = sorted(Path(irschain.__file__).parent.glob("*.py"))
@@ -35,8 +38,7 @@ def test_closed_form_core_imports_without_numpy():
 # the closed forms and the oracle's beamformer read the LinkBudget they are given
 BUDGET_READERS = {
     "metrics": ("objective", "snr_closed", "power_closed"),
-    "deployment": ("optimal_index", "scheme_middle", "scheme_all_pirs", "wpt_crossover_np",
-                   "ratio_diagnostics"),
+    "deployment": ("optimal_index", "scheme_middle", "scheme_all_pirs", "wpt_crossover_np"),
     "beamforming": ("optimal_configuration",),
 }
 
@@ -99,9 +101,75 @@ def test_no_private_name_is_imported_from_a_sibling_module(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_retired_test_only_helpers_stay_out(path):
     # tests/reference.py holds the first four, and upa_response is the one array
-    # response; the report formats logs, so the linear dB converters went
+    # response; the report formats logs, so the linear dB converters went; no command
+    # read the float ratio report, whose gains are differences of the dB columns
     name = "irschain" if path.stem == "__init__" else f"irschain.{path.stem}"
     module = importlib.import_module(name)
     retired = ("steering_vector", "ula_response", "optimal_reflection_phases", "chain_geometry",
-               "linear_to_db", "watts_to_dbm")
+               "linear_to_db", "watts_to_dbm", "ratio_diagnostics", "RatioReport", "_over_exp")
     assert [attr for attr in retired if hasattr(module, attr)] == []
+
+
+# Functions no command reaches, each with the reason it stays
+UNREACHED = {
+    "cli.main": "the console entry point; the guard calls cli.run, which main wraps",
+    "channel.hop_matrices": "the dense oracle reference; perfbench's tracer binds it by name",
+    "channel.upa_response": "called only by hop_matrices, which perfbench's tracer binds",
+    "deployment.scheme_middle": "perfbench's tracer binds it by name",
+    "deployment.wpt_crossover_np": "test_criterion_5_scheme_comparisons reads the crossover",
+}
+
+
+def _defined_functions():
+    """{(path, first line, name): dotted name} of every function in the package; the
+    first line is a decorator's, as in the function's code object."""
+    def walk(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{scope}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    yield (str(path.resolve()), first, child.name), name
+                yield from walk(child, name, path)
+
+    return {key: name for path in MODULES
+            for key, name in walk(ast.parse(path.read_text(), filename=str(path)),
+                                  path.stem, path)}
+
+
+def test_every_function_is_reached_by_a_command(tmp_path):
+    # every command on default, panel-size, long-chain, dB-suffixed and bad-key inputs,
+    # in process; a function none of them calls goes, or is listed above with its reason
+    configs = {"long": "j = 400\n", "db": "pt = 30 dBm\nsigma2 = -90 dBm\nbeta0 = -30 dB\n",
+               "bad": "power = 3\n"}
+    for name, text in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    runs = [(["eval", "--mode", mode, *extra], code)
+            for mode in ("wit", "wpt")
+            for extra, code in (([], 0), (["--np", "2000"], 0),
+                                (["--config", str(tmp_path / "long.cfg")], 2),
+                                (["--config", str(tmp_path / "db.cfg")], 0),
+                                (["--config", str(tmp_path / "bad.cfg")], 2))]
+    runs += [(["sweep", "--mode", "wit", "--np", "10:1400:log:5"], 0),
+             (["sweep", "--mode", "wpt", "--np", "10:100:linear:30"], 0),
+             (["figures", "--outdir", str(tmp_path / "figures")], 0),
+             (["validate", "--oracle-samples", "2"], 0)]
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            called.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+    codes, previous = [], sys.getprofile()
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        sys.setprofile(record)
+        try:
+            for argv, _ in runs:
+                codes.append(cli.run(argv))
+        finally:
+            sys.setprofile(previous)
+    assert codes == [code for _, code in runs]
+    reached = {(os.path.realpath(file), line, name) for file, line, name in called}
+    unreached = sorted(name for key, name in _defined_functions().items() if key not in reached)
+    assert unreached == sorted(UNREACHED)
