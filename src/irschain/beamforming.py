@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .channel import HopGeometry, PhaseConfig, surface_weights
-from .params import LinkBudget, SystemParams
+from .channel import HopGeometry, PhaseConfig, exp_in_range, surface_weights
+from .params import LinkBudget, SystemParams, logaddexp
 
 
 def optimal_transmit_beam(channel_vec: np.ndarray, tx_power: float) -> np.ndarray:
@@ -31,10 +31,12 @@ def amplification_factor(airs_index: int, budget: LinkBudget, p: SystemParams) -
 
     Assumes the optimal beam and co-phased reflections, so the incident
     per-element power is c_t * np_kappa_i**(2*(l-1)); the budget then
-    binds with equality.
+    binds with equality: eta**2 = amp_power / (incident + noise_power),
+    formed from logs.
     """
-    incident = math.exp(budget.log_c_t + 2.0 * (airs_index - 1) * budget.log_np_kappa_i)
-    return math.sqrt(p.amp_power / (incident + p.noise_power))
+    log_incident = budget.log_c_t + 2.0 * (airs_index - 1) * budget.log_np_kappa_i
+    log_eta2 = math.log(p.amp_power) - logaddexp(log_incident, budget.log_noise_power)
+    return exp_in_range(0.5 * log_eta2, p, "eta")
 
 
 def optimal_configuration(airs_index: int, geometry: list[HopGeometry],

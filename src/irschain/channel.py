@@ -24,7 +24,8 @@ chain, the BS transmit response riding in the x-axis pass, and one
 Kronecker product per panel size.  How the rows are laid out is this
 module's business alone.  ``full_snr`` and ``full_power`` raise
 ``ValueError`` for a beam without ``bs_antennas`` entries or a
-``PhaseConfig`` without one phasor per surface element.
+``PhaseConfig`` without one phasor per surface element and, as the closed
+forms do, where their value leaves double range (``exp_in_range``).
 """
 
 from __future__ import annotations
@@ -35,20 +36,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import SystemParams, amplitude_gain, check_airs_index
+from .params import (SystemParams, amplitude_gain, check_airs_index, logaddexp,
+                     out_of_range_message)
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class HopGeometry:
     """Distance and departure/arrival angles (radians) of one hop.
 
     Hop k connects node k to node k+1 (node 0 is the transmitter, node
     J+1 the receiver).  The transmitter hop uses only the departure
     azimuth; the final hop has no arrival angles (single-antenna user).
-    The written-out ``__init__`` stores the five fields in one step; the
-    record is still frozen and compares, hashes and prints all five.
     """
 
     distance: float
@@ -56,14 +56,6 @@ class HopGeometry:
     dep_elevation: float = math.pi / 2.0
     arr_azimuth: float = 0.0
     arr_elevation: float = math.pi / 2.0
-
-    def __init__(self, distance: float, dep_azimuth: float,
-                 dep_elevation: float = math.pi / 2.0, arr_azimuth: float = 0.0,
-                 arr_elevation: float = math.pi / 2.0):
-        # one dict update instead of a frozen object.__setattr__ per field
-        vars(self).update(distance=distance, dep_azimuth=dep_azimuth,
-                          dep_elevation=dep_elevation, arr_azimuth=arr_azimuth,
-                          arr_elevation=arr_elevation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,17 +254,28 @@ def _check_shapes(weights, phases: PhaseConfig, beam: np.ndarray, p: SystemParam
                              f"phasors have shape {reflection.shape}")
 
 
+def exp_in_range(log_value: float, p: SystemParams, quantity: str) -> float:
+    """exp(log_value); past double range, ``ValueError`` naming the fields that feed
+    ``quantity``, an ``out_of_range_message`` key."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ValueError(out_of_range_message(p, quantity)) from None
+
+
 def full_snr(airs_index: int, geometry: list[HopGeometry], phases: PhaseConfig,
              beam: np.ndarray, p: SystemParams) -> float:
     """Receiver SNR evaluated from the matrix oracle."""
     log_signal, log_noise_gain, _ = _log_powers(airs_index, geometry, phases, beam, p)
     log_sigma2 = math.log(p.noise_power)
-    return math.exp(log_signal - np.logaddexp(log_noise_gain + log_sigma2, log_sigma2))
+    log_snr = log_signal - logaddexp(log_noise_gain + log_sigma2, log_sigma2)
+    return exp_in_range(log_snr, p, "objective")
 
 
 def full_power(airs_index: int, geometry: list[HopGeometry], phases: PhaseConfig,
                beam: np.ndarray, p: SystemParams) -> float:
-    """Total received signal-plus-amplification-noise power (watts)."""
-    log_signal, log_noise_gain, _ = _log_powers(airs_index, geometry, phases, beam, p)
-    noise = math.exp(log_noise_gain + math.log(p.noise_power)) if p.noise_power > 0.0 else 0.0
-    return math.exp(log_signal) + noise
+    """Received signal-plus-amplification-noise power (watts); the signal alone at 0 noise."""
+    log_power, log_noise_gain, _ = _log_powers(airs_index, geometry, phases, beam, p)
+    if p.noise_power > 0.0:
+        log_power = logaddexp(log_power, log_noise_gain + math.log(p.noise_power))
+    return exp_in_range(log_power, p, "objective")

@@ -225,11 +225,11 @@ def _in_db(mode: str, p: SystemParams, value: float) -> str:
 
 def evaluate_point(mode: str, p: SystemParams) -> dict[str, object]:
     """All columns of one sweep row; eval prints the same mapping."""
-    return _row(mode, p, derive_link_budget(p))
+    budget = derive_link_budget(p)
+    return _row(mode, p, budget, deployment.optimal_index(mode, p, budget))
 
 
-def _row(mode: str, p: SystemParams, budget) -> dict[str, object]:
-    sol = deployment.optimal_index(mode, p, budget)  # before _in_db: it rejects an unknown mode
+def _row(mode: str, p: SystemParams, budget, sol) -> dict[str, object]:
     return {
         "np": p.pirs_elements,
         "mode": mode,
@@ -241,7 +241,6 @@ def _row(mode: str, p: SystemParams, budget) -> dict[str, object]:
         "all_pirs_objective_db": _db(mode, deployment.scheme_all_pirs(mode, p, budget) / _LN10),
         "brute_force_l": sol.brute_force_index,
         "agrees": "true" if sol.brute_force_agrees else "false",
-        "_relaxed_index": sol.relaxed_index,
     }
 
 
@@ -277,12 +276,13 @@ def cmd_eval(args) -> int:
     budget = derive_link_budget(p)  # its error reads as in sweep and figures
     for diag in model_warnings(p, budget):  # before the solve, so a failed one is explained
         print(f"warning: {diag.message}", file=sys.stderr)
-    row = _row(args.mode, p, budget)
+    sol = deployment.optimal_index(args.mode, p, budget)
+    row = _row(args.mode, p, budget, sol)
     with _output(args.output) as stream:
         for key in CSV_COLUMNS:
             print(f"{key} = {row[key]}", file=stream)
-        if row["_relaxed_index"] is not None:
-            print(f"l_tilde = {_fmt(row['_relaxed_index'])}", file=stream)
+        if sol.relaxed_index is not None:
+            print(f"l_tilde = {_fmt(sol.relaxed_index)}", file=stream)
     return EXIT_OK
 
 
@@ -329,7 +329,7 @@ def cmd_validate(args) -> int:
     for _ in range(args.oracle_samples):
         j = int(rng.integers(1, 8))
         n_p = int(rng.integers(4, FIGURE_NP_MAX + 1))
-        p = replace(SystemParams(), num_irs=j, pirs_elements=n_p, pirs_grid=None)
+        p = SystemParams(num_irs=j, pirs_elements=n_p)
         worst = max(worst, _oracle_error(p, int(rng.integers(1, j + 1)), rng))
     print(f"matrix oracle vs closed form: {args.oracle_samples} configs, "
           f"max relative error {worst:.3e} (tolerance 1e-08)")
@@ -356,7 +356,7 @@ def figure_rows(base: SystemParams) -> tuple[list[dict], list[dict], list[dict]]
             sol = deployment.optimal_index(mode, p, budget)
             index_row[f"{mode}_l_star"] = sol.airs_index
             unit = _LOG_UNITS[mode][0]
-            schemes = {"optimal": sol.objective, "final": sol.objectives[-1],
+            schemes = {"optimal": sol.objective, "final": sol.final_objective,
                        "middle": sol.middle_objective}
             row = {"np": n_p, **{f"{name}_{unit}": _in_db(mode, p, value)
                                  for name, value in schemes.items()}}

@@ -9,6 +9,7 @@ leave double range before its log is taken.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -16,6 +17,7 @@ SPEED_OF_LIGHT = 299_792_458.0
 DEFAULT_CARRIER_HZ = 3.5e9
 MAX_ELEMENTS = 10**9  # per surface; the O(sqrt(n)) panel grid search takes ms here
 MAX_SURFACES = 10**6  # per chain; a solve's time and memory grow linearly with it
+_LN2 = math.log(2.0)
 
 
 def dbm_to_watts(x: float) -> float:
@@ -26,6 +28,16 @@ def dbm_to_watts(x: float) -> float:
 def db_to_linear(x: float) -> float:
     """Convert a gain in dB to a linear power ratio."""
     return 10.0 ** (x / 10.0)
+
+
+def logaddexp(a: float, b: float) -> float:
+    """log(exp(a) + exp(b)), shifted by the larger term (Blanchard, Higham & Higham,
+    IMA J. Numer. Anal. 2021): the sum, which can leave double range, never forms.
+    Bit for bit ``np.logaddexp``; a tie is a + log 2, so two -inf terms give -inf."""
+    if a == b:  # the shift would take inf - inf, a nan, for two infinite terms
+        return a + _LN2
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + math.log1p(math.exp(lo - hi))
 
 
 def check_airs_index(airs_index: int, num_irs: int) -> None:
@@ -78,8 +90,12 @@ class SystemParams:
         if self.element_spacing is None:
             object.__setattr__(self, "element_spacing", self.wavelength / 2.0)
         for count, grid in (("airs_elements", "airs_grid"), ("pirs_elements", "pirs_grid")):
-            if getattr(self, grid) is None and 1 <= getattr(self, count) <= MAX_ELEMENTS:
-                object.__setattr__(self, grid, _near_square_grid(getattr(self, count)))
+            n = getattr(self, count)
+            try:  # a non-integer count fails the comparison or isqrt; validate names it
+                if getattr(self, grid) is None and 1 <= n <= MAX_ELEMENTS:
+                    object.__setattr__(self, grid, _near_square_grid(n))
+            except TypeError:
+                pass
 
     def grid_at(self, k: int, airs_index: int) -> tuple[int, int]:
         """(x, z) panel dimensions of surface k given the active one's index."""
@@ -182,12 +198,17 @@ _CHAIN = tuple(dict.fromkeys(("num_irs", "pirs_elements", "inter_irs_distance") 
                              + _OUT_OF_RANGE["c_a"][1] + _OUT_OF_RANGE["c_t"][1]
                              + ("noise_power",)))
 _OUT_OF_RANGE["objective"] = ("the objective", _CHAIN)
+# the amplifier gain at position l: amp_power over the incident power
+# c_t * np_kappa_i**(2(l-1)) plus the noise
+_OUT_OF_RANGE["eta"] = ("the amplifier gain eta",
+                        ("amp_power", "noise_power") + _OUT_OF_RANGE["c_t"][1]
+                        + ("pirs_elements", "inter_irs_distance"))
 
 
 def out_of_range_message(p: SystemParams, *quantities: str) -> str:
     """'f1 = v1, ... and fn = vn put <quantity> out of double range', "; "-joined.
 
-    A quantity is "kappa_b", "kappa_i", "kappa_u", "c_a", "c_t" or "objective";
+    A quantity is "kappa_b", "kappa_i", "kappa_u", "c_a", "c_t", "objective" or "eta";
     f1..fn are the fields that feed it.  The all-passive baseline is a sum of
     finite budget logs, so it never leaves double range and has no entry.
     """
@@ -254,23 +275,32 @@ def fraunhofer_distance(p: SystemParams) -> float:
 
 
 def validate(p: SystemParams) -> list[Diagnostic]:
-    """The per-field errors that make ``p`` unusable, as data, never raised.  A
-    derived quantity out of double range is left to ``derive_link_budget``."""
+    """The per-field errors that make ``p`` unusable, as data, never raised: a count's
+    range only once every count is an integer.  A derived quantity out of double range
+    is left to ``derive_link_budget``."""
     out: list[Diagnostic] = []
-    if p.num_irs < 1:
-        out.append(Diagnostic("num_irs", f"need at least one surface, got num_irs={p.num_irs}"))
-    elif p.num_irs > MAX_SURFACES:
-        out.append(Diagnostic("num_irs",
-                              f"num_irs must be at most {MAX_SURFACES} surfaces, got {p.num_irs}"))
-    if p.bs_antennas < 1:
-        out.append(Diagnostic("bs_antennas",
-                              f"need at least one transmit antenna, got {p.bs_antennas}"))
-    for count, grid in (("airs_elements", "airs_grid"), ("pirs_elements", "pirs_grid")):
-        n, g = getattr(p, count), getattr(p, grid)
-        if not 1 <= n <= MAX_ELEMENTS:
-            out.append(Diagnostic(count, f"{count} must be 1..{MAX_ELEMENTS} elements, got {n}"))
-        if g is not None and g[0] * g[1] != n:
-            out.append(Diagnostic(grid, f"grid {g} does not factor {count}={n}"))
+    for name in ("num_irs", "bs_antennas", "airs_elements", "pirs_elements"):
+        try:  # operator.index rejects a float, even a whole one
+            operator.index(value := getattr(p, name))
+        except TypeError:
+            out.append(Diagnostic(name, f"{name} must be an integer, got {value!r}"))
+    if not out:
+        if p.num_irs < 1:
+            out.append(Diagnostic("num_irs",
+                                  f"need at least one surface, got num_irs={p.num_irs}"))
+        elif p.num_irs > MAX_SURFACES:
+            out.append(Diagnostic("num_irs", f"num_irs must be at most {MAX_SURFACES} "
+                                  f"surfaces, got {p.num_irs}"))
+        if p.bs_antennas < 1:
+            out.append(Diagnostic("bs_antennas",
+                                  f"need at least one transmit antenna, got {p.bs_antennas}"))
+        for count, grid in (("airs_elements", "airs_grid"), ("pirs_elements", "pirs_grid")):
+            n, g = getattr(p, count), getattr(p, grid)
+            if not 1 <= n <= MAX_ELEMENTS:
+                out.append(Diagnostic(count,
+                                      f"{count} must be 1..{MAX_ELEMENTS} elements, got {n}"))
+            if g is not None and g[0] * g[1] != n:
+                out.append(Diagnostic(grid, f"grid {g} does not factor {count}={n}"))
     for name in ("bs_irs_distance", "irs_user_distance", "inter_irs_distance",
                  "tx_power", "amp_power", "noise_power", "ref_path_gain",
                  "wavelength", "element_spacing", "path_loss_exponent"):

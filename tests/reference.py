@@ -2,8 +2,9 @@
 zig-zag chain, every hop's array responses, the co-phasing rule, one
 surface's reflection coefficient sum, the per-element power incident on
 the active surface, the amplifier power-budget check, the paper's
-panel-size scaling orders, the exact all-passive baseline and the
-vanishing-noise limits of the final position's objective."""
+panel-size scaling orders, the objective at every position, the exact
+all-passive baseline and the vanishing-noise limits of the final
+position's objective."""
 
 import math
 
@@ -12,6 +13,7 @@ import numpy as np
 
 from irschain import channel
 from irschain.channel import HopGeometry
+from irschain.metrics import objective
 from irschain.params import SystemParams, check_airs_index
 
 
@@ -102,6 +104,12 @@ def power_scaling_order(airs_index: int, num_irs: int) -> int:
     """Predicted exponent of the received power in the panel size."""
     check_airs_index(airs_index, num_irs)
     return 2 * (num_irs - airs_index)
+
+
+def objective_vector(mode: str, p: SystemParams, budget) -> list[float]:
+    """The objective at positions 1..J, one ``objective`` call each: the values a
+    placement solve scans."""
+    return [objective(mode, p, l, budget) for l in range(1, p.num_irs + 1)]
 
 
 def exact_all_pirs_log(mode: str, p: SystemParams) -> mpmath.mpf:

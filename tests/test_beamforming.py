@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +16,8 @@ from irschain.channel import (
     random_geometry,
     upa_response,
 )
-from irschain.params import SystemParams, derive_link_budget
+from irschain.metrics import power_closed, snr_closed
+from irschain.params import SystemParams, derive_link_budget, out_of_range_message
 from reference import (
     chain_geometry,
     check_power_constraint,
@@ -187,6 +189,35 @@ class TestAmplificationFactor:
         budget = derive_link_budget(p)
         eta = amplification_factor(7, budget, p)
         assert eta == pytest.approx(math.sqrt(p.amp_power / p.noise_power), rel=1e-6)
+
+    # J = 400, np = 20000: np * kappa_i ~ 14, so the incident power c_t * x**(2(l-1))
+    # leaves double range from l = 199, where the linear gain raised OverflowError; from
+    # l = 299 the gain itself underflows to 0.0
+    @pytest.mark.parametrize("l", [1, 199, 200, 250, 400])
+    def test_long_chain_gain_comes_from_logs(self, l):
+        p = SystemParams(num_irs=400, pirs_elements=20000)
+        budget = derive_link_budget(p)
+        with mpmath.workdps(50):
+            log_incident = (mpmath.mpf(budget.log_c_t)
+                            + 2 * (l - 1) * mpmath.mpf(budget.log_np_kappa_i))
+            want = float(mpmath.sqrt(p.amp_power / (mpmath.exp(log_incident) + p.noise_power)))
+        assert amplification_factor(l, budget, p) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_gain_past_double_range_names_its_fields(self):
+        # eta**2 = 1e308 W over a subnormal noise power, ~1e627, once the incident power
+        # is below the noise: the gain itself leaves double range (it was inf), while
+        # the closed-form objectives stay finite, so the error names the gain
+        p = SystemParams(num_irs=2, pirs_elements=4, amp_power=1e308, noise_power=5e-320,
+                         tx_power=1e-300)
+        budget = derive_link_budget(p)
+        assert 1e306 < amplification_factor(1, budget, p) < math.inf
+        assert math.isfinite(power_closed(p, 2, budget))
+        assert math.isfinite(snr_closed(p, 2, budget))
+        with pytest.raises(ValueError) as info:
+            amplification_factor(2, budget, p)
+        assert str(info.value) == out_of_range_message(p, "eta")
+        assert str(info.value).startswith("amp_power = 1e+308, noise_power = ")
+        assert str(info.value).endswith(" put the amplifier gain eta out of double range")
 
     def test_closed_form_matches_matrix_incident_power(self):
         geom = chain_geometry(self.p)

@@ -20,7 +20,8 @@ from irschain.channel import (
     upa_response,
 )
 from irschain.metrics import power_closed, snr_closed
-from irschain.params import SystemParams, amplitude_gain, derive_link_budget
+from irschain.params import (SystemParams, amplitude_gain, derive_link_budget,
+                             out_of_range_message)
 from reference import chain_geometry, cophasing_phases, hop_responses, incident_element_power
 
 
@@ -267,6 +268,12 @@ class TestFullPower:
         expected = _dense_cascade(5, self.geom, phases, beam, self.p)["signal"]
         assert full_power(5, self.geom, phases, beam, silent) == pytest.approx(expected, rel=1e-10)
 
+    def test_zero_amplification_gives_zero_power(self):
+        # signal and amplified noise both pass the active surface: two -inf logs add to 0 W
+        phases, beam = optimal_configuration(4, self.geom, self.p, self.budget)
+        off = PhaseConfig(reflection=phases.reflection, eta=0.0)
+        assert full_power(4, self.geom, off, beam, self.p) == 0.0
+
     @pytest.mark.parametrize("l", [1, 3, 6, 7])
     def test_matches_closed_form(self, l):
         phases, beam = optimal_configuration(l, self.geom, self.p, self.budget)
@@ -287,6 +294,37 @@ class TestFullPower:
             phases, beam = optimal_configuration(6, geom, self.p, self.budget)
             values.append(full_power(6, geom, phases, beam, self.p))
         assert (max(values) - min(values)) <= 1e-8 * min(values)
+
+
+class TestOracleRange:
+    """Where a closed form leaves double range, the oracle raises its named error, never a
+    bare ``OverflowError``; elsewhere it agrees with the closed form.  The amplifier's gain
+    is taken from logs, so an incident power past double range (the first chain's third
+    position) or a gain ratio past it (the last chain, whose linear eta was inf) no longer
+    raises or gives inf and nan."""
+
+    @pytest.mark.parametrize("fields, refused", [
+        (dict(num_irs=3, pirs_elements=16, inter_irs_distance=1e-100, noise_power=1e-200), 2),
+        (dict(num_irs=2, tx_power=1e300, noise_power=1e-300, bs_irs_distance=1e-10), 0),
+        (dict(num_irs=2, amp_power=1e300, noise_power=1e-300, tx_power=1e-300), 0),
+    ])
+    def test_oracle_agrees_or_raises_the_closed_forms_error(self, fields, refused):
+        p = SystemParams(**fields)
+        budget, geom = derive_link_budget(p), chain_geometry(p)
+        raised = 0
+        for l in range(1, p.num_irs + 1):
+            phases, beam = optimal_configuration(l, geom, p, budget)
+            for oracle, closed in ((full_snr, snr_closed), (full_power, power_closed)):
+                try:
+                    want = closed(p, l, budget)
+                except ValueError as error:
+                    with pytest.raises(ValueError) as info:
+                        oracle(l, geom, phases, beam, p)
+                    assert str(info.value) == str(error) == out_of_range_message(p, "objective")
+                    raised += 1
+                else:
+                    assert oracle(l, geom, phases, beam, p) == pytest.approx(want, rel=1e-8)
+        assert raised == refused
 
 
 class TestGeometryHelpers:
@@ -324,7 +362,8 @@ HOP_NAMES = ("distance", "dep_azimuth", "dep_elevation", "arr_azimuth", "arr_ele
 
 
 class TestHopGeometryRecord:
-    """The written-out constructor keeps the frozen dataclass behaviour."""
+    """A frozen dataclass record: positional and keyword construction, defaults,
+    equality, hashing, repr and replace."""
 
     @pytest.mark.parametrize("name", HOP_NAMES)
     def test_fields_cannot_be_assigned_or_deleted(self, name):

@@ -25,7 +25,7 @@ from irschain.params import (
     model_warnings,
     validate,
 )
-from reference import exact_all_pirs_log, vanishing_noise_limits
+from reference import exact_all_pirs_log, objective_vector, vanishing_noise_limits
 
 # Frozen from direct arithmetic at the default scenario (100-element panels):
 # relaxed optimizer (J+1)/2 + log(c_a/c_t) / (4 log(np_kappa_i)) and the
@@ -90,9 +90,11 @@ def _random_decreasing_params(rng, count):
 class TestBruteForce:
     def test_single_surface(self):
         p = SystemParams(num_irs=1)
-        sol = optimal_index(WIT, p, derive_link_budget(p))
+        budget = derive_link_budget(p)
+        sol = optimal_index(WIT, p, budget)
         assert sol.brute_force_index == 1
-        assert sol.objectives == (sol.objective,)
+        assert objective_vector(WIT, p, budget) == [sol.objective]
+        assert sol.middle_objective == sol.final_objective == sol.objective
         assert sol.brute_force_agrees
 
     def test_default_scenario_information(self):
@@ -111,7 +113,7 @@ class TestBruteForce:
         budget = derive_link_budget(p)
         sol = optimal_index(WIT, p, budget)
         l = sol.brute_force_index
-        assert sol.objectives[l - 1] == snr_closed(p, l, budget)
+        assert sol.airs_index == l and sol.objective == snr_closed(p, l, budget)
 
 
 class TestObjectiveVector:
@@ -120,13 +122,14 @@ class TestObjectiveVector:
         for p in agreement_grid():
             budget = derive_link_budget(p)
             sol = optimal_index(mode, p, budget)
-            assert sol.objectives == tuple(closed(p, l, budget)
-                                           for l in range(1, p.num_irs + 1))
-            best = max(sol.objectives)
-            first_argmax = min(l for l in range(1, p.num_irs + 1)
-                               if sol.objectives[l - 1] == best)
+            values = [closed(p, l, budget) for l in range(1, p.num_irs + 1)]
+            assert values == objective_vector(mode, p, budget)
+            best = max(values)
+            first_argmax = min(l for l in range(1, p.num_irs + 1) if values[l - 1] == best)
             assert sol.brute_force_index == first_argmax
-            assert sol.objective == sol.objectives[sol.airs_index - 1]
+            assert sol.objective == values[sol.airs_index - 1]
+            assert sol.middle_objective == values[middle_index(p.num_irs) - 1]
+            assert sol.final_objective == values[-1]
 
     # a power solve makes no objective call: TestNegligiblePartner in test_metrics
     # counts its exps instead
@@ -156,7 +159,7 @@ class TestDeploymentSolutionRecord:
     """The written-out keyword-only constructor keeps the frozen dataclass behaviour."""
 
     FIELDS = ["airs_index", "objective", "case", "relaxed_index", "brute_force_index",
-              "brute_force_agrees", "objectives", "middle_objective"]
+              "brute_force_agrees", "middle_objective", "final_objective"]
 
     @staticmethod
     def _solution():
@@ -184,6 +187,7 @@ class TestDeploymentSolutionRecord:
         assert again == sol and hash(again) == hash(sol) and repr(again) == repr(sol)
         assert repr(sol).startswith("DeploymentSolution(airs_index=5, objective=")
         assert replace(sol, middle_objective=0.0) != sol
+        assert replace(sol, final_objective=0.0) != sol
 
     def test_replace_still_works(self):
         sol = self._solution()
@@ -351,8 +355,11 @@ class TestRegimeEdge:
 
     @pytest.mark.parametrize("mode", [WIT, WPT])
     def test_every_position_ties_and_brute_force_picks_the_first(self, mode):
-        sol = optimal_index(mode, self.P, derive_link_budget(self.P))
-        assert len(sol.objectives) == 7 and len(set(sol.objectives)) == 1
+        budget = derive_link_budget(self.P)
+        sol = optimal_index(mode, self.P, budget)
+        values = objective_vector(mode, self.P, budget)
+        assert len(values) == 7 and len(set(values)) == 1
+        assert sol.objective == sol.middle_objective == sol.final_objective == values[0]
         assert sol.brute_force_index == 1
         assert sol.airs_index == 1 and sol.case == "brute-force-fallback"
 
@@ -426,7 +433,16 @@ class TestBaselineSchemes:
             budget = derive_link_budget(p)
             sol = optimal_index(mode, p, budget)
             assert (sol.middle_objective == scheme_middle(mode, p, budget)
-                    == sol.objectives[middle_index(p.num_irs) - 1]), p
+                    == objective(mode, p, middle_index(p.num_irs), budget)), p
+
+    @pytest.mark.parametrize("mode", [WIT, WPT])
+    def test_every_solve_carries_the_final_position(self, mode):
+        for p in agreement_grid():
+            budget = derive_link_budget(p)
+            sol = optimal_index(mode, p, budget)
+            assert sol.final_objective == objective(mode, p, p.num_irs, budget), p
+            if mode == WPT:  # the power solve places the surface there
+                assert sol.final_objective == sol.objective, p
 
 
 class TestOverflow:
@@ -500,7 +516,9 @@ class TestOverflow:
         p = self.chain(j)
         budget = derive_link_budget(p)
         sol = optimal_index(mode, p, budget)
-        assert all(math.isfinite(v) for v in sol.objectives)
+        assert all(math.isfinite(v) for v in objective_vector(mode, p, budget))
+        assert all(math.isfinite(v) for v in (sol.objective, sol.middle_objective,
+                                              sol.final_objective))
         log_passive = scheme_all_pirs(mode, p, budget)
         with pytest.raises(OverflowError):
             math.exp(log_passive)
@@ -513,7 +531,10 @@ class TestOverflow:
         # log tx_power and log(airs_elements * amp_power), which never forms the sum
         p = SystemParams(tx_power=1e308, amp_power=1e306, bs_antennas=1)
         budget = derive_link_budget(p)
-        assert all(math.isfinite(v) for v in optimal_index(mode, p, budget).objectives)
+        sol = optimal_index(mode, p, budget)
+        assert all(math.isfinite(v) for v in objective_vector(mode, p, budget))
+        assert all(math.isfinite(v) for v in (sol.objective, sol.middle_objective,
+                                              sol.final_objective))
         log_boosted = math.log(1e308) + math.log1p(150 * 1e306 / 1e308)
         log_passive = (log_boosted + 2 * budget.log_kappa_b + 2 * budget.log_kappa_u
                        + 2 * math.log(100) + 12 * budget.log_np_kappa_i
@@ -658,7 +679,7 @@ class TestPlacementGains:
         """(exact, closed) over the middle, then (exact, closed) over the all-passive."""
         b = derive_link_budget(p)
         sol = optimal_index(mode, p, b)
-        log_optimum, log_final = math.log(sol.objective), math.log(sol.objectives[-1])
+        log_optimum, log_final = math.log(sol.objective), math.log(sol.final_objective)
         log_passive = scheme_all_pirs(mode, p, b)
         return (log_optimum - math.log(sol.middle_objective),
                 log_final - math.log(objective(mode, p, (p.num_irs + 1) / 2.0, b)),
@@ -721,6 +742,22 @@ class TestPlacementGains:
 
 
 class TestAgreementGrid:
+    def test_equals_the_grid_built_by_replace(self):
+        # the reference resets each grid of a changed count to None, so it is derived again
+        base = SystemParams()
+        reference = [replace(base, num_irs=j, pirs_elements=n_p, pirs_grid=None,
+                             tx_power=base.tx_power * pt_scale,
+                             amp_power=base.amp_power * pa_scale,
+                             airs_elements=max(1, round(base.airs_elements * na_scale)),
+                             airs_grid=None)
+                     for j in range(1, 10)
+                     for n_p in [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
+                     for pt_scale in (0.01, 1.0, 100.0)
+                     for pa_scale in (0.01, 1.0, 100.0)
+                     for na_scale in (0.1, 1.0, 10.0)]
+        assert agreement_grid() == reference
+        assert len({(p.airs_elements, p.airs_grid) for p in reference}) == 3
+
     def test_size_and_regime(self):
         grid = agreement_grid()
         assert len(grid) >= 500

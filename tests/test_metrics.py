@@ -17,11 +17,12 @@ from irschain.channel import (
     random_geometry,
 )
 from irschain.deployment import agreement_grid, optimal_index
-from irschain.metrics import WIT, objective, power_closed, snr_closed
+from irschain.metrics import WIT, objective, power_closed, power_values, snr_closed
 from irschain.params import SystemParams, derive_link_budget, out_of_range_message
 from reference import (
     chain_geometry,
     incident_element_power,
+    objective_vector,
     power_scaling_order,
     snr_scaling_order,
 )
@@ -476,8 +477,8 @@ class TestSnrProperties:
         scale = 10.0 ** (scale_db / 10.0)
         scaled = replace(p, tx_power=p.tx_power * scale, amp_power=p.amp_power * scale,
                          noise_power=p.noise_power * scale)
-        for a, b in zip(optimal_index("wit", p, derive_link_budget(p)).objectives,
-                        optimal_index("wit", scaled, derive_link_budget(scaled)).objectives,
+        for a, b in zip(objective_vector("wit", p, derive_link_budget(p)),
+                        objective_vector("wit", scaled, derive_link_budget(scaled)),
                         strict=True):
             # below the smallest normal double an SNR keeps fewer than 53 bits, so the
             # 1e-12 relative bound is floored at that edge (seen at J = 57, np = 2)
@@ -493,8 +494,8 @@ class TestSnrProperties:
                           airs_elements=antennas, airs_grid=None,
                           bs_irs_distance=d_edge, irs_user_distance=d_edge)
         swapped = replace(p, tx_power=p.amp_power, amp_power=p.tx_power)
-        mirrored = optimal_index("wit", swapped, derive_link_budget(swapped)).objectives[::-1]
-        assert optimal_index("wit", p, derive_link_budget(p)).objectives == mirrored
+        mirrored = objective_vector("wit", swapped, derive_link_budget(swapped))[::-1]
+        assert objective_vector("wit", p, derive_link_budget(p)) == mirrored
 
 
 # the power's property is drawn wider: J <= 400, np 2..20000 and +-40 dB
@@ -581,5 +582,9 @@ class TestNegligiblePartner:
                 optimal_index("wpt", p, budget)
             assert str(refused.value) == out_of_range
         else:
-            got = optimal_index("wpt", p, budget).objectives
+            got = power_values(p, budget, range(1, j + 1))  # the solve's one loop
             assert [v.hex() for v in got] == [v.hex() for v in wants[:j]]
+            sol = optimal_index("wpt", p, budget)
+            assert [sol.objective.hex(), sol.middle_objective.hex(),
+                    sol.final_objective.hex()] == [
+                wants[l - 1].hex() for l in (sol.airs_index, (j + 1) // 2, j)]

@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,6 +22,7 @@ from irschain.params import (
     dbm_to_watts,
     derive_link_budget,
     fraunhofer_distance,
+    logaddexp,
     model_warnings,
     out_of_range_message,
     validate,
@@ -649,6 +651,71 @@ class TestValidate:
     def test_negative_distance_is_an_error(self):
         diags = validate(SystemParams(bs_irs_distance=-2.0))
         assert any(d.name == "bs_irs_distance" for d in diags)
+
+
+class TestCountsAreIntegers:
+    """A count that ``operator.index`` rejects is a field error under its own name,
+    before any range test compares it, and constructing the record never raises."""
+
+    COUNTS = ("num_irs", "bs_antennas", "airs_elements", "pirs_elements")
+
+    @pytest.mark.parametrize("value", [2.5, 150.0, math.nan, "7"], ids=repr)
+    @pytest.mark.parametrize("name", COUNTS)
+    def test_non_integer_count_is_named(self, name, value):
+        p = SystemParams(**{name: value})  # no grid search on it, so no TypeError here
+        assert validate(p) == [Diagnostic(name, f"{name} must be an integer, got {value!r}")]
+        for mode in ("wit", "wpt"):
+            with pytest.raises(ValueError, match=f"^invalid system parameters: {name} must "
+                                                 "be an integer, got "):
+                evaluate_point(mode, p)
+
+    @pytest.mark.parametrize("count, grid", [("airs_elements", "airs_grid"),
+                                             ("pirs_elements", "pirs_grid")])
+    def test_a_whole_float_panel_gets_no_grid(self, count, grid):
+        p = SystemParams(**{count: 150.0})
+        assert getattr(p, grid) is None
+        assert getattr(SystemParams(**{count: 150}), grid) == (10, 15)
+
+    def test_numpy_and_bool_integers_are_counts(self):
+        p = SystemParams(num_irs=np.int64(7), bs_antennas=np.int32(10),
+                         airs_elements=np.int64(150), pirs_elements=np.uint16(100))
+        assert validate(p) == [] and p.airs_grid == (10, 15) and p.pirs_grid == (10, 10)
+        assert evaluate_point("wit", p) == evaluate_point("wit", SystemParams())
+        assert validate(SystemParams(num_irs=True)) == []
+
+    def test_every_non_integer_count_and_float_field_is_reported(self):
+        # the range tests are skipped, as they would compare non-integers
+        p = SystemParams(num_irs=2.5, pirs_elements=math.nan, bs_antennas=0, tx_power=-1.0)
+        assert [d.name for d in validate(p)] == ["num_irs", "pirs_elements", "tx_power"]
+        assert [d.name for d in validate(replace(p, num_irs=3, pirs_elements=4))] == [
+            "bs_antennas", "tx_power"]
+
+
+class TestLogaddexp:
+    """``params.logaddexp`` gives ``np.logaddexp``'s double, bit for bit."""
+
+    @staticmethod
+    def same(a, b):
+        return logaddexp(a, b).hex() == float(np.logaddexp(a, b)).hex()
+
+    @pytest.mark.parametrize("a", [0.0, -1.5, 709.0, -745.0, 1e300, -1e-300, 5e-324,
+                                   -math.inf, math.inf])
+    def test_ties(self, a):
+        # two infinite terms included: the shifted form would give nan
+        assert self.same(a, a) and logaddexp(a, a) == a + math.log(2.0)
+
+    @pytest.mark.parametrize("a", [0.0, -3.0, 42.0, 1e308, -1e308])
+    def test_minus_inf_partner_gives_the_other_term(self, a):
+        assert logaddexp(a, -math.inf) == logaddexp(-math.inf, a) == a
+        assert self.same(a, -math.inf) and self.same(-math.inf, a)
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(36)
+        near = rng.normal(0.0, 20.0, (20000, 2))  # terms within a few dozen nats
+        wide = rng.uniform(-700.0, 700.0, (20000, 2))
+        close = rng.normal(0.0, 1.0, 20000)
+        pairs = [*near.tolist(), *wide.tolist(), *zip(close.tolist(), (close + 1e-9).tolist())]
+        assert [tuple(pair) for pair in pairs if not self.same(*pair)] == []
 
 
 class TestGuards:

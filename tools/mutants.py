@@ -61,9 +61,9 @@ EQUIVALENT = {
         f"the power's numerator partner test; {_NEGLIGIBLE}",
     ("metrics.py", "power_values", "u > NEGLIGIBLE_LOG", ">="):
         f"the power's denominator partner test; {_NEGLIGIBLE}",
-    ("deployment.py", "_logaddexp", "a >= b", ">"):
-        "the logaddexp's shift; on a tie either branch gives hi = lo = a, so "
-        "hi + log1p(exp(0.0)) keeps every bit",
+    ("params.py", "logaddexp", "a >= b", ">"):
+        "the logaddexp's shift; a tie returns a + log 2 before it, so a >= b and a > b "
+        "order every pair that reaches it alike",
     # the one panel-diagonal test in fraunhofer_distance, run once per grid
     ("params.py", "fraunhofer_distance", "aperture > d_max", ">="):
         "a running max(d_max, aperture); on a tie both are the same non-negative float, "
